@@ -90,10 +90,11 @@ def _report_payload(report: Report) -> dict:
 
 
 def _emit(command: str, params: dict, payload: dict) -> None:
+    """Write the whole document at once: an integer over Python's int->str
+    digit limit raises ValueError before anything reaches stdout."""
     doc = {"meta": {"command": command, "version": __version__, "params": params}}
     doc.update(payload)
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _state_labels(n: int, zero_based: bool) -> list[int]:

@@ -163,20 +163,13 @@ class BasisMatrix:
         return tuple(row[j - 1] for row in self.entries)
 
 
-def worpitzky_matrix(n: int) -> BasisMatrix:
-    """W(i, j) = coefficient of x^j in C(x + n - i, n), for i, j in 1..n.
-
-    Column j holds the A-basis coordinates of the idempotent E[j]; the
-    columns are the right eigenvectors of every shuffle transition matrix.
-    The polynomial is expanded by exact multiplication of its n linear
-    factors followed by division by n!.
-    """
+def _worpitzky_numerators(n: int) -> list[list[int]]:
+    """The integer matrix n! W: row i holds the coefficients of x^1..x^n in
+    prod_{s=0..n-1} (x + n - i - s), expanded by exact multiplication."""
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    nfact = math.factorial(n)
     rows = []
     for i in range(1, n + 1):
-        # prod_{s=0..n-1} (x + n - i - s), integer coefficients, degree n
         coeffs = [1]
         for s in range(n):
             const = n - i - s
@@ -186,8 +179,22 @@ def worpitzky_matrix(n: int) -> BasisMatrix:
                 nxt[t] += const * c
             coeffs = nxt
         # constant term vanishes because the factor with s = n - i is x
-        rows.append(tuple(Fraction(coeffs[j], nfact) for j in range(1, n + 1)))
-    return BasisMatrix(n, tuple(rows), from_basis="E", to_basis="A")
+        rows.append(coeffs[1:])
+    return rows
+
+
+def worpitzky_matrix(n: int) -> BasisMatrix:
+    """W(i, j) = coefficient of x^j in C(x + n - i, n), for i, j in 1..n.
+
+    Column j holds the A-basis coordinates of the idempotent E[j]; the
+    columns are the right eigenvectors of every shuffle transition matrix.
+    The polynomial is expanded by exact multiplication of its n linear
+    factors followed by division by n!.
+    """
+    numerators = _worpitzky_numerators(n)
+    nfact = math.factorial(n)
+    rows = tuple(tuple(Fraction(c, nfact) for c in row) for row in numerators)
+    return BasisMatrix(n, rows, from_basis="E", to_basis="A")
 
 
 def foulkes_matrix(n: int) -> BasisMatrix:

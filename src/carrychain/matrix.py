@@ -9,13 +9,17 @@ indexed by i, j in 1..n, where state i means i-1 descents (equivalently,
 carry value i-1 in the base-b addition chain).  Every row sums to b^n, so
 dividing by b^n gives an exact stochastic matrix.
 
+Row i comes from one integer kernel: the coefficients of x^1..x^n in
+(1 - x)^(n+1) sum_k C(bk + n - i, n) x^k, taken by n+1 difference passes
+over n+1 binomials; ``amazing_entry`` is the entry-by-entry reference.
+
 Everything claimed about this matrix is an exact identity and is verified
-here by exact arithmetic: its right eigenvectors are the columns of the
-Worpitzky matrix and its left eigenvectors the rows of the Foulkes matrix
-(eigenvalue b^k for the k-th), matrices for different b multiply as
-P(b1) P(b2) = P(b1 b2), the stationary distribution is the Eulerian
-distribution, and row 1 for parameter b^r is the descent generating
-polynomial of b^r-shuffles.
+here in integer arithmetic: the columns of n! W (Worpitzky) and the rows of
+F (Foulkes) are its right and left eigenvectors (eigenvalue b^k for the
+k-th), matrices for different b multiply as P(b1) P(b2) = P(b1 b2), the
+stationary distribution is the Eulerian distribution, det F is the
+superfactorial (by fraction-free elimination), and row 1 for parameter b^r
+is the descent generating polynomial of b^r-shuffles.
 """
 
 from __future__ import annotations
@@ -23,9 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .combinat import binomial, eulerian_numbers
-from .eulerian import foulkes_matrix, worpitzky_matrix
+from .eulerian import _worpitzky_numerators, foulkes_matrix
+
+
+def _row(n: int, m: int, i: int) -> list[int]:
+    """Coefficients of x^0..x^n in (1 - x)^(n+1) sum_k C(mk + n - i, n) x^k:
+    entries 1..n are row i of P(n, m), entry 0 is C(n - i, n)."""
+    g = [binomial(m * k + n - i, n) for k in range(n + 1)]
+    for _ in range(n + 1):
+        g[1:] = [a - c for a, c in zip(g[1:], g)]
+    return g
 
 
 def amazing_entry(n: int, b: int, i: int, j: int) -> int:
@@ -75,10 +89,11 @@ class AmazingMatrix:
 
 
 def amazing_matrix(n: int, b: int) -> AmazingMatrix:
-    """Build the full matrix (the constructor checks the row-sum and
-    nonnegativity invariants)."""
-    entries = tuple(tuple(amazing_entry(n, b, i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
-    return AmazingMatrix(n, b, entries)
+    """Build the full matrix, one row-kernel call per row (the constructor
+    checks the row-sum and nonnegativity invariants)."""
+    if n < 1 or b < 1:
+        raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
+    return AmazingMatrix(n, b, tuple(tuple(_row(n, b, i)[1:]) for i in range(1, n + 1)))
 
 
 def normalized_row(m: AmazingMatrix, i: int) -> tuple[Fraction, ...]:
@@ -107,29 +122,25 @@ class Report:
         return f"{status} {self.name} ({params}) [{self.checked} identities]{detail}"
 
 
+def _foulkes_rows(n: int) -> list[list[int]]:
+    return [[int(x) for x in row] for row in foulkes_matrix(n).entries]
+
+
 def verify_spectrum(n: int, b: int) -> Report:
-    """Check, exactly, that the Worpitzky columns are right eigenvectors and
-    the Foulkes rows left eigenvectors of P(n, b), with eigenvalues b^k."""
-    P = amazing_matrix(n, b)
-    W = worpitzky_matrix(n)
-    F = foulkes_matrix(n)
+    """Check, in integers, that the columns of n! W are right eigenvectors
+    and the rows of F left eigenvectors of P(n, b), with eigenvalues b^k."""
+    P = amazing_matrix(n, b).entries
     failures = []
-    checked = 0
-    for j in range(1, n + 1):
-        col = W.column(j)
-        lhs = tuple(sum(P.entry(i, t) * col[t - 1] for t in range(1, n + 1)) for i in range(1, n + 1))
-        rhs = tuple(b**j * c for c in col)
-        checked += 1
-        if lhs != rhs:
+    for j, col in enumerate(zip(*_worpitzky_numerators(n)), start=1):
+        bj = b**j
+        if [sum(map(mul, row, col)) for row in P] != [bj * c for c in col]:
             failures.append(f"right eigenpair failed: n={n}, b={b}, j={j}")
-    for i in range(1, n + 1):
-        row = F.row(i)
-        lhs = tuple(sum(row[t - 1] * P.entry(t, j) for t in range(1, n + 1)) for j in range(1, n + 1))
-        rhs = tuple(b**i * c for c in row)
-        checked += 1
-        if lhs != rhs:
+    columns = list(zip(*P))
+    for i, row in enumerate(_foulkes_rows(n), start=1):
+        bi = b**i
+        if [sum(map(mul, row, col)) for col in columns] != [bi * c for c in row]:
             failures.append(f"left eigenpair failed: n={n}, b={b}, i={i}")
-    return Report("spectrum", {"n": n, "b": b}, checked, tuple(failures))
+    return Report("spectrum", {"n": n, "b": b}, 2 * n, tuple(failures))
 
 
 def stationary_distribution(n: int) -> tuple[Fraction, ...]:
@@ -139,60 +150,52 @@ def stationary_distribution(n: int) -> tuple[Fraction, ...]:
 
 
 def verify_stationary(n: int, b: int) -> Report:
-    """Check pi P = b^n pi exactly for the Eulerian distribution pi."""
-    P = amazing_matrix(n, b)
-    pi = stationary_distribution(n)
+    """Check pi P = b^n pi for the Eulerian distribution pi, as E P = b^n E
+    in integers on the Eulerian row E = n! pi."""
+    P = amazing_matrix(n, b).entries
+    E = eulerian_numbers(n)
+    bn = b**n
     failures = []
-    lhs = tuple(sum(pi[t - 1] * P.entry(t, j) for t in range(1, n + 1)) for j in range(1, n + 1))
-    rhs = tuple(b**n * p for p in pi)
-    if lhs != rhs:
+    if [sum(map(mul, E, col)) for col in zip(*P)] != [bn * e for e in E]:
         failures.append(f"stationary identity failed: n={n}, b={b}")
     return Report("stationary", {"n": n, "b": b}, 1, tuple(failures))
 
 
 def verify_multiplicativity(n: int, b1: int, b2: int) -> Report:
     """Check P(b1) P(b2) = P(b1 b2) on unnormalized entries."""
-    A = amazing_matrix(n, b1)
-    B = amazing_matrix(n, b2)
+    A = amazing_matrix(n, b1).entries
+    columns = list(zip(*amazing_matrix(n, b2).entries))
     C = amazing_matrix(n, b1 * b2)
-    product = tuple(
-        tuple(sum(A.entry(i, t) * B.entry(t, j) for t in range(1, n + 1)) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    product = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in A)
     failures = []
     if product != C.entries:
         failures.append(f"multiplicativity failed: n={n}, b1={b1}, b2={b2}")
     return Report("multiplicativity", {"n": n, "b1": b1, "b2": b2}, 1, tuple(failures))
 
 
-def _determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by rational Gaussian elimination with pivoting."""
+def _bareiss_determinant(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss)
+    elimination with row pivoting: every division is exact."""
     m = [row[:] for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk, top = m[k][k], m[k][k + 1 :]
+        for r in range(k + 1, len(m)):
+            rk = m[r][k]
+            m[r][k + 1 :] = [(a * pk - rk * c) // prev for a, c in zip(m[r][k + 1 :], top)]
+        prev = pk
+    return sign * m[-1][-1]
 
 
 def foulkes_determinant(n: int) -> int:
     """Exact determinant of the Foulkes matrix (equals the superfactorial)."""
-    F = foulkes_matrix(n)
-    det = _determinant([list(row) for row in F.entries])
-    if det.denominator != 1:
-        raise AssertionError(f"Foulkes determinant came out non-integral: {det}")
-    return det.numerator
+    return _bareiss_determinant(_foulkes_rows(n))
 
 
 @dataclass(frozen=True)
@@ -217,17 +220,14 @@ class DescentPolynomial:
 def descent_polynomial(n: int, b: int, r: int) -> DescentPolynomial:
     """Descent generating vector of b^r-shuffles, by the closed formula
 
-        c_k = sum_{i=0..k} (-1)^i C(n+1, i) C(m(k-i) + n - 1, n),  m = b^r.
+        c_k = sum_{i=0..k} (-1)^i C(n+1, i) C(m(k-i) + n - 1, n),  m = b^r,
 
-    Only degrees 0..n are computed; c_0 is checked to vanish.
+    that is row 1 of P(n, m), from the row kernel; c_0 is checked to vanish.
     """
     if n < 1 or b < 1 or r < 1:
         raise ValueError(f"need n, b, r >= 1, got n={n}, b={b}, r={r}")
     m = b**r
-    coeffs = []
-    for k in range(n + 1):
-        c = sum((-1) ** i * binomial(n + 1, i) * binomial(m * (k - i) + n - 1, n) for i in range(k + 1))
-        coeffs.append(c)
+    coeffs = _row(n, m, 1)
     if coeffs[0] != 0:
         raise AssertionError(f"degree-0 coefficient must vanish, got {coeffs[0]}")
     return DescentPolynomial(n, m, tuple(coeffs[1:]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 SEED_BITS = 64
+MAX_BASE = 2**63  # digits are handed out as int64, so they must stay below 2^63
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -52,7 +53,7 @@ def digit_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: 
     The modulo reduction carries a bias of (2^64 mod base) / 2^64, far below
     anything the statistical tolerances of this package can resolve.
     """
-    if base < 1:
-        raise ValueError(f"base must be positive, got {base}")
+    if not 1 <= base <= MAX_BASE:
+        raise ValueError(f"base must lie in 1..2^63, got {base}")
     block = stream_block(seed, trial_lo, trial_hi, draw_lo, draw_hi)
     return (block % np.uint64(base)).astype(np.int64)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rng import check_seed, digit_block, stream_block
+from .rng import MAX_BASE, check_seed, digit_block, stream_block
 
 _CHUNK_VALUES = 1 << 22  # cap per-chunk random values to bound memory
 
@@ -97,8 +97,8 @@ def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: 
     update composes the shuffle outcome after the current deck, matching the
     exact oracle's orientation.
     """
-    if n < 1 or b < 1:
-        raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
+    if n < 1 or not 1 <= b <= MAX_BASE:
+        raise ValueError(f"need n >= 1 and 1 <= b <= 2^63, got n={n}, b={b}")
     counts = np.zeros(n * n, dtype=np.int64)
     chunk = max(1, _CHUNK_VALUES // (n * (cfg.steps + 1)))
     arange_n = np.arange(n)
@@ -129,12 +129,15 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
     Carry states are 0..n_summands-1 (a carry can never reach n_summands).
     Trial t consumes draw c*n_summands + m for column c, summand m; each
     trial starts at carry 0.  ``cfg.steps`` plays no role here: ``digits``
-    is the chain length.
+    is the chain length.  Carry plus column sum, at most
+    (n_summands - 1) + n_summands (b - 1), must fit in int64.
     """
     if n_summands < 2:
         raise ValueError(f"need at least 2 summands, got {n_summands}")
     if b < 2:
         raise ValueError(f"base must be at least 2, got {b}")
+    if (n_summands - 1) + n_summands * (b - 1) >= 2**63:
+        raise ValueError(f"carry plus column sum must stay below 2^63, got n_summands={n_summands}, b={b}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
     n = n_summands
@@ -143,16 +146,21 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
     for lo in range(0, cfg.trials, chunk):
         hi = min(lo + chunk, cfg.trials)
         t0, t1 = trial_offset + lo, trial_offset + hi
-        block = digit_block(cfg.seed, t0, t1, 0, digits * n, b)
-        column_sums = block.reshape(hi - lo, digits, n).sum(axis=2)
         if hi - lo == 1:
-            # single trajectory: plain integer loop beats numpy scalar ops
+            # single trajectory: plain integer loop beats numpy scalar ops;
+            # the columns come in chunks and the carry runs on across them
             carry = 0
-            for s in column_sums[0].tolist():
-                nxt = (carry + s) // b
-                counts[carry][nxt] += 1
-                carry = nxt
+            step = max(1, _CHUNK_VALUES // n)
+            for c0 in range(0, digits, step):
+                c1 = min(c0 + step, digits)
+                block = digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b)
+                for s in block.reshape(c1 - c0, n).sum(axis=1).tolist():
+                    nxt = (carry + s) // b
+                    counts[carry][nxt] += 1
+                    carry = nxt
         else:
+            block = digit_block(cfg.seed, t0, t1, 0, digits * n, b)
+            column_sums = block.reshape(hi - lo, digits, n).sum(axis=2)
             trail = np.zeros((hi - lo, digits + 1), dtype=np.int64)
             carry = np.zeros(hi - lo, dtype=np.int64)
             for c in range(digits):

@@ -106,6 +106,13 @@ class TestDescentPoly:
         assert doc["mass"] == 16
         assert doc["meta"]["params"]["base"] == 4
 
+    def test_over_the_digit_limit_writes_nothing(self, capsys):
+        # the coefficients pass Python's int->str limit of 4300 digits
+        code, out, err = run_cli(capsys, "descent-poly", "--n", "4", "--b", "2", "--r", "5000")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
 
 class TestOracle:
     def test_transition(self, capsys):
@@ -149,6 +156,27 @@ class TestSimulate:
     def test_rejects_huge_seed(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "shuffle", "--n", "2", "--b", "2", "--trials", "10", "--seed", str(2**64))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "kind, n, b, expected",
+        [
+            ("shuffle", 3, 2**63, 0),
+            ("shuffle", 3, 2**63 + 1, 2),
+            ("shuffle", 3, 2**64, 2),
+            # carries: 2 + 3 (b - 1) < 2^63 holds up to b = (2^63 + 1) / 3 - 1
+            ("carries", 3, (2**63 + 1) // 3 - 1, 0),
+            ("carries", 3, (2**63 + 1) // 3, 2),
+            ("carries", 3, 2**63 + 5, 2),
+        ],
+    )
+    def test_base_bounds(self, capsys, kind, n, b, expected):
+        code, out, err = run_cli(capsys, "simulate", kind, "--n", str(n), "--b", str(b), "--trials", "100", "--seed", "1")
+        assert code == expected
+        assert "Traceback" not in err
+        if expected == 0:
+            assert sum(sum(row) for row in json.loads(out)["counts"]) == 100
+        else:
+            assert out == "" and err.startswith("error: ")
 
 
 class TestVerify:

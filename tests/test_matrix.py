@@ -1,9 +1,14 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from carrychain import matrix
 from carrychain.combinat import superfactorial
 from carrychain.matrix import (
+    AmazingMatrix,
     amazing_entry,
     amazing_matrix,
     descent_polynomial,
@@ -37,6 +42,40 @@ class TestAmazingEntry:
         for n in range(1, 13):
             for b in range(1, 11):
                 assert all(amazing_entry(n, b, i, j) >= 0 for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+class TestRowKernel:
+    @staticmethod
+    def entry_grid(n, b):
+        return tuple(tuple(amazing_entry(n, b, i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
+
+    def test_matches_alternating_sums(self):
+        for n in range(1, 13):
+            for b in range(1, 11):
+                assert amazing_matrix(n, b).entries == self.entry_grid(n, b)
+
+    @pytest.mark.parametrize("b", (2**200, 3**1000))
+    def test_matches_alternating_sums_for_huge_bases(self, b):
+        for n in range(1, 7):
+            assert amazing_matrix(n, b).entries == self.entry_grid(n, b)
+
+    def test_rejects_bad_arguments(self):
+        for n, b in ((0, 2), (2, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                amazing_matrix(n, b)
+
+    def test_checks_see_a_swap_that_keeps_row_sums(self, monkeypatch):
+        exact = amazing_matrix(4, 2)
+        rows = [list(row) for row in exact.entries]
+        rows[1][0], rows[1][1] = rows[1][1], rows[1][0]
+        assert rows[1][0] != rows[1][1]
+        swapped = AmazingMatrix(4, 2, tuple(map(tuple, rows)))  # row sums still b^n
+        monkeypatch.setattr(matrix, "amazing_matrix", lambda n, b: swapped)
+        spectrum = verify_spectrum(4, 2)
+        assert not spectrum.ok and spectrum.checked == 8
+        assert all("eigenpair failed: n=4, b=2" in f for f in spectrum.failures)
+        stationary = verify_stationary(4, 2)
+        assert stationary.failures == ("stationary identity failed: n=4, b=2",)
 
 
 class TestAmazingMatrix:
@@ -126,9 +165,23 @@ class TestFoulkesDeterminant:
         assert foulkes_determinant(2) == 2
         assert foulkes_determinant(4) == 288
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 16))
     def test_superfactorial(self, n):
         assert foulkes_determinant(n) == superfactorial(n)
+
+    def test_elimination_against_leibniz_formula(self):
+        # sparse random matrices, so zero pivots, row swaps and singular
+        # matrices all occur
+        rng = random.Random(3)
+        for size in range(1, 6):
+            for _ in range(40):
+                rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(size)] for _ in range(size)]
+                leibniz = sum(
+                    (-1) ** sum(p[a] > p[c] for a, c in itertools.combinations(range(size), 2))
+                    * math.prod(rows[t][p[t]] for t in range(size))
+                    for p in itertools.permutations(range(size))
+                )
+                assert matrix._bareiss_determinant(rows) == leibniz
 
 
 class TestDescentPolynomial:
@@ -156,7 +209,7 @@ class TestDescentPolynomial:
         # the start state of the chain from a sorted deck has 0 descents, so
         # row 1 of the matrix for parameter b^r is the descent polynomial
         for n in range(1, 7):
-            for b, r in ((2, 1), (2, 2), (3, 1)):
+            for b, r in ((2, 1), (2, 2), (3, 1), (2, 200), (3, 1000), (7, 40)):
                 assert descent_polynomial(n, b, r).coeffs == amazing_matrix(n, b**r).row(1)
 
     def test_rejects_bad_arguments(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from carrychain import simulate
 from carrychain.matrix import amazing_matrix
 from carrychain.rng import check_seed, digit_block, mix64, stream_block
 from carrychain.simulate import (
@@ -29,6 +30,14 @@ class TestRng:
     def test_digits_in_range(self):
         digits = digit_block(99, 0, 100, 0, 50, base=7)
         assert digits.min() >= 0 and digits.max() < 7
+
+    def test_base_bound(self):
+        top = digit_block(5, 0, 3, 0, 40, base=2**63)
+        assert top.tolist() == (stream_block(5, 0, 3, 0, 40) % np.uint64(2**63)).astype(np.int64).tolist()
+        assert top.min() >= 0
+        for base in (0, 2**63 + 1, 2**64):
+            with pytest.raises(ValueError):
+                digit_block(5, 0, 3, 0, 40, base=base)
 
     def test_mix64_bijective_on_sample(self):
         xs = np.arange(1000, dtype=np.uint64)
@@ -95,6 +104,12 @@ class TestShuffleChain:
         with pytest.raises(ValueError):
             simulate_shuffle_chain(0, 2, SimulationConfig(trials=1, seed=1))
 
+    def test_base_bound(self):
+        assert simulate_shuffle_chain(3, 2**63, SimulationConfig(trials=50, seed=1)).samples == 50
+        for b in (2**63 + 1, 2**64):
+            with pytest.raises(ValueError):
+                simulate_shuffle_chain(3, b, SimulationConfig(trials=50, seed=1))
+
 
 class TestCarries:
     def test_deterministic(self):
@@ -134,3 +149,49 @@ class TestCarries:
             simulate_carries(2, 1, 10, SimulationConfig(trials=1, seed=1))
         with pytest.raises(ValueError):
             simulate_carries(2, 2, 0, SimulationConfig(trials=1, seed=1))
+
+    def test_base_bound(self):
+        # 2 + 3 (b - 1) < 2^63 holds up to b = (2^63 + 1) / 3 - 1; at that b
+        # the int64 column sums must still be exact
+        top = (2**63 + 1) // 3 - 1
+        for trials in (1, 3):
+            got = simulate_carries(3, top, 40, SimulationConfig(trials=trials, seed=8))
+            assert got.counts == _carries_reference(3, top, 40, seed=8, trials=trials)
+        for b in (top + 1, 2**63 + 5):
+            with pytest.raises(ValueError):
+                simulate_carries(3, b, 40, SimulationConfig(trials=1, seed=8))
+
+    @pytest.mark.parametrize("chunk", (1, 5, 7))
+    def test_chunking_leaves_counts_unchanged(self, monkeypatch, chunk):
+        # column counts that are no multiple of the chunk, one trajectory and
+        # several, so the carry must run on across the chunk borders
+        whole = {
+            (seed, digits, trials): simulate_carries(3, 4, digits, SimulationConfig(trials=trials, seed=seed), 2)
+            for seed in (1, 2, 99)
+            for digits in (1, 10, 101)
+            for trials in (1, 3)
+        }
+        sizes = []
+
+        def recording_digit_block(*args):
+            block = digit_block(*args)
+            sizes.append(block.size)
+            return block
+
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(simulate, "digit_block", recording_digit_block)
+        for (seed, digits, trials), expected in whole.items():
+            assert simulate_carries(3, 4, digits, SimulationConfig(trials=trials, seed=seed), 2) == expected
+        assert max(sizes) <= max(chunk, 3)  # one column of 3 digits at least
+
+
+def _carries_reference(n, b, digits, seed, trials):
+    """Carry transition counts in plain Python integers, from the raw draws."""
+    counts = [[0] * n for _ in range(n)]
+    for raw in stream_block(seed, 0, trials, 0, digits * n).tolist():
+        carry = 0
+        for c in range(digits):
+            nxt = (carry + sum(v % b for v in raw[c * n : (c + 1) * n])) // b
+            counts[carry][nxt] += 1
+            carry = nxt
+    return tuple(tuple(row) for row in counts)
