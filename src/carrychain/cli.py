@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .combinat import Composition, binomial, eulerian_number, superfactorial
+from .combinat import Composition, all_permutations, binomial, eulerian_number, superfactorial
 from .eulerian import (
     foulkes_matrix,
     idempotent_s_expansion,
@@ -445,11 +445,7 @@ def _suite_shuffle_element(max_n: int) -> Report:
                 if shuffles.total() != b**n:
                     failures.append(f"word count != b^n at n={n}, b={b}")
                 support_ok = all(p.inverse().descent_count() <= b - 1 for p in shuffles.multiplicity)
-                expected_size = sum(
-                    1
-                    for images in itertools.permutations(range(1, n + 1))
-                    if sum(1 for x, y in zip(images, images[1:]) if x > y) <= b - 1
-                )
+                expected_size = sum(1 for p in all_permutations(n) if p.descent_count() <= b - 1)
                 if not support_ok or len(shuffles.multiplicity) != expected_size:
                     failures.append(f"support rule failed at n={n}, b={b}")
                 realized = shuffle_element_from_basis(n, b).invert_support()

@@ -1,10 +1,14 @@
 """Brute-force ground truth in the group algebra of small symmetric groups.
 
 This module deliberately avoids the closed formulas it is used to check:
-shuffles are enumerated digit word by digit word, products are computed by
-composing permutations, and the descent transition matrix is tallied class
-by class.  Bounds keep everything at desk scale (group-algebra work at
-n <= 8, exhaustive shuffle enumeration within a 10^7-word budget).
+every one of the b^n shuffle digit words is enumerated, every pair of terms
+of a product is composed, and the descent transition is tallied for every
+permutation, not per class.  One lazily built table per n indexes that work
+without shortcutting it: S_n in lexicographic order as a small-int array,
+with descent counts, descent-set bitmasks and, for n <= 6, the composition
+table, built with numpy gathers and Lehmer-code ranks.  Bounds keep
+everything at desk scale (group-algebra work at n <= 8, exhaustive shuffle
+enumeration within a 10^7-word budget, drawn in blocks of bounded size).
 
 Orientation conventions, pinned by executable checks:
 
@@ -26,6 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
+
+import numpy as np
 
 from .combinat import Composition, Permutation, binomial, compositions
 from .eulerian import SWordExpansion, idempotent_s_expansion
@@ -37,6 +44,7 @@ TRANSITION_MAX_N = 6
 ENUMERATION_BUDGET = 10**7
 
 _TABLE_MAX_N = 6
+_BLOCK_VALUES = 1 << 15  # cap the values held by one block of a numpy kernel
 
 
 class OracleBoundError(ValueError):
@@ -63,32 +71,52 @@ class TransitionMismatch(RuntimeError):
         super().__init__(f"transition row mismatch at n={n}, b={b}, state {state}")
 
 
-def _descents(images: tuple[int, ...]) -> int:
-    return sum(1 for a, b in zip(images, images[1:]) if a > b)
+class _SnTable(NamedTuple):
+    """S_n in lexicographic order (the order of ``itertools.permutations``)."""
+
+    images: np.ndarray  # (n!, n) int8, one-line notation, 1-based
+    descents: np.ndarray  # (n!,) descent counts
+    masks: np.ndarray  # (n!,) descent sets, position i as bit i-1
+    compose: np.ndarray | None  # [i, j] = rank of images[i] after images[j]; n <= 6
 
 
-def _descent_set(images: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(i + 1 for i, (a, b) in enumerate(zip(images, images[1:])) if a > b)
-
-
-def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(images)
-    for pos, img in enumerate(images):
-        inv[img - 1] = pos + 1
-    return tuple(inv)
-
-
-@lru_cache(maxsize=None)
-def _perm_list(n: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
-    perms = tuple(itertools.permutations(range(1, n + 1)))
-    return perms, {p: i for i, p in enumerate(perms)}
+def _rank(images: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each permutation row, by its Lehmer code."""
+    n = images.shape[-1]
+    rank = np.zeros(images.shape[:-1], dtype=np.int64)
+    for i in range(n):
+        rank = rank * (n - i) + (images[..., i + 1 :] < images[..., i : i + 1]).sum(axis=-1)
+    return rank
 
 
 @lru_cache(maxsize=None)
-def _compose_table(n: int) -> list[list[int]]:
-    # compose[i][j] = index of perms[i] after perms[j]; only built for n <= 6
-    perms, index = _perm_list(n)
-    return [[index[tuple(p[q[s] - 1] for s in range(n))] for q in perms] for p in perms]
+def _table(n: int) -> _SnTable:
+    if n > GROUP_ALGEBRA_MAX_N:
+        raise OracleBoundError(f"S_n tables are limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
+    perms = list(itertools.permutations(range(1, n + 1)))
+    images = np.array(perms, dtype=np.int8).reshape(len(perms), n)
+    falls = images[:, :-1] > images[:, 1:]
+    masks = (falls.astype(np.int64) << np.arange(n - 1)).sum(axis=1)
+    compose = None
+    if n <= _TABLE_MAX_N:
+        compose = np.empty((len(perms), len(perms)), dtype=np.int16)
+        rows = max(1, _BLOCK_VALUES // len(perms))
+        for start in range(0, len(perms), rows):
+            compose[start : start + rows] = _rank(images[start : start + rows][:, images - 1])
+    return _SnTable(images, falls.sum(axis=1), masks, compose)
+
+
+def _ranks(n: int, images: list[tuple[int, ...]]) -> list[int]:
+    return _rank(np.array(images, dtype=np.int8).reshape(len(images), n)).tolist()
+
+
+def _descent_filter(comp: Composition, exact: bool = False) -> list[tuple[int, ...]]:
+    """Lexicographic images of the permutations whose descent set lies in
+    the cut set of ``comp``, or equals it if ``exact``."""
+    table = _table(comp.weight)
+    cut = sum(1 << (i - 1) for i in comp.descent_set())
+    hit = table.masks == cut if exact else (table.masks & ~cut) == 0
+    return list(map(tuple, table.images[hit].tolist()))
 
 
 @dataclass(frozen=True)
@@ -141,13 +169,10 @@ def group_identity(n: int) -> GroupAlgebraElement:
     return GroupAlgebraElement(n, {Permutation.identity(n): Fraction(1)})
 
 
-def _scaled_integers(element: GroupAlgebraElement) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    denom = lcm(*(c.denominator for c in element.terms.values())) if element.terms else 1
-    items = [
-        (perm.images, coeff.numerator * (denom // coeff.denominator))
-        for perm, coeff in element.terms.items()
-    ]
-    return denom, items
+def _scaled_integers(terms: dict) -> tuple[int, list[tuple]]:
+    """One common denominator, and the items with values scaled to integers over it."""
+    denom = lcm(*(c.denominator for c in terms.values()))
+    return denom, [(key, c.numerator * (denom // c.denominator)) for key, c in terms.items()]
 
 
 def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -159,20 +184,20 @@ def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebr
     n = u.n
     if n > GROUP_ALGEBRA_MAX_N:
         raise OracleBoundError(f"group products are limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
-    du, u_items = _scaled_integers(u)
-    dv, v_items = _scaled_integers(v)
+    du, u_items = _scaled_integers({p.images: c for p, c in u.terms.items()})
+    dv, v_items = _scaled_integers({p.images: c for p, c in v.terms.items()})
     denom = du * dv
     if n <= _TABLE_MAX_N:
-        perms, index = _perm_list(n)
-        table = _compose_table(n)
-        u_idx = [(index[images], c) for images, c in u_items]
-        v_idx = [(index[images], c) for images, c in v_items]
-        acc = [0] * len(perms)
-        for i, a in u_idx:
-            row = table[i]
+        table = _table(n)
+        ranks = _ranks(n, [images for images, _ in u_items + v_items])
+        v_idx = list(zip(ranks[len(u_items) :], [b for _, b in v_items]))
+        acc = [0] * len(table.images)
+        for i, (_, a) in zip(ranks, u_items):
+            row = table.compose[i].tolist()
             for j, b in v_idx:
                 acc[row[j]] += a * b
-        terms = {Permutation(perms[t]): Fraction(c, denom) for t, c in enumerate(acc) if c}
+        perms = table.images.tolist()
+        terms = {Permutation(tuple(perms[t])): Fraction(c, denom) for t, c in enumerate(acc) if c}
     else:
         raw: dict[tuple[int, ...], int] = {}
         for p, a in u_items:
@@ -189,13 +214,7 @@ def ribbon_sum(comp: Composition) -> GroupAlgebraElement:
     n = comp.weight
     if n > GROUP_ALGEBRA_MAX_N:
         raise OracleBoundError(f"ribbon sums are limited to weight <= {GROUP_ALGEBRA_MAX_N}, got {n}")
-    target = comp.descent_set()
-    terms = {
-        Permutation(images): Fraction(1)
-        for images in itertools.permutations(range(1, n + 1))
-        if _descent_set(images) == target
-    }
-    return GroupAlgebraElement(n, terms)
+    return GroupAlgebraElement(n, dict.fromkeys(map(Permutation, _descent_filter(comp, exact=True)), 1))
 
 
 def s_word_to_group(comp: Composition) -> GroupAlgebraElement:
@@ -205,25 +224,18 @@ def s_word_to_group(comp: Composition) -> GroupAlgebraElement:
     n = comp.weight
     if n > GROUP_ALGEBRA_MAX_N:
         raise OracleBoundError(f"S-words are limited to weight <= {GROUP_ALGEBRA_MAX_N}, got {n}")
-    cuts = comp.descent_set()
-    terms = {
-        Permutation(images): Fraction(1)
-        for images in itertools.permutations(range(1, n + 1))
-        if _descent_set(images) <= cuts
-    }
-    return GroupAlgebraElement(n, terms)
+    return GroupAlgebraElement(n, dict.fromkeys(map(Permutation, _descent_filter(comp)), 1))
 
 
 def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
     """Push an S-word expansion through ``s_word_to_group`` linearly."""
     n = expansion.n
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for comp, coeff in expansion.terms.items():
-        cuts = comp.descent_set()
-        for images in itertools.permutations(range(1, n + 1)):
-            if _descent_set(images) <= cuts:
-                acc[images] = acc.get(images, Fraction(0)) + coeff
-    return GroupAlgebraElement(n, {Permutation(im): c for im, c in acc.items() if c})
+    denom, items = _scaled_integers(expansion.terms)
+    acc: dict[tuple[int, ...], int] = {}
+    for comp, coeff in items:
+        for images in _descent_filter(comp):
+            acc[images] = acc.get(images, 0) + coeff
+    return GroupAlgebraElement(n, {Permutation(im): Fraction(c, denom) for im, c in acc.items() if c})
 
 
 def idempotent_group(n: int, k: int) -> GroupAlgebraElement:
@@ -263,11 +275,20 @@ def enumerate_b_shuffles(n: int, b: int) -> ShuffleMultiset:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
     if b**n > ENUMERATION_BUDGET:
         raise OracleBoundError(f"enumeration budget exceeded: {b}^{n} > {ENUMERATION_BUDGET}")
+    # word k of itertools.product(range(b), repeat=n) holds k // b^(n-1-s) % b at
+    # position s; outcomes merge in the order the words first reach them
+    place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    step = max(1, _BLOCK_VALUES // n)
     counts: dict[tuple[int, ...], int] = {}
-    for word in itertools.product(range(b), repeat=n):
-        tau = tuple(pos + 1 for pos in sorted(range(n), key=word.__getitem__))
-        outcome = _inverse(tau)
-        counts[outcome] = counts.get(outcome, 0) + 1
+    for start in range(0, b**n, step):
+        words = np.arange(start, min(start + step, b**n), dtype=np.int64)[:, None] // place % b
+        tau = np.argsort(words, axis=1, kind="stable")
+        outcomes = np.argsort(tau, axis=1) + 1
+        keys = outcomes.view(np.dtype((np.void, outcomes.itemsize * n)))[:, 0]
+        _, first, mult = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        for outcome, m in zip(map(tuple, outcomes[first[order]].tolist()), mult[order].tolist()):
+            counts[outcome] = counts.get(outcome, 0) + m
     return ShuffleMultiset(n, b, {Permutation(images): m for images, m in counts.items()})
 
 
@@ -281,21 +302,20 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]
     if n > TRANSITION_MAX_N:
         raise OracleBoundError(f"transition oracle is limited to n <= {TRANSITION_MAX_N}, got {n}")
     shuffles = enumerate_b_shuffles(n, b)
-    outcomes = [(p.images, mult) for p, mult in shuffles.multiplicity.items()]
-    bn = b**n
-    rows: list[tuple[Fraction, ...] | None] = [None] * n
-    for sigma in itertools.permutations(range(1, n + 1)):
-        state = _descents(sigma) + 1
-        tally = [0] * n
-        for outcome, mult in outcomes:
-            step = tuple(outcome[s - 1] for s in sigma)
-            tally[_descents(step)] += mult
-        row = tuple(Fraction(c, bn) for c in tally)
-        if rows[state - 1] is None:
-            rows[state - 1] = row
-        elif rows[state - 1] != row:
-            raise LumpingViolation(n, b, state, Permutation(sigma))
-    result = tuple(row for row in rows if row is not None)
+    table = _table(n)
+    outcomes = _ranks(n, [p.images for p in shuffles.multiplicity])
+    # tally[sigma, d] sums the multiplicities of the outcomes w with d(w * sigma) = d
+    tally = np.zeros((len(table.images), n), dtype=np.int64)
+    every = np.arange(len(table.images))
+    for w, mult in zip(outcomes, shuffles.multiplicity.values()):
+        tally[every, table.descents[table.compose[w]]] += mult
+    rows: list[list[int] | None] = [None] * n
+    for sigma, (d, row) in enumerate(zip(table.descents.tolist(), tally.tolist())):
+        if rows[d] is None:
+            rows[d] = row
+        elif rows[d] != row:
+            raise LumpingViolation(n, b, d + 1, Permutation(tuple(table.images[sigma].tolist())))
+    result = tuple(tuple(Fraction(c, b**n) for c in row) for row in rows if row is not None)
     expected = amazing_matrix(n, b).normalized()
     for state in range(1, n + 1):
         if result[state - 1] != expected[state - 1]:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carrychain.cli import main, run_verify_all
 
@@ -205,3 +209,27 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "foulkes")
         assert code == 2
+
+
+# small sizes with the edge values 0 and negatives, plus sizes over every
+# oracle budget (b^n > 10^7, n > 6 for the transition and the idempotents)
+_ORACLE_SIZES = st.one_of(st.integers(-2, 7), st.just(30))
+_ORACLE_BASES = st.one_of(st.integers(-2, 4), st.just(10**8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["transition", "shuffles", "idempotents"]), _ORACLE_SIZES, _ORACLE_BASES)
+def test_oracle_commands_keep_the_contract(command, n, b):
+    if command == "idempotents":
+        argv = ["idempotents", "--n", str(n), "--basis", "group"]
+    else:
+        argv = ["oracle", command, "--n", str(n), "--b", str(b)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        assert out.getvalue().endswith("}\n")
+        json.loads(out.getvalue())
+    assert bool(out.getvalue()) == (code == 0)

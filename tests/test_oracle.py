@@ -1,14 +1,21 @@
+import itertools
+import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrychain.combinat import Composition, Permutation, all_permutations
+from carrychain import oracle
+from carrychain.combinat import Composition, Permutation, all_permutations, compositions
 from carrychain.matrix import amazing_matrix, descent_polynomial
 from carrychain.oracle import (
     GroupAlgebraElement,
+    LumpingViolation,
     OracleBoundError,
+    TransitionMismatch,
     enumerate_b_shuffles,
     group_identity,
     group_product,
@@ -230,3 +237,126 @@ class TestOracleDescentPolynomial:
     def test_matches_closed_formula(self, n):
         for b, r in ((2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1), (8, 1)):
             assert oracle_descent_polynomial(n, b**r).coeffs == descent_polynomial(n, b, r).coeffs
+
+
+# The kernels above read one cached S_n table per n; the tests below hold
+# each against a naive reference written here.
+
+
+def _table_perms(n):
+    return [Permutation(tuple(row)) for row in oracle._table(n).images.tolist()]
+
+
+class TestSnTable:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_lexicographic_with_descents(self, n):
+        table = oracle._table(n)
+        perms = _table_perms(n)
+        assert perms == list(all_permutations(n))
+        assert table.descents.tolist() == [p.descent_count() for p in perms]
+        assert table.masks.tolist() == [sum(1 << (i - 1) for i in p.descent_set()) for p in perms]
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_compose_every_pair(self, n):
+        compose, perms = oracle._table(n).compose, _table_perms(n)
+        for i, p in enumerate(perms):
+            for j, q in enumerate(perms):
+                assert perms[compose[i, j]] == p * q
+
+    def test_compose_seeded_pairs_degree_six(self):
+        compose, perms = oracle._table(6).compose, _table_perms(6)
+        rng = random.Random(6)
+        for _ in range(2000):
+            i, j = rng.randrange(720), rng.randrange(720)
+            assert perms[compose[i, j]] == perms[i] * perms[j]
+
+    def test_no_compose_table_past_six(self):
+        assert oracle._table(7).compose is None
+
+    def test_bound(self):
+        with pytest.raises(OracleBoundError):
+            oracle._table(9)
+
+
+class TestDescentFilter:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ribbons_and_words_in_lexicographic_order(self, n):
+        for comp in compositions(n):
+            cuts = comp.descent_set()
+            assert list(ribbon_sum(comp).terms) == [p for p in all_permutations(n) if p.descent_set() == cuts]
+            assert list(s_word_to_group(comp).terms) == [p for p in all_permutations(n) if p.descent_set() <= cuts]
+
+    def test_degree_eight(self):
+        comp = Composition((3, 1, 4))
+        cuts = comp.descent_set()
+        assert list(ribbon_sum(comp).terms) == [p for p in all_permutations(8) if p.descent_set() == cuts]
+        assert list(s_word_to_group(comp).terms) == [p for p in all_permutations(8) if p.descent_set() <= cuts]
+
+
+def _shuffles_word_by_word(n, b):
+    counts = {}
+    for word in itertools.product(range(b), repeat=n):
+        tau = Permutation(tuple(pos + 1 for pos in sorted(range(n), key=word.__getitem__)))
+        counts[tau.inverse()] = counts.get(tau.inverse(), 0) + 1
+    return list(counts.items())
+
+
+class TestShuffleBlocks:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_word_by_word_in_order(self, n):
+        for b in range(1, 71):
+            if b**n <= 5000:
+                assert list(enumerate_b_shuffles(n, b).multiplicity.items()) == _shuffles_word_by_word(n, b)
+
+    @pytest.mark.parametrize("n, b", [(1, 5), (3, 4), (4, 7), (6, 3)])
+    def test_block_size_changes_nothing(self, monkeypatch, n, b):
+        default = list(enumerate_b_shuffles(n, b).multiplicity.items())
+        for values in (1, 7):
+            monkeypatch.setattr(oracle, "_BLOCK_VALUES", values)
+            assert list(enumerate_b_shuffles(n, b).multiplicity.items()) == default
+
+    def test_blocks_bound_memory(self):
+        # 2^20 words of 4 digits would take 32 MiB as one int64 array
+        tracemalloc.start()
+        try:
+            shuffles = enumerate_b_shuffles(4, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shuffles.total() == 32**4
+        assert peak < 4 * 2**20
+
+
+def _convolve(u, v):
+    """Every pair of terms, composed as image tuples, summed in a dict."""
+    scale = math.lcm(*(c.denominator for c in (*u.terms.values(), *v.terms.values())))
+    v_items = [(q.images, int(b * scale)) for q, b in v.terms.items()]
+    acc = {}
+    for p, a in u.terms.items():
+        a = int(a * scale)
+        for q, b in v_items:
+            key = tuple(p.images[j - 1] for j in q)
+            acc[key] = acc.get(key, 0) + a * b
+    return {Permutation(key): Fraction(c, scale**2) for key, c in acc.items() if c}
+
+
+class TestTableKernels:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_idempotent_products_match_convolution(self, n):
+        idems = [idempotent_group(n, k) for k in range(1, n + 1)]
+        for e in idems:
+            for f in idems:
+                assert group_product(e, f).terms == _convolve(e, f)
+
+    def test_corrupt_table_breaks_lumping(self, monkeypatch):
+        table = oracle._table(3)
+        compose = table.compose.copy()
+        compose[:, 1] = compose[:, 0]  # (1,3,2) now acts as the identity
+        monkeypatch.setattr(oracle, "_table", lambda n: table._replace(compose=compose))
+        with pytest.raises(LumpingViolation):
+            oracle_transition_matrix(3, 2)
+
+    def test_corrupt_closed_matrix_is_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(oracle, "amazing_matrix", lambda n, b: amazing_matrix(n, b + 1))
+        with pytest.raises(TransitionMismatch):
+            oracle_transition_matrix(3, 2)
