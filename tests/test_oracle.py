@@ -240,7 +240,7 @@ class TestOracleDescentPolynomial:
 
 
 # The kernels above read one cached S_n table per n; the tests below hold
-# each against a naive reference written here.
+# each against a naive reference written in this file.
 
 
 def _table_perms(n):
