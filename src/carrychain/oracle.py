@@ -8,9 +8,10 @@ without shortcutting it: S_n in lexicographic order as a small-int array,
 with descent counts, descent-set bitmasks and, for n <= 6, the composition
 table, built with numpy gathers and Lehmer-code ranks.  Bounds keep
 everything at desk scale (group-algebra work at n <= 8, exhaustive shuffle
-enumeration within a 10^7-word budget, drawn in blocks of bounded size).
+enumeration within a 10^7-word budget, drawn in blocks of bounded size, and
+at most 2^17 distinct outcomes, bounded up front by min(b^n, n!)).
 
-Orientation conventions, pinned by executable checks:
+Orientation conventions:
 
 - A digit word w in {0..b-1}^n sorts deck positions stably by digit; the
   resulting sort permutation tau_w has at most b-1 descents, and the shuffle
@@ -18,9 +19,13 @@ Orientation conventions, pinned by executable checks:
   inverses of permutations with at most b-1 descents, and the multiplicity
   of an outcome depends on the descent class of its inverse).
 - A chain step sends the deck sigma to sigma_w * sigma (composition of
-  functions, outcome applied last).  Tracking descent counts of the deck
-  under this step reproduces the transition matrix exactly; the lumping and
-  matrix comparisons in ``oracle_transition_matrix`` enforce this.
+  functions, outcome applied last).  The lumping and matrix comparisons in
+  ``oracle_transition_matrix`` check that the descent counts of the deck
+  form a lumpable chain whose matrix is the closed formula's.  They do not
+  pin the orientation: the step sigma * sigma_w gives the same lumped
+  matrix, so the order here is a convention.  The Monte-Carlo twin in
+  ``simulate`` uses the same one, and its per-trial reference tests pin it
+  there.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +47,10 @@ GROUP_ALGEBRA_MAX_N = 8
 IDEMPOTENT_MAX_N = 6
 TRANSITION_MAX_N = 6
 ENUMERATION_BUDGET = 10**7
+# distinct outcomes kept as Permutation objects: at most min(b^n, n!).  The
+# largest case admitted, n = 17 and b = 2 (131,055 outcomes), peaks at
+# 78 MiB RSS in enumerate_b_shuffles and 129 MiB in `oracle shuffles`.
+OUTCOME_BUDGET = 2**17
 
 _TABLE_MAX_N = 6
 _BLOCK_VALUES = 1 << 15  # cap the values held by one block of a numpy kernel
@@ -270,11 +279,15 @@ def enumerate_b_shuffles(n: int, b: int) -> ShuffleMultiset:
     """Exhaust all b^n digit words.  Each word w stably sorts the positions
     1..n by digit, giving the sort permutation tau_w; the recorded outcome is
     sigma_w = tau_w^{-1}.  The support is exactly the set of permutations
-    whose inverse has at most b-1 descents."""
+    whose inverse has at most b-1 descents.  ``OracleBoundError`` refuses
+    more than ``ENUMERATION_BUDGET`` words, or more than ``OUTCOME_BUDGET``
+    possible distinct outcomes, min(b^n, n!), before any work is done."""
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
     if b**n > ENUMERATION_BUDGET:
         raise OracleBoundError(f"enumeration budget exceeded: {b}^{n} > {ENUMERATION_BUDGET}")
+    if b**n > OUTCOME_BUDGET and factorial(n) > OUTCOME_BUDGET:
+        raise OracleBoundError(f"outcome budget exceeded: min({b}^{n}, {n}!) > {OUTCOME_BUDGET}")
     # word k of itertools.product(range(b), repeat=n) holds k // b^(n-1-s) % b at
     # position s; outcomes merge in the order the words first reach them
     place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)

@@ -9,6 +9,12 @@ finalizer.  Every value is a pure function of (seed, trial, draw), so trials
 can be partitioned across chunks or workers in any way without changing a
 single draw, and identical seeds reproduce identical simulations bit for
 bit.
+
+``stream_block`` fills its output in blocks of at most ``_BLOCK_VALUES``
+values, with in-place ufuncs and one scratch block, so the arithmetic runs
+in cache and no full-size temporaries are made.  ``digit_block`` reduces the
+same values to base-b digits in place as ``x - (x // b) * b``, which equals
+``x % b`` on uint64 and costs less than numpy's ``remainder``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _ONE = np.uint64(1)
+_BLOCK_VALUES = 1 << 16  # values per block of the in-place kernels, sized for cache
+_NARROW = 8  # blocks with fewer columns than this are filled column by column
 
 
 def check_seed(seed: int) -> int:
@@ -29,22 +37,56 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def _mix_in_place(x: np.ndarray, scratch: np.ndarray) -> None:
+    """mix64 applied to ``x`` in place; ``scratch`` has the shape of ``x``."""
+    for shift, factor in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(x, np.uint64(shift), out=scratch)
+        np.bitwise_xor(x, scratch, out=x)
+        if factor is not None:
+            np.multiply(x, factor, out=x)
+
+
 def mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 output finalizer, elementwise on uint64 arrays."""
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        return x ^ (x >> np.uint64(31))
+    out = np.array(x, dtype=np.uint64)
+    _mix_in_place(out, np.empty_like(out))
+    return out
+
+
+def _blocks(rows: int, cols: int):
+    """Row and column slices that tile a (rows, cols) grid in blocks of at
+    most ``_BLOCK_VALUES`` values: whole rows where they fit, else pieces of
+    one row."""
+    step_rows = max(1, _BLOCK_VALUES // max(cols, 1))
+    step_cols = max(1, min(cols, _BLOCK_VALUES))
+    for r in range(0, rows, step_rows):
+        for c in range(0, cols, step_cols):
+            yield slice(r, r + step_rows), slice(c, c + step_cols)
 
 
 def stream_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: int) -> np.ndarray:
     """uint64 values for trials [trial_lo, trial_hi) x draws [draw_lo, draw_hi)."""
     check_seed(seed)
-    trials = np.arange(trial_lo, trial_hi, dtype=np.uint64)[:, None]
-    draws = np.arange(draw_lo, draw_hi, dtype=np.uint64)[None, :]
-    with np.errstate(over="ignore"):
-        state = mix64(np.uint64(seed) + (trials + _ONE) * _GAMMA)
-        return mix64(state + (draws + _ONE) * _GAMMA)
+    states = np.arange(trial_lo, trial_hi, dtype=np.uint64)
+    states += _ONE
+    states *= _GAMMA
+    states += np.uint64(seed)
+    _mix_in_place(states, np.empty_like(states))
+    out = np.empty((len(states), max(draw_hi - draw_lo, 0)), dtype=np.uint64)
+    # (k+1) * GAMMA for the k-th draw of a block; each block adds its own start
+    steps = np.arange(1, min(out.shape[1], _BLOCK_VALUES) + 1, dtype=np.uint64) * _GAMMA
+    scratch = np.empty(min(out.size, _BLOCK_VALUES), dtype=np.uint64)
+    for rows, cols in _blocks(*out.shape):
+        block = out[rows, cols]
+        firsts = states[rows] + np.uint64((draw_lo + cols.start) * int(_GAMMA) % 2**64)
+        if block.shape[1] < _NARROW:
+            # numpy pays per row for a broadcast add; short rows go column-wise
+            for j, column in enumerate(block.T):
+                np.add(firsts, steps[j], out=column)
+        else:
+            np.add(firsts[:, None], steps[: block.shape[1]], out=block)
+        _mix_in_place(block, scratch[: block.size].reshape(block.shape))
+    return out
 
 
 def digit_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: int, base: int) -> np.ndarray:
@@ -56,4 +98,13 @@ def digit_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: 
     if not 1 <= base <= MAX_BASE:
         raise ValueError(f"base must lie in 1..2^63, got {base}")
     block = stream_block(seed, trial_lo, trial_hi, draw_lo, draw_hi)
-    return (block % np.uint64(base)).astype(np.int64)
+    flat = block.reshape(-1)
+    divisor = np.uint64(base)
+    scratch = np.empty(min(flat.size, _BLOCK_VALUES), dtype=np.uint64)
+    for lo in range(0, flat.size, _BLOCK_VALUES):
+        x = flat[lo : lo + _BLOCK_VALUES]
+        q = scratch[: x.size]
+        np.floor_divide(x, divisor, out=q)
+        np.multiply(q, divisor, out=q)
+        np.subtract(x, q, out=x)
+    return block.view(np.int64)

@@ -14,6 +14,15 @@ and applies ``steps`` successive b-shuffles, recording each descent-count
 transition.  The carries simulator adds ``n_summands`` uniformly random
 base-b digit columns per trial, starting from carry 0, and records the
 successive carry values.
+
+Both run as whole-array numpy passes over chunks of trials, with no Python
+loop per trial or per column.  A shuffle step reads the new descent count
+off a gather of the digit word and a compare, without building the new
+deck.  The carries, a sequential recurrence, run as a segmented scan: the
+columns are cut into segments of ``_SEGMENT_COLUMNS``, one pass gives each
+segment's carry map from every possible start carry, a short walk along the
+maps finds each segment's true start carry, and a second pass tallies the
+transitions of all segments at once.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import numpy as np
 from .rng import MAX_BASE, check_seed, digit_block, stream_block
 
 _CHUNK_VALUES = 1 << 22  # cap per-chunk random values to bound memory
+_SEGMENT_COLUMNS = 256  # columns per segment of the carry scan
 
 
 @dataclass(frozen=True)
@@ -84,10 +94,6 @@ class EmpiricalMatrix:
         return tuple(out)
 
 
-def _descent_counts(decks: np.ndarray) -> np.ndarray:
-    return (decks[:, :-1] > decks[:, 1:]).sum(axis=1)
-
-
 def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: int = 0) -> EmpiricalMatrix:
     """Empirical descent-count transition matrix of repeated GSR b-shuffles.
 
@@ -95,31 +101,109 @@ def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: 
     argsort of raw 64-bit keys), then step s consumes draws
     n + s*n .. n + (s+1)*n - 1 as the digit word of one shuffle.  The deck
     update composes the shuffle outcome after the current deck, matching the
-    exact oracle's orientation.
+    exact oracle's orientation: with digits w, the outcome tau sends card c
+    to its rank under the key (w_c, c), so the new deck tau o sigma has a
+    descent at p exactly when g_p > g_{p+1}, or g_p = g_{p+1} and
+    sigma_p > sigma_{p+1}, where g_p = w_{sigma_p}.  The new descent count
+    needs only that gather and compare; the new deck itself (argsort,
+    inverse, gather) is built only when another step follows.  Decks are
+    held position-major, (n, trials), so every compare runs along rows.
     """
     if n < 1 or not 1 <= b <= MAX_BASE:
         raise ValueError(f"need n >= 1 and 1 <= b <= 2^63, got n={n}, b={b}")
-    counts = np.zeros(n * n, dtype=np.int64)
+    counts = np.zeros((n, n), dtype=np.int64)
     chunk = max(1, _CHUNK_VALUES // (n * (cfg.steps + 1)))
-    arange_n = np.arange(n)
     for lo in range(0, cfg.trials, chunk):
         hi = min(lo + chunk, cfg.trials)
-        t0, t1 = trial_offset + lo, trial_offset + hi
-        keys = stream_block(cfg.seed, t0, t1, 0, n)
-        decks = np.argsort(keys, axis=1, kind="stable") + 1
-        d_prev = _descent_counts(decks)
-        for s in range(cfg.steps):
-            digits = digit_block(cfg.seed, t0, t1, n + s * n, n + (s + 1) * n, b)
-            rho = np.argsort(digits, axis=1, kind="stable")
+        _shuffle_chunk(n, b, cfg, trial_offset + lo, trial_offset + hi, counts)
+    return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in counts))
+
+
+def _shuffle_chunk(n: int, b: int, cfg: SimulationConfig, t0: int, t1: int, counts: np.ndarray) -> None:
+    """Add the descent transitions of trials [t0, t1) to the (n, n)
+    ``counts``; the chunk's arrays go when it returns."""
+    # decks[p, t]: the 0-based card at position p of trial t
+    decks = np.argsort(stream_block(cfg.seed, t0, t1, 0, n).T, axis=0, kind="stable")
+    rows = np.arange(0, (t1 - t0) * n, n)  # where each trial's word starts in a flat block
+    falls = decks[:-1] > decks[1:]  # the descents of the deck
+    d_prev = falls.sum(axis=0)
+    for s in range(cfg.steps):
+        digits = digit_block(cfg.seed, t0, t1, n + s * n, n + (s + 1) * n, b)
+        g = digits.ravel()[decks + rows]
+        ties = g[:-1] == g[1:]
+        ties &= falls
+        falls = g[:-1] > g[1:]
+        falls |= ties  # now the descents of the new deck
+        d_new = falls.sum(axis=0)
+        counts += np.bincount(d_prev * n + d_new, minlength=n * n).reshape(n, n)
+        if s + 1 < cfg.steps:
+            # tau = rho^-1 for the stable digit sort rho; new deck = tau o sigma
+            rho = np.argsort(digits.T, axis=0, kind="stable")
             tau = np.empty_like(rho)
-            np.put_along_axis(tau, rho, np.broadcast_to(arange_n, rho.shape), axis=1)
-            # outcome tau = rho^{-1}; new deck = tau composed after the old deck
-            decks = np.take_along_axis(tau, decks - 1, axis=1) + 1
-            d_new = _descent_counts(decks)
-            counts += np.bincount(d_prev * n + d_new, minlength=n * n)
-            d_prev = d_new
-    grid = counts.reshape(n, n)
-    return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in grid))
+            np.put_along_axis(tau, rho, np.broadcast_to(np.arange(n)[:, None], rho.shape), axis=0)
+            decks = np.take_along_axis(tau, decks, axis=0)
+        d_prev = d_new
+
+
+def _column_sums(block: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the ``n`` digits of each column: (trials, columns * n) digits
+    give (trials, columns) sums, by n - 1 column adds."""
+    parts = block.reshape(len(block), -1, n)
+    sums = np.add(parts[:, :, 0], parts[:, :, 1])
+    for m in range(2, n):
+        sums += parts[:, :, m]
+    return sums
+
+
+def _segment_starts(segments: np.ndarray, carry: np.ndarray, b: int, n: int) -> np.ndarray:
+    """True start carry of every segment, (trials, segments), from the
+    start carries ``carry`` of the first ones.  One pass runs every segment
+    from all n start carries at once and gives its carry map; a walk along
+    the maps then chains the segments of each trial."""
+    maps = np.empty((n,) + segments.shape[1:], dtype=np.int64)
+    maps[...] = np.arange(n)[:, None, None]
+    for column in segments:
+        maps += column
+        maps //= b
+    starts = []
+    for c, row in zip(carry.tolist(), maps.transpose(1, 2, 0).tolist()):
+        line = []
+        for carry_map in row:
+            line.append(c)
+            c = carry_map[c]
+        starts.append(line)
+    return np.array(starts, dtype=np.int64)
+
+
+def _carry_scan(sums: np.ndarray, carry: np.ndarray, b: int, counts: np.ndarray) -> np.ndarray:
+    """Run the carries over (trials, columns) column sums on from the start
+    carries ``carry``, add every transition to the (n, n) ``counts`` and
+    return the end carries.
+
+    The columns are cut into segments of ``_SEGMENT_COLUMNS`` and a shorter
+    tail, laid out column-major so that one step of every segment reads one
+    contiguous row.  ``_segment_starts`` finds where each segment starts; a
+    second pass then runs all segments at once and tallies the transitions.
+    """
+    n = len(counts)
+    trials, columns = sums.shape
+    count, length = divmod(columns, _SEGMENT_COLUMNS)
+    body = sums[:, : columns - length].reshape(trials, count, _SEGMENT_COLUMNS).transpose(2, 0, 1)
+    tail = sums[:, columns - length :].T[:, :, None]
+    for segments in (body, tail):
+        if segments.size == 0:
+            continue
+        segments = np.ascontiguousarray(segments)  # (columns, trials, segments)
+        state = _segment_starts(segments, carry, b, n) if segments.shape[2] > 1 else carry[:, None].copy()
+        codes = np.empty(segments.shape, dtype=np.int64)
+        for column, code in zip(segments, codes):
+            np.multiply(state, n, out=code)
+            state += column
+            state //= b
+            code += state
+        counts += np.bincount(codes.ravel(), minlength=n * n).reshape(n, n)
+        carry = state[:, -1]
+    return carry
 
 
 def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig, trial_offset: int = 0) -> EmpiricalMatrix:
@@ -128,9 +212,12 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
 
     Carry states are 0..n_summands-1 (a carry can never reach n_summands).
     Trial t consumes draw c*n_summands + m for column c, summand m; each
-    trial starts at carry 0.  ``cfg.steps`` plays no role here: ``digits``
-    is the chain length.  Carry plus column sum, at most
-    (n_summands - 1) + n_summands (b - 1), must fit in int64.
+    trial starts at carry 0.  ``digits`` is the chain length, so
+    ``cfg.steps`` must be 1.  Carry plus column sum, at most
+    (n_summands - 1) + n_summands (b - 1), must fit in int64.  The digits
+    come in blocks of at most ``_CHUNK_VALUES`` values (whole trials, or
+    pieces of one trial's columns) and one segmented scan
+    (``_carry_scan``) runs the carry on across them.
     """
     if n_summands < 2:
         raise ValueError(f"need at least 2 summands, got {n_summands}")
@@ -140,35 +227,18 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
         raise ValueError(f"carry plus column sum must stay below 2^63, got n_summands={n_summands}, b={b}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
+    if cfg.steps != 1:
+        raise ValueError(f"the carries chain runs one addition per trial, so steps must be 1, got {cfg.steps}")
     n = n_summands
-    counts = [[0] * n for _ in range(n)]
+    counts = np.zeros((n, n), dtype=np.int64)
     chunk = max(1, _CHUNK_VALUES // (digits * n))
     for lo in range(0, cfg.trials, chunk):
         hi = min(lo + chunk, cfg.trials)
         t0, t1 = trial_offset + lo, trial_offset + hi
-        if hi - lo == 1:
-            # single trajectory: plain integer loop beats numpy scalar ops;
-            # the columns come in chunks and the carry runs on across them
-            carry = 0
-            step = max(1, _CHUNK_VALUES // n)
-            for c0 in range(0, digits, step):
-                c1 = min(c0 + step, digits)
-                block = digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b)
-                for s in block.reshape(c1 - c0, n).sum(axis=1).tolist():
-                    nxt = (carry + s) // b
-                    counts[carry][nxt] += 1
-                    carry = nxt
-        else:
-            block = digit_block(cfg.seed, t0, t1, 0, digits * n, b)
-            column_sums = block.reshape(hi - lo, digits, n).sum(axis=2)
-            trail = np.zeros((hi - lo, digits + 1), dtype=np.int64)
-            carry = np.zeros(hi - lo, dtype=np.int64)
-            for c in range(digits):
-                carry = (carry + column_sums[:, c]) // b
-                trail[:, c + 1] = carry
-            pairs = trail[:, :-1] * n + trail[:, 1:]
-            tally = np.bincount(pairs.ravel(), minlength=n * n).reshape(n, n)
-            for i in range(n):
-                for j in range(n):
-                    counts[i][j] += int(tally[i, j])
-    return EmpiricalMatrix(n, tuple(tuple(row) for row in counts))
+        carry = np.zeros(hi - lo, dtype=np.int64)
+        step = max(1, _CHUNK_VALUES // (n * (hi - lo)))
+        for c0 in range(0, digits, step):
+            c1 = min(c0 + step, digits)
+            sums = _column_sums(digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b), n)
+            carry = _carry_scan(sums, carry, b, counts)
+    return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in counts))

@@ -132,6 +132,14 @@ class TestOracle:
         assert doc["total"] == 4
         assert doc["multiplicities"] == {"1,2": 3, "2,1": 1}
 
+    def test_outcome_bound_is_usage_error(self, capsys):
+        # 2^23 words pass the word budget, but up to min(2^23, 23!) outcomes
+        # do not pass the outcome budget
+        code, out, err = run_cli(capsys, "oracle", "shuffles", "--n", "23", "--b", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: outcome budget exceeded")
+
     def test_transition_bound_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "oracle", "transition", "--n", "7", "--b", "2")
         assert code == 2
@@ -232,4 +240,28 @@ def test_oracle_commands_keep_the_contract(command, n, b):
     if out.getvalue():
         assert out.getvalue().endswith("}\n")
         json.loads(out.getvalue())
+    assert bool(out.getvalue()) == (code == 0)
+
+
+# simulator sizes kept small, with n = 1, bases at and past 2^63 and seeds at
+# and past 2^64
+_SIM_SIZES = st.integers(-1, 5)
+_SIM_BASES = st.one_of(st.integers(-1, 12), st.sampled_from([2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**70]))
+_SIM_TRIALS = st.integers(-1, 300)
+_SIM_SEEDS = st.one_of(st.integers(-1, 2**64 - 1), st.integers(2**64, 2**70))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["shuffle", "carries"]), _SIM_SIZES, _SIM_BASES, _SIM_TRIALS, _SIM_SEEDS)
+def test_simulate_commands_keep_the_contract(command, n, b, trials, seed):
+    argv = ["simulate", command, "--n", str(n), "--b", str(b), "--trials", str(trials), "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        assert out.getvalue().endswith("}\n")
+        doc = json.loads(out.getvalue())
+        assert sum(map(sum, doc["counts"])) == trials
     assert bool(out.getvalue()) == (code == 0)

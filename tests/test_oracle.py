@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +166,27 @@ class TestEnumerateShuffles:
         for n in range(1, 6):
             for b in range(1, 5):
                 assert enumerate_b_shuffles(n, b).total() == b**n
+
+    def test_outcome_bound_refuses_before_any_work(self, monkeypatch):
+        # 2^23 words pass the word budget, but up to min(2^23, 23!) distinct
+        # outcomes would be kept; nothing may be enumerated
+        def no_sorting(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(np, "argsort", no_sorting)
+        for n, b in ((23, 2), (9, 4), (18, 2)):
+            with pytest.raises(OracleBoundError, match="outcome budget"):
+                enumerate_b_shuffles(n, b)
+
+    def test_outcome_bound_is_min_of_words_and_permutations(self, monkeypatch):
+        monkeypatch.setattr(oracle, "OUTCOME_BUDGET", 24)
+        # at or under the budget: min(81, 4!) = 24, min(125, 3!) = 6, min(1, 8!) = 1
+        for n, b in ((4, 3), (3, 5), (8, 1)):
+            assert enumerate_b_shuffles(n, b).total() == b**n
+        # over it: min(32, 5!) = 32, min(243, 5!) = 120, min(64, 6!) = 64
+        for n, b in ((5, 2), (5, 3), (6, 2)):
+            with pytest.raises(OracleBoundError, match="outcome budget"):
+                enumerate_b_shuffles(n, b)
 
     def test_support_rule_detects_orientation(self):
         # at n = 4 the set of permutations with at most one descent is not

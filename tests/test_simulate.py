@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carrychain import simulate
+from carrychain import rng, simulate
 from carrychain.matrix import amazing_matrix
 from carrychain.rng import check_seed, digit_block, mix64, stream_block
 from carrychain.simulate import (
@@ -124,8 +124,8 @@ class TestCarries:
         assert merged == whole.counts
 
     def test_single_and_multi_trial_paths_agree(self):
-        # the one-trajectory integer path and the vectorized path must tally
-        # identical counts for identical (seed, trial) streams
+        # one trajectory per call and two per call must tally identical
+        # counts for identical (seed, trial) streams
         multi = simulate_carries(2, 3, 400, SimulationConfig(trials=2, seed=21))
         one = simulate_carries(2, 3, 400, SimulationConfig(trials=1, seed=21), trial_offset=0)
         two = simulate_carries(2, 3, 400, SimulationConfig(trials=1, seed=21), trial_offset=1)
@@ -149,6 +149,14 @@ class TestCarries:
             simulate_carries(2, 1, 10, SimulationConfig(trials=1, seed=1))
         with pytest.raises(ValueError):
             simulate_carries(2, 2, 0, SimulationConfig(trials=1, seed=1))
+
+    def test_rejects_steps_other_than_one(self):
+        # the number of columns is the chain length; a steps field it would
+        # ignore is refused instead
+        for steps in (2, 5):
+            with pytest.raises(ValueError, match="steps"):
+                simulate_carries(2, 2, 10, SimulationConfig(trials=1, seed=1, steps=steps))
+        assert simulate_carries(2, 2, 10, SimulationConfig(trials=1, seed=1, steps=1)).samples == 10
 
     def test_base_bound(self):
         # 2 + 3 (b - 1) < 2^63 holds up to b = (2^63 + 1) / 3 - 1; at that b
@@ -185,13 +193,134 @@ class TestCarries:
         assert max(sizes) <= max(chunk, 3)  # one column of 3 digits at least
 
 
-def _carries_reference(n, b, digits, seed, trials):
+# Pure-Python references, written from the formulas in the rng and simulate
+# docstrings and sharing no code with the numpy kernels.
+
+_M64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(x):
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def _draws(seed, trial, draw_lo, draw_hi):
+    """Draws draw_lo..draw_hi-1 of one trial stream, as Python integers."""
+    state = _mix((seed + (trial + 1) * _GAMMA) & _M64)
+    return [_mix((state + (j + 1) * _GAMMA) & _M64) for j in range(draw_lo, draw_hi)]
+
+
+def _descents(seq):
+    return sum(x > y for x, y in zip(seq, seq[1:]))
+
+
+def _shuffle_reference(n, b, seed, trials, steps, offset=0):
+    """Descent transitions of ``steps`` GSR b-shuffles per trial: the start
+    deck stably sorts positions by raw key; each step's digit word stably
+    sorts positions by digit (rho), and the deck sigma becomes tau o sigma
+    with tau = rho^-1."""
+    counts = [[0] * n for _ in range(n)]
+    for t in range(offset, offset + trials):
+        keys = _draws(seed, t, 0, n)
+        deck = sorted(range(n), key=keys.__getitem__)
+        for s in range(steps):
+            digits = [v % b for v in _draws(seed, t, n + s * n, n + (s + 1) * n)]
+            rho = sorted(range(n), key=digits.__getitem__)
+            tau = [0] * n
+            for rank, pos in enumerate(rho):
+                tau[pos] = rank
+            new = [tau[card] for card in deck]
+            counts[_descents(deck)][_descents(new)] += 1
+            deck = new
+    return tuple(tuple(row) for row in counts)
+
+
+def _carries_reference(n, b, digits, seed, trials, offset=0):
     """Carry transition counts in plain Python integers, from the raw draws."""
     counts = [[0] * n for _ in range(n)]
-    for raw in stream_block(seed, 0, trials, 0, digits * n).tolist():
+    for t in range(offset, offset + trials):
+        raw = _draws(seed, t, 0, digits * n)
         carry = 0
         for c in range(digits):
             nxt = (carry + sum(v % b for v in raw[c * n : (c + 1) * n])) // b
             counts[carry][nxt] += 1
             carry = nxt
     return tuple(tuple(row) for row in counts)
+
+
+# (trial_lo, trial_hi, draw_lo, draw_hi): empty, narrower than a block,
+# wider than a block in both directions, and windows that straddle the edge
+# of a block of 64 values
+_WINDOWS = [
+    (0, 0, 0, 5), (3, 5, 7, 7), (0, 1, 0, 1), (0, 3, 0, 5), (5, 8, 2, 30),
+    (0, 1, 0, 150), (2, 5, 60, 70), (0, 4, 0, 33), (9, 10, 63, 129), (0, 70, 0, 2),
+]
+
+
+class TestRngReference:
+    @pytest.mark.parametrize("block", (1, 7, 64, None))
+    @pytest.mark.parametrize("seed", (0, 123, 2**64 - 1))
+    def test_stream_block(self, monkeypatch, block, seed):
+        if block is not None:
+            monkeypatch.setattr(rng, "_BLOCK_VALUES", block, raising=False)
+        for t0, t1, d0, d1 in _WINDOWS:
+            got = stream_block(seed, t0, t1, d0, d1)
+            assert got.dtype == np.uint64 and got.shape == (t1 - t0, d1 - d0)
+            assert got.tolist() == [_draws(seed, t, d0, d1) for t in range(t0, t1)]
+
+    def test_stream_block_wider_than_the_default_block(self):
+        seed = 2**63 + 11
+        got = stream_block(seed, 4, 6, 5, 5 + 70_000)
+        assert got.tolist() == [_draws(seed, t, 5, 5 + 70_000) for t in (4, 5)]
+
+    @pytest.mark.parametrize("block", (1, 7, 64, None))
+    @pytest.mark.parametrize("base", (1, 2, 10, 3**20, 2**63))
+    def test_digit_block(self, monkeypatch, block, base):
+        if block is not None:
+            monkeypatch.setattr(rng, "_BLOCK_VALUES", block, raising=False)
+        for seed in (7, 2**64 - 1):
+            for t0, t1, d0, d1 in _WINDOWS:
+                got = digit_block(seed, t0, t1, d0, d1, base)
+                assert got.dtype == np.int64 and got.shape == (t1 - t0, d1 - d0)
+                assert got.tolist() == [[v % base for v in _draws(seed, t, d0, d1)] for t in range(t0, t1)]
+
+
+class TestSimulatorReference:
+    @pytest.mark.parametrize("steps", (1, 3))
+    @pytest.mark.parametrize("n, b", [(1, 3), (2, 2), (3, 2), (4, 3), (5, 10), (6, 2**63)])
+    def test_shuffle_chain(self, steps, n, b):
+        for seed, trials, offset in ((1, 300, 0), (2**64 - 1, 57, 1000)):
+            got = simulate_shuffle_chain(n, b, SimulationConfig(trials=trials, seed=seed, steps=steps), offset)
+            assert got.counts == _shuffle_reference(n, b, seed, trials, steps, offset)
+
+    @pytest.mark.parametrize("chunk", (1, 7, 50))
+    def test_shuffle_chain_in_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(rng, "_BLOCK_VALUES", 5, raising=False)
+        for steps in (1, 3):
+            got = simulate_shuffle_chain(4, 3, SimulationConfig(trials=40, seed=5, steps=steps), 3)
+            assert got.counts == _shuffle_reference(4, 3, 5, 40, steps, 3)
+
+    @pytest.mark.parametrize("chunk, segment, block", [(None, None, None), (1, 1, 1), (30, 4, 7), (100, 3, 64)])
+    def test_one_long_trajectory(self, monkeypatch, chunk, segment, block):
+        # 301 columns span several column chunks and several segments, and no
+        # chunk or segment size divides it
+        for module, name, value in ((simulate, "_CHUNK_VALUES", chunk), (simulate, "_SEGMENT_COLUMNS", segment),
+                                    (rng, "_BLOCK_VALUES", block)):
+            if value is not None:
+                monkeypatch.setattr(module, name, value, raising=False)
+        for n, b in ((2, 2), (3, 10), (5, 3)):
+            for seed, offset in ((4, 0), (2**64 - 1, 9)):
+                got = simulate_carries(n, b, 301, SimulationConfig(trials=1, seed=seed), offset)
+                assert got.counts == _carries_reference(n, b, 301, seed, 1, offset)
+
+    @pytest.mark.parametrize("chunk, segment", [(None, None), (1, 1), (40, 3), (1000, 8)])
+    def test_many_trials(self, monkeypatch, chunk, segment):
+        for module, name, value in ((simulate, "_CHUNK_VALUES", chunk), (simulate, "_SEGMENT_COLUMNS", segment)):
+            if value is not None:
+                monkeypatch.setattr(module, name, value, raising=False)
+        for n, b, digits, trials in ((2, 2, 1, 9), (3, 10, 17, 12), (4, 2, 40, 5), (2, 7, 100, 3)):
+            got = simulate_carries(n, b, digits, SimulationConfig(trials=trials, seed=31), 2)
+            assert got.counts == _carries_reference(n, b, digits, 31, trials, 2)
