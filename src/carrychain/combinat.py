@@ -183,15 +183,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-def descent_statistics(p: Permutation) -> tuple[frozenset[int], int, Composition]:
-    """(descent set, descent count, descent composition) of ``p``.
-
-    >>> descent_statistics(Permutation((1, 3, 2)))
-    (frozenset({2}), 1, Composition(parts=(2, 1)))
-    """
-    return p.descent_set(), p.descent_count(), p.descent_composition()
-
-
 @lru_cache(maxsize=None)
 def _eulerian(n: int, k: int) -> int:
     if k < 1 or k > n:

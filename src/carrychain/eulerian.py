@@ -20,7 +20,13 @@ and right eigenvector tables of the shuffle/carries transition matrix:
 - the Foulkes matrix ``F``, whose (i, j) entry is
   sum_r (-1)^r C(n+1, r) (j-r)^i, expresses A[j] over the E-basis.
 
-``F W = I`` exactly, and det F is the superfactorial.
+``F W = I`` exactly, and det F is the superfactorial.  Row i of F is the
+x^1..x^n part of (1 - x)^(n+1) sum_k k^i x^k; ``_numerator`` applies that
+factor as n+1 difference passes, and the transition matrix of ``matrix``
+uses the same kernel on binomials.  The rows of n! W follow one from the
+next by one multiplication and one exact division by a linear factor.
+Tables whose estimated bigint work exceeds ``WORK_BUDGET`` are refused
+before any of it is done, with ``ClosedFormBudgetError``.
 
 The idempotents also expand over words in the complete-function basis
 (products S^I indexed by compositions I); that expansion is what the
@@ -33,8 +39,49 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul, sub
 
 from .combinat import Composition, binomial, compositions
+
+
+# Bigint work admitted for one closed-form table, in 64-bit word operations
+# as ``_check_work`` counts them, chosen from measured time on a 2-vCPU
+# x86-64 host with Python 3.11.  The largest transition matrix admitted at
+# b = 2, amazing_matrix(281, 2) (work 2.66e8), takes 1.6 s, and 2.1 s as
+# `carrychain amazing`; the other tables stop at foulkes_matrix(200) and
+# worpitzky_matrix(214) (0.7 s).  The largest benchmarked table,
+# descent_polynomial(16, 3, 3000), counts 3.9e7, and foulkes_determinant(40)
+# 7.4e7 (0.04 s).
+WORK_BUDGET = 2**28
+
+
+class ClosedFormBudgetError(ValueError):
+    """The estimated bigint work of a closed-form table exceeds WORK_BUDGET."""
+
+
+def _check_work(what: str, values: int, passes: int, bits: int) -> None:
+    """Refuse up front, before any bigint is built, a table of ``values``
+    integers of at most ``bits`` bits, each built by about one full-size
+    multiplication and then touched by ``passes`` additions.  With w the
+    size of an integer in 64-bit words, that is values * (passes + w) * w
+    word operations."""
+    words = bits // 64 + 1
+    work = values * (passes + words) * words
+    if work > WORK_BUDGET:
+        budget = math.log2(WORK_BUDGET)
+        raise ClosedFormBudgetError(f"{what}: estimated work 2^{math.log2(work):.1f} exceeds the budget 2^{budget:g}")
+
+
+def _numerator(values: list[int]) -> list[int]:
+    """Coefficients of x^0..x^d in (1 - x)^(d+1) sum_k v_k x^k, for the
+    d + 1 values v_0..v_d: d + 1 backward-difference passes.
+
+    This is the one kernel behind both closed-form tables: fed the
+    binomials C(mk + n - i, n) it gives row i of the transition matrix
+    P(n, m), fed the powers k^i row i of the Foulkes matrix."""
+    for _ in range(len(values)):
+        values = [values[0], *map(sub, values[1:], values)]
+    return values
 
 
 def _as_fractions(values) -> tuple[Fraction, ...]:
@@ -165,21 +212,29 @@ class BasisMatrix:
 
 def _worpitzky_numerators(n: int) -> list[list[int]]:
     """The integer matrix n! W: row i holds the coefficients of x^1..x^n in
-    prod_{s=0..n-1} (x + n - i - s), expanded by exact multiplication."""
+    p_i(x) = prod_{s=0..n-1} (x + n - i - s).
+
+    Row 1 is the rising product x (x + 1) ... (x + n - 1), expanded once;
+    each later row follows from the one before it in O(n) operations,
+    p_{i+1}(x) = p_i(x) (x - i) / (x + n - i), the division exact and done
+    by synthetic division.
+    """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    rows = []
-    for i in range(1, n + 1):
-        coeffs = [1]
-        for s in range(n):
-            const = n - i - s
-            nxt = [0] * (len(coeffs) + 1)
-            for t, c in enumerate(coeffs):
-                nxt[t + 1] += c
-                nxt[t] += const * c
-            coeffs = nxt
-        # constant term vanishes because the factor with s = n - i is x
-        rows.append(coeffs[1:])
+    _check_work("worpitzky_matrix", n * (n + 1), 2, n * (n + 1).bit_length())
+    poly = [1]  # low to high
+    for s in range(n):
+        poly = [a * s + c for a, c in zip(poly + [0], [0] + poly)]
+    rows = [poly[1:]]
+    for i in range(1, n):
+        # times (x - i), then divided by (x + n - i) from the top down
+        prod = [c - i * a for a, c in zip(poly + [0], [0] + poly)]
+        c = n - i
+        poly[n] = prod[n + 1]
+        for k in range(n - 1, -1, -1):
+            poly[k] = prod[k + 1] - c * poly[k + 1]
+        rows.append(poly[1:])
+    # the constant term vanishes because the factor with s = n - i is x
     return rows
 
 
@@ -188,13 +243,32 @@ def worpitzky_matrix(n: int) -> BasisMatrix:
 
     Column j holds the A-basis coordinates of the idempotent E[j]; the
     columns are the right eigenvectors of every shuffle transition matrix.
-    The polynomial is expanded by exact multiplication of its n linear
-    factors followed by division by n!.
+    The rows of n! W come from ``_worpitzky_numerators``, one from the next
+    in O(n) operations, and are divided by n! at the end.
     """
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+    # each of the n^2 entries is reduced by a gcd with n!, counted as 8
+    # full-size products
+    _check_work("worpitzky_matrix", 8 * n * n, 0, n * (n + 1).bit_length())
     numerators = _worpitzky_numerators(n)
     nfact = math.factorial(n)
     rows = tuple(tuple(Fraction(c, nfact) for c in row) for row in numerators)
     return BasisMatrix(n, rows, from_basis="E", to_basis="A")
+
+
+def _foulkes_numerators(n: int) -> list[list[int]]:
+    """The Foulkes matrix as integers: row i holds the coefficients of
+    x^1..x^n in (1 - x)^(n+1) sum_k k^i x^k, from the shared kernel."""
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+    _check_work("foulkes_matrix", n * (n + 1), n + 1, n * (n.bit_length() + 1))
+    ks = range(n + 1)
+    powers, rows = list(ks), []
+    for _ in range(n):
+        rows.append(_numerator(powers)[1:])
+        powers = list(map(mul, powers, ks))
+    return rows
 
 
 def foulkes_matrix(n: int) -> BasisMatrix:
@@ -203,12 +277,11 @@ def foulkes_matrix(n: int) -> BasisMatrix:
     Column j holds the E-coordinates of the class sum A[j]; the rows are
     the left eigenvectors of every shuffle transition matrix, and the matrix
     is the inverse of the Worpitzky matrix.  Its last row is the row of
-    Eulerian numbers.
+    Eulerian numbers.  Row i is the x^1..x^n part of (1 - x)^(n+1) times
+    sum_k k^i x^k, built by the same difference kernel as the rows of the
+    transition matrix; ``class_element`` is the column-by-column reference.
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    columns = [class_element(n, j).coords for j in range(1, n + 1)]
-    rows = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+    rows = tuple(tuple(row) for row in _foulkes_numerators(n))
     return BasisMatrix(n, rows, from_basis="A", to_basis="E")
 
 

@@ -9,9 +9,14 @@ indexed by i, j in 1..n, where state i means i-1 descents (equivalently,
 carry value i-1 in the base-b addition chain).  Every row sums to b^n, so
 dividing by b^n gives an exact stochastic matrix.
 
-Row i comes from one integer kernel: the coefficients of x^1..x^n in
+Row i comes from the integer kernel ``eulerian._numerator``, which the
+Foulkes table shares: the coefficients of x^1..x^n in
 (1 - x)^(n+1) sum_k C(bk + n - i, n) x^k, taken by n+1 difference passes
-over n+1 binomials; ``amazing_entry`` is the entry-by-entry reference.
+over n+1 binomials.  Only rows 1..ceil(n/2) are computed; the others are
+mirrored, since P is centrosymmetric: P(i, j) = P(n+1-i, n+1-j).
+``amazing_entry`` is the entry-by-entry reference.  Every table is refused
+up front, with ``ClosedFormBudgetError``, when its estimated bigint work
+exceeds ``eulerian.WORK_BUDGET``.
 
 Everything claimed about this matrix is an exact identity and is verified
 here in integer arithmetic: the columns of n! W (Worpitzky) and the rows of
@@ -30,16 +35,20 @@ from fractions import Fraction
 from operator import mul
 
 from .combinat import binomial, eulerian_numbers
-from .eulerian import _worpitzky_numerators, foulkes_matrix
+from .eulerian import _check_work, _foulkes_numerators, _numerator, _worpitzky_numerators
 
 
 def _row(n: int, m: int, i: int) -> list[int]:
     """Coefficients of x^0..x^n in (1 - x)^(n+1) sum_k C(mk + n - i, n) x^k:
     entries 1..n are row i of P(n, m), entry 0 is C(n - i, n)."""
-    g = [binomial(m * k + n - i, n) for k in range(n + 1)]
-    for _ in range(n + 1):
-        g[1:] = [a - c for a, c in zip(g[1:], g)]
-    return g
+    return _numerator([binomial(m * k + n - i, n) for k in range(n + 1)])
+
+
+def _check_rows(what: str, n: int, rows: int, m_bits: int) -> None:
+    """The budget check for ``rows`` kernel rows with a multiplier of at
+    most ``m_bits`` bits: the binomials have at most n (m_bits + 2) bits,
+    and the n + 1 difference passes add at most n + 1 more."""
+    _check_work(what, rows * (n + 1), n + 1, n * (m_bits + 3))
 
 
 def amazing_entry(n: int, b: int, i: int, j: int) -> int:
@@ -89,16 +98,17 @@ class AmazingMatrix:
 
 
 def amazing_matrix(n: int, b: int) -> AmazingMatrix:
-    """Build the full matrix, one row-kernel call per row (the constructor
-    checks the row-sum and nonnegativity invariants)."""
+    """Build the full matrix.  Only rows 1..ceil(n/2) go through the row
+    kernel: row n+1-i is row i reversed, by the centrosymmetry
+    P(i, j) = P(n+1-i, n+1-j).  The constructor still checks the row-sum
+    and nonnegativity invariants on every row."""
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
-    return AmazingMatrix(n, b, tuple(tuple(_row(n, b, i)[1:]) for i in range(1, n + 1)))
-
-
-def normalized_row(m: AmazingMatrix, i: int) -> tuple[Fraction, ...]:
-    """Row i of the exact stochastic matrix (entries sum to 1)."""
-    return m.normalized_row(i)
+    half = (n + 1) // 2
+    _check_rows("amazing_matrix", n, half, b.bit_length())
+    top = [tuple(_row(n, b, i)[1:]) for i in range(1, half + 1)]
+    bottom = [row[::-1] for row in reversed(top[: n // 2])]
+    return AmazingMatrix(n, b, tuple(top + bottom))
 
 
 @dataclass(frozen=True)
@@ -122,21 +132,20 @@ class Report:
         return f"{status} {self.name} ({params}) [{self.checked} identities]{detail}"
 
 
-def _foulkes_rows(n: int) -> list[list[int]]:
-    return [[int(x) for x in row] for row in foulkes_matrix(n).entries]
-
-
 def verify_spectrum(n: int, b: int) -> Report:
     """Check, in integers, that the columns of n! W are right eigenvectors
-    and the rows of F left eigenvectors of P(n, b), with eigenvalues b^k."""
+    and the rows of F left eigenvectors of P(n, b), with eigenvalues b^k.
+    The eigenvector tables are built before P, so that a size over the work
+    budget of any of the three is refused before the largest is built."""
+    W, F = _worpitzky_numerators(n), _foulkes_numerators(n)
     P = amazing_matrix(n, b).entries
     failures = []
-    for j, col in enumerate(zip(*_worpitzky_numerators(n)), start=1):
+    for j, col in enumerate(zip(*W), start=1):
         bj = b**j
         if [sum(map(mul, row, col)) for row in P] != [bj * c for c in col]:
             failures.append(f"right eigenpair failed: n={n}, b={b}, j={j}")
     columns = list(zip(*P))
-    for i, row in enumerate(_foulkes_rows(n), start=1):
+    for i, row in enumerate(F, start=1):
         bi = b**i
         if [sum(map(mul, row, col)) for col in columns] != [bi * c for c in row]:
             failures.append(f"left eigenpair failed: n={n}, b={b}, i={i}")
@@ -195,7 +204,11 @@ def _bareiss_determinant(rows: list[list[int]]) -> int:
 
 def foulkes_determinant(n: int) -> int:
     """Exact determinant of the Foulkes matrix (equals the superfactorial)."""
-    return _bareiss_determinant(_foulkes_rows(n))
+    # Bareiss makes about n^3/3 updates of k x k minors of F; weighted by
+    # the updates per step, their root-mean-square size is about n/3
+    # entries of F, of at most n (log2 n + 1) bits each
+    _check_work("foulkes_determinant", n**3 // 3, 0, n * n * (n.bit_length() + 1) // 3)
+    return _bareiss_determinant(_foulkes_numerators(n))
 
 
 @dataclass(frozen=True)
@@ -226,6 +239,8 @@ def descent_polynomial(n: int, b: int, r: int) -> DescentPolynomial:
     """
     if n < 1 or b < 1 or r < 1:
         raise ValueError(f"need n, b, r >= 1, got n={n}, b={b}, r={r}")
+    # b^r < 2^(r L) with L the bit length of b - 1, checked before b^r is built
+    _check_rows("descent_polynomial", n, 1, r * (b - 1).bit_length() + 1)
     m = b**r
     coeffs = _row(n, m, 1)
     if coeffs[0] != 0:

@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carrychain.cli import main, run_verify_all
@@ -49,6 +49,12 @@ class TestAmazing:
         code, out, _ = run_cli(capsys, "amazing", "--n", "2", "--b", "2", "--normalized")
         doc = json.loads(out)
         assert doc["matrix"] == [["3/4", "1/4"], ["1/4", "3/4"]]
+
+    def test_over_the_work_budget_writes_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "amazing", "--n", "100000", "--b", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: amazing_matrix: estimated work")
 
     def test_repeated_invocations_are_byte_identical(self, capsys):
         args = ("amazing", "--n", "5", "--b", "3", "--normalized")
@@ -265,3 +271,57 @@ def test_simulate_commands_keep_the_contract(command, n, b, trials, seed):
         doc = json.loads(out.getvalue())
         assert sum(map(sum, doc["counts"])) == trials
     assert bool(out.getvalue()) == (code == 0)
+
+
+# sizes up to 40 with the edge values 0 and negatives, plus a size and an
+# exponent over the closed-form work budget; bases up to 2^70
+_CLOSED_SIZES = st.one_of(st.integers(-2, 40), st.just(100_000))
+_CLOSED_BASES = st.one_of(st.integers(-1, 12), st.sampled_from([2**31, 2**64, 2**70]))
+_CLOSED_EXPONENTS = st.one_of(st.integers(-1, 30), st.just(10**9))
+
+
+def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
+    size = ["--n", str(n)]
+    return {
+        "amazing": ["amazing", *size, "--b", str(b)],
+        "amazing-csv": ["amazing", *size, "--b", str(b), "--format", "csv"],
+        "descent-poly": ["descent-poly", *size, "--b", str(b), "--r", str(r)],
+        "foulkes": ["foulkes", *size, "--det"],
+        "worpitzky": ["worpitzky", *size],
+        "eigen": ["eigen", *size, "--b", str(b)],
+    }[command]
+
+
+@settings(max_examples=40, deadline=None)
+@example("amazing", 40, 2**70, 1)
+@example("amazing-csv", 40, 3, 1)
+@example("descent-poly", 40, 2**70, 30)  # over the int->str digit limit
+@example("descent-poly", 3, 2**70, 10**9)
+@example("foulkes", 40, 1, 1)
+@example("worpitzky", 40, 1, 1)
+@example("eigen", 40, 2**70, 1)
+@example("eigen", 100_000, 2, 1)
+@given(
+    st.sampled_from(["amazing", "amazing-csv", "descent-poly", "foulkes", "worpitzky", "eigen"]),
+    _CLOSED_SIZES,
+    _CLOSED_BASES,
+    _CLOSED_EXPONENTS,
+)
+def test_closed_form_commands_keep_the_contract(command, n, b, r):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_closed_form_argv(command, n, b, r))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    assert bool(text) == (code in (0, 1))
+    if not text:
+        return
+    assert text.endswith("\n")
+    if command == "amazing-csv":
+        rows = [line.split(",") for line in text.splitlines()]
+        assert len(rows) == n and all(len(row) == n for row in rows)
+        assert all(sum(map(int, row)) == b**n for row in rows)
+    else:
+        doc = json.loads(text)
+        assert doc["meta"]["params"]["n"] == n

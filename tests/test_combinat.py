@@ -12,7 +12,6 @@ from carrychain.combinat import (
     all_permutations,
     binomial,
     compositions,
-    descent_statistics,
     eulerian_number,
     eulerian_numbers,
     superfactorial,
@@ -70,22 +69,25 @@ class TestCompositions:
 
 class TestDescentStatistics:
     def test_identity(self):
-        dset, count, comp = descent_statistics(Permutation.identity(4))
+        p = Permutation.identity(4)
+        dset, count, comp = p.descent_set(), p.descent_count(), p.descent_composition()
         assert (dset, count, comp.parts) == (frozenset(), 0, (4,))
 
     def test_single_descent(self):
-        dset, count, comp = descent_statistics(Permutation((1, 3, 2)))
+        p = Permutation((1, 3, 2))
+        dset, count, comp = p.descent_set(), p.descent_count(), p.descent_composition()
         assert (dset, count, comp.parts) == (frozenset({2}), 1, (2, 1))
 
     def test_reverse(self):
-        dset, count, comp = descent_statistics(Permutation((4, 3, 2, 1)))
+        p = Permutation((4, 3, 2, 1))
+        dset, count, comp = p.descent_set(), p.descent_count(), p.descent_composition()
         assert (dset, count, comp.parts) == (frozenset({1, 2, 3}), 3, (1, 1, 1, 1))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 10).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
     def test_round_trip(self, images):
         p = Permutation(tuple(images))
-        dset, count, comp = descent_statistics(p)
+        dset, count, comp = p.descent_set(), p.descent_count(), p.descent_composition()
         assert comp.descent_set() == dset
         assert count == len(dset)
         assert comp.weight == p.n

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from carrychain.combinat import Composition, all_permutations, binomial, eulerian_number
 from carrychain.eulerian import (
     EulerianElement,
+    _worpitzky_numerators,
     class_element,
     foulkes_matrix,
     fundamental_evaluation,
@@ -149,6 +150,31 @@ class TestWorpitzkyMatrix:
             assert total == idempotent_element(n, j)
 
 
+def _expanded_product(n: int, i: int) -> list[int]:
+    """Coefficients of x^0..x^n in prod_{s=0..n-1} (x + n - i - s), one
+    linear factor at a time."""
+    coeffs = [1]
+    for s in range(n):
+        const = n - i - s
+        nxt = [0] * (len(coeffs) + 1)
+        for t, c in enumerate(coeffs):
+            nxt[t + 1] += c
+            nxt[t] += const * c
+        coeffs = nxt
+    return coeffs
+
+
+class TestWorpitzkyNumerators:
+    def test_recurrence_matches_the_expanded_product(self):
+        for n in range(1, 41):
+            expected = []
+            for i in range(1, n + 1):
+                coeffs = _expanded_product(n, i)
+                assert coeffs[0] == 0
+                expected.append(coeffs[1:])
+            assert _worpitzky_numerators(n) == expected
+
+
 class TestFoulkesMatrix:
     def test_degree_two(self):
         F = foulkes_matrix(2)
@@ -165,7 +191,7 @@ class TestFoulkesMatrix:
             assert F.row(n) == tuple(Fraction(eulerian_number(n, j)) for j in range(1, n + 1))
 
     def test_columns_are_class_elements(self):
-        for n in range(1, 7):
+        for n in range(1, 15):
             F = foulkes_matrix(n)
             for j in range(1, n + 1):
                 assert F.column(j) == class_element(n, j).coords

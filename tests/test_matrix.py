@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from carrychain import matrix
+from carrychain import eulerian, matrix
 from carrychain.combinat import superfactorial
+from carrychain.eulerian import WORK_BUDGET, ClosedFormBudgetError
 from carrychain.matrix import (
     AmazingMatrix,
     amazing_entry,
     amazing_matrix,
     descent_polynomial,
     foulkes_determinant,
-    normalized_row,
     stationary_distribution,
     verify_multiplicativity,
     verify_spectrum,
@@ -56,7 +56,9 @@ class TestRowKernel:
 
     @pytest.mark.parametrize("b", (2**200, 3**1000))
     def test_matches_alternating_sums_for_huge_bases(self, b):
-        for n in range(1, 7):
+        # odd n has a middle row that is its own mirror, even n a seam
+        # between the computed half and the mirrored half
+        for n in range(1, 10):
             assert amazing_matrix(n, b).entries == self.entry_grid(n, b)
 
     def test_rejects_bad_arguments(self):
@@ -99,7 +101,7 @@ class TestAmazingMatrix:
     def test_normalized_rows_are_probabilities(self):
         m = amazing_matrix(5, 3)
         for i in range(1, 6):
-            row = normalized_row(m, i)
+            row = m.normalized_row(i)
             assert sum(row) == 1
             assert all(x >= 0 for x in row)
 
@@ -217,3 +219,63 @@ class TestDescentPolynomial:
             descent_polynomial(0, 2, 1)
         with pytest.raises(ValueError):
             descent_polynomial(2, 2, 0)
+
+
+class _Built(Exception):
+    """Raised in place of the first bigint a computation builds."""
+
+
+def _refuse_building(*args):
+    raise _Built
+
+
+class TestWorkBudget:
+    def test_matrix_is_refused_before_any_binomial(self, monkeypatch):
+        # the documented largest case at b = 2 passes the check, the next
+        # size is refused before the first binomial
+        monkeypatch.setattr(matrix, "binomial", _refuse_building)
+        with pytest.raises(_Built):
+            amazing_matrix(281, 2)
+        for n, b in ((282, 2), (100_000, 2), (121, 2**70)):
+            with pytest.raises(ClosedFormBudgetError, match="amazing_matrix"):
+                amazing_matrix(n, b)
+
+    def test_descent_polynomial_is_refused_before_the_power(self):
+        # 3^(10^12) would take far longer than any test to build
+        with pytest.raises(ClosedFormBudgetError, match="descent_polynomial"):
+            descent_polynomial(4, 3, 10**12)
+        with pytest.raises(ClosedFormBudgetError):
+            descent_polynomial(1, 2, 10**6)
+
+    def test_foulkes_tables_are_refused_before_they_are_built(self, monkeypatch):
+        monkeypatch.setattr(eulerian, "_numerator", _refuse_building)
+        with pytest.raises(_Built):
+            eulerian.foulkes_matrix(200)
+        with pytest.raises(ClosedFormBudgetError, match="foulkes_matrix"):
+            eulerian.foulkes_matrix(201)
+        monkeypatch.setattr(matrix, "_foulkes_numerators", _refuse_building)
+        with pytest.raises(_Built):
+            foulkes_determinant(48)
+        with pytest.raises(ClosedFormBudgetError, match="foulkes_determinant"):
+            foulkes_determinant(49)
+
+    def test_worpitzky_table_is_refused_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(eulerian, "_worpitzky_numerators", _refuse_building)
+        with pytest.raises(_Built):
+            eulerian.worpitzky_matrix(214)
+        with pytest.raises(ClosedFormBudgetError, match="worpitzky_matrix"):
+            eulerian.worpitzky_matrix(215)
+
+    def test_spectrum_is_refused_before_the_transition_matrix(self, monkeypatch):
+        monkeypatch.setattr(matrix, "binomial", _refuse_building)
+        with pytest.raises(ClosedFormBudgetError, match="foulkes_matrix"):
+            verify_spectrum(201, 2)
+
+    def test_benchmarked_sizes_pass_a_third_of_the_budget(self, monkeypatch):
+        monkeypatch.setattr(eulerian, "WORK_BUDGET", WORK_BUDGET // 3)
+        amazing_matrix(100, 2)
+        amazing_matrix(16, 3**1000)
+        amazing_matrix(12, 2**3000)
+        descent_polynomial(16, 3, 3000)
+        assert verify_multiplicativity(10, 2**500, 3**300).ok
+        assert foulkes_determinant(40) == superfactorial(40)
