@@ -7,6 +7,12 @@ all checks passed, 1 a verification failed, 2 usage error.
 
 Output is byte-identical across repeated identical invocations (simulations
 included: the seed is part of the invocation).
+
+``verify all`` walks one table, ``SUITES``.  A row (``Suite``) holds the
+suite name, the cap on n, the report's parameters beyond max_n, the grid of
+cases for a given cap, and a check that returns the identity count and the
+failure messages for one case.  Adding an identity is adding a row; the
+acceptance tests run every row at its full cap.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import argparse
 import itertools
 import json
 import sys
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -181,10 +189,10 @@ def _cmd_oracle_shuffles(args) -> int:
 
 
 def _cmd_simulate_shuffle(args) -> int:
-    cfg = SimulationConfig(trials=args.trials, seed=args.seed, steps=1)
-    result = simulate_shuffle_chain(args.n, args.b, cfg)
+    cfg, steps = SimulationConfig(trials=args.trials, seed=args.seed), 1
+    result = simulate_shuffle_chain(args.n, args.b, cfg, steps=steps)
     exact = amazing_matrix(args.n, args.b).normalized()
-    params = {"n": args.n, "b": args.b, "trials": cfg.trials, "steps": cfg.steps, "seed": cfg.seed}
+    params = {"n": args.n, "b": args.b, "trials": cfg.trials, "steps": steps, "seed": cfg.seed}
     payload = {
         "counts": [list(row) for row in result.counts],
         "frequencies": _matrix_payload(result.frequencies()),
@@ -215,308 +223,186 @@ def _cmd_simulate_carries(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the exact-identity suites behind `verify all`
+# the identity table behind `verify all`
 
 
-def _suite(name: str, params: dict, body) -> Report:
-    failures: list[str] = []
-    checked = 0
+@dataclass(frozen=True)
+class Suite:
+    """One row of the identity table: ``check(*case)`` runs for every case
+    of ``grid(top)``, top = min(max_n, cap), and returns how many identities
+    it checked and one message per failed identity.  ``params`` are the
+    report's parameters beyond max_n.  ``shown_cap`` lowers the max_n the
+    report shows, for a row whose grid reaches further in n for some checks
+    than for others."""
+
+    name: str
+    cap: int
+    params: dict
+    grid: Callable[[int], Iterable[tuple]]
+    check: Callable[..., tuple[int, list[str]]]
+    shown_cap: int | None = None
+
+    def run(self, max_n: int) -> Report:
+        top = min(max_n, self.cap)
+        shown = top if self.shown_cap is None else min(top, self.shown_cap)
+        checked, failures = 0, []
+        try:
+            for case in self.grid(top):
+                count, failed = self.check(*case)
+                checked += count
+                failures.extend(failed)
+        except Exception as exc:  # a crash in a suite is a failure, not an abort
+            failures.append(f"{type(exc).__name__}: {exc}")
+        return Report(self.name, {"max_n": shown, **self.params}, checked, tuple(failures))
+
+
+def _cases(*axes):
+    """The grid of every n in 1..top crossed with the fixed ``axes``."""
+    return lambda top: itertools.product(range(1, top + 1), *axes)
+
+
+def _tally(report: Report) -> tuple[int, list[str]]:
+    return report.checked, list(report.failures)
+
+
+def _row_sums(n: int, b: int):
+    m = amazing_matrix(n, b)
+    return n, [f"row sum failed at n={n}, b={b}, i={i}" for i in range(1, n + 1) if sum(m.row(i)) != b**n]
+
+
+def _nonnegative(n: int, b: int):
+    cells = itertools.product(range(1, n + 1), repeat=2)
+    return n * n, [f"negative entry at n={n}, b={b}, i={i}, j={j}" for i, j in cells if amazing_entry(n, b, i, j) < 0]
+
+
+def _foulkes_inverse(n: int):
+    F, W = foulkes_matrix(n), worpitzky_matrix(n)
+    failures = []
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        if sum(F.entry(i, t) * W.entry(t, j) for t in range(1, n + 1)) != (1 if i == j else 0):
+            failures.append(f"F*W != I at n={n}, ({i},{j})")
+    return n * n, failures
+
+
+def _foulkes_determinant(n: int):
+    ok = foulkes_determinant(n) == superfactorial(n)
+    return 1, [] if ok else [f"determinant != superfactorial at n={n}"]
+
+
+def _worpitzky_powers(n: int):
+    F = foulkes_matrix(n)
+    failures = []
+    for x, k in itertools.product(range(1, 11), range(1, n + 1)):
+        if sum(F.entry(k, i) * binomial(x + n - i, n) for i in range(1, n + 1)) != x**k:
+            failures.append(f"power identity failed at n={n}, x={x}, k={k}")
+    return 10 * n, failures
+
+
+def _foulkes_eulerian_row(n: int):
+    F = foulkes_matrix(n)
+    bad = [j for j in range(1, n + 1) if F.entry(n, j) != eulerian_number(n, j)]
+    return n, [f"last Foulkes row != Eulerian numbers at n={n}, j={j}" for j in bad]
+
+
+def _spow_product(n: int, p: int, q: int):
+    ok = internal_product(spow_element(n, p), spow_element(n, q)) == spow_element(n, p * q)
+    return 1, [] if ok else [f"S[p]*S[q] != S[pq] at n={n}, p={p}, q={q}"]
+
+
+def _idempotent_sum(n: int):
+    total = idempotent_s_expansion(n, 1)
+    for k in range(2, n + 1):
+        total = total + idempotent_s_expansion(n, k)
+    ok = total.terms == {Composition((n,)): Fraction(1)}
+    return 1, [] if ok else [f"idempotent expansions do not sum to the complete word at n={n}"]
+
+
+def _group_idempotents(n: int):
+    idems = [idempotent_group(n, k) for k in range(1, n + 1)]
+    failures = [f"idempotency failed at n={n}, k={k}" for k, e in enumerate(idems, start=1) if group_product(e, e) != e]
+    pairs = list(itertools.combinations(range(n), 2))
+    for k, l in pairs:
+        if not group_product(idems[k], idems[l]).is_zero():
+            failures.append(f"orthogonality failed at n={n}, k={k + 1}, l={l + 1}")
+    total = idems[0]
+    for e in idems[1:]:
+        total = total + e
+    if total != group_identity(n):
+        failures.append(f"idempotents do not sum to the identity at n={n}")
+    return n + len(pairs) + 1, failures
+
+
+def _shuffle_element(n: int, b: int):
+    shuffles = enumerate_b_shuffles(n, b)
+    failures = []
+    if shuffles.total() != b**n:
+        failures.append(f"word count != b^n at n={n}, b={b}")
+    support_ok = all(p.inverse().descent_count() <= b - 1 for p in shuffles.multiplicity)
+    expected_size = sum(1 for p in all_permutations(n) if p.descent_count() <= b - 1)
+    if not support_ok or len(shuffles.multiplicity) != expected_size:
+        failures.append(f"support rule failed at n={n}, b={b}")
+    if shuffles.to_group_algebra() != shuffle_element_from_basis(n, b).invert_support():
+        failures.append(f"multiset != basis realization at n={n}, b={b}")
+    return 3, failures
+
+
+def _oracle_transition(n: int, b: int):
     try:
-        checked = body(failures)
-    except Exception as exc:  # a crash in a suite is a failure, not an abort
-        failures.append(f"{type(exc).__name__}: {exc}")
-    return Report(name, params, checked, tuple(failures))
+        ok = oracle_transition_matrix(n, b) == amazing_matrix(n, b).normalized()
+    except (LumpingViolation, TransitionMismatch) as exc:
+        return 1, [str(exc)]
+    return 1, [] if ok else [f"enumerated matrix != closed formula at n={n}, b={b}"]
 
 
-def _suite_row_sums(max_n: int) -> Report:
-    cap, bases = min(max_n, 12), (2, 3, 10)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for b in bases:
-                m = amazing_matrix(n, b)
-                for i in range(1, n + 1):
-                    checked += 1
-                    if sum(m.row(i)) != b**n:
-                        failures.append(f"row sum failed at n={n}, b={b}, i={i}")
-        return checked
-
-    return _suite("row-sums", {"max_n": cap, "b": list(bases)}, body)
+_POWERS = ((2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1))
 
 
-def _suite_nonnegative(max_n: int) -> Report:
-    cap = min(max_n, 12)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for b in range(1, 11):
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        checked += 1
-                        if amazing_entry(n, b, i, j) < 0:
-                            failures.append(f"negative entry at n={n}, b={b}, i={i}, j={j}")
-        return checked
-
-    return _suite("nonnegative-entries", {"max_n": cap, "b": "1..10"}, body)
+def _descent_cases(top: int):
+    """Bases b^r <= 8 against the enumeration for n <= TRANSITION_MAX_N,
+    then mass and positivity for bases <= 9 up to the row's cap."""
+    for n, (b, r) in itertools.product(range(1, min(top, TRANSITION_MAX_N) + 1), _POWERS):
+        yield n, b, r, True
+    for n, (b, r) in itertools.product(range(1, top + 1), _POWERS + ((9, 1),)):
+        yield n, b, r, False
 
 
-def _suite_spectrum(max_n: int) -> Report:
-    cap, bases = min(max_n, 10), (2, 3, 5)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for b in bases:
-                rep = verify_spectrum(n, b)
-                checked += rep.checked
-                failures.extend(rep.failures)
-        return checked
-
-    return _suite("spectrum", {"max_n": cap, "b": list(bases)}, body)
+def _descent_polynomial(n: int, b: int, r: int, against_oracle: bool):
+    poly = descent_polynomial(n, b, r)
+    if against_oracle:
+        ok = poly.coeffs == oracle_descent_polynomial(n, b**r).coeffs
+        return 1, [] if ok else [f"closed formula != enumeration at n={n}, base={b ** r}"]
+    ok = poly.mass == (b**r) ** n and all(c >= 0 for c in poly.coeffs)
+    return 1, [] if ok else [f"mass/positivity failed at n={n}, base={b ** r}"]
 
 
-def _suite_foulkes_inverse(max_n: int) -> Report:
-    cap = min(max_n, 10)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            F, W = foulkes_matrix(n), worpitzky_matrix(n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    checked += 1
-                    value = sum(F.entry(i, t) * W.entry(t, j) for t in range(1, n + 1))
-                    if value != (1 if i == j else 0):
-                        failures.append(f"F*W != I at n={n}, ({i},{j})")
-        return checked
-
-    return _suite("foulkes-worpitzky-inverse", {"max_n": cap}, body)
-
-
-def _suite_foulkes_determinant(max_n: int) -> Report:
-    cap = min(max_n, 8)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            checked += 1
-            if foulkes_determinant(n) != superfactorial(n):
-                failures.append(f"determinant != superfactorial at n={n}")
-        return checked
-
-    return _suite("foulkes-determinant", {"max_n": cap}, body)
-
-
-def _suite_worpitzky_powers(max_n: int) -> Report:
-    cap = min(max_n, 8)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            F = foulkes_matrix(n)
-            for x in range(1, 11):
-                for k in range(1, n + 1):
-                    checked += 1
-                    total = sum(F.entry(k, i) * binomial(x + n - i, n) for i in range(1, n + 1))
-                    if total != x**k:
-                        failures.append(f"power identity failed at n={n}, x={x}, k={k}")
-        return checked
-
-    return _suite("worpitzky-power-identity", {"max_n": cap, "x": "1..10"}, body)
-
-
-def _suite_foulkes_eulerian_row(max_n: int) -> Report:
-    cap = min(max_n, 8)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            F = foulkes_matrix(n)
-            for j in range(1, n + 1):
-                checked += 1
-                if F.entry(n, j) != eulerian_number(n, j):
-                    failures.append(f"last Foulkes row != Eulerian numbers at n={n}, j={j}")
-        return checked
-
-    return _suite("foulkes-eulerian-row", {"max_n": cap}, body)
-
-
-def _suite_multiplicativity(max_n: int) -> Report:
-    cap = min(max_n, 8)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for b1 in range(1, 5):
-                for b2 in range(1, 5):
-                    rep = verify_multiplicativity(n, b1, b2)
-                    checked += rep.checked
-                    failures.extend(rep.failures)
-        return checked
-
-    return _suite("multiplicativity", {"max_n": cap, "b": "1..4"}, body)
-
-
-def _suite_stationary(max_n: int) -> Report:
-    cap, bases = min(max_n, 10), (2, 3)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for b in bases:
-                rep = verify_stationary(n, b)
-                checked += rep.checked
-                failures.extend(rep.failures)
-        return checked
-
-    return _suite("stationary", {"max_n": cap, "b": list(bases)}, body)
-
-
-def _suite_spow_product(max_n: int) -> Report:
-    cap = min(max_n, 8)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for p in range(1, 7):
-                for q in range(1, 7):
-                    checked += 1
-                    if internal_product(spow_element(n, p), spow_element(n, q)) != spow_element(n, p * q):
-                        failures.append(f"S[p]*S[q] != S[pq] at n={n}, p={p}, q={q}")
-        return checked
-
-    return _suite("shuffle-power-product", {"max_n": cap, "p,q": "1..6"}, body)
-
-
-def _suite_idempotent_sum(max_n: int) -> Report:
-    cap = min(max_n, 8)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            total = idempotent_s_expansion(n, 1)
-            for k in range(2, n + 1):
-                total = total + idempotent_s_expansion(n, k)
-            checked += 1
-            if total.terms != {Composition((n,)): Fraction(1)}:
-                failures.append(f"idempotent expansions do not sum to the complete word at n={n}")
-        return checked
-
-    return _suite("idempotent-expansion-sum", {"max_n": cap}, body)
-
-
-def _suite_group_idempotents(max_n: int) -> Report:
-    cap = min(max_n, IDEMPOTENT_MAX_N)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            idems = [idempotent_group(n, k) for k in range(1, n + 1)]
-            for k, e in enumerate(idems, start=1):
-                checked += 1
-                if group_product(e, e) != e:
-                    failures.append(f"idempotency failed at n={n}, k={k}")
-            for k, l in itertools.combinations(range(n), 2):
-                checked += 1
-                if not group_product(idems[k], idems[l]).is_zero():
-                    failures.append(f"orthogonality failed at n={n}, k={k + 1}, l={l + 1}")
-            total = idems[0]
-            for e in idems[1:]:
-                total = total + e
-            checked += 1
-            if total != group_identity(n):
-                failures.append(f"idempotents do not sum to the identity at n={n}")
-        return checked
-
-    return _suite("group-idempotents", {"max_n": cap}, body)
-
-
-def _suite_shuffle_element(max_n: int) -> Report:
-    cap = min(max_n, IDEMPOTENT_MAX_N)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for b in range(1, 5):
-                shuffles = enumerate_b_shuffles(n, b)
-                checked += 3
-                if shuffles.total() != b**n:
-                    failures.append(f"word count != b^n at n={n}, b={b}")
-                support_ok = all(p.inverse().descent_count() <= b - 1 for p in shuffles.multiplicity)
-                expected_size = sum(1 for p in all_permutations(n) if p.descent_count() <= b - 1)
-                if not support_ok or len(shuffles.multiplicity) != expected_size:
-                    failures.append(f"support rule failed at n={n}, b={b}")
-                realized = shuffle_element_from_basis(n, b).invert_support()
-                if shuffles.to_group_algebra() != realized:
-                    failures.append(f"multiset != basis realization at n={n}, b={b}")
-        return checked
-
-    return _suite("shuffle-element", {"max_n": cap, "b": "1..4"}, body)
-
-
-def _suite_oracle_transition(max_n: int) -> Report:
-    cap, bases = min(max_n, TRANSITION_MAX_N), (2, 3)
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for b in bases:
-                checked += 1
-                try:
-                    oracle_transition_matrix(n, b)
-                except (LumpingViolation, TransitionMismatch) as exc:
-                    failures.append(str(exc))
-        return checked
-
-    return _suite("oracle-transition", {"max_n": cap, "b": list(bases)}, body)
-
-
-def _suite_descent_polynomials(max_n: int) -> Report:
-    cap = min(max_n, TRANSITION_MAX_N)
-    mass_cap = min(max_n, 8)
-    powers = [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1)]
-
-    def body(failures):
-        checked = 0
-        for n in range(1, cap + 1):
-            for b, r in powers:
-                checked += 1
-                closed = descent_polynomial(n, b, r)
-                if closed.coeffs != oracle_descent_polynomial(n, b**r).coeffs:
-                    failures.append(f"closed formula != enumeration at n={n}, base={b ** r}")
-        for n in range(1, mass_cap + 1):
-            for b, r in powers + [(9, 1)]:
-                checked += 1
-                poly = descent_polynomial(n, b, r)
-                if poly.mass != (b**r) ** n or any(c < 0 for c in poly.coeffs):
-                    failures.append(f"mass/positivity failed at n={n}, base={b ** r}")
-        return checked
-
-    return _suite("descent-polynomials", {"max_n": cap, "base": "<= 9"}, body)
+# The exact identities of ``verify all``, in report order; adding an identity
+# is adding a row.
+SUITES = (
+    Suite("row-sums", 12, {"b": [2, 3, 10]}, _cases((2, 3, 10)), _row_sums),
+    Suite("nonnegative-entries", 12, {"b": "1..10"}, _cases(range(1, 11)), _nonnegative),
+    Suite("spectrum", 10, {"b": [2, 3, 5]}, _cases((2, 3, 5)), lambda n, b: _tally(verify_spectrum(n, b))),
+    Suite("foulkes-worpitzky-inverse", 10, {}, _cases(), _foulkes_inverse),
+    Suite("foulkes-determinant", 8, {}, _cases(), _foulkes_determinant),
+    Suite("worpitzky-power-identity", 8, {"x": "1..10"}, _cases(), _worpitzky_powers),
+    Suite("foulkes-eulerian-row", 8, {}, _cases(), _foulkes_eulerian_row),
+    Suite(
+        "multiplicativity", 8, {"b": "1..4"}, _cases(range(1, 5), range(1, 5)),
+        lambda n, b1, b2: _tally(verify_multiplicativity(n, b1, b2)),
+    ),
+    Suite("stationary", 10, {"b": [2, 3]}, _cases((2, 3)), lambda n, b: _tally(verify_stationary(n, b))),
+    Suite("shuffle-power-product", 8, {"p,q": "1..6"}, _cases(range(1, 7), range(1, 7)), _spow_product),
+    Suite("idempotent-expansion-sum", 8, {}, _cases(), _idempotent_sum),
+    Suite("group-idempotents", IDEMPOTENT_MAX_N, {}, _cases(), _group_idempotents),
+    Suite("shuffle-element", IDEMPOTENT_MAX_N, {"b": "1..4"}, _cases(range(1, 5)), _shuffle_element),
+    Suite("oracle-transition", TRANSITION_MAX_N, {"b": [2, 3]}, _cases((2, 3)), _oracle_transition),
+    Suite("descent-polynomials", 8, {"base": "<= 9"}, _descent_cases, _descent_polynomial, TRANSITION_MAX_N),
+)
 
 
 def run_verify_all(max_n: int) -> list[Report]:
-    """Every exact identity suite, bounded by ``max_n`` (internal brute-force
-    caps still apply)."""
-    return [
-        _suite_row_sums(max_n),
-        _suite_nonnegative(max_n),
-        _suite_spectrum(max_n),
-        _suite_foulkes_inverse(max_n),
-        _suite_foulkes_determinant(max_n),
-        _suite_worpitzky_powers(max_n),
-        _suite_foulkes_eulerian_row(max_n),
-        _suite_multiplicativity(max_n),
-        _suite_stationary(max_n),
-        _suite_spow_product(max_n),
-        _suite_idempotent_sum(max_n),
-        _suite_group_idempotents(max_n),
-        _suite_shuffle_element(max_n),
-        _suite_oracle_transition(max_n),
-        _suite_descent_polynomials(max_n),
-    ]
+    """Every row of ``SUITES``, bounded by ``max_n`` (each row's cap still
+    applies)."""
+    return [suite.run(max_n) for suite in SUITES]
 
 
 def _cmd_verify_all(args) -> int:

@@ -49,7 +49,9 @@ from .combinat import Composition, binomial, compositions
 # x86-64 host with Python 3.11.  The largest transition matrix admitted at
 # b = 2, amazing_matrix(281, 2) (work 2.66e8), takes 1.6 s, and 2.1 s as
 # `carrychain amazing`; the other tables stop at foulkes_matrix(200) and
-# worpitzky_matrix(214) (0.7 s).  The largest benchmarked table,
+# worpitzky_matrix(214) (0.7 s), and the matrix products of the checks at
+# verify_spectrum(118, 2) (0.7 s) and verify_multiplicativity(176, 2, 2)
+# (1.5 s).  The largest benchmarked table,
 # descent_polynomial(16, 3, 3000), counts 3.9e7, and foulkes_determinant(40)
 # 7.4e7 (0.04 s).
 WORK_BUDGET = 2**28
@@ -66,7 +68,11 @@ def _check_work(what: str, values: int, passes: int, bits: int) -> None:
     size of an integer in 64-bit words, that is values * (passes + w) * w
     word operations."""
     words = bits // 64 + 1
-    work = values * (passes + words) * words
+    _check_budget(what, values * (passes + words) * words)
+
+
+def _check_budget(what: str, work: int) -> None:
+    """Refuse ``work`` word operations over ``WORK_BUDGET``."""
     if work > WORK_BUDGET:
         budget = math.log2(WORK_BUDGET)
         raise ClosedFormBudgetError(f"{what}: estimated work 2^{math.log2(work):.1f} exceeds the budget 2^{budget:g}")

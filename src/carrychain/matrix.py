@@ -14,9 +14,10 @@ Foulkes table shares: the coefficients of x^1..x^n in
 (1 - x)^(n+1) sum_k C(bk + n - i, n) x^k, taken by n+1 difference passes
 over n+1 binomials.  Only rows 1..ceil(n/2) are computed; the others are
 mirrored, since P is centrosymmetric: P(i, j) = P(n+1-i, n+1-j).
-``amazing_entry`` is the entry-by-entry reference.  Every table is refused
-up front, with ``ClosedFormBudgetError``, when its estimated bigint work
-exceeds ``eulerian.WORK_BUDGET``.
+``amazing_entry`` is the entry-by-entry reference.  Every table, and the
+matrix products of every check below, is refused up front, with
+``ClosedFormBudgetError``, when its estimated bigint work exceeds
+``eulerian.WORK_BUDGET``.
 
 Everything claimed about this matrix is an exact identity and is verified
 here in integer arithmetic: the columns of n! W (Worpitzky) and the rows of
@@ -35,7 +36,7 @@ from fractions import Fraction
 from operator import mul
 
 from .combinat import binomial, eulerian_numbers
-from .eulerian import _check_work, _foulkes_numerators, _numerator, _worpitzky_numerators
+from .eulerian import _check_budget, _check_work, _foulkes_numerators, _numerator, _worpitzky_numerators
 
 
 def _row(n: int, m: int, i: int) -> list[int]:
@@ -49,6 +50,18 @@ def _check_rows(what: str, n: int, rows: int, m_bits: int) -> None:
     most ``m_bits`` bits: the binomials have at most n (m_bits + 2) bits,
     and the n + 1 difference passes add at most n + 1 more."""
     _check_work(what, rows * (n + 1), n + 1, n * (m_bits + 3))
+
+
+def _check_products(what: str, products: int, bits: int, factor_bits: int) -> None:
+    """The budget check for ``products`` products of an integer of at most
+    ``bits`` bits by one of at most ``factor_bits`` bits, each added into a
+    dot product: (w + 1)(v + 1) word operations for w- and v-word factors."""
+    _check_budget(what, products * (bits // 64 + 2) * (factor_bits // 64 + 2))
+
+
+def _eigen_bits(n: int) -> int:
+    """A bound on the bits of an entry of n! W, of F and of the Eulerian row."""
+    return n * (n.bit_length() + 1)
 
 
 def amazing_entry(n: int, b: int, i: int, j: int) -> int:
@@ -73,6 +86,8 @@ class AmazingMatrix:
 
     def __post_init__(self) -> None:
         bn = self.b**self.n
+        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
+            raise ValueError(f"the ({self.n}, {self.b}) matrix needs {self.n} rows of {self.n} entries")
         for i, row in enumerate(self.entries, start=1):
             if any(e < 0 for e in row):
                 raise ValueError(f"negative entry in row {i} of the ({self.n}, {self.b}) matrix")
@@ -135,8 +150,10 @@ class Report:
 def verify_spectrum(n: int, b: int) -> Report:
     """Check, in integers, that the columns of n! W are right eigenvectors
     and the rows of F left eigenvectors of P(n, b), with eigenvalues b^k.
-    The eigenvector tables are built before P, so that a size over the work
-    budget of any of the three is refused before the largest is built."""
+    The 2 n^2 (n + 1) products are checked against the work budget first,
+    and the eigenvector tables are built before P, so that a size over the
+    budget is refused before the largest table is built."""
+    _check_products("verify_spectrum", 2 * n * n * (n + 1), n * b.bit_length(), _eigen_bits(n))
     W, F = _worpitzky_numerators(n), _foulkes_numerators(n)
     P = amazing_matrix(n, b).entries
     failures = []
@@ -160,7 +177,9 @@ def stationary_distribution(n: int) -> tuple[Fraction, ...]:
 
 def verify_stationary(n: int, b: int) -> Report:
     """Check pi P = b^n pi for the Eulerian distribution pi, as E P = b^n E
-    in integers on the Eulerian row E = n! pi."""
+    in integers on the Eulerian row E = n! pi.  Its n (n + 1) products are
+    checked against the work budget before P is built."""
+    _check_products("verify_stationary", n * (n + 1), n * b.bit_length(), _eigen_bits(n))
     P = amazing_matrix(n, b).entries
     E = eulerian_numbers(n)
     bn = b**n
@@ -171,7 +190,10 @@ def verify_stationary(n: int, b: int) -> Report:
 
 
 def verify_multiplicativity(n: int, b1: int, b2: int) -> Report:
-    """Check P(b1) P(b2) = P(b1 b2) on unnormalized entries."""
+    """Check P(b1) P(b2) = P(b1 b2) on unnormalized entries.  The n^3
+    products are checked against the work budget before any matrix is
+    built."""
+    _check_products("verify_multiplicativity", n**3, n * b1.bit_length(), n * b2.bit_length())
     A = amazing_matrix(n, b1).entries
     columns = list(zip(*amazing_matrix(n, b2).entries))
     C = amazing_matrix(n, b1 * b2)

@@ -46,13 +46,6 @@ def _mix_in_place(x: np.ndarray, scratch: np.ndarray) -> None:
             np.multiply(x, factor, out=x)
 
 
-def mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 output finalizer, elementwise on uint64 arrays."""
-    out = np.array(x, dtype=np.uint64)
-    _mix_in_place(out, np.empty_like(out))
-    return out
-
-
 def _blocks(rows: int, cols: int):
     """Row and column slices that tile a (rows, cols) grid in blocks of at
     most ``_BLOCK_VALUES`` values: whole rows where they fit, else pieces of

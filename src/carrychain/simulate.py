@@ -45,13 +45,10 @@ class SimulationConfig:
 
     trials: int
     seed: int
-    steps: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be positive, got {self.steps}")
         check_seed(self.seed)
 
 
@@ -94,8 +91,11 @@ class EmpiricalMatrix:
         return tuple(out)
 
 
-def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: int = 0) -> EmpiricalMatrix:
-    """Empirical descent-count transition matrix of repeated GSR b-shuffles.
+def simulate_shuffle_chain(
+    n: int, b: int, cfg: SimulationConfig, trial_offset: int = 0, steps: int = 1
+) -> EmpiricalMatrix:
+    """Empirical descent-count transition matrix of ``steps`` successive
+    GSR b-shuffles per trial.
 
     Per trial: draws 0..n-1 seed a uniformly random start deck (stable
     argsort of raw 64-bit keys), then step s consumes draws
@@ -111,24 +111,26 @@ def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: 
     """
     if n < 1 or not 1 <= b <= MAX_BASE:
         raise ValueError(f"need n >= 1 and 1 <= b <= 2^63, got n={n}, b={b}")
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
     counts = np.zeros((n, n), dtype=np.int64)
-    chunk = max(1, _CHUNK_VALUES // (n * (cfg.steps + 1)))
+    chunk = max(1, _CHUNK_VALUES // (n * (steps + 1)))
     for lo in range(0, cfg.trials, chunk):
         hi = min(lo + chunk, cfg.trials)
-        _shuffle_chunk(n, b, cfg, trial_offset + lo, trial_offset + hi, counts)
+        _shuffle_chunk(n, b, cfg.seed, steps, trial_offset + lo, trial_offset + hi, counts)
     return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in counts))
 
 
-def _shuffle_chunk(n: int, b: int, cfg: SimulationConfig, t0: int, t1: int, counts: np.ndarray) -> None:
+def _shuffle_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts: np.ndarray) -> None:
     """Add the descent transitions of trials [t0, t1) to the (n, n)
     ``counts``; the chunk's arrays go when it returns."""
     # decks[p, t]: the 0-based card at position p of trial t
-    decks = np.argsort(stream_block(cfg.seed, t0, t1, 0, n).T, axis=0, kind="stable")
+    decks = np.argsort(stream_block(seed, t0, t1, 0, n).T, axis=0, kind="stable")
     rows = np.arange(0, (t1 - t0) * n, n)  # where each trial's word starts in a flat block
     falls = decks[:-1] > decks[1:]  # the descents of the deck
     d_prev = falls.sum(axis=0)
-    for s in range(cfg.steps):
-        digits = digit_block(cfg.seed, t0, t1, n + s * n, n + (s + 1) * n, b)
+    for s in range(steps):
+        digits = digit_block(seed, t0, t1, n + s * n, n + (s + 1) * n, b)
         g = digits.ravel()[decks + rows]
         ties = g[:-1] == g[1:]
         ties &= falls
@@ -136,7 +138,7 @@ def _shuffle_chunk(n: int, b: int, cfg: SimulationConfig, t0: int, t1: int, coun
         falls |= ties  # now the descents of the new deck
         d_new = falls.sum(axis=0)
         counts += np.bincount(d_prev * n + d_new, minlength=n * n).reshape(n, n)
-        if s + 1 < cfg.steps:
+        if s + 1 < steps:
             # tau = rho^-1 for the stable digit sort rho; new deck = tau o sigma
             rho = np.argsort(digits.T, axis=0, kind="stable")
             tau = np.empty_like(rho)
@@ -212,11 +214,10 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
 
     Carry states are 0..n_summands-1 (a carry can never reach n_summands).
     Trial t consumes draw c*n_summands + m for column c, summand m; each
-    trial starts at carry 0.  ``digits`` is the chain length, so
-    ``cfg.steps`` must be 1.  Carry plus column sum, at most
-    (n_summands - 1) + n_summands (b - 1), must fit in int64.  The digits
-    come in blocks of at most ``_CHUNK_VALUES`` values (whole trials, or
-    pieces of one trial's columns) and one segmented scan
+    trial starts at carry 0.  ``digits`` is the chain length.  Carry plus
+    column sum, at most (n_summands - 1) + n_summands (b - 1), must fit in
+    int64.  The digits come in blocks of at most ``_CHUNK_VALUES`` values
+    (whole trials, or pieces of one trial's columns) and one segmented scan
     (``_carry_scan``) runs the carry on across them.
     """
     if n_summands < 2:
@@ -227,8 +228,6 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
         raise ValueError(f"carry plus column sum must stay below 2^63, got n_summands={n_summands}, b={b}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
-    if cfg.steps != 1:
-        raise ValueError(f"the carries chain runs one addition per trial, so steps must be 1, got {cfg.steps}")
     n = n_summands
     counts = np.zeros((n, n), dtype=np.int64)
     chunk = max(1, _CHUNK_VALUES // (digits * n))

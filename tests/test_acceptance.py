@@ -1,5 +1,7 @@
 """Acceptance gate: every criterion below is exact (tolerances are stated
-inline where statistical) and prints one PASS/FAIL line.  Run with
+inline where statistical) and prints one PASS/FAIL line.  The exact
+identities are the rows of ``carrychain.cli.SUITES``, the table behind
+``verify all``, each run here up to its own cap.  Run with
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -8,138 +10,57 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from carrychain.combinat import binomial, superfactorial
-from carrychain.eulerian import foulkes_matrix, worpitzky_matrix
-from carrychain.matrix import (
-    amazing_matrix,
-    descent_polynomial,
-    foulkes_determinant,
-    verify_multiplicativity,
-    verify_spectrum,
-    verify_stationary,
-)
-from carrychain.oracle import (
-    group_identity,
-    group_product,
-    idempotent_group,
-    oracle_descent_polynomial,
-    oracle_transition_matrix,
-)
+import pytest
+
+from carrychain.cli import SUITES
+from carrychain.matrix import amazing_matrix
 from carrychain.simulate import SimulationConfig, simulate_carries, simulate_shuffle_chain
 
 SEED = 20260809
 TV_TOLERANCE = Fraction(1, 200)  # 0.005
+FULL_CAPS = max(suite.cap for suite in SUITES)  # a max_n that reaches every row's cap
+# identities each row checks at its full cap: a narrower grid fails here
+FULL_COUNTS = {
+    "row-sums": 234, "nonnegative-entries": 6500, "spectrum": 330, "foulkes-worpitzky-inverse": 385,
+    "foulkes-determinant": 8, "worpitzky-power-identity": 360, "foulkes-eulerian-row": 36, "multiplicativity": 128,
+    "stationary": 20, "shuffle-power-product": 288, "idempotent-expansion-sum": 8, "group-idempotents": 62,
+    "shuffle-element": 72, "oracle-transition": 12, "descent-polynomials": 134,
+}
 
 
 @contextmanager
-def criterion(num: int, description: str):
+def criterion(label: str, description: str):
     start = time.perf_counter()
     try:
         yield
     except BaseException:
-        print(f"ACCEPTANCE {num:02d} FAIL ({time.perf_counter() - start:.1f}s): {description}")
+        print(f"ACCEPTANCE {label} FAIL ({time.perf_counter() - start:.1f}s): {description}")
         raise
-    print(f"ACCEPTANCE {num:02d} PASS ({time.perf_counter() - start:.1f}s): {description}")
+    print(f"ACCEPTANCE {label} PASS ({time.perf_counter() - start:.1f}s): {description}")
 
 
 def test_criterion_01_matrix_matches_enumeration():
-    with criterion(1, "normalized matrix equals frozen values and the enumeration oracle (n <= 6, b in {2,3})"):
+    # the enumeration oracle itself is the table's oracle-transition row
+    with criterion("01", "normalized matrix equals frozen values (n in {2,3}, b = 2)"):
         assert amazing_matrix(3, 2).normalized() == tuple(
             tuple(Fraction(v, 8) for v in row) for row in ((4, 4, 0), (1, 6, 1), (0, 4, 4))
         )
         assert amazing_matrix(2, 2).normalized() == tuple(
             tuple(Fraction(v, 4) for v in row) for row in ((3, 1), (1, 3))
         )
-        for n in range(1, 7):
-            for b in (2, 3):
-                assert oracle_transition_matrix(n, b) == amazing_matrix(n, b).normalized()
 
 
-def test_criterion_02_row_sums():
-    with criterion(2, "row sums equal b^n (n <= 12, b in {2,3,10})"):
-        for n in range(1, 13):
-            for b in (2, 3, 10):
-                m = amazing_matrix(n, b)
-                assert all(sum(m.row(i)) == b**n for i in range(1, n + 1))
-
-
-def test_criterion_03_spectrum():
-    with criterion(3, "Worpitzky columns / Foulkes rows are exact eigenvectors (n <= 10, b in {2,3,5})"):
-        for n in range(1, 11):
-            for b in (2, 3, 5):
-                report = verify_spectrum(n, b)
-                assert report.ok, report.failures
-
-
-def test_criterion_04_foulkes_determinant_and_inverse():
-    with criterion(4, "Foulkes determinant is the superfactorial (n <= 8) and F W = I (n <= 10)"):
-        for n in range(1, 9):
-            assert foulkes_determinant(n) == superfactorial(n)
-        for n in range(1, 11):
-            F, W = foulkes_matrix(n), worpitzky_matrix(n)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    value = sum(F.entry(i, t) * W.entry(t, j) for t in range(1, n + 1))
-                    assert value == (1 if i == j else 0)
-
-
-def test_criterion_05_multiplicativity():
-    with criterion(5, "P(b1) P(b2) = P(b1 b2) (n <= 8, b1, b2 in {1..4})"):
-        for n in range(1, 9):
-            for b1 in range(1, 5):
-                for b2 in range(1, 5):
-                    report = verify_multiplicativity(n, b1, b2)
-                    assert report.ok, report.failures
-
-
-def test_criterion_06_group_idempotents():
-    with criterion(6, "group-algebra idempotents are idempotent, orthogonal, and sum to the identity (n <= 6)"):
-        for n in range(1, 7):
-            idems = [idempotent_group(n, k) for k in range(1, n + 1)]
-            for k, e in enumerate(idems):
-                assert group_product(e, e) == e
-                for l in range(k + 1, n):
-                    assert group_product(e, idems[l]).is_zero()
-            total = idems[0]
-            for e in idems[1:]:
-                total = total + e
-            assert total == group_identity(n)
-
-
-def test_criterion_07_descent_polynomials():
-    with criterion(7, "descent polynomials: closed formula = enumeration (n <= 6, base <= 8), mass (n <= 8)"):
-        powers = ((2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1))
-        for n in range(1, 7):
-            for b, r in powers:
-                assert descent_polynomial(n, b, r).coeffs == oracle_descent_polynomial(n, b**r).coeffs
-        for n in range(1, 9):
-            for b, r in powers:
-                poly = descent_polynomial(n, b, r)
-                assert poly.mass == (b**r) ** n
-                assert all(c >= 0 for c in poly.coeffs)
-
-
-def test_criterion_08_stationary_distribution():
-    with criterion(8, "Eulerian distribution satisfies pi P = b^n pi (n <= 10, b in {2,3})"):
-        for n in range(1, 11):
-            for b in (2, 3):
-                report = verify_stationary(n, b)
-                assert report.ok, report.failures
-
-
-def test_criterion_09_worpitzky_consequence():
-    with criterion(9, "sum_i F(k,i) C(x+n-i, n) = x^k (x <= 10, n <= 8, all k)"):
-        for n in range(1, 9):
-            F = foulkes_matrix(n)
-            for x in range(1, 11):
-                for k in range(1, n + 1):
-                    total = sum(F.entry(k, i) * binomial(x + n - i, n) for i in range(1, n + 1))
-                    assert total == x**k
+@pytest.mark.parametrize("suite", SUITES, ids=lambda suite: suite.name)
+def test_identity_table(suite):
+    with criterion(suite.name, f"every identity of the row, n <= {suite.cap}"):
+        report = suite.run(FULL_CAPS)
+        assert report.ok, report.failures
+        assert report.checked == FULL_COUNTS[suite.name]
 
 
 def test_criterion_10a_shuffle_simulation():
-    with criterion(10, "GSR shuffle chain (n=3, b=2), 1e6 seeded trials, per-row TV <= 0.005, bit-reproducible"):
-        cfg = SimulationConfig(trials=10**6, seed=SEED, steps=1)
+    with criterion("10a", "GSR shuffle chain (n=3, b=2), 1e6 seeded trials, per-row TV <= 0.005, bit-reproducible"):
+        cfg = SimulationConfig(trials=10**6, seed=SEED)
         result = simulate_shuffle_chain(3, 2, cfg)
         exact = amazing_matrix(3, 2).normalized()
         for row_tv in result.tv_distances(exact):
@@ -148,7 +69,7 @@ def test_criterion_10a_shuffle_simulation():
 
 
 def test_criterion_10b_carries_simulation():
-    with criterion(10, "carries chain (2 summands, b in {2,10}), 1e6 seeded columns, per-row TV <= 0.005, bit-reproducible"):
+    with criterion("10b", "carries chain (2 summands, b in {2,10}), 1e6 seeded columns, per-row TV <= 0.005, bit-reproducible"):
         for b in (2, 10):
             cfg = SimulationConfig(trials=1, seed=SEED)
             result = simulate_carries(2, b, digits=10**6, cfg=cfg)

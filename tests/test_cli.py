@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carrychain import cli
 from carrychain.cli import main, run_verify_all
 
 
@@ -85,6 +87,13 @@ class TestEigen:
         assert code == 0
         assert doc["report"]["ok"] is True
         assert doc["report"]["checked"] == 8
+
+    def test_over_the_work_budget_writes_nothing(self, capsys):
+        # every table of n = 200 passes the budget; the 2 n^3 eigen products do not
+        code, out, err = run_cli(capsys, "eigen", "--n", "200", "--b", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: verify_spectrum: estimated work")
 
 
 class TestIdempotents:
@@ -206,9 +215,43 @@ class TestVerify:
         assert len(doc["report"]["suites"]) == 15
         assert "all checks passed" in err
 
-    def test_suite_registry_is_green(self):
-        reports = run_verify_all(2)
-        assert all(r.ok for r in reports)
+    def test_suites_at_max_n_6(self):
+        # (name, params, identities checked), in report order
+        expected = [
+            ("row-sums", {"max_n": 6, "b": [2, 3, 10]}, 63),
+            ("nonnegative-entries", {"max_n": 6, "b": "1..10"}, 910),
+            ("spectrum", {"max_n": 6, "b": [2, 3, 5]}, 126),
+            ("foulkes-worpitzky-inverse", {"max_n": 6}, 91),
+            ("foulkes-determinant", {"max_n": 6}, 6),
+            ("worpitzky-power-identity", {"max_n": 6, "x": "1..10"}, 210),
+            ("foulkes-eulerian-row", {"max_n": 6}, 21),
+            ("multiplicativity", {"max_n": 6, "b": "1..4"}, 96),
+            ("stationary", {"max_n": 6, "b": [2, 3]}, 12),
+            ("shuffle-power-product", {"max_n": 6, "p,q": "1..6"}, 216),
+            ("idempotent-expansion-sum", {"max_n": 6}, 6),
+            ("group-idempotents", {"max_n": 6}, 62),
+            ("shuffle-element", {"max_n": 6, "b": "1..4"}, 72),
+            ("oracle-transition", {"max_n": 6, "b": [2, 3]}, 12),
+            ("descent-polynomials", {"max_n": 6, "base": "<= 9"}, 114),
+        ]
+        assert [(r.name, r.params, r.checked) for r in run_verify_all(6)] == expected
+
+    def test_a_failing_and_a_crashing_row_do_not_stop_the_run(self, capsys, monkeypatch):
+        def crash(*case):
+            raise RuntimeError("planted crash")
+
+        rows = list(cli.SUITES)
+        rows[1] = dataclasses.replace(rows[1], check=lambda *case: (1, [f"planted failure at {case}"]))
+        rows[2] = dataclasses.replace(rows[2], check=crash)
+        monkeypatch.setattr(cli, "SUITES", tuple(rows))
+        code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2")
+        assert code == 1
+        assert "FAILURES detected" in err
+        suites = json.loads(out)["report"]["suites"]
+        assert suites[1]["ok"] is False and suites[1]["checked"] == 20
+        assert suites[1]["failures"][0] == "planted failure at (1, 1)"
+        assert suites[2]["ok"] is False and suites[2]["failures"] == ["RuntimeError: planted crash"]
+        assert len(suites) == 15 and all(s["ok"] and s["checked"] > 0 for s in suites[3:])
 
 
 class TestUsage:
@@ -300,6 +343,7 @@ def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
 @example("foulkes", 40, 1, 1)
 @example("worpitzky", 40, 1, 1)
 @example("eigen", 40, 2**70, 1)
+@example("eigen", 200, 2, 1)
 @example("eigen", 100_000, 2, 1)
 @given(
     st.sampled_from(["amazing", "amazing-csv", "descent-poly", "foulkes", "worpitzky", "eigen"]),

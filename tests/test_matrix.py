@@ -105,6 +105,16 @@ class TestAmazingMatrix:
             assert sum(row) == 1
             assert all(x >= 0 for x in row)
 
+    def test_rejects_a_wrong_shape(self):
+        # every row below is nonnegative and sums to 2^3: only the shape is wrong
+        for entries in (
+            ((4, 4, 0), (1, 6, 1)),
+            ((4, 4, 0), (1, 6, 1), (0, 8)),
+            ((4, 4, 0), (1, 6, 1), (0, 4, 4), (8, 0, 0)),
+        ):
+            with pytest.raises(ValueError, match="3 rows of 3 entries"):
+                AmazingMatrix(3, 2, entries)
+
 
 class TestSpectrum:
     def test_hand_checked_pair(self):
@@ -267,9 +277,26 @@ class TestWorkBudget:
             eulerian.worpitzky_matrix(215)
 
     def test_spectrum_is_refused_before_the_transition_matrix(self, monkeypatch):
+        # the eigen products are counted before any table is built
+        for name in ("binomial", "_worpitzky_numerators", "_foulkes_numerators"):
+            monkeypatch.setattr(matrix, name, _refuse_building)
+        with pytest.raises(_Built):
+            verify_spectrum(118, 2)
+        for n in (119, 200, 201):
+            with pytest.raises(ClosedFormBudgetError, match="verify_spectrum"):
+                verify_spectrum(n, 2)
+
+    def test_matrix_products_are_refused_before_any_matrix(self, monkeypatch):
         monkeypatch.setattr(matrix, "binomial", _refuse_building)
-        with pytest.raises(ClosedFormBudgetError, match="foulkes_matrix"):
-            verify_spectrum(201, 2)
+        with pytest.raises(_Built):
+            verify_multiplicativity(176, 2, 2)
+        with pytest.raises(ClosedFormBudgetError, match="verify_multiplicativity"):
+            verify_multiplicativity(177, 2, 2)
+        # at b = 2 the transition matrix is refused before its stationary
+        # products are; a smaller budget shows that they are counted first
+        monkeypatch.setattr(eulerian, "WORK_BUDGET", 100)
+        with pytest.raises(ClosedFormBudgetError, match="verify_stationary"):
+            verify_stationary(10, 2)
 
     def test_benchmarked_sizes_pass_a_third_of_the_budget(self, monkeypatch):
         monkeypatch.setattr(eulerian, "WORK_BUDGET", WORK_BUDGET // 3)
@@ -278,4 +305,8 @@ class TestWorkBudget:
         amazing_matrix(12, 2**3000)
         descent_polynomial(16, 3, 3000)
         assert verify_multiplicativity(10, 2**500, 3**300).ok
+        assert verify_multiplicativity(40, 3, 5).ok
+        assert verify_spectrum(40, 3).ok
+        assert verify_spectrum(12, 2**1000).ok
+        assert verify_stationary(60, 2).ok
         assert foulkes_determinant(40) == superfactorial(40)

@@ -5,7 +5,7 @@ import pytest
 
 from carrychain import rng, simulate
 from carrychain.matrix import amazing_matrix
-from carrychain.rng import check_seed, digit_block, mix64, stream_block
+from carrychain.rng import check_seed, digit_block, stream_block
 from carrychain.simulate import (
     EmpiricalMatrix,
     SimulationConfig,
@@ -39,10 +39,6 @@ class TestRng:
             with pytest.raises(ValueError):
                 digit_block(5, 0, 3, 0, 40, base=base)
 
-    def test_mix64_bijective_on_sample(self):
-        xs = np.arange(1000, dtype=np.uint64)
-        assert len(set(mix64(xs).tolist())) == 1000
-
     def test_seed_bounds(self):
         check_seed(0)
         check_seed(2**64 - 1)
@@ -56,10 +52,6 @@ class TestSimulationConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             SimulationConfig(trials=0, seed=1)
-
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(trials=1, seed=1, steps=0)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -80,8 +72,8 @@ class TestEmpiricalMatrix:
 
 class TestShuffleChain:
     def test_deterministic(self):
-        cfg = SimulationConfig(trials=2000, seed=42, steps=2)
-        assert simulate_shuffle_chain(3, 2, cfg) == simulate_shuffle_chain(3, 2, cfg)
+        cfg = SimulationConfig(trials=2000, seed=42)
+        assert simulate_shuffle_chain(3, 2, cfg, steps=2) == simulate_shuffle_chain(3, 2, cfg, steps=2)
 
     def test_partition_independent(self):
         whole = simulate_shuffle_chain(3, 2, SimulationConfig(trials=1000, seed=7))
@@ -91,8 +83,8 @@ class TestShuffleChain:
         assert merged == whole.counts
 
     def test_sample_count(self):
-        cfg = SimulationConfig(trials=500, seed=3, steps=4)
-        assert simulate_shuffle_chain(2, 2, cfg).samples == 2000
+        cfg = SimulationConfig(trials=500, seed=3)
+        assert simulate_shuffle_chain(2, 2, cfg, steps=4).samples == 2000
 
     def test_roughly_matches_exact(self):
         cfg = SimulationConfig(trials=100_000, seed=11)
@@ -103,6 +95,10 @@ class TestShuffleChain:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             simulate_shuffle_chain(0, 2, SimulationConfig(trials=1, seed=1))
+
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValueError, match="steps"):
+            simulate_shuffle_chain(3, 2, SimulationConfig(trials=1, seed=1), steps=0)
 
     def test_base_bound(self):
         assert simulate_shuffle_chain(3, 2**63, SimulationConfig(trials=50, seed=1)).samples == 50
@@ -149,14 +145,6 @@ class TestCarries:
             simulate_carries(2, 1, 10, SimulationConfig(trials=1, seed=1))
         with pytest.raises(ValueError):
             simulate_carries(2, 2, 0, SimulationConfig(trials=1, seed=1))
-
-    def test_rejects_steps_other_than_one(self):
-        # the number of columns is the chain length; a steps field it would
-        # ignore is refused instead
-        for steps in (2, 5):
-            with pytest.raises(ValueError, match="steps"):
-                simulate_carries(2, 2, 10, SimulationConfig(trials=1, seed=1, steps=steps))
-        assert simulate_carries(2, 2, 10, SimulationConfig(trials=1, seed=1, steps=1)).samples == 10
 
     def test_base_bound(self):
         # 2 + 3 (b - 1) < 2^63 holds up to b = (2^63 + 1) / 3 - 1; at that b
@@ -292,7 +280,7 @@ class TestSimulatorReference:
     @pytest.mark.parametrize("n, b", [(1, 3), (2, 2), (3, 2), (4, 3), (5, 10), (6, 2**63)])
     def test_shuffle_chain(self, steps, n, b):
         for seed, trials, offset in ((1, 300, 0), (2**64 - 1, 57, 1000)):
-            got = simulate_shuffle_chain(n, b, SimulationConfig(trials=trials, seed=seed, steps=steps), offset)
+            got = simulate_shuffle_chain(n, b, SimulationConfig(trials=trials, seed=seed), offset, steps=steps)
             assert got.counts == _shuffle_reference(n, b, seed, trials, steps, offset)
 
     @pytest.mark.parametrize("chunk", (1, 7, 50))
@@ -300,7 +288,7 @@ class TestSimulatorReference:
         monkeypatch.setattr(simulate, "_CHUNK_VALUES", chunk)
         monkeypatch.setattr(rng, "_BLOCK_VALUES", 5, raising=False)
         for steps in (1, 3):
-            got = simulate_shuffle_chain(4, 3, SimulationConfig(trials=40, seed=5, steps=steps), 3)
+            got = simulate_shuffle_chain(4, 3, SimulationConfig(trials=40, seed=5), 3, steps=steps)
             assert got.counts == _shuffle_reference(4, 3, 5, 40, steps, 3)
 
     @pytest.mark.parametrize("chunk, segment, block", [(None, None, None), (1, 1, 1), (30, 4, 7), (100, 3, 64)])
