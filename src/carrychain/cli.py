@@ -97,12 +97,30 @@ def _report_payload(report: Report) -> dict:
     }
 
 
+def _write(command: str, render: Callable[[], str]) -> None:
+    """Write the whole document at once.  A document holding an integer over
+    Python's int->str digit limit is refused, before anything reaches
+    stdout, by a ValueError that names the command and the limit."""
+    try:
+        text = render()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"{command}: the output holds an integer of more than {limit} digits, Python's int-to-str limit"
+        ) from None
+    sys.stdout.write(text)
+
+
 def _emit(command: str, params: dict, payload: dict) -> None:
-    """Write the whole document at once: an integer over Python's int->str
-    digit limit raises ValueError before anything reaches stdout."""
     doc = {"meta": {"command": command, "version": __version__, "params": params}}
     doc.update(payload)
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _write(command, lambda: json.dumps(doc, indent=2) + "\n")
+
+
+def _csv(labels: list[int], rows, header: bool) -> str:
+    lines = [",".join(map(str, labels))] if header else []
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _state_labels(n: int, zero_based: bool) -> list[int]:
@@ -114,11 +132,7 @@ def _cmd_amazing(args) -> int:
     rows = m.normalized() if args.normalized else m.entries
     labels = _state_labels(args.n, args.zero_based)
     if args.format == "csv":
-        lines = []
-        if args.header:
-            lines.append(",".join(str(lab) for lab in labels))
-        lines.extend(",".join(str(v) for v in row) for row in rows)
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write("amazing", lambda: _csv(labels, rows, args.header))
         return 0
     params = {
         "n": args.n,

@@ -45,15 +45,18 @@ from .combinat import Composition, binomial, compositions
 
 
 # Bigint work admitted for one closed-form table, in 64-bit word operations
-# as ``_check_work`` counts them, chosen from measured time on a 2-vCPU
-# x86-64 host with Python 3.11.  The largest transition matrix admitted at
-# b = 2, amazing_matrix(281, 2) (work 2.66e8), takes 1.6 s, and 2.1 s as
+# as ``_work`` counts them, chosen from measured time on a 2-vCPU x86-64 host
+# with Python 3.11.  The largest transition matrix admitted at b = 2,
+# amazing_matrix(281, 2) (work 2.66e8), takes 1.6 s, and 2.1 s as
 # `carrychain amazing`; the other tables stop at foulkes_matrix(200) and
 # worpitzky_matrix(214) (0.7 s), and the matrix products of the checks at
 # verify_spectrum(118, 2) (0.7 s) and verify_multiplicativity(176, 2, 2)
-# (1.5 s).  The largest benchmarked table,
-# descent_polynomial(16, 3, 3000), counts 3.9e7, and foulkes_determinant(40)
-# 7.4e7 (0.04 s).
+# (1.5 s).  Bases of 256 bits and more take the spectral path of ``matrix``,
+# which counts less work: amazing_matrix(32, 2^2048), 5.8e8 on the row
+# kernel, counts 4.6e7 (0.1 s), and the largest admitted at that base,
+# amazing_matrix(46, 2^2048) (2.65e8), takes 0.4 s.  The largest
+# benchmarked table, foulkes_determinant(40), counts 7.4e7 (0.04 s), and
+# descent_polynomial(16, 3, 3000) 2.9e6 (3.9e7 on the row kernel).
 WORK_BUDGET = 2**28
 
 
@@ -61,14 +64,19 @@ class ClosedFormBudgetError(ValueError):
     """The estimated bigint work of a closed-form table exceeds WORK_BUDGET."""
 
 
-def _check_work(what: str, values: int, passes: int, bits: int) -> None:
-    """Refuse up front, before any bigint is built, a table of ``values``
-    integers of at most ``bits`` bits, each built by about one full-size
-    multiplication and then touched by ``passes`` additions.  With w the
-    size of an integer in 64-bit words, that is values * (passes + w) * w
-    word operations."""
+def _work(values: int, passes: int, bits: int) -> int:
+    """The work of a table of ``values`` integers of at most ``bits`` bits,
+    each built by about one full-size multiplication and then touched by
+    ``passes`` additions.  With w the size of an integer in 64-bit words,
+    that is values * (passes + w) * w word operations."""
     words = bits // 64 + 1
-    _check_budget(what, values * (passes + words) * words)
+    return values * (passes + words) * words
+
+
+def _check_work(what: str, values: int, passes: int, bits: int) -> None:
+    """Refuse up front, before any bigint is built, a table over the budget,
+    its work counted by ``_work``."""
+    _check_budget(what, _work(values, passes, bits))
 
 
 def _check_budget(what: str, work: int) -> None:

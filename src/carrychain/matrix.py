@@ -9,15 +9,23 @@ indexed by i, j in 1..n, where state i means i-1 descents (equivalently,
 carry value i-1 in the base-b addition chain).  Every row sums to b^n, so
 dividing by b^n gives an exact stochastic matrix.
 
-Row i comes from the integer kernel ``eulerian._numerator``, which the
-Foulkes table shares: the coefficients of x^1..x^n in
-(1 - x)^(n+1) sum_k C(bk + n - i, n) x^k, taken by n+1 difference passes
-over n+1 binomials.  Only rows 1..ceil(n/2) are computed; the others are
-mirrored, since P is centrosymmetric: P(i, j) = P(n+1-i, n+1-j).
-``amazing_entry`` is the entry-by-entry reference.  Every table, and the
-matrix products of every check below, is refused up front, with
-``ClosedFormBudgetError``, when its estimated bigint work exceeds
-``eulerian.WORK_BUDGET``.
+The rows are built on one of two paths, chosen by the bit length of b
+against ``_SPECTRAL_MIN_BITS`` (256):
+
+- the row kernel, for small b: row i is the integer kernel
+  ``eulerian._numerator``, which the Foulkes table shares, applied to n+1
+  binomials: the coefficients of x^1..x^n in
+  (1 - x)^(n+1) sum_k C(bk + n - i, n) x^k, by n+1 difference passes;
+- the spectral path, for wide b: the factorization
+  n! P = (n! W) diag(b, b^2, ..., b^n) F, with the integer tables n! W and F
+  of ``eulerian``, the powers of b built once, and every entry divided
+  exactly by n!.
+
+Only rows 1..ceil(n/2) are computed; the others are mirrored, since P is
+centrosymmetric: P(i, j) = P(n+1-i, n+1-j).  ``amazing_entry`` is the
+entry-by-entry reference.  Every table, and the matrix products of every
+check below, is refused up front, with ``ClosedFormBudgetError``, when its
+estimated bigint work on the path it takes exceeds ``eulerian.WORK_BUDGET``.
 
 Everything claimed about this matrix is an exact identity and is verified
 here in integer arithmetic: the columns of n! W (Worpitzky) and the rows of
@@ -25,7 +33,11 @@ F (Foulkes) are its right and left eigenvectors (eigenvalue b^k for the
 k-th), matrices for different b multiply as P(b1) P(b2) = P(b1 b2), the
 stationary distribution is the Eulerian distribution, det F is the
 superfactorial (by fraction-free elimination), and row 1 for parameter b^r
-is the descent generating polynomial of b^r-shuffles.
+is the descent generating polynomial of b^r-shuffles.  The eigen and
+stationary checks take P from the row kernel at every b, since a spectral P
+would reduce them to F W = I; the multiplicativity check takes P(b1) and
+P(b2) from the row kernel and P(b1 b2) from ``amazing_matrix``, so at a wide
+product it also checks one path against the other.
 """
 
 from __future__ import annotations
@@ -36,7 +48,24 @@ from fractions import Fraction
 from operator import mul
 
 from .combinat import binomial, eulerian_numbers
-from .eulerian import _check_budget, _check_work, _foulkes_numerators, _numerator, _worpitzky_numerators
+from .eulerian import _check_budget, _check_work, _foulkes_numerators, _numerator, _work, _worpitzky_numerators
+
+
+# Bit length of m from which amazing_matrix and descent_polynomial build P(n, m)
+# by the spectral path rather than the row kernel.  A kernel row costs n + 1
+# binomials, each an n-fold product of integers of the size of m; the spectral
+# path pays n - 1 powers of m once, then about n^2 / 2 products of a power by
+# a small integer per row.  Measured on a 2-vCPU x86-64 host with Python 3.11
+# (best of 5, random odd m), kernel time over spectral time:
+#
+#     bits of m      n = 8    16     32     64
+#        32          0.60   0.76   0.89   0.92
+#       128          0.81   1.39   2.14   1.57
+#       256          1.35   2.37   2.22   2.35
+#
+# At n <= 4 the spectral path's two small tables make it about 0.03 ms
+# slower at any size up to 256 bits.
+_SPECTRAL_MIN_BITS = 256
 
 
 def _row(n: int, m: int, i: int) -> list[int]:
@@ -45,11 +74,72 @@ def _row(n: int, m: int, i: int) -> list[int]:
     return _numerator([binomial(m * k + n - i, n) for k in range(n + 1)])
 
 
-def _check_rows(what: str, n: int, rows: int, m_bits: int) -> None:
-    """The budget check for ``rows`` kernel rows with a multiplier of at
-    most ``m_bits`` bits: the binomials have at most n (m_bits + 2) bits,
-    and the n + 1 difference passes add at most n + 1 more."""
-    _check_work(what, rows * (n + 1), n + 1, n * (m_bits + 3))
+def _kernel_rows(n: int, m: int, rows: int) -> list[list[int]]:
+    """Rows 1..rows of P(n, m) from the row kernel; the degree-0 coefficient
+    C(n - i, n) of every row is checked to vanish."""
+    top = []
+    for i in range(1, rows + 1):
+        row = _row(n, m, i)
+        if row[0] != 0:
+            raise AssertionError(f"degree-0 coefficient of row {i} must vanish, got {row[0]}")
+        top.append(row[1:])
+    return top
+
+
+def _spectral_rows(n: int, m: int, rows: int) -> list[list[int]]:
+    """Rows 1..rows of P(n, m) from the spectral factorization
+    n! P = (n! W) diag(m, m^2, ..., m^n) F: row i of n! W, scaled by the
+    powers of m (built once, by n - 1 products), dotted with the columns of
+    F.  Column n+1-j of F is column j with row k negated when n - k is odd,
+    so each dot product over columns 1..ceil(n/2) is split into its parts
+    over even and odd n - k, e and o, and gives entries j and n+1-j of
+    n! P as e + o and e - o.  Every entry is divided exactly by n!, and a
+    remainder raises."""
+    powers = [m]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * m)
+    p = (n - 1) % 2  # index parity of the rows k of F with n - k even
+    columns = [(col[p::2], col[1 - p :: 2]) for col in list(zip(*_foulkes_numerators(n)))[: (n + 1) // 2]]
+    nfact = math.factorial(n)
+    top = []
+    for i, w in enumerate(_worpitzky_numerators(n)[:rows], start=1):
+        scaled = list(map(mul, w, powers))
+        even, odd = scaled[p::2], scaled[1 - p :: 2]
+        left, right = [], []
+        for col_even, col_odd in columns:
+            e, o = sum(map(mul, even, col_even)), sum(map(mul, odd, col_odd))
+            left.append(e + o)
+            right.append(e - o)
+        row = []
+        for j, value in enumerate(left + right[: n // 2][::-1], start=1):
+            entry, rest = divmod(value, nfact)
+            if rest:
+                raise AssertionError(f"entry ({i}, {j}) of n! P(n, m) is not divisible by n! = {nfact}")
+            row.append(entry)
+        top.append(row)
+    return top
+
+
+def _row_work(n: int, rows: int, m_bits: int, spectral: bool) -> int:
+    """The estimated work of ``rows`` rows of P(n, m) with m of at most
+    ``m_bits`` bits, on the path that will build them.  Row kernel: the
+    binomials have at most n (m_bits + 2) bits, and the n + 1 difference
+    passes add at most n + 1 more.  Spectral path: n - 1 products by m for
+    the powers, and the normalizer m^n that the row-sum check builds, then
+    n (ceil(n/2) + 1) products of a power by an entry of n! W or F for each
+    row."""
+    if not spectral:
+        return _work(rows * (n + 1), n + 1, n * (m_bits + 3))
+    big = (n * m_bits + _eigen_bits(n)) // 64 + 2
+    products = rows * n * ((n + 1) // 2 + 1)
+    return big * (n * (m_bits // 64 + 2) + products * (_eigen_bits(n) // 64 + 2))
+
+
+def _top_rows(what: str, n: int, m: int, rows: int, spectral: bool) -> list[list[int]]:
+    """Rows 1..rows of P(n, m), entries 1..n, checked against the work
+    budget and built on the path asked for."""
+    _check_budget(what, _row_work(n, rows, m.bit_length(), spectral))
+    return (_spectral_rows if spectral else _kernel_rows)(n, m, rows)
 
 
 def _check_products(what: str, products: int, bits: int, factor_bits: int) -> None:
@@ -112,18 +202,22 @@ class AmazingMatrix:
         return tuple(self.normalized_row(i) for i in range(1, self.n + 1))
 
 
-def amazing_matrix(n: int, b: int) -> AmazingMatrix:
-    """Build the full matrix.  Only rows 1..ceil(n/2) go through the row
-    kernel: row n+1-i is row i reversed, by the centrosymmetry
+def _matrix(n: int, b: int, spectral: bool) -> AmazingMatrix:
+    """The full matrix on the path asked for.  Only rows 1..ceil(n/2) are
+    built: row n+1-i is row i reversed, by the centrosymmetry
     P(i, j) = P(n+1-i, n+1-j).  The constructor still checks the row-sum
     and nonnegativity invariants on every row."""
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
-    half = (n + 1) // 2
-    _check_rows("amazing_matrix", n, half, b.bit_length())
-    top = [tuple(_row(n, b, i)[1:]) for i in range(1, half + 1)]
+    top = [tuple(row) for row in _top_rows("amazing_matrix", n, b, (n + 1) // 2, spectral)]
     bottom = [row[::-1] for row in reversed(top[: n // 2])]
     return AmazingMatrix(n, b, tuple(top + bottom))
+
+
+def amazing_matrix(n: int, b: int) -> AmazingMatrix:
+    """Build the full matrix: by the row kernel for b below
+    ``_SPECTRAL_MIN_BITS`` bits, by the spectral path from there on."""
+    return _matrix(n, b, b.bit_length() >= _SPECTRAL_MIN_BITS)
 
 
 @dataclass(frozen=True)
@@ -155,7 +249,7 @@ def verify_spectrum(n: int, b: int) -> Report:
     budget is refused before the largest table is built."""
     _check_products("verify_spectrum", 2 * n * n * (n + 1), n * b.bit_length(), _eigen_bits(n))
     W, F = _worpitzky_numerators(n), _foulkes_numerators(n)
-    P = amazing_matrix(n, b).entries
+    P = _matrix(n, b, spectral=False).entries
     failures = []
     for j, col in enumerate(zip(*W), start=1):
         bj = b**j
@@ -180,7 +274,7 @@ def verify_stationary(n: int, b: int) -> Report:
     in integers on the Eulerian row E = n! pi.  Its n (n + 1) products are
     checked against the work budget before P is built."""
     _check_products("verify_stationary", n * (n + 1), n * b.bit_length(), _eigen_bits(n))
-    P = amazing_matrix(n, b).entries
+    P = _matrix(n, b, spectral=False).entries
     E = eulerian_numbers(n)
     bn = b**n
     failures = []
@@ -194,8 +288,8 @@ def verify_multiplicativity(n: int, b1: int, b2: int) -> Report:
     products are checked against the work budget before any matrix is
     built."""
     _check_products("verify_multiplicativity", n**3, n * b1.bit_length(), n * b2.bit_length())
-    A = amazing_matrix(n, b1).entries
-    columns = list(zip(*amazing_matrix(n, b2).entries))
+    A = _matrix(n, b1, spectral=False).entries
+    columns = list(zip(*_matrix(n, b2, spectral=False).entries))
     C = amazing_matrix(n, b1 * b2)
     product = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in A)
     failures = []
@@ -257,14 +351,15 @@ def descent_polynomial(n: int, b: int, r: int) -> DescentPolynomial:
 
         c_k = sum_{i=0..k} (-1)^i C(n+1, i) C(m(k-i) + n - 1, n),  m = b^r,
 
-    that is row 1 of P(n, m), from the row kernel; c_0 is checked to vanish.
+    that is row 1 of P(n, m), on the same path as ``amazing_matrix``.
     """
     if n < 1 or b < 1 or r < 1:
         raise ValueError(f"need n, b, r >= 1, got n={n}, b={b}, r={r}")
-    # b^r < 2^(r L) with L the bit length of b - 1, checked before b^r is built
-    _check_rows("descent_polynomial", n, 1, r * (b - 1).bit_length() + 1)
+    # b^r < 2^(r L) with L the bit length of b - 1.  Before b^r is built, its
+    # repeated squaring, about a third of one product of its size, is counted
+    # with the row on the path that size selects
+    bits = r * (b - 1).bit_length() + 1
+    _check_budget("descent_polynomial", (bits // 64 + 2) ** 2 // 3 + _row_work(n, 1, bits, bits >= _SPECTRAL_MIN_BITS))
     m = b**r
-    coeffs = _row(n, m, 1)
-    if coeffs[0] != 0:
-        raise AssertionError(f"degree-0 coefficient must vanish, got {coeffs[0]}")
-    return DescentPolynomial(n, m, tuple(coeffs[1:]))
+    (row,) = _top_rows("descent_polynomial", n, m, 1, m.bit_length() >= _SPECTRAL_MIN_BITS)
+    return DescentPolynomial(n, m, tuple(row))

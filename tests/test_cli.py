@@ -132,6 +132,22 @@ class TestDescentPoly:
         assert out == ""
         assert "Traceback" not in err
 
+    def test_both_edges_of_the_digit_limit(self, capsys):
+        # 10^4299 has 4300 digits, the most Python converts by default
+        code, out, _ = run_cli(capsys, "descent-poly", "--n", "1", "--b", "10", "--r", "4299")
+        assert code == 0 and len(out) == 13_100
+        assert json.loads(out)["coefficients"] == [10**4299]
+        code, out, err = run_cli(capsys, "descent-poly", "--n", "1", "--b", "10", "--r", "4300")
+        assert code == 2 and out == ""
+        limit = "the output holds an integer of more than 4300 digits, Python's int-to-str limit"
+        assert err == f"error: descent-poly: {limit}\n"
+
+    def test_the_digit_limit_names_the_command_in_csv(self, capsys):
+        code, out, err = run_cli(capsys, "amazing", "--n", "3", "--b", str(10**1500), "--format", "csv")
+        assert code == 2 and out == ""
+        assert err.startswith("error: amazing: the output holds an integer of more than 4300 digits")
+        assert "set_int_max_str_digits" not in err
+
 
 class TestOracle:
     def test_transition(self, capsys):
@@ -345,6 +361,10 @@ def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
 @example("eigen", 40, 2**70, 1)
 @example("eigen", 200, 2, 1)
 @example("eigen", 100_000, 2, 1)
+@example("amazing", 16, 3**1000, 1)  # the spectral path
+@example("amazing-csv", 12, 2**3000, 1)
+@example("eigen", 12, 2**1000, 1)
+@example("descent-poly", 1, 10, 4300)  # one digit over the int->str limit
 @given(
     st.sampled_from(["amazing", "amazing-csv", "descent-poly", "foulkes", "worpitzky", "eigen"]),
     _CLOSED_SIZES,

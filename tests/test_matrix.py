@@ -57,9 +57,13 @@ class TestRowKernel:
     @pytest.mark.parametrize("b", (2**200, 3**1000))
     def test_matches_alternating_sums_for_huge_bases(self, b):
         # odd n has a middle row that is its own mirror, even n a seam
-        # between the computed half and the mirrored half
+        # between the computed half and the mirrored half; amazing_matrix
+        # takes the row kernel at 2^200 and the spectral path at 3^1000
         for n in range(1, 10):
-            assert amazing_matrix(n, b).entries == self.entry_grid(n, b)
+            grid = self.entry_grid(n, b)
+            assert amazing_matrix(n, b).entries == grid
+            for spectral in (False, True):
+                assert matrix._matrix(n, b, spectral).entries == grid
 
     def test_rejects_bad_arguments(self):
         for n, b in ((0, 2), (2, 0), (-1, 3)):
@@ -72,12 +76,95 @@ class TestRowKernel:
         rows[1][0], rows[1][1] = rows[1][1], rows[1][0]
         assert rows[1][0] != rows[1][1]
         swapped = AmazingMatrix(4, 2, tuple(map(tuple, rows)))  # row sums still b^n
-        monkeypatch.setattr(matrix, "amazing_matrix", lambda n, b: swapped)
+        exact_matrix = matrix._matrix
+
+        def swap_p_4_2(n, b, spectral):
+            return swapped if (n, b) == (4, 2) else exact_matrix(n, b, spectral)
+
+        monkeypatch.setattr(matrix, "_matrix", swap_p_4_2)
         spectrum = verify_spectrum(4, 2)
         assert not spectrum.ok and spectrum.checked == 8
         assert all("eigenpair failed: n=4, b=2" in f for f in spectrum.failures)
         stationary = verify_stationary(4, 2)
         assert stationary.failures == ("stationary identity failed: n=4, b=2",)
+        # the swapped P(2) squared is compared with the exact P(4)
+        multiplicativity = verify_multiplicativity(4, 2, 2)
+        assert multiplicativity.failures == ("multiplicativity failed: n=4, b1=2, b2=2",)
+
+
+def _base(bits: int) -> int:
+    """An odd base of exactly ``bits`` bits, fixed by its size."""
+    return random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
+
+
+class TestSpectralPath:
+    # bit lengths on both sides of the threshold
+    BITS = (2, 64, matrix._SPECTRAL_MIN_BITS - 1, matrix._SPECTRAL_MIN_BITS, 700)
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_paths_agree(self, bits, monkeypatch):
+        m = _base(bits)
+        for n in range(1, 17):
+            assert matrix._matrix(n, m, spectral=True) == matrix._matrix(n, m, spectral=False)
+        for r in (1, 2):
+            polynomials = []
+            for threshold in (1, 10**9):  # every base spectral, then none
+                monkeypatch.setattr(matrix, "_SPECTRAL_MIN_BITS", threshold)
+                polynomials.append([descent_polynomial(n, m, r) for n in (1, 2, 7, 16)])
+            assert polynomials[0] == polynomials[1]
+
+    def test_dispatch_follows_the_bit_length(self, monkeypatch):
+        paths = []
+
+        def recording(build, spectral):
+            def rows_and_path(n, m, rows):
+                paths.append(spectral)
+                return build(n, m, rows)
+
+            return rows_and_path
+
+        monkeypatch.setattr(matrix, "_kernel_rows", recording(matrix._kernel_rows, False))
+        monkeypatch.setattr(matrix, "_spectral_rows", recording(matrix._spectral_rows, True))
+        for bits in self.BITS:
+            amazing_matrix(3, _base(bits))
+        descent_polynomial(3, 2, matrix._SPECTRAL_MIN_BITS - 2)
+        descent_polynomial(3, 2, matrix._SPECTRAL_MIN_BITS - 1)
+        assert paths == [False, False, False, True, True, False, True]
+
+    def test_foulkes_columns_mirror_up_to_the_row_sign(self):
+        # the symmetry that lets the spectral path compute half the columns
+        for n in range(1, 16):
+            F = eulerian._foulkes_numerators(n)
+            for k, row in enumerate(F, start=1):
+                assert row[::-1] == [(-1) ** (n - k) * f for f in row]
+
+    def test_a_wrong_worpitzky_entry_is_refused(self, monkeypatch):
+        exact = eulerian._worpitzky_numerators
+
+        def corrupted(n):
+            rows = exact(n)
+            rows[0][0] += 1
+            return rows
+
+        monkeypatch.setattr(matrix, "_worpitzky_numerators", corrupted)
+        # 3^1000 = 9 mod 4!, so the wrong entry leaves a remainder 9 F(1, 1)
+        with pytest.raises(AssertionError, match="not divisible by n! = 24"):
+            descent_polynomial(4, 3, 1000)
+        with pytest.raises(AssertionError, match="not divisible by n! = 24"):
+            amazing_matrix(4, 3**1000)
+
+    def test_checks_use_the_row_kernel(self, monkeypatch):
+        # a spectral P would reduce the eigen checks to F W = I
+        monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
+        assert verify_spectrum(12, 2**1000).ok
+        assert verify_stationary(12, 2**1000).ok
+
+    def test_multiplicativity_builds_one_matrix_spectrally(self, monkeypatch):
+        calls = []
+        build = matrix._spectral_rows
+        monkeypatch.setattr(matrix, "_spectral_rows", lambda n, m, rows: calls.append(m) or build(n, m, rows))
+        assert verify_multiplicativity(10, 2**500, 3**300).ok
+        assert calls == [2**500 * 3**300]
 
 
 class TestAmazingMatrix:
@@ -297,6 +384,25 @@ class TestWorkBudget:
         monkeypatch.setattr(eulerian, "WORK_BUDGET", 100)
         with pytest.raises(ClosedFormBudgetError, match="verify_stationary"):
             verify_stationary(10, 2)
+
+    def test_deep_matrices_are_counted_on_the_spectral_path(self, monkeypatch):
+        # the row kernel refuses n = 32 at 2049 bits; the spectral path builds
+        # it in about 0.1 s and admits sizes up to n = 46
+        assert amazing_matrix(32, 2**2048).n == 32
+        with pytest.raises(ClosedFormBudgetError, match="amazing_matrix"):
+            matrix._matrix(32, 2**2048, spectral=False)
+        monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
+        with pytest.raises(_Built):
+            amazing_matrix(46, 2**2048)
+        with pytest.raises(ClosedFormBudgetError, match="amazing_matrix"):
+            amazing_matrix(47, 2**2048)
+
+    def test_deep_descent_polynomials_are_counted_before_the_power(self, monkeypatch):
+        monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
+        with pytest.raises(_Built):
+            descent_polynomial(16, 3, 32287)
+        with pytest.raises(ClosedFormBudgetError, match="descent_polynomial"):
+            descent_polynomial(16, 3, 32288)
 
     def test_benchmarked_sizes_pass_a_third_of_the_budget(self, monkeypatch):
         monkeypatch.setattr(eulerian, "WORK_BUDGET", WORK_BUDGET // 3)
