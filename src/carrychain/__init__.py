@@ -1,124 +1,86 @@
 """carrychain: exact arithmetic for the carries / riffle-shuffle descent
-Markov chain and the Eulerian-idempotent algebra behind its spectrum."""
+Markov chain and the Eulerian-idempotent algebra behind its spectrum.
 
-from .combinat import (
-    Composition,
-    Permutation,
-    all_permutations,
-    binomial,
-    compositions,
-    eulerian_number,
-    eulerian_numbers,
-    superfactorial,
-)
-from .eulerian import (
-    BasisMatrix,
-    ClosedFormBudgetError,
-    EulerianElement,
-    SWordExpansion,
-    class_element,
-    foulkes_matrix,
-    fundamental_evaluation,
-    idempotent_element,
-    idempotent_s_expansion,
-    identity_element,
-    internal_product,
-    pairing,
-    spow_element,
-    worpitzky_matrix,
-    zero_element,
-)
-from .matrix import (
-    AmazingMatrix,
-    DescentPolynomial,
-    Report,
-    amazing_entry,
-    amazing_matrix,
-    descent_polynomial,
-    foulkes_determinant,
-    stationary_distribution,
-    verify_multiplicativity,
-    verify_spectrum,
-    verify_stationary,
-)
-from .oracle import (
-    GroupAlgebraElement,
-    LumpingViolation,
-    OracleBoundError,
-    ShuffleMultiset,
-    TransitionMismatch,
-    enumerate_b_shuffles,
-    expansion_to_group,
-    group_identity,
-    group_product,
-    idempotent_group,
-    oracle_descent_polynomial,
-    oracle_transition_matrix,
-    ribbon_sum,
-    s_word_to_group,
-    shuffle_element_from_basis,
-)
-from .simulate import (
-    EmpiricalMatrix,
-    SimulationConfig,
-    simulate_carries,
-    simulate_shuffle_chain,
-)
+Every public name is looked up in the submodule that defines it when it is
+first asked for (a PEP 562 module ``__getattr__``), so ``import carrychain``
+loads no submodule, and the closed forms (``combinat``, ``eulerian``,
+``matrix``) never load numpy.  Only the oracle and the Monte-Carlo twins
+(``oracle``, ``rng``, ``simulate``) do."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmazingMatrix",
-    "BasisMatrix",
-    "ClosedFormBudgetError",
-    "Composition",
-    "DescentPolynomial",
-    "EmpiricalMatrix",
-    "EulerianElement",
-    "GroupAlgebraElement",
-    "LumpingViolation",
-    "OracleBoundError",
-    "Permutation",
-    "Report",
-    "ShuffleMultiset",
-    "SimulationConfig",
-    "SWordExpansion",
-    "TransitionMismatch",
-    "all_permutations",
-    "amazing_entry",
-    "amazing_matrix",
-    "binomial",
-    "class_element",
-    "compositions",
-    "descent_polynomial",
-    "enumerate_b_shuffles",
-    "eulerian_number",
-    "eulerian_numbers",
-    "expansion_to_group",
-    "foulkes_determinant",
-    "foulkes_matrix",
-    "fundamental_evaluation",
-    "group_identity",
-    "group_product",
-    "idempotent_element",
-    "idempotent_group",
-    "idempotent_s_expansion",
-    "identity_element",
-    "internal_product",
-    "oracle_descent_polynomial",
-    "oracle_transition_matrix",
-    "pairing",
-    "ribbon_sum",
-    "s_word_to_group",
-    "shuffle_element_from_basis",
-    "simulate_carries",
-    "simulate_shuffle_chain",
-    "spow_element",
-    "stationary_distribution",
-    "superfactorial",
-    "verify_multiplicativity",
-    "verify_spectrum",
-    "verify_stationary",
-    "worpitzky_matrix",
-    "zero_element",
-]
+# public name -> the submodule that defines it, in ``__all__`` order
+_EXPORTS = {
+    "AmazingMatrix": "matrix",
+    "BasisMatrix": "eulerian",
+    "ClosedFormBudgetError": "eulerian",
+    "Composition": "combinat",
+    "DescentPolynomial": "matrix",
+    "EmpiricalMatrix": "simulate",
+    "EulerianElement": "eulerian",
+    "GroupAlgebraElement": "oracle",
+    "LumpingViolation": "combinat",
+    "OracleBoundError": "oracle",
+    "Permutation": "combinat",
+    "Report": "matrix",
+    "ShuffleMultiset": "oracle",
+    "SimulationConfig": "simulate",
+    "SWordExpansion": "eulerian",
+    "TransitionMismatch": "combinat",
+    "all_permutations": "combinat",
+    "amazing_entry": "matrix",
+    "amazing_matrix": "matrix",
+    "binomial": "combinat",
+    "class_element": "eulerian",
+    "compositions": "combinat",
+    "descent_polynomial": "matrix",
+    "enumerate_b_shuffles": "oracle",
+    "eulerian_number": "combinat",
+    "eulerian_numbers": "combinat",
+    "expansion_to_group": "oracle",
+    "foulkes_determinant": "matrix",
+    "foulkes_matrix": "eulerian",
+    "fundamental_evaluation": "eulerian",
+    "group_identity": "oracle",
+    "group_product": "oracle",
+    "idempotent_element": "eulerian",
+    "idempotent_group": "oracle",
+    "idempotent_s_expansion": "eulerian",
+    "identity_element": "eulerian",
+    "internal_product": "eulerian",
+    "oracle_descent_polynomial": "oracle",
+    "oracle_transition_matrix": "oracle",
+    "pairing": "eulerian",
+    "ribbon_sum": "oracle",
+    "s_word_to_group": "oracle",
+    "shuffle_element_from_basis": "oracle",
+    "simulate_carries": "simulate",
+    "simulate_shuffle_chain": "simulate",
+    "spow_element": "eulerian",
+    "stationary_distribution": "matrix",
+    "superfactorial": "combinat",
+    "verify_multiplicativity": "matrix",
+    "verify_spectrum": "matrix",
+    "verify_stationary": "matrix",
+    "worpitzky_matrix": "eulerian",
+    "zero_element": "eulerian",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # Looked up on every access and never stored in globals(): a function
+    # rebound in its submodule (a monkeypatch, a tracing wrapper) is what the
+    # package returns, and putting the original back puts it back here too.
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,6 +21,32 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+# The oracle's caps and failures that the CLI names at import time.  They
+# live here, not in ``oracle``, so that the closed-form commands can run
+# without importing the oracle and numpy; ``oracle`` re-exports them.
+IDEMPOTENT_MAX_N = 6
+TRANSITION_MAX_N = 6
+
+
+class LumpingViolation(RuntimeError):
+    """Two permutations in the same descent class produced different
+    transition rows."""
+
+    def __init__(self, n: int, b: int, state: int, perm: Permutation):
+        self.n, self.b, self.state = n, b, state
+        super().__init__(
+            f"lumping violated at n={n}, b={b}: representative {perm} of state {state} "
+            f"disagrees with its class row"
+        )
+
+
+class TransitionMismatch(RuntimeError):
+    """The enumerated transition matrix disagrees with the closed formula."""
+
+    def __init__(self, n: int, b: int, state: int):
+        self.n, self.b, self.state = n, b, state
+        super().__init__(f"transition row mismatch at n={n}, b={b}, state {state}")
+
 
 def binomial(a: int, k: int) -> int:
     """Binomial coefficient C(a, k) with the lattice-point convention.

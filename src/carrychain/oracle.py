@@ -39,13 +39,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import Composition, Permutation, binomial, compositions
+from .combinat import (
+    IDEMPOTENT_MAX_N,
+    TRANSITION_MAX_N,
+    Composition,
+    LumpingViolation,
+    Permutation,
+    TransitionMismatch,
+    binomial,
+    compositions,
+)
 from .eulerian import SWordExpansion, idempotent_s_expansion
 from .matrix import DescentPolynomial, amazing_matrix
 
 GROUP_ALGEBRA_MAX_N = 8
-IDEMPOTENT_MAX_N = 6
-TRANSITION_MAX_N = 6
 ENUMERATION_BUDGET = 10**7
 # distinct outcomes kept as Permutation objects: at most min(b^n, n!).  The
 # largest case admitted, n = 17 and b = 2 (131,055 outcomes), peaks at
@@ -58,26 +65,6 @@ _BLOCK_VALUES = 1 << 15  # cap the values held by one block of a numpy kernel
 
 class OracleBoundError(ValueError):
     """Requested size exceeds the brute-force budget."""
-
-
-class LumpingViolation(RuntimeError):
-    """Two permutations in the same descent class produced different
-    transition rows."""
-
-    def __init__(self, n: int, b: int, state: int, perm: Permutation):
-        self.n, self.b, self.state = n, b, state
-        super().__init__(
-            f"lumping violated at n={n}, b={b}: representative {perm} of state {state} "
-            f"disagrees with its class row"
-        )
-
-
-class TransitionMismatch(RuntimeError):
-    """The enumerated transition matrix disagrees with the closed formula."""
-
-    def __init__(self, n: int, b: int, state: int):
-        self.n, self.b, self.state = n, b, state
-        super().__init__(f"transition row mismatch at n={n}, b={b}, state {state}")
 
 
 class _SnTable(NamedTuple):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carrychain import cli
+from carrychain import cli, oracle
 from carrychain.cli import main, run_verify_all
+from carrychain.combinat import TransitionMismatch
 
 
 def run_cli(capsys, *argv):
@@ -172,8 +174,20 @@ class TestOracle:
         assert err.startswith("error: outcome budget exceeded")
 
     def test_transition_bound_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "oracle", "transition", "--n", "7", "--b", "2")
+        code, out, err = run_cli(capsys, "oracle", "transition", "--n", "7", "--b", "2")
         assert code == 2
+        assert out == ""
+        assert err == "error: transition oracle is limited to n <= 6, got 7\n"
+
+    def test_a_mismatch_is_a_failed_verification(self, capsys, monkeypatch):
+        def mismatch(n, b):
+            raise TransitionMismatch(n, b, 1)
+
+        monkeypatch.setattr(oracle, "oracle_transition_matrix", mismatch)
+        code, out, err = run_cli(capsys, "oracle", "transition", "--n", "3", "--b", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "verification failed: transition row mismatch at n=3, b=2, state 1\n"
 
 
 class TestSimulate:
@@ -251,6 +265,24 @@ class TestVerify:
             ("descent-polynomials", {"max_n": 6, "base": "<= 9"}, 114),
         ]
         assert [(r.name, r.params, r.checked) for r in run_verify_all(6)] == expected
+
+    @pytest.mark.parametrize(
+        "max_n, digest",
+        [
+            (1, "80e186212c6aef8dd3ebed7e491be330ce43b442aa6ec7b6695ffd5dbee86933"),
+            (2, "9f2aa03cc7a018bfe1b9d6b44a869cf4b7d2a459a19ece09db41f4dd5be2f27a"),
+            (3, "1b1a29898475c8fece3d67731476aea921010f2362897e9a5469dee76eb769b5"),
+            (4, "f7bc26d9ddd086ab31c48332cbe1c3ed551fa4af4478307966eb51b96cdcf898"),
+            (5, "7389d551a76f7f049a410698333c0603650fe21656c993803c47aca7389ed92e"),
+            (6, "c995b6cf7015ba3f9ef2123a9d33b4aeb15de49d934045a23a6e1c00d71dc18c"),
+        ],
+    )
+    def test_all_json_is_pinned(self, capsys, max_n, digest):
+        # SHA-256 of the stdout document, pinned from the release before the
+        # oracle was imported lazily
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", str(max_n))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_a_failing_and_a_crashing_row_do_not_stop_the_run(self, capsys, monkeypatch):
         def crash(*case):
