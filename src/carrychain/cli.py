@@ -211,8 +211,8 @@ def _cmd_simulate_shuffle(args) -> int:
     from .simulate import SimulationConfig, simulate_shuffle_chain
 
     cfg, steps = SimulationConfig(trials=args.trials, seed=args.seed), 1
+    exact = amazing_matrix(args.n, args.b).normalized()  # its budget check comes before any simulation
     result = simulate_shuffle_chain(args.n, args.b, cfg, steps=steps)
-    exact = amazing_matrix(args.n, args.b).normalized()
     params = {"n": args.n, "b": args.b, "trials": cfg.trials, "steps": steps, "seed": cfg.seed}
     payload = {
         "counts": [list(row) for row in result.counts],
@@ -227,8 +227,8 @@ def _cmd_simulate_carries(args) -> int:
     from .simulate import SimulationConfig, simulate_carries
 
     cfg = SimulationConfig(trials=1, seed=args.seed)
+    exact = amazing_matrix(args.n, args.b).normalized()  # its budget check comes before any simulation
     result = simulate_carries(args.n, args.b, digits=args.trials, cfg=cfg)
-    exact = amazing_matrix(args.n, args.b).normalized()
     params = {
         "n_summands": args.n,
         "b": args.b,

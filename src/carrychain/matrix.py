@@ -199,7 +199,8 @@ class AmazingMatrix:
         return tuple(Fraction(e, bn) for e in self.entries[i - 1])
 
     def normalized(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.normalized_row(i) for i in range(1, self.n + 1))
+        bn = self.normalizer
+        return tuple(tuple(Fraction(e, bn) for e in row) for row in self.entries)
 
 
 def _matrix(n: int, b: int, spectral: bool) -> AmazingMatrix:

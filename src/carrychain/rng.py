@@ -14,7 +14,8 @@ bit.
 values, with in-place ufuncs and one scratch block, so the arithmetic runs
 in cache and no full-size temporaries are made.  ``digit_block`` reduces the
 same values to base-b digits in place as ``x - (x // b) * b``, which equals
-``x % b`` on uint64 and costs less than numpy's ``remainder``.
+``x % b`` on uint64 and costs less than numpy's ``remainder``; a power-of-two
+base takes one pass, ``x & (b - 1)``.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ def digit_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: 
         raise ValueError(f"base must lie in 1..2^63, got {base}")
     block = stream_block(seed, trial_lo, trial_hi, draw_lo, draw_hi)
     flat = block.reshape(-1)
+    if base & (base - 1) == 0:  # 1, 2, 4, ..., 2^63: the low bits are the digit
+        np.bitwise_and(flat, np.uint64(base - 1), out=flat)
+        return block.view(np.int64)
     divisor = np.uint64(base)
     scratch = np.empty(min(flat.size, _BLOCK_VALUES), dtype=np.uint64)
     for lo in range(0, flat.size, _BLOCK_VALUES):

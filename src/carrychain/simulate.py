@@ -15,14 +15,22 @@ transition.  The carries simulator adds ``n_summands`` uniformly random
 base-b digit columns per trial, starting from carry 0, and records the
 successive carry values.
 
-Both run as whole-array numpy passes over chunks of trials, with no Python
-loop per trial or per column.  A shuffle step reads the new descent count
-off a gather of the digit word and a compare, without building the new
-deck.  The carries, a sequential recurrence, run as a segmented scan: the
-columns are cut into segments of ``_SEGMENT_COLUMNS``, one pass gives each
-segment's carry map from every possible start carry, a short walk along the
-maps finds each segment's true start carry, and a second pass tallies the
-transitions of all segments at once.
+Both run as whole-array numpy passes over chunks of at most
+``_CHUNK_VALUES`` random values, with no Python loop per trial or per
+column.  A shuffle step sigma -> tau o sigma relabels the cards and moves
+none, so for n up to ``_RANK_MAX_N`` a trial is held as each card's start
+position and its label, int8 rows of shape (n, trials).  Compares of card
+pairs give both: the start positions from the keys, and at each step the
+new labels and the descents between adjacent cards.  Above that n the
+O(n^2) compares cost more than a stable argsort of the deck, which the
+larger decks keep.  The carries, a sequential recurrence, run as a
+segmented scan: the columns are cut into segments of ``_SEGMENT_COLUMNS``,
+one pass gives each segment's carry map from every possible start carry, a
+short walk along the maps finds each segment's true start carry, and a
+second pass tallies the transitions of all segments at once.
+
+A call asks for at most ``DRAW_BUDGET`` random draws, checked before any
+work is done.
 """
 
 from __future__ import annotations
@@ -34,7 +42,9 @@ import numpy as np
 
 from .rng import MAX_BASE, check_seed, digit_block, stream_block
 
-_CHUNK_VALUES = 1 << 22  # cap per-chunk random values to bound memory
+DRAW_BUDGET = 2**32  # random draws one call may ask for, about 40 s of drawing
+_CHUNK_VALUES = 1 << 19  # random values per chunk: the rank kernel's rows stay in cache
+_RANK_MAX_N = 32  # the rank kernel up to here, the argsort above (measured crossover)
 _SEGMENT_COLUMNS = 256  # columns per segment of the carry scan
 
 
@@ -91,40 +101,125 @@ class EmpiricalMatrix:
         return tuple(out)
 
 
+def _check_draws(draws: int) -> None:
+    if draws > DRAW_BUDGET:
+        raise ValueError(f"the simulation needs {draws} random draws, over the budget of {DRAW_BUDGET}")
+
+
 def simulate_shuffle_chain(
     n: int, b: int, cfg: SimulationConfig, trial_offset: int = 0, steps: int = 1
 ) -> EmpiricalMatrix:
     """Empirical descent-count transition matrix of ``steps`` successive
     GSR b-shuffles per trial.
 
-    Per trial: draws 0..n-1 seed a uniformly random start deck (stable
-    argsort of raw 64-bit keys), then step s consumes draws
-    n + s*n .. n + (s+1)*n - 1 as the digit word of one shuffle.  The deck
-    update composes the shuffle outcome after the current deck, matching the
-    exact oracle's orientation: with digits w, the outcome tau sends card c
-    to its rank under the key (w_c, c), so the new deck tau o sigma has a
-    descent at p exactly when g_p > g_{p+1}, or g_p = g_{p+1} and
-    sigma_p > sigma_{p+1}, where g_p = w_{sigma_p}.  The new descent count
-    needs only that gather and compare; the new deck itself (argsort,
-    inverse, gather) is built only when another step follows.  Decks are
-    held position-major, (n, trials), so every compare runs along rows.
+    Per trial: draws 0..n-1 are raw 64-bit keys, and the start deck sorts
+    the cards 0..n-1 by key, stably; then step s consumes draws
+    n + s*n .. n + (s+1)*n - 1 as the digit word w of one shuffle.  The
+    deck update composes the shuffle outcome after the current deck,
+    matching the exact oracle's orientation: the outcome tau sends label c
+    to its rank under the key (w_c, c), and the deck sigma becomes
+    tau o sigma.  So no card moves: the card at each position takes a new
+    label, and a descent is an adjacent pair whose earlier label is the
+    larger.  Up to n = ``_RANK_MAX_N``, ``_rank_chunk`` tracks positions
+    and labels by pairwise compares; above it, ``_sort_chunk`` builds the
+    deck by argsort.  Both give the same counts.
     """
     if n < 1 or not 1 <= b <= MAX_BASE:
         raise ValueError(f"need n >= 1 and 1 <= b <= 2^63, got n={n}, b={b}")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
+    _check_draws(cfg.trials * n * (steps + 1))
     counts = np.zeros((n, n), dtype=np.int64)
+    kernel = _rank_chunk if n <= _RANK_MAX_N else _sort_chunk
     chunk = max(1, _CHUNK_VALUES // (n * (steps + 1)))
     for lo in range(0, cfg.trials, chunk):
         hi = min(lo + chunk, cfg.trials)
-        _shuffle_chunk(n, b, cfg.seed, steps, trial_offset + lo, trial_offset + hi, counts)
+        kernel(n, b, cfg.seed, steps, trial_offset + lo, trial_offset + hi, counts)
     return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in counts))
 
 
-def _shuffle_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts: np.ndarray) -> None:
+def _rank_rows(n: int, trials: int) -> np.ndarray:
+    """int8 (n, trials) ranks before any pair is counted: row a holds
+    n - 1 - a, card a's rank if every card above it came first and no card
+    below it did.  ``_count_pairs`` corrects them pair by pair."""
+    return np.repeat(np.arange(n - 1, -1, -1, dtype=np.int8)[:, None], trials, axis=1)
+
+
+def _count_pairs(ranks: np.ndarray, a: int, before: np.ndarray) -> None:
+    """Count the pairs (a, c), c > a, into ``ranks``: ``before[c - a - 1]``
+    says that card a comes before card c."""
+    ones = before.view(np.int8)  # numpy adds int8 faster than bool
+    ranks[a + 1 :] += ones
+    ranks[a] -= ones.sum(axis=0, dtype=np.int8)
+
+
+def _start_positions(keys: np.ndarray) -> np.ndarray:
+    """Each card's position in the stable sort of its trial's keys: uint64
+    keys (n, trials) give int8 positions (n, trials)."""
+    n, trials = keys.shape
+    pos = _rank_rows(n, trials)
+    for a in range(n - 1):
+        _count_pairs(pos, a, keys[a] <= keys[a + 1 :])
+    return pos
+
+
+def _rank_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts: np.ndarray) -> None:
     """Add the descent transitions of trials [t0, t1) to the (n, n)
-    ``counts``; the chunk's arrays go when it returns."""
-    # decks[p, t]: the 0-based card at position p of trial t
+    ``counts``, in rank space.
+
+    Card a is the one with key a.  It starts with label a at position
+    pos[a], its rank in the stable sort of the keys, where card a comes
+    before a card c > a when key a <= key c.  Cards a < c are adjacent when
+    their positions differ by one, and that adjacency is a descent when the
+    card in front has the larger label.  A step compares the cards by
+    (digit of the label, label): card a's new label is the number of cards
+    below it, and the compare of a < c also tells whether their adjacency
+    becomes a descent.  At the start the labels are the cards, so card a
+    reads digit a; later steps read each card's digit at its label.  Rows
+    are int8, so n must stay below 128.
+    """
+    trials = t1 - t0
+    pos = _start_positions(np.ascontiguousarray(stream_block(seed, t0, t1, 0, n).T))
+    # gaps[a][c - a - 1] = pos[a] + 1 - pos[c]: 2 when c is just in front of
+    # a, 0 when just behind it, never either otherwise
+    gaps = [pos[a] + np.int8(1) - pos[a + 1 :] for a in range(n - 1)]
+    d_prev = np.zeros(trials, dtype=np.int8)
+    for gap in gaps:
+        d_prev += (gap == 2).view(np.int8).sum(axis=0, dtype=np.int8)  # card c > a just in front of a
+    labels = None
+    for s in range(steps):
+        w = digit_block(seed, t0, t1, n + s * n, n + (s + 1) * n, b).T
+        w = w.astype(np.min_scalar_type(b - 1), order="C")  # only the order of the digits counts
+        if labels is not None:
+            w = np.take_along_axis(w, labels, axis=0)
+        new = _rank_rows(n, trials) if s + 1 < steps else None
+        d_new = np.zeros(trials, dtype=np.int8)
+        for a, gap in enumerate(gaps):
+            if labels is None:  # label a is below every label c > a, so it wins the ties
+                lower = w[a] <= w[a + 1 :]
+            else:
+                lower = w[a] < w[a + 1 :]
+                lower |= (w[a] == w[a + 1 :]) & (labels[a] < labels[a + 1 :])
+            # a descent: c in front with the larger new label (gap 2, lower)
+            # or a in front with it (gap 0, not lower)
+            ones = lower.view(np.int8)
+            d_new += (gap == ones + ones).view(np.int8).sum(axis=0, dtype=np.int8)
+            if new is not None:
+                _count_pairs(new, a, lower)
+        counts += np.bincount(d_prev.astype(np.intp) * n + d_new, minlength=n * n).reshape(n, n)
+        labels, d_prev = new, d_new
+
+
+def _sort_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts: np.ndarray) -> None:
+    """Add the descent transitions of trials [t0, t1) to the (n, n)
+    ``counts`` by building the decks.
+
+    decks[p] is the card at position p, held position-major, (n, trials),
+    so every compare runs along rows.  With g_p = w_{sigma_p}, the new deck
+    has a descent at p exactly when g_p > g_{p+1}, or g_p = g_{p+1} and
+    sigma_p > sigma_{p+1}; the new deck itself (argsort, inverse, gather)
+    is built only when another step follows.
+    """
     decks = np.argsort(stream_block(seed, t0, t1, 0, n).T, axis=0, kind="stable")
     rows = np.arange(0, (t1 - t0) * n, n)  # where each trial's word starts in a flat block
     falls = decks[:-1] > decks[1:]  # the descents of the deck
@@ -228,6 +323,7 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
         raise ValueError(f"carry plus column sum must stay below 2^63, got n_summands={n_summands}, b={b}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
+    _check_draws(cfg.trials * digits * n_summands)
     n = n_summands
     counts = np.zeros((n, n), dtype=np.int64)
     chunk = max(1, _CHUNK_VALUES // (digits * n))

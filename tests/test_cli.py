@@ -3,12 +3,17 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carrychain import cli, oracle
+from carrychain import cli, oracle, simulate
 from carrychain.cli import main, run_verify_all
 from carrychain.combinat import TransitionMismatch
 
@@ -190,6 +195,14 @@ class TestOracle:
         assert err == "verification failed: transition row mismatch at n=3, b=2, state 1\n"
 
 
+# each simulation is cheap to draw, but its exact matrix is over the
+# closed-form work budget
+_OVER_THE_CLOSED_FORM_BUDGET = [
+    ("simulate", "shuffle", "--n", "1000000", "--b", "2", "--trials", "1", "--seed", "1"),
+    ("simulate", "carries", "--n", "3000", "--b", "2", "--trials", "10", "--seed", "1"),
+]
+
+
 class TestSimulate:
     def test_shuffle_repeatable_bytes(self, capsys):
         args = ("simulate", "shuffle", "--n", "2", "--b", "2", "--trials", "3000", "--seed", "99")
@@ -234,6 +247,38 @@ class TestSimulate:
             assert sum(sum(row) for row in json.loads(out)["counts"]) == 100
         else:
             assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", _OVER_THE_CLOSED_FORM_BUDGET)
+    def test_the_closed_form_budget_is_checked_before_simulating(self, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before the closed-form budget check")
+
+        monkeypatch.setattr(simulate, "simulate_shuffle_chain", never)
+        monkeypatch.setattr(simulate, "simulate_carries", never)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "budget" in err
+
+
+def _two_gib_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _OVER_THE_CLOSED_FORM_BUDGET + [("simulate", "shuffle", "--n", "3", "--b", "2", "--trials", str(10**12), "--seed", "1")],
+)
+def test_oversized_simulations_exit_2_at_once(argv):
+    # the (n, n) counts of n = 10^6 alone would take 8 TB; 10^12 trials are
+    # over the draw budget and would draw for hours
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "carrychain.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_two_gib_of_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestVerify:

@@ -174,6 +174,16 @@ class TestAmazingMatrix:
             (Fraction(1, 4), Fraction(3, 4)),
         )
 
+    def test_normalized_builds_the_normalizer_once(self, monkeypatch):
+        m = amazing_matrix(10, 3**600)
+        rows = tuple(m.normalized_row(i) for i in range(1, 11))
+        assert rows == tuple(tuple(Fraction(e, 3**6000) for e in row) for row in m.entries)
+        built = []
+        power = AmazingMatrix.normalizer.fget
+        monkeypatch.setattr(AmazingMatrix, "normalizer", property(lambda self: built.append(1) or power(self)))
+        assert m.normalized() == rows
+        assert len(built) == 1
+
     def test_one_shuffle_is_identity(self):
         for n in range(1, 8):
             m = amazing_matrix(n, 1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,44 @@ class TestShuffleChain:
                 simulate_shuffle_chain(3, b, SimulationConfig(trials=50, seed=1))
 
 
+def _record_sizes(monkeypatch, sizes):
+    """Route the simulator's ``stream_block`` and ``digit_block`` through
+    recorders that append the size of every block they return."""
+    for name, fn in (("stream_block", stream_block), ("digit_block", digit_block)):
+        def record(*args, fn=fn):
+            block = fn(*args)
+            sizes.append(block.size)
+            return block
+
+        monkeypatch.setattr(simulate, name, record)
+
+
+class TestDrawBudget:
+    def test_one_draw_over_is_refused_before_any_work(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("values drawn for a call over the budget")
+
+        monkeypatch.setattr(simulate, "stream_block", no_draws)
+        monkeypatch.setattr(simulate, "digit_block", no_draws)
+        # 2^32 + 1 = 641 * 6700417 draws; the (n, n) counts of n = 6700417
+        # would take 359 TB
+        assert simulate.DRAW_BUDGET == 2**32
+        with pytest.raises(ValueError, match="budget"):
+            simulate_shuffle_chain(6700417, 2, SimulationConfig(trials=1, seed=1), steps=640)
+        with pytest.raises(ValueError, match="budget"):
+            simulate_carries(6700417, 2, 641, SimulationConfig(trials=1, seed=1))
+
+    def test_the_edge(self, monkeypatch):
+        cfg = SimulationConfig(trials=4, seed=3)
+        calls = (lambda: simulate_shuffle_chain(3, 2, cfg), lambda: simulate_carries(2, 2, 3, cfg))  # 24 draws each
+        monkeypatch.setattr(simulate, "DRAW_BUDGET", 24)
+        assert [call().samples for call in calls] == [4, 12]
+        monkeypatch.setattr(simulate, "DRAW_BUDGET", 23)
+        for call in calls:
+            with pytest.raises(ValueError, match="budget"):
+                call()
+
+
 class TestCarries:
     def test_deterministic(self):
         cfg = SimulationConfig(trials=3, seed=9)
@@ -168,14 +207,8 @@ class TestCarries:
             for trials in (1, 3)
         }
         sizes = []
-
-        def recording_digit_block(*args):
-            block = digit_block(*args)
-            sizes.append(block.size)
-            return block
-
+        _record_sizes(monkeypatch, sizes)
         monkeypatch.setattr(simulate, "_CHUNK_VALUES", chunk)
-        monkeypatch.setattr(simulate, "digit_block", recording_digit_block)
         for (seed, digits, trials), expected in whole.items():
             assert simulate_carries(3, 4, digits, SimulationConfig(trials=trials, seed=seed), 2) == expected
         assert max(sizes) <= max(chunk, 3)  # one column of 3 digits at least
@@ -264,7 +297,7 @@ class TestRngReference:
         assert got.tolist() == [_draws(seed, t, 5, 5 + 70_000) for t in (4, 5)]
 
     @pytest.mark.parametrize("block", (1, 7, 64, None))
-    @pytest.mark.parametrize("base", (1, 2, 10, 3**20, 2**63))
+    @pytest.mark.parametrize("base", (1, 2, 4, 10, 3**20, 2**40, 2**63))
     def test_digit_block(self, monkeypatch, block, base):
         if block is not None:
             monkeypatch.setattr(rng, "_BLOCK_VALUES", block, raising=False)
@@ -312,3 +345,49 @@ class TestSimulatorReference:
         for n, b, digits, trials in ((2, 2, 1, 9), (3, 10, 17, 12), (4, 2, 40, 5), (2, 7, 100, 3)):
             got = simulate_carries(n, b, digits, SimulationConfig(trials=trials, seed=31), 2)
             assert got.counts == _carries_reference(n, b, digits, 31, trials, 2)
+
+
+class TestShuffleKernels:
+    """The rank kernel runs up to n = ``_RANK_MAX_N``, the argsort kernel
+    above it."""
+
+    @pytest.mark.parametrize("n", range(1, simulate._RANK_MAX_N + 1))
+    def test_start_positions_keep_the_stable_tie_order(self, n):
+        # seeded 64-bit keys never tie, so only these keys reach the tie order;
+        # 2^64 - 1 must sort above everything, as it would not on int64
+        draw = random.Random(n)
+        top = 2**64 - 1
+        columns = [[draw.choice((0, 1, 2)) for _ in range(n)] for _ in range(300)]
+        columns += [[draw.choice((0, 1, top)) for _ in range(n)] for _ in range(100)]
+        columns += [[0] * n, [top] * n, list(range(n)), list(range(n))[::-1]]
+        got = simulate._start_positions(np.array(columns, dtype=np.uint64).T.copy())
+        assert got.dtype == np.int8 and got.shape == (n, len(columns))
+        for t, keys in enumerate(columns):
+            deck = sorted(range(n), key=keys.__getitem__)
+            assert [deck[p] for p in got[:, t]] == list(range(n))
+
+    @pytest.mark.parametrize("chunk", (1, 7, None))
+    @pytest.mark.parametrize("n", (simulate._RANK_MAX_N, simulate._RANK_MAX_N + 1))
+    def test_both_sides_of_the_crossover_match_the_reference(self, monkeypatch, n, chunk):
+        # b = 1 ties every digit and b = 2 most of them, so the labels break ties
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_VALUES", chunk)
+        for steps in (1, 2, 3):
+            for b in (1, 2, 3, 2**63):
+                got = simulate_shuffle_chain(n, b, SimulationConfig(trials=12, seed=b + steps), 5, steps=steps)
+                assert got.counts == _shuffle_reference(n, b, b + steps, 12, steps, 5)
+
+    @pytest.mark.parametrize("chunk", (1, 5, 40, None))
+    def test_no_block_exceeds_the_chunk(self, chunk):
+        for n, b, steps in ((1, 2, 1), (3, 3, 1), (4, 3, 3), (simulate._RANK_MAX_N + 1, 2, 1)):
+            per_chunk = max(1, (chunk or simulate._CHUNK_VALUES) // (n * (steps + 1)))
+            cfg = SimulationConfig(trials=3 * per_chunk + 1, seed=8)
+            expected = simulate_shuffle_chain(n, b, cfg, 1, steps)
+            sizes = []
+            with pytest.MonkeyPatch.context() as patch:
+                _record_sizes(patch, sizes)
+                if chunk is not None:
+                    patch.setattr(simulate, "_CHUNK_VALUES", chunk)
+                assert simulate_shuffle_chain(n, b, cfg, 1, steps) == expected
+            assert len(sizes) == 4 * (steps + 1)  # a key block and a digit block per step, per chunk
+            assert max(sizes) <= max(chunk or simulate._CHUNK_VALUES, n * (steps + 1))
