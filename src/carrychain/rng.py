@@ -10,12 +10,20 @@ can be partitioned across chunks or workers in any way without changing a
 single draw, and identical seeds reproduce identical simulations bit for
 bit.
 
-``stream_block`` fills its output in blocks of at most ``_BLOCK_VALUES``
-values, with in-place ufuncs and one scratch block, so the arithmetic runs
-in cache and no full-size temporaries are made.  ``digit_block`` reduces the
-same values to base-b digits in place as ``x - (x // b) * b``, which equals
-``x % b`` on uint64 and costs less than numpy's ``remainder``; a power-of-two
-base takes one pass, ``x & (b - 1)``.
+The blocks are draw-major: ``stream_block`` fills a C-contiguous
+(draws, trials) buffer and returns its transpose, of shape (trials, draws).
+So ``block.T`` is a copy-free view whose rows are single draws across all
+trials, the rows the simulators' kernels work on.  The fill runs in blocks
+of at most ``_BLOCK_VALUES`` values (whole draw rows where they fit, else
+pieces of one row), with in-place ufuncs and one scratch block, so the
+arithmetic runs in cache and no full-size temporaries are made.  Each block
+adds the column of offsets (k+1) * GAMMA to its trials' starting states.
+numpy pays per row for such a broadcast add, so a block of fewer than
+``_NARROW`` trials is filled trial by trial instead; a single trial is then
+one contiguous pass.  ``digit_block`` reduces the same buffer in place, in
+memory order, as ``x - (x // b) * b``, which equals ``x % b`` on uint64 and
+costs less than numpy's ``remainder``; a power-of-two base takes one pass,
+``x & (b - 1)``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _ONE = np.uint64(1)
 _BLOCK_VALUES = 1 << 16  # values per block of the in-place kernels, sized for cache
-_NARROW = 8  # blocks with fewer columns than this are filled column by column
+_NARROW = 8  # blocks of fewer trials than this are filled trial by trial
 
 
 def check_seed(seed: int) -> int:
@@ -59,32 +67,35 @@ def _blocks(rows: int, cols: int):
 
 
 def stream_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: int) -> np.ndarray:
-    """uint64 values for trials [trial_lo, trial_hi) x draws [draw_lo, draw_hi)."""
+    """uint64 values for trials [trial_lo, trial_hi) x draws [draw_lo, draw_hi),
+    shape (trials, draws), as the transpose of a C-contiguous draw-major
+    buffer."""
     check_seed(seed)
     states = np.arange(trial_lo, trial_hi, dtype=np.uint64)
     states += _ONE
     states *= _GAMMA
     states += np.uint64(seed)
     _mix_in_place(states, np.empty_like(states))
-    out = np.empty((len(states), max(draw_hi - draw_lo, 0)), dtype=np.uint64)
+    out = np.empty((max(draw_hi - draw_lo, 0), len(states)), dtype=np.uint64)
     # (k+1) * GAMMA for the k-th draw of a block; each block adds its own start
-    steps = np.arange(1, min(out.shape[1], _BLOCK_VALUES) + 1, dtype=np.uint64) * _GAMMA
+    steps = np.arange(1, min(len(out), _BLOCK_VALUES) + 1, dtype=np.uint64) * _GAMMA
     scratch = np.empty(min(out.size, _BLOCK_VALUES), dtype=np.uint64)
     for rows, cols in _blocks(*out.shape):
         block = out[rows, cols]
-        firsts = states[rows] + np.uint64((draw_lo + cols.start) * int(_GAMMA) % 2**64)
+        firsts = states[cols] + np.uint64((draw_lo + rows.start) * int(_GAMMA) % 2**64)
+        offsets = steps[: len(block)]
         if block.shape[1] < _NARROW:
-            # numpy pays per row for a broadcast add; short rows go column-wise
-            for j, column in enumerate(block.T):
-                np.add(firsts, steps[j], out=column)
+            # numpy pays per row for a broadcast add; few trials go trial by trial
+            for first, trial in zip(firsts, block.T):
+                np.add(offsets, first, out=trial)
         else:
-            np.add(firsts[:, None], steps[: block.shape[1]], out=block)
+            np.add(offsets[:, None], firsts, out=block)
         _mix_in_place(block, scratch[: block.size].reshape(block.shape))
-    return out
+    return out.T
 
 
 def digit_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: int, base: int) -> np.ndarray:
-    """Base-``base`` digits on the same grid, as int64.
+    """Base-``base`` digits on the same grid and in the same layout, as int64.
 
     The modulo reduction carries a bias of (2^64 mod base) / 2^64, far below
     anything the statistical tolerances of this package can resolve.
@@ -92,7 +103,7 @@ def digit_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: 
     if not 1 <= base <= MAX_BASE:
         raise ValueError(f"base must lie in 1..2^63, got {base}")
     block = stream_block(seed, trial_lo, trial_hi, draw_lo, draw_hi)
-    flat = block.reshape(-1)
+    flat = block.T.reshape(-1)  # the draw-major buffer, in memory order
     if base & (base - 1) == 0:  # 1, 2, 4, ..., 2^63: the low bits are the digit
         np.bitwise_and(flat, np.uint64(base - 1), out=flat)
         return block.view(np.int64)

@@ -17,7 +17,10 @@ successive carry values.
 
 Both run as whole-array numpy passes over chunks of at most
 ``_CHUNK_VALUES`` random values, with no Python loop per trial or per
-column.  A shuffle step sigma -> tau o sigma relabels the cards and moves
+column.  The random blocks are draw-major (see :mod:`carrychain.rng`): the
+transpose of a block is a C-contiguous (draws, trials) array, so every
+kernel reads whole rows of one draw across all trials, with no transposing
+copy.  A shuffle step sigma -> tau o sigma relabels the cards and moves
 none, so for n up to ``_RANK_MAX_N`` a trial is held as each card's start
 position and its label, int8 rows of shape (n, trials).  Compares of card
 pairs give both: the start positions from the keys, and at each step the
@@ -27,10 +30,16 @@ larger decks keep.  The carries, a sequential recurrence, run as a
 segmented scan: the columns are cut into segments of ``_SEGMENT_COLUMNS``,
 one pass gives each segment's carry map from every possible start carry, a
 short walk along the maps finds each segment's true start carry, and a
-second pass tallies the transitions of all segments at once.
+second pass tallies the transitions of all segments at once.  The column
+sums are draw-major too, (columns, trials), so the tail segment is read in
+place and only the body of whole segments is copied into segment layout.
 
-A call asks for at most ``DRAW_BUDGET`` random draws, checked before any
-work is done.
+Two bounds are checked before any work is done.  A call asks for at most
+``DRAW_BUDGET`` random draws.  And since the (n, n) int64 tally is
+allocated before the first draw, whatever the number of draws, the states
+are bounded on their own: n * n <= ``TALLY_CELLS`` = 2^20 cells, 8 MiB of
+counts (and as many Python ints in the returned matrix), which allows
+n <= 1024.  Without it one trial of n = 65536 would ask for 32 GiB.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import numpy as np
 from .rng import MAX_BASE, check_seed, digit_block, stream_block
 
 DRAW_BUDGET = 2**32  # random draws one call may ask for, about 40 s of drawing
+TALLY_CELLS = 2**20  # cells of the (n, n) transition tally one call may allocate
 _CHUNK_VALUES = 1 << 19  # random values per chunk: the rank kernel's rows stay in cache
 _RANK_MAX_N = 32  # the rank kernel up to here, the argsort above (measured crossover)
 _SEGMENT_COLUMNS = 256  # columns per segment of the carry scan
@@ -101,9 +111,11 @@ class EmpiricalMatrix:
         return tuple(out)
 
 
-def _check_draws(draws: int) -> None:
+def _check_size(n: int, draws: int) -> None:
     if draws > DRAW_BUDGET:
         raise ValueError(f"the simulation needs {draws} random draws, over the budget of {DRAW_BUDGET}")
+    if n * n > TALLY_CELLS:
+        raise ValueError(f"the ({n}, {n}) transition tally has {n * n} cells, over the bound of {TALLY_CELLS}")
 
 
 def simulate_shuffle_chain(
@@ -128,7 +140,7 @@ def simulate_shuffle_chain(
         raise ValueError(f"need n >= 1 and 1 <= b <= 2^63, got n={n}, b={b}")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    _check_draws(cfg.trials * n * (steps + 1))
+    _check_size(n, cfg.trials * n * (steps + 1))
     counts = np.zeros((n, n), dtype=np.int64)
     kernel = _rank_chunk if n <= _RANK_MAX_N else _sort_chunk
     chunk = max(1, _CHUNK_VALUES // (n * (steps + 1)))
@@ -179,7 +191,7 @@ def _rank_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts:
     are int8, so n must stay below 128.
     """
     trials = t1 - t0
-    pos = _start_positions(np.ascontiguousarray(stream_block(seed, t0, t1, 0, n).T))
+    pos = _start_positions(stream_block(seed, t0, t1, 0, n).T)
     # gaps[a][c - a - 1] = pos[a] + 1 - pos[c]: 2 when c is just in front of
     # a, 0 when just behind it, never either otherwise
     gaps = [pos[a] + np.int8(1) - pos[a + 1 :] for a in range(n - 1)]
@@ -189,7 +201,7 @@ def _rank_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts:
     labels = None
     for s in range(steps):
         w = digit_block(seed, t0, t1, n + s * n, n + (s + 1) * n, b).T
-        w = w.astype(np.min_scalar_type(b - 1), order="C")  # only the order of the digits counts
+        w = w.astype(np.min_scalar_type(b - 1))  # only the order of the digits counts
         if labels is not None:
             w = np.take_along_axis(w, labels, axis=0)
         new = _rank_rows(n, trials) if s + 1 < steps else None
@@ -221,12 +233,13 @@ def _sort_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts:
     is built only when another step follows.
     """
     decks = np.argsort(stream_block(seed, t0, t1, 0, n).T, axis=0, kind="stable")
-    rows = np.arange(0, (t1 - t0) * n, n)  # where each trial's word starts in a flat block
     falls = decks[:-1] > decks[1:]  # the descents of the deck
     d_prev = falls.sum(axis=0)
     for s in range(steps):
-        digits = digit_block(seed, t0, t1, n + s * n, n + (s + 1) * n, b)
-        g = digits.ravel()[decks + rows]
+        digits = digit_block(seed, t0, t1, n + s * n, n + (s + 1) * n, b).T
+        if b <= 2**16:  # only the order counts, and numpy radix-sorts 8- and 16-bit digits
+            digits = digits.astype(np.min_scalar_type(b - 1))
+        g = np.take_along_axis(digits, decks, axis=0)
         ties = g[:-1] == g[1:]
         ties &= falls
         falls = g[:-1] > g[1:]
@@ -235,7 +248,7 @@ def _sort_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts:
         counts += np.bincount(d_prev * n + d_new, minlength=n * n).reshape(n, n)
         if s + 1 < steps:
             # tau = rho^-1 for the stable digit sort rho; new deck = tau o sigma
-            rho = np.argsort(digits.T, axis=0, kind="stable")
+            rho = np.argsort(digits, axis=0, kind="stable")
             tau = np.empty_like(rho)
             np.put_along_axis(tau, rho, np.broadcast_to(np.arange(n)[:, None], rho.shape), axis=0)
             decks = np.take_along_axis(tau, decks, axis=0)
@@ -244,11 +257,11 @@ def _sort_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts:
 
 def _column_sums(block: np.ndarray, n: int) -> np.ndarray:
     """Sums of the ``n`` digits of each column: (trials, columns * n) digits
-    give (trials, columns) sums, by n - 1 column adds."""
-    parts = block.reshape(len(block), -1, n)
-    sums = np.add(parts[:, :, 0], parts[:, :, 1])
+    give draw-major (columns, trials) sums, by n - 1 row adds."""
+    parts = block.T.reshape(-1, n, len(block))
+    sums = np.add(parts[:, 0], parts[:, 1])
     for m in range(2, n):
-        sums += parts[:, :, m]
+        sums += parts[:, m]
     return sums
 
 
@@ -273,24 +286,25 @@ def _segment_starts(segments: np.ndarray, carry: np.ndarray, b: int, n: int) -> 
 
 
 def _carry_scan(sums: np.ndarray, carry: np.ndarray, b: int, counts: np.ndarray) -> np.ndarray:
-    """Run the carries over (trials, columns) column sums on from the start
-    carries ``carry``, add every transition to the (n, n) ``counts`` and
-    return the end carries.
+    """Run the carries over draw-major (columns, trials) column sums on
+    from the start carries ``carry``, add every transition to the (n, n)
+    ``counts`` and return the end carries.
 
     The columns are cut into segments of ``_SEGMENT_COLUMNS`` and a shorter
-    tail, laid out column-major so that one step of every segment reads one
-    contiguous row.  ``_segment_starts`` finds where each segment starts; a
-    second pass then runs all segments at once and tallies the transitions.
+    tail, both laid out (columns, trials, segments) so that one step of
+    every segment reads one contiguous row.  The tail, a single segment, is
+    the sums' last rows as they stand; only the body is copied into that
+    layout.  ``_segment_starts`` finds where each segment starts; a second
+    pass then runs all segments at once and tallies the transitions.
     """
     n = len(counts)
-    trials, columns = sums.shape
+    columns, trials = sums.shape
     count, length = divmod(columns, _SEGMENT_COLUMNS)
-    body = sums[:, : columns - length].reshape(trials, count, _SEGMENT_COLUMNS).transpose(2, 0, 1)
-    tail = sums[:, columns - length :].T[:, :, None]
-    for segments in (body, tail):
+    body = sums[: columns - length].reshape(count, _SEGMENT_COLUMNS, trials).transpose(1, 2, 0)
+    tail = sums[columns - length :, :, None]
+    for segments in (np.ascontiguousarray(body), tail):
         if segments.size == 0:
             continue
-        segments = np.ascontiguousarray(segments)  # (columns, trials, segments)
         state = _segment_starts(segments, carry, b, n) if segments.shape[2] > 1 else carry[:, None].copy()
         codes = np.empty(segments.shape, dtype=np.int64)
         for column, code in zip(segments, codes):
@@ -323,7 +337,7 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
         raise ValueError(f"carry plus column sum must stay below 2^63, got n_summands={n_summands}, b={b}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
-    _check_draws(cfg.trials * digits * n_summands)
+    _check_size(n_summands, cfg.trials * digits * n_summands)
     n = n_summands
     counts = np.zeros((n, n), dtype=np.int64)
     chunk = max(1, _CHUNK_VALUES // (digits * n))

@@ -1,5 +1,11 @@
+import hashlib
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +152,56 @@ class TestDrawBudget:
                 call()
 
 
+def _two_gib_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestTallyBound:
+    EDGE = 1024
+
+    def test_the_edge_runs(self):
+        # n * n <= TALLY_CELLS = 2^20 allows n = 1024 and refuses n = 1025
+        assert simulate.TALLY_CELLS == 2**20 == self.EDGE**2
+        cfg = SimulationConfig(trials=1, seed=3)
+        assert simulate_shuffle_chain(self.EDGE, 2, cfg).samples == 1
+        assert simulate_carries(self.EDGE, 2, 1, cfg).samples == 1
+
+    def test_one_over_is_refused_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done for a call over the tally bound")
+
+        for name in ("stream_block", "digit_block", "_rank_chunk", "_sort_chunk"):
+            monkeypatch.setattr(simulate, name, no_work)
+        cfg = SimulationConfig(trials=1, seed=3)
+        with pytest.raises(ValueError, match="tally"):
+            simulate_shuffle_chain(self.EDGE + 1, 2, cfg)
+        with pytest.raises(ValueError, match="tally"):
+            simulate_carries(self.EDGE + 1, 2, 1, cfg)
+
+    @pytest.mark.parametrize("n, refused", [(EDGE, False), (EDGE + 1, True), (65536, True)])
+    def test_in_a_subprocess_under_2_gib(self, n, refused):
+        # the (n, n) int64 counts of n = 65536 alone would take 32 GiB, with
+        # only 131072 draws for the shuffle and 65536 for the carries
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(simulate.__file__).parents[1]), env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from carrychain.simulate import SimulationConfig, simulate_carries, simulate_shuffle_chain\n"
+            f"n, cfg = {n}, SimulationConfig(trials=1, seed=3)\n"
+            "for call in (lambda: simulate_shuffle_chain(n, 2, cfg), lambda: simulate_carries(n, 2, 1, cfg)):\n"
+            "    try:\n"
+            "        print(call().samples)\n"
+            "    except ValueError as exc:\n"
+            "        print('refused', 'tally' in str(exc))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=_two_gib_of_address_space,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split("\n") == (["refused True"] * 2 if refused else ["1", "1"]) + [""]
+
+
 class TestCarries:
     def test_deterministic(self):
         cfg = SimulationConfig(trials=3, seed=9)
@@ -273,10 +329,14 @@ def _carries_reference(n, b, digits, seed, trials, offset=0):
 
 # (trial_lo, trial_hi, draw_lo, draw_hi): empty, narrower than a block,
 # wider than a block in both directions, and windows that straddle the edge
-# of a block of 64 values
+# of a block of 64 values; then one trial fewer than _NARROW (filled trial
+# by trial) and exactly _NARROW (one broadcast add), both over several
+# blocks of 64 from a draw_lo off any block edge, and more trials than a
+# block of 64 with a single draw
 _WINDOWS = [
     (0, 0, 0, 5), (3, 5, 7, 7), (0, 1, 0, 1), (0, 3, 0, 5), (5, 8, 2, 30),
     (0, 1, 0, 150), (2, 5, 60, 70), (0, 4, 0, 33), (9, 10, 63, 129), (0, 70, 0, 2),
+    (10, 10 + rng._NARROW - 1, 33, 80), (4, 4 + rng._NARROW, 101, 140), (4, 6, 100, 300), (1, 71, 5, 6),
 ]
 
 
@@ -295,6 +355,27 @@ class TestRngReference:
         seed = 2**63 + 11
         got = stream_block(seed, 4, 6, 5, 5 + 70_000)
         assert got.tolist() == [_draws(seed, t, 5, 5 + 70_000) for t in (4, 5)]
+
+    def test_more_trials_than_the_default_block_with_one_draw(self):
+        seed = 2**63 + 11
+        got = stream_block(seed, 3, 3 + 70_000, 9, 10)
+        assert got.tolist() == [_draws(seed, t, 9, 10) for t in range(3, 3 + 70_000)]
+
+    @pytest.mark.parametrize("block", (7, None))
+    @pytest.mark.parametrize("make", [
+        lambda *w: stream_block(5, *w),
+        lambda *w: digit_block(5, *w, 8),  # a power of two: one bitwise_and
+        lambda *w: digit_block(5, *w, 10),  # the division branch
+    ], ids=["stream", "digits-pow2", "digits-div"])
+    def test_blocks_are_draw_major(self, monkeypatch, block, make):
+        # the kernels read rows of block.T, one draw across all trials: that
+        # transpose must be C-contiguous and a view, not a copy
+        if block is not None:
+            monkeypatch.setattr(rng, "_BLOCK_VALUES", block, raising=False)
+        for window in ((0, 1, 0, 40), (2, 2 + rng._NARROW - 1, 3, 20), (0, 30, 7, 17), (0, 70, 0, 2)):
+            got = make(*window)
+            assert got.shape == (window[1] - window[0], window[3] - window[2])
+            assert got.T.flags.c_contiguous and np.shares_memory(got, got.T)
 
     @pytest.mark.parametrize("block", (1, 7, 64, None))
     @pytest.mark.parametrize("base", (1, 2, 4, 10, 3**20, 2**40, 2**63))
@@ -391,3 +472,22 @@ class TestShuffleKernels:
                 assert simulate_shuffle_chain(n, b, cfg, 1, steps) == expected
             assert len(sizes) == 4 * (steps + 1)  # a key block and a digit block per step, per chunk
             assert max(sizes) <= max(chunk or simulate._CHUNK_VALUES, n * (steps + 1))
+
+
+class TestPinnedCounts:
+    """SHA-256 of ``repr(counts)`` for multi-chunk seeded runs, pinned from
+    the trial-major fill before the blocks became draw-major: a layout slip
+    that moves a single count changes the digest."""
+
+    @pytest.mark.parametrize("run, digest", [
+        (lambda: simulate_shuffle_chain(10, 2, SimulationConfig(60_000, 2011)),  # 3 chunks
+         "7e9dc292cfcbc35750e32dce6d10d69d16aeab96ea7ad84d90b00ee996bccdb4"),
+        (lambda: simulate_shuffle_chain(3, 2, SimulationConfig(200_000, 2011)),  # 3 chunks
+         "65297b4be46e84fe33d8c1aee379afdc0b63c7fd6046e42efb4d1579cdb93aef"),
+        (lambda: simulate_carries(2, 2, 400_000, SimulationConfig(1, 2011)),  # 2 chunks, 1563 segments
+         "7a106b4024216cdca70c43058c5578fcee52db69015c914892c06b4df76aa555"),
+        (lambda: simulate_carries(2, 10, 20, SimulationConfig(50_000, 2011)),  # 4 chunks
+         "6f0ac96f6b7a535729db8ed282d3f7863386085e0db08546f1b8c7231b9d9ebf"),
+    ], ids=["shuffle-n10", "shuffle-n3", "carries-one-trajectory", "carries-trials"])
+    def test_digest(self, run, digest):
+        assert hashlib.sha256(repr(run().counts).encode()).hexdigest() == digest
