@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 # The oracle's caps and failures that the CLI names at import time.  They
@@ -209,20 +208,19 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-@lru_cache(maxsize=None)
-def _eulerian(n: int, k: int) -> int:
-    if k < 1 or k > n:
-        return 0
-    if n == 1:
-        return 1
-    return k * _eulerian(n - 1, k) + (n - k + 1) * _eulerian(n - 1, k - 1)
+def eulerian_numbers(n: int) -> tuple[int, ...]:
+    """The row (E(n,1), ..., E(n,n)) of ``eulerian_number``, built from
+    E(1, 1) = 1 by the recurrence E(m, k) = k E(m-1, k) + (m-k+1) E(m-1, k-1)."""
+    if n < 1:
+        raise ValueError(f"eulerian_numbers: n must be positive, got {n}")
+    row = [1]
+    for m in range(2, n + 1):
+        row = [k * a + (m - k + 1) * c for k, a, c in zip(range(1, m + 1), [*row, 0], [0, *row])]
+    return tuple(row)
 
 
 def eulerian_number(n: int, k: int) -> int:
     """Number of permutations of S_n with exactly k-1 descents (1 <= k <= n).
-
-    Computed by the two-term recurrence
-    E(n, k) = k E(n-1, k) + (n-k+1) E(n-1, k-1).
 
     >>> eulerian_number(3, 2)
     4
@@ -231,9 +229,4 @@ def eulerian_number(n: int, k: int) -> int:
         raise ValueError(f"eulerian_number: n must be positive, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"eulerian_number: k must lie in 1..{n}, got {k}")
-    return _eulerian(n, k)
-
-
-def eulerian_numbers(n: int) -> tuple[int, ...]:
-    """The full row (E(n,1), ..., E(n,n))."""
-    return tuple(eulerian_number(n, k) for k in range(1, n + 1))
+    return eulerian_numbers(n)[k - 1]

@@ -35,7 +35,6 @@ brute-force group-algebra oracle consumes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -332,37 +331,21 @@ class SWordExpansion:
         return sorted(self.terms.items(), key=lambda item: item[0].parts)
 
 
-def _log_coefficient(length: int) -> Fraction:
-    # coefficient of any word of that length in log of the complete series
-    return Fraction((-1) ** (length - 1), length)
-
-
 def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:
     """Expansion of the idempotent E[k] over S-words.
 
-    Realized as the degree-n part of L^k / k!, where
-    L = sum_I (-1)^(len(I)-1)/len(I) S^I is the logarithm of the complete
-    series and words multiply by concatenation.  The coefficient of S^I is
-    therefore a sum over the ways to split I into k consecutive blocks.
+    E[k] is the x^k coefficient of S[x] = sum_I C(x, len I) S^I, so the
+    coefficient of S^I is s(len I, k) / (len I)!, with s the signed Stirling
+    numbers of the first kind (Gelfand, Krob, Lascoux, Leclerc, Retakh and
+    Thibon, Noncommutative symmetric functions, 1995).
     """
     if not 1 <= k <= n:
         raise ValueError(f"idempotent index must lie in 1..{n}, got {k}")
-    kfact = math.factorial(k)
-    terms: dict[Composition, Fraction] = {}
-    for comp in compositions(n):
-        m = comp.length
-        if m < k:
-            continue
-        total = Fraction(0)
-        for cuts in itertools.combinations(range(1, m), k - 1):
-            bounds = (0, *cuts, m)
-            prod = Fraction(1)
-            for a, b in zip(bounds, bounds[1:]):
-                prod *= _log_coefficient(b - a)
-            total += prod
-        if total:
-            terms[comp] = total / kfact
-    return SWordExpansion(n, terms)
+    row, coeffs = [1], []  # row holds s(m, 0..m), the x^j coefficients of x(x-1)...(x-m+1)
+    for m in range(n + 1):
+        coeffs.append(Fraction(row[k] if k <= m else 0, math.factorial(m)))
+        row = [a - m * c for a, c in zip([0, *row], [*row, 0])]
+    return SWordExpansion(n, {comp: coeffs[comp.length] for comp in compositions(n)})
 
 
 def fundamental_evaluation(comp: Composition, N: int) -> int:

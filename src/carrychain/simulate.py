@@ -84,9 +84,6 @@ class EmpiricalMatrix:
     def samples(self) -> int:
         return sum(sum(row) for row in self.counts)
 
-    def row_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
-
     def frequencies(self) -> tuple[tuple[Fraction, ...], ...]:
         rows = []
         for row in self.counts:

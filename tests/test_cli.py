@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carrychain import cli, oracle, simulate
+from carrychain import cli, simulate
 from carrychain.cli import main, run_verify_all
-from carrychain.combinat import TransitionMismatch
+from carrychain.eulerian import SWordExpansion
+from carrychain.matrix import amazing_matrix
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,19 @@ class TestIdempotents:
         assert code == 2
         assert "error" in err
 
+    def test_s_basis_terms_are_bounded_before_any_expansion(self, capsys, monkeypatch):
+        # n = 15 writes (15 + 1) 2^13 = 2^17 terms, the most admitted
+        built = []
+        monkeypatch.setattr(cli, "idempotent_s_expansion", lambda n, k: built.append(k) or SWordExpansion(n))
+        code, out, _ = run_cli(capsys, "idempotents", "--n", "15")
+        assert code == 0 and built == list(range(1, 16))
+        assert json.loads(out)["idempotents"] == {str(k): {} for k in range(1, 16)}
+        built.clear()
+        for n in ("16", str(10**20)):
+            code, out, err = run_cli(capsys, "idempotents", "--n", n)
+            assert (code, out, built) == (2, "", [])
+            assert err == f"error: idempotents: E[1..{n}] over S-words exceed the budget of 131072 terms\n"
+
 
 class TestDescentPoly:
     def test_payload(self, capsys):
@@ -185,14 +199,19 @@ class TestOracle:
         assert err == "error: transition oracle is limited to n <= 6, got 7\n"
 
     def test_a_mismatch_is_a_failed_verification(self, capsys, monkeypatch):
-        def mismatch(n, b):
-            raise TransitionMismatch(n, b, 1)
-
-        monkeypatch.setattr(oracle, "oracle_transition_matrix", mismatch)
+        monkeypatch.setattr(cli, "amazing_matrix", lambda n, b: amazing_matrix(n, b + 1))
         code, out, err = run_cli(capsys, "oracle", "transition", "--n", "3", "--b", "2")
         assert code == 1
         assert out == ""
         assert err == "verification failed: transition row mismatch at n=3, b=2, state 1\n"
+
+    def test_corrupt_closed_matrix_is_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(cli, "amazing_matrix", lambda n, b: amazing_matrix(n, b + 1))
+        (row,) = [suite for suite in cli.SUITES if suite.name == "oracle-transition"]
+        report = row.run(3)
+        # at n = 1 the one row is (1) for every base; from n = 2 on, state 1 differs
+        assert (report.ok, report.checked) == (False, 6)
+        assert report.failures == tuple(f"transition row mismatch at n={n}, b={b}, state 1" for n in (2, 3) for b in (2, 3))
 
 
 # each simulation is cheap to draw, but its exact matrix is over the
@@ -362,16 +381,20 @@ class TestUsage:
 
 
 # small sizes with the edge values 0 and negatives, plus sizes over every
-# oracle budget (b^n > 10^7, n > 6 for the transition and the idempotents)
+# oracle budget (b^n > 10^7, n > 6 for the transition and the idempotents);
+# for `verify all` the size is --max-n, past every row's cap at 30
 _ORACLE_SIZES = st.one_of(st.integers(-2, 7), st.just(30))
 _ORACLE_BASES = st.one_of(st.integers(-2, 4), st.just(10**8))
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["transition", "shuffles", "idempotents"]), _ORACLE_SIZES, _ORACLE_BASES)
+@example("verify", 0, 1)
+@given(st.sampled_from(["transition", "shuffles", "idempotents", "verify"]), _ORACLE_SIZES, _ORACLE_BASES)
 def test_oracle_commands_keep_the_contract(command, n, b):
     if command == "idempotents":
         argv = ["idempotents", "--n", str(n), "--basis", "group"]
+    elif command == "verify":
+        argv = ["verify", "all", "--max-n", str(n)]
     else:
         argv = ["oracle", command, "--n", str(n), "--b", str(b)]
     out, err = io.StringIO(), io.StringIO()
@@ -425,6 +448,7 @@ def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
         "foulkes": ["foulkes", *size, "--det"],
         "worpitzky": ["worpitzky", *size],
         "eigen": ["eigen", *size, "--b", str(b)],
+        "idempotents": ["idempotents", *size, "--basis", "s"],
     }[command]
 
 
@@ -442,8 +466,9 @@ def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
 @example("amazing-csv", 12, 2**3000, 1)
 @example("eigen", 12, 2**1000, 1)
 @example("descent-poly", 1, 10, 4300)  # one digit over the int->str limit
+@example("idempotents", 16, 1, 1)  # one size over the term budget, refused before any expansion
 @given(
-    st.sampled_from(["amazing", "amazing-csv", "descent-poly", "foulkes", "worpitzky", "eigen"]),
+    st.sampled_from(["amazing", "amazing-csv", "descent-poly", "foulkes", "worpitzky", "eigen", "idempotents"]),
     _CLOSED_SIZES,
     _CLOSED_BASES,
     _CLOSED_EXPONENTS,
@@ -456,6 +481,8 @@ def test_closed_form_commands_keep_the_contract(command, n, b, r):
     assert "Traceback" not in err.getvalue()
     text = out.getvalue()
     assert bool(text) == (code in (0, 1))
+    if command == "idempotents" and n > 15:
+        assert code == 2
     if not text:
         return
     assert text.endswith("\n")

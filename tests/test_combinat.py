@@ -129,6 +129,12 @@ class TestEulerianNumbers:
             for k in range(1, n + 1):
                 assert eulerian_number(n, k) == eulerian_number(n, n + 1 - k)
 
+    def test_a_deep_row_needs_no_recursion(self):
+        # a recursion once per n raised RecursionError here in a fresh process
+        row = eulerian_numbers(1500)
+        assert sum(row) == math.factorial(1500)
+        assert row == row[::-1]
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_enumeration(self, n):
         histogram = [0] * n

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrychain.combinat import Composition, all_permutations, binomial, eulerian_number
+from carrychain.combinat import Composition, all_permutations, binomial, compositions, eulerian_number
 from carrychain.eulerian import (
     EulerianElement,
     _worpitzky_numerators,
@@ -260,7 +261,28 @@ def _solve_exact(rows, rhs):
     return solution
 
 
+def _split_sum_expansion(n: int, k: int) -> dict:
+    """E[k] over S-words as the degree-n part of L^k / k!, where
+    L = sum_I (-1)^(len(I)-1)/len(I) S^I is the logarithm of the complete
+    series and words multiply by concatenation: the coefficient of S^I is a
+    sum over the ways to split I into k consecutive blocks."""
+    terms = {}
+    for comp in compositions(n):
+        total = Fraction(0)
+        for cuts in itertools.combinations(range(1, comp.length), k - 1):
+            bounds = (0, *cuts, comp.length)
+            total += math.prod(Fraction((-1) ** (b - a - 1), b - a) for a, b in zip(bounds, bounds[1:]))
+        if total:
+            terms[comp] = total / math.factorial(k)
+    return terms
+
+
 class TestIdempotentExpansion:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_split_sum(self, n):
+        for k in range(1, n + 1):
+            assert idempotent_s_expansion(n, k).terms == _split_sum_expansion(n, k)
+
     def test_first_of_degree_two(self):
         expansion = idempotent_s_expansion(2, 1)
         assert expansion.terms == {

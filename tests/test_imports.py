@@ -82,15 +82,16 @@ class TestImportGraph:
         assert _fresh_python(_PROBE, *argv) == {"code": 0, "loaded": loaded}
 
 
-def _import_time_modules(path: Path) -> set[str]:
-    """The carrychain submodules and top-level packages that the statements
-    of a source file run at import time import: every import outside a
-    function body (class bodies run at import time, so they count)."""
+def _imported_modules(path: Path, in_functions: bool = False) -> set[str]:
+    """The carrychain submodules and top-level packages that a source file
+    imports at import time: every import outside a function body (class
+    bodies run at import time, so they count).  With ``in_functions``, the
+    imports inside function bodies count too."""
     found = set()
     stack = list(ast.parse(path.read_text()).body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not in_functions and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -110,11 +111,19 @@ def _import_time_modules(path: Path) -> set[str]:
 class TestStaticImportGuard:
     @pytest.mark.parametrize("module", ["__init__", "cli", "combinat", "eulerian", "matrix"])
     def test_closed_form_modules_import_nothing_heavy_at_import_time(self, module):
-        assert not _import_time_modules(PACKAGE / f"{module}.py") & {"numpy", "oracle", "rng", "simulate"}
+        assert not _imported_modules(PACKAGE / f"{module}.py") & {"numpy", "oracle", "rng", "simulate"}
+
+    @pytest.mark.parametrize("module", ["oracle", "simulate"])
+    def test_the_twins_import_nothing_from_matrix(self, module):
+        # the brute-force and Monte-Carlo twins stay independent of the closed
+        # forms; ``cli`` makes every comparison between them
+        assert "matrix" not in _imported_modules(PACKAGE / f"{module}.py", in_functions=True)
 
     def test_the_guard_sees_the_imports_it_forbids(self):
-        assert {"numpy", "combinat"} <= _import_time_modules(PACKAGE / "oracle.py")
-        assert {"numpy", "rng"} <= _import_time_modules(PACKAGE / "simulate.py")
+        assert {"numpy", "combinat"} <= _imported_modules(PACKAGE / "oracle.py")
+        assert {"numpy", "rng"} <= _imported_modules(PACKAGE / "simulate.py")
+        assert "oracle" not in _imported_modules(PACKAGE / "cli.py")
+        assert {"matrix", "oracle"} <= _imported_modules(PACKAGE / "cli.py", in_functions=True)
 
 
 class TestLazyExports:

@@ -16,7 +16,6 @@ from carrychain.oracle import (
     GroupAlgebraElement,
     LumpingViolation,
     OracleBoundError,
-    TransitionMismatch,
     enumerate_b_shuffles,
     group_identity,
     group_product,
@@ -236,7 +235,7 @@ class TestOracleTransition:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("b", (2, 3))
     def test_equals_closed_formula(self, n, b):
-        # oracle_transition_matrix raises on lumping violations or mismatch
+        # oracle_transition_matrix raises on lumping violations only
         assert oracle_transition_matrix(n, b) == amazing_matrix(n, b).normalized()
 
     def test_bound(self):
@@ -246,19 +245,19 @@ class TestOracleTransition:
 
 class TestOracleDescentPolynomial:
     def test_two_cards_two_shuffle(self):
-        assert oracle_descent_polynomial(2, 2).coeffs == (3, 1)
+        assert oracle_descent_polynomial(2, 2) == (3, 1)
 
     def test_two_cards_four_shuffle(self):
-        assert oracle_descent_polynomial(2, 4).coeffs == (10, 6)
+        assert oracle_descent_polynomial(2, 4) == (10, 6)
 
     def test_single_card(self):
         for m in range(1, 6):
-            assert oracle_descent_polynomial(1, m).coeffs == (m,)
+            assert oracle_descent_polynomial(1, m) == (m,)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_closed_formula(self, n):
         for b, r in ((2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1), (8, 1)):
-            assert oracle_descent_polynomial(n, b**r).coeffs == descent_polynomial(n, b, r).coeffs
+            assert oracle_descent_polynomial(n, b**r) == descent_polynomial(n, b, r).coeffs
 
 
 # The kernels above read one cached S_n table per n; the tests below hold
@@ -376,9 +375,4 @@ class TestTableKernels:
         compose[:, 1] = compose[:, 0]  # (1,3,2) now acts as the identity
         monkeypatch.setattr(oracle, "_table", lambda n: table._replace(compose=compose))
         with pytest.raises(LumpingViolation):
-            oracle_transition_matrix(3, 2)
-
-    def test_corrupt_closed_matrix_is_a_mismatch(self, monkeypatch):
-        monkeypatch.setattr(oracle, "amazing_matrix", lambda n, b: amazing_matrix(n, b + 1))
-        with pytest.raises(TransitionMismatch):
             oracle_transition_matrix(3, 2)
