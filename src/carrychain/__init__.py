@@ -15,6 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "AmazingMatrix": "matrix",
     "BasisMatrix": "eulerian",
+    "BudgetError": "combinat",
     "ClosedFormBudgetError": "eulerian",
     "Composition": "combinat",
     "DescentPolynomial": "matrix",

@@ -27,6 +27,13 @@ IDEMPOTENT_MAX_N = 6
 TRANSITION_MAX_N = 6
 
 
+class BudgetError(ValueError):
+    """A request over one of the package's work or size budgets, refused
+    before the work starts.  ``ClosedFormBudgetError`` and
+    ``OracleBoundError`` are its kinds; the simulators and the CLI raise it
+    as it is."""
+
+
 class LumpingViolation(RuntimeError):
     """Two permutations in the same descent class produced different
     transition rows."""

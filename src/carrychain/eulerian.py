@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
 
-from .combinat import Composition, binomial, compositions
+from .combinat import BudgetError, Composition, binomial, compositions
 
 
 # Bigint work admitted for one closed-form table, in 64-bit word operations
@@ -59,7 +59,7 @@ from .combinat import Composition, binomial, compositions
 WORK_BUDGET = 2**28
 
 
-class ClosedFormBudgetError(ValueError):
+class ClosedFormBudgetError(BudgetError):
     """The estimated bigint work of a closed-form table exceeds WORK_BUDGET."""
 
 

@@ -8,11 +8,17 @@ comparison of an enumerated result with a closed form is made in ``cli``
 (the ``oracle`` commands and the rows of ``verify all``).  One lazily built
 table per n indexes that work without shortcutting it: S_n in lexicographic
 order as a small-int array, with descent counts, descent-set bitmasks and,
-for n <= 6, the composition table, built with numpy gathers and Lehmer-code
-ranks.  Bounds keep everything at desk scale (group-algebra work at n <= 8,
-exhaustive shuffle enumeration within a 10^7-word budget, drawn in blocks of
-bounded size, and at most 2^17 distinct outcomes, bounded up front by
-min(b^n, n!)).
+for n <= 6, a lookup from the mixed-radix key of a permutation's images to
+its rank and the composition table, whose every pair is composed and ranked
+through that lookup.  The kernels work on whole table rows: a product reads
+its right factor, as one dense vector, along the row of p^{-1} for each term
+p of its left factor, so every pair of terms is still composed, in int64
+under an up-front bound on the sums and in exact Python ints above it; an
+S-word expansion adds each coefficient over a descent-set mask; and each
+block of shuffle words is compared pair of positions by pair of positions.  Bounds keep everything at desk scale (group-algebra work at
+n <= 8, exhaustive shuffle enumeration within a 10^7-word budget, drawn in
+blocks of bounded size, and at most 2^17 distinct outcomes, bounded up front
+by min(b^n, n!)).
 
 Orientation conventions:
 
@@ -44,6 +50,7 @@ import numpy as np
 from .combinat import (
     IDEMPOTENT_MAX_N,
     TRANSITION_MAX_N,
+    BudgetError,
     Composition,
     LumpingViolation,
     Permutation,
@@ -64,7 +71,7 @@ _TABLE_MAX_N = 6
 _BLOCK_VALUES = 1 << 15  # cap the values held by one block of a numpy kernel
 
 
-class OracleBoundError(ValueError):
+class OracleBoundError(BudgetError):
     """Requested size exceeds the brute-force budget."""
 
 
@@ -74,16 +81,31 @@ class _SnTable(NamedTuple):
     images: np.ndarray  # (n!, n) int8, one-line notation, 1-based
     descents: np.ndarray  # (n!,) descent counts
     masks: np.ndarray  # (n!,) descent sets, position i as bit i-1
+    lookup: np.ndarray | None  # (n^n,) int16, ``_key`` of a permutation -> its rank; n <= 6
     compose: np.ndarray | None  # [i, j] = rank of images[i] after images[j]; n <= 6
+    perms: tuple[Permutation, ...] | None  # the rows as Permutation objects, built once; n <= 6
 
 
-def _rank(images: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each permutation row, by its Lehmer code."""
-    n = images.shape[-1]
-    rank = np.zeros(images.shape[:-1], dtype=np.int64)
-    for i in range(n):
-        rank = rank * (n - i) + (images[..., i + 1 :] < images[..., i : i + 1]).sum(axis=-1)
-    return rank
+def _images(perms, n: int) -> np.ndarray:
+    """The one-line images of ``perms`` as one (len(perms), n) array."""
+    images = [p.images for p in perms]
+    return np.array(images, dtype=np.int64).reshape(len(images), n)
+
+
+def _descent_counts(images: np.ndarray) -> np.ndarray:
+    """The descent count of each row of a one-line image array."""
+    return (images[:, :-1] > images[:, 1:]).sum(axis=1)
+
+
+def _key(columns, n: int, shape) -> np.ndarray:
+    """The mixed-radix key sum_s c_s n^(n-1-s) of the 0-based image columns
+    c_0, ..., c_{n-1}, accumulated column by column in int32 (n^n fits for
+    n <= 6).  Keys order permutations lexicographically."""
+    key = np.zeros(shape, dtype=np.int32)
+    for column in columns:
+        key *= n
+        key += column
+    return key
 
 
 @lru_cache(maxsize=None)
@@ -94,26 +116,55 @@ def _table(n: int) -> _SnTable:
     images = np.array(perms, dtype=np.int8).reshape(len(perms), n)
     falls = images[:, :-1] > images[:, 1:]
     masks = (falls.astype(np.int64) << np.arange(n - 1)).sum(axis=1)
-    compose = None
+    lookup = compose = table_perms = None
     if n <= _TABLE_MAX_N:
+        table_perms = tuple(map(Permutation, perms))
+        zero_based = images - 1
+        lookup = np.full(n**n, -1, dtype=np.int16)
+        lookup[_key(zero_based.T, n, len(perms))] = np.arange(len(perms))
+        # a block of rows i composes p_i with every q_j at once: column s of
+        # its keys gathers p_i(q_j(s)) - 1 from the rows
         compose = np.empty((len(perms), len(perms)), dtype=np.int16)
         rows = max(1, _BLOCK_VALUES // len(perms))
         for start in range(0, len(perms), rows):
-            compose[start : start + rows] = _rank(images[start : start + rows][:, images - 1])
-    return _SnTable(images, falls.sum(axis=1), masks, compose)
+            block = zero_based[start : start + rows]
+            columns = (block[:, column] for column in zero_based.T)
+            compose[start : start + rows] = lookup[_key(columns, n, (len(block), len(perms)))]
+    return _SnTable(images, falls.sum(axis=1), masks, lookup, compose, table_perms)
 
 
-def _ranks(n: int, images: list[tuple[int, ...]]) -> list[int]:
-    return _rank(np.array(images, dtype=np.int8).reshape(len(images), n)).tolist()
+def _ranks(table: _SnTable, perms) -> np.ndarray:
+    """The ranks of ``perms`` in ``table`` (n <= 6), read from its lookup."""
+    n = table.images.shape[1]
+    zero_based = _images(perms, n) - 1
+    return table.lookup[_key(zero_based.T, n, len(zero_based))]
 
 
-def _descent_filter(comp: Composition, exact: bool = False) -> list[tuple[int, ...]]:
-    """Lexicographic images of the permutations whose descent set lies in
-    the cut set of ``comp``, or equals it if ``exact``."""
-    table = _table(comp.weight)
+def _element(n: int, acc: np.ndarray, denom: int = 1) -> "GroupAlgebraElement":
+    """The element with coefficient acc[t] / denom on the t-th permutation of
+    S_n (lexicographic order).  Above n = 6 only the permutations it holds
+    are built, not all n! of them."""
+    table = _table(n)
+    hit = np.flatnonzero(acc)
+    if table.perms is not None:
+        perms = [table.perms[t] for t in hit.tolist()]
+    else:
+        perms = [Permutation(tuple(row)) for row in table.images[hit].tolist()]
+    return GroupAlgebraElement(n, {p: Fraction(c, denom) for p, c in zip(perms, acc[hit].tolist())})
+
+
+def _accumulator(size: int, bound: int) -> np.ndarray:
+    """Zeros to sum integers into: int64 when every partial sum stays below
+    ``bound`` < 2^63, exact Python ints (dtype object) otherwise."""
+    return np.zeros(size, dtype=np.int64 if bound < 2**63 else object)
+
+
+def _descent_filter(comp: Composition, exact: bool = False) -> np.ndarray:
+    """Which rows of ``_table(comp.weight)`` have their descent set in the
+    cut set of ``comp``, or equal to it if ``exact``."""
+    masks = _table(comp.weight).masks
     cut = sum(1 << (i - 1) for i in comp.descent_set())
-    hit = table.masks == cut if exact else (table.masks & ~cut) == 0
-    return list(map(tuple, table.images[hit].tolist()))
+    return masks == cut if exact else (masks & ~cut) == 0
 
 
 @dataclass(frozen=True)
@@ -128,7 +179,8 @@ class GroupAlgebraElement:
         for perm, coeff in self.terms.items():
             if perm.n != self.n:
                 raise ValueError(f"term {perm} lives in S_{perm.n}, expected S_{self.n}")
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
             if coeff != 0:
                 cleaned[perm] = coeff
         object.__setattr__(self, "terms", cleaned)
@@ -181,28 +233,37 @@ def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebr
     n = u.n
     if n > GROUP_ALGEBRA_MAX_N:
         raise OracleBoundError(f"group products are limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
-    du, u_items = _scaled_integers({p.images: c for p, c in u.terms.items()})
-    dv, v_items = _scaled_integers({p.images: c for p, c in v.terms.items()})
+    if u.is_zero() or v.is_zero():
+        return GroupAlgebraElement(n)
+    du, u_items = _scaled_integers(u.terms)
+    dv, v_items = _scaled_integers(v.terms)
     denom = du * dv
-    if n <= _TABLE_MAX_N:
-        table = _table(n)
-        ranks = _ranks(n, [images for images, _ in u_items + v_items])
-        v_idx = list(zip(ranks[len(u_items) :], [b for _, b in v_items]))
-        acc = [0] * len(table.images)
-        for i, (_, a) in zip(ranks, u_items):
-            row = table.compose[i].tolist()
-            for j, b in v_idx:
-                acc[row[j]] += a * b
-        perms = table.images.tolist()
-        terms = {Permutation(tuple(perms[t])): Fraction(c, denom) for t, c in enumerate(acc) if c}
-    else:
+    if n > _TABLE_MAX_N:
         raw: dict[tuple[int, ...], int] = {}
         for p, a in u_items:
             for q, b in v_items:
-                key = tuple(p[s - 1] for s in q)
+                key = tuple(p.images[s - 1] for s in q.images)
                 raw[key] = raw.get(key, 0) + a * b
-        terms = {Permutation(images): Fraction(c, denom) for images, c in raw.items() if c}
-    return GroupAlgebraElement(n, terms)
+        return GroupAlgebraElement(n, {Permutation(images): Fraction(c, denom) for images, c in raw.items() if c})
+    # The terms b q_j of v sit in one dense vector over S_n.  p_i q_j = p_t
+    # exactly when q_j = p_i^{-1} p_t, and row p_i^{-1} of the table names that
+    # j for every t, so it gathers from v the coefficient that each pair with
+    # p_i puts on p_t.  A block of terms a p_i of u adds its gathered rows
+    # weighted by a, as one matrix product.  Every partial sum is at most
+    # max|a| * max|b| * len(u) in size.
+    table = _table(n)
+    size = len(table.images)
+    bound = max(abs(a) for _, a in u_items) * max(abs(b) for _, b in v_items) * len(u_items)
+    dense = _accumulator(size, bound)
+    dense[_ranks(table, [q for q, _ in v_items])] = [b for _, b in v_items]
+    ranks = _ranks(table, [p for p, _ in u_items])
+    coeffs = np.array([a for _, a in u_items], dtype=dense.dtype)
+    acc = _accumulator(size, bound)
+    rows = max(1, _BLOCK_VALUES // size)
+    for start in range(0, len(ranks), rows):
+        inverses = table.compose[ranks[start : start + rows]].argmin(axis=1)  # p_i q = identity, rank 0
+        acc += coeffs[start : start + rows] @ dense[table.compose[inverses]]
+    return _element(n, acc, denom)
 
 
 def ribbon_sum(comp: Composition) -> GroupAlgebraElement:
@@ -211,7 +272,7 @@ def ribbon_sum(comp: Composition) -> GroupAlgebraElement:
     n = comp.weight
     if n > GROUP_ALGEBRA_MAX_N:
         raise OracleBoundError(f"ribbon sums are limited to weight <= {GROUP_ALGEBRA_MAX_N}, got {n}")
-    return GroupAlgebraElement(n, dict.fromkeys(map(Permutation, _descent_filter(comp, exact=True)), 1))
+    return _element(n, _descent_filter(comp, exact=True).astype(np.int64))
 
 
 def s_word_to_group(comp: Composition) -> GroupAlgebraElement:
@@ -221,18 +282,18 @@ def s_word_to_group(comp: Composition) -> GroupAlgebraElement:
     n = comp.weight
     if n > GROUP_ALGEBRA_MAX_N:
         raise OracleBoundError(f"S-words are limited to weight <= {GROUP_ALGEBRA_MAX_N}, got {n}")
-    return GroupAlgebraElement(n, dict.fromkeys(map(Permutation, _descent_filter(comp)), 1))
+    return _element(n, _descent_filter(comp).astype(np.int64))
 
 
 def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
     """Push an S-word expansion through ``s_word_to_group`` linearly."""
     n = expansion.n
     denom, items = _scaled_integers(expansion.terms)
-    acc: dict[tuple[int, ...], int] = {}
+    # a permutation collects at most every coefficient once
+    acc = _accumulator(len(_table(n).images), max((abs(c) for _, c in items), default=0) * len(items))
     for comp, coeff in items:
-        for images in _descent_filter(comp):
-            acc[images] = acc.get(images, 0) + coeff
-    return GroupAlgebraElement(n, {Permutation(im): Fraction(c, denom) for im, c in acc.items() if c})
+        acc[_descent_filter(comp)] += coeff
+    return _element(n, acc, denom)
 
 
 def idempotent_group(n: int, k: int) -> GroupAlgebraElement:
@@ -253,7 +314,11 @@ class ShuffleMultiset:
     def __post_init__(self) -> None:
         if sum(self.multiplicity.values()) != self.b**self.n:
             raise ValueError(f"multiplicities must account for all {self.b}^{self.n} words")
-        if any(p.inverse().descent_count() > self.b - 1 for p in self.multiplicity):
+        # sigma^{-1} has a descent at i when the value i + 1 comes before i in sigma
+        images = _images(self.multiplicity, self.n)
+        inverse = np.empty_like(images)
+        np.put_along_axis(inverse, images - 1, np.arange(self.n), axis=1)
+        if (_descent_counts(inverse) > self.b - 1).any():
             raise ValueError("support must lie in the inverses of low-descent permutations")
 
     def total(self) -> int:
@@ -276,21 +341,46 @@ def enumerate_b_shuffles(n: int, b: int) -> ShuffleMultiset:
         raise OracleBoundError(f"enumeration budget exceeded: {b}^{n} > {ENUMERATION_BUDGET}")
     if b**n > OUTCOME_BUDGET and factorial(n) > OUTCOME_BUDGET:
         raise OracleBoundError(f"outcome budget exceeded: min({b}^{n}, {n}!) > {OUTCOME_BUDGET}")
+    if b == 1:  # the one word 0...0, whose stable sort moves no card: n^2 compares would be waste
+        return ShuffleMultiset(n, b, {Permutation.identity(n): 1})
     # word k of itertools.product(range(b), repeat=n) holds k // b^(n-1-s) % b at
     # position s; outcomes merge in the order the words first reach them
     place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
     step = max(1, _BLOCK_VALUES // n)
     counts: dict[tuple[int, ...], int] = {}
     for start in range(0, b**n, step):
-        words = np.arange(start, min(start + step, b**n), dtype=np.int64)[:, None] // place % b
-        tau = np.argsort(words, axis=1, kind="stable")
-        outcomes = np.argsort(tau, axis=1) + 1
-        keys = outcomes.view(np.dtype((np.void, outcomes.itemsize * n)))[:, 0]
-        _, first, mult = np.unique(keys, return_index=True, return_counts=True)
+        digits = np.arange(start, min(start + step, b**n), dtype=np.int64) // place[:, None] % b
+        rank, positions = _outcome_block(digits)
+        _, first, mult = np.unique(rank, return_index=True, return_counts=True)
         order = np.argsort(first)
-        for outcome, m in zip(map(tuple, outcomes[first[order]].tolist()), mult[order].tolist()):
+        outcomes = positions[:, first[order]].T + 1
+        for outcome, m in zip(map(tuple, outcomes.tolist()), mult[order].tolist()):
             counts[outcome] = counts.get(outcome, 0) + m
     return ShuffleMultiset(n, b, {Permutation(images): m for images, m in counts.items()})
+
+
+def _outcome_block(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes of a block of words, held draw-major: ``digits[s]`` is the
+    digit at position s of every word.  Each pair of positions p < q is
+    compared once; p sorts before q when its digit is no larger.  So the
+    Lehmer code of sigma_w at p counts the later positions that sort before
+    p, sigma_w(p) - 1 adds the earlier ones that sort before p, and the
+    lexicographic rank of sigma_w is the Lehmer code read in the factorial
+    base, below n! < 2^63 since b >= 2 admits n <= 17.  Returns the (words,)
+    int64 ranks and the (n, words) int8 positions sigma_w - 1."""
+    n, words = digits.shape
+    lehmer = np.zeros((n, words), dtype=np.int8)
+    earlier = np.zeros((n, words), dtype=np.int8)
+    for p in range(n - 1):
+        before = digits[p] <= digits[p + 1 :]
+        lehmer[p] = n - 1 - p - before.sum(axis=0)
+        earlier[p + 1 :] += before
+    rank = np.zeros(words, dtype=np.int64)
+    for p in range(n):
+        rank *= n - p
+        rank += lehmer[p]
+    earlier += lehmer
+    return rank, earlier
 
 
 def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -305,7 +395,7 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]
         raise OracleBoundError(f"transition oracle is limited to n <= {TRANSITION_MAX_N}, got {n}")
     shuffles = enumerate_b_shuffles(n, b)
     table = _table(n)
-    outcomes = _ranks(n, [p.images for p in shuffles.multiplicity])
+    outcomes = _ranks(table, shuffles.multiplicity).tolist()
     # tally[sigma, d] sums the multiplicities of the outcomes w with d(w * sigma) = d
     tally = np.zeros((len(table.images), n), dtype=np.int64)
     every = np.arange(len(table.images))
@@ -316,7 +406,7 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]
         if rows[d] is None:
             rows[d] = row
         elif rows[d] != row:
-            raise LumpingViolation(n, b, d + 1, Permutation(tuple(table.images[sigma].tolist())))
+            raise LumpingViolation(n, b, d + 1, table.perms[sigma])
     return tuple(tuple(Fraction(c, b**n) for c in row) for row in rows if row is not None)
 
 
@@ -325,10 +415,9 @@ def oracle_descent_polynomial(n: int, m: int) -> tuple[int, ...]:
     the words whose outcome has d descents.  The enumeration-side twin of the
     coefficients of the closed-formula polynomial."""
     shuffles = enumerate_b_shuffles(n, m)
-    coeffs = [0] * n
-    for perm, mult in shuffles.multiplicity.items():
-        coeffs[perm.descent_count()] += mult
-    return tuple(coeffs)
+    coeffs = np.zeros(n, dtype=np.int64)
+    np.add.at(coeffs, _descent_counts(_images(shuffles.multiplicity, n)), list(shuffles.multiplicity.values()))
+    return tuple(coeffs.tolist())
 
 
 def shuffle_element_from_basis(n: int, b: int) -> GroupAlgebraElement:

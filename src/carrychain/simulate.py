@@ -49,6 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .combinat import BudgetError
 from .rng import MAX_BASE, check_seed, digit_block, stream_block
 
 DRAW_BUDGET = 2**32  # random draws one call may ask for, about 40 s of drawing
@@ -110,9 +111,9 @@ class EmpiricalMatrix:
 
 def _check_size(n: int, draws: int) -> None:
     if draws > DRAW_BUDGET:
-        raise ValueError(f"the simulation needs {draws} random draws, over the budget of {DRAW_BUDGET}")
+        raise BudgetError(f"the simulation needs {draws} random draws, over the budget of {DRAW_BUDGET}")
     if n * n > TALLY_CELLS:
-        raise ValueError(f"the ({n}, {n}) transition tally has {n * n} cells, over the bound of {TALLY_CELLS}")
+        raise BudgetError(f"the ({n}, {n}) transition tally has {n * n} cells, over the bound of {TALLY_CELLS}")
 
 
 def simulate_shuffle_chain(

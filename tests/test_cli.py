@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -135,6 +136,28 @@ class TestIdempotents:
             code, out, err = run_cli(capsys, "idempotents", "--n", n)
             assert (code, out, built) == (2, "", [])
             assert err == f"error: idempotents: E[1..{n}] over S-words exceed the budget of 131072 terms\n"
+
+
+class TestBudgets:
+    def test_every_refusal_is_a_budget_error(self):
+        from carrychain import oracle
+        from carrychain.combinat import BudgetError
+        from carrychain.eulerian import ClosedFormBudgetError
+
+        config = simulate.SimulationConfig(trials=1, seed=1)
+        many = dataclasses.replace(config, trials=2**31)
+        refusals = [
+            (ClosedFormBudgetError, lambda: amazing_matrix(100_000, 2)),  # WORK_BUDGET
+            (oracle.OracleBoundError, lambda: oracle.enumerate_b_shuffles(30, 2)),  # ENUMERATION_BUDGET
+            (oracle.OracleBoundError, lambda: oracle.enumerate_b_shuffles(23, 2)),  # OUTCOME_BUDGET
+            (BudgetError, lambda: simulate.simulate_shuffle_chain(3, 2, many)),  # DRAW_BUDGET
+            (BudgetError, lambda: simulate.simulate_carries(1025, 2, digits=1, cfg=config)),  # TALLY_CELLS
+            (BudgetError, lambda: cli._cmd_idempotents(argparse.Namespace(n=16, basis="s"))),  # IDEMPOTENT_TERMS
+        ]
+        for kind, refused in refusals:
+            with pytest.raises(BudgetError) as caught:
+                refused()
+            assert type(caught.value) is kind and isinstance(caught.value, ValueError)
 
 
 class TestDescentPoly:

@@ -129,8 +129,9 @@ class TestStaticImportGuard:
 class TestLazyExports:
     def test_all_keeps_its_names_and_order(self):
         assert carrychain.__all__ == [
-            "AmazingMatrix", "BasisMatrix", "ClosedFormBudgetError", "Composition", "DescentPolynomial",
-            "EmpiricalMatrix", "EulerianElement", "GroupAlgebraElement", "LumpingViolation", "OracleBoundError",
+            "AmazingMatrix", "BasisMatrix", "BudgetError", "ClosedFormBudgetError", "Composition",
+            "DescentPolynomial", "EmpiricalMatrix", "EulerianElement", "GroupAlgebraElement", "LumpingViolation",
+            "OracleBoundError",
             "Permutation", "Report", "ShuffleMultiset", "SimulationConfig", "SWordExpansion",
             "TransitionMismatch", "all_permutations", "amazing_entry", "amazing_matrix", "binomial",
             "class_element", "compositions", "descent_polynomial", "enumerate_b_shuffles", "eulerian_number",

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 from carrychain import oracle
 from carrychain.combinat import Composition, Permutation, all_permutations, compositions
+from carrychain.eulerian import SWordExpansion
 from carrychain.matrix import amazing_matrix, descent_polynomial
 from carrychain.oracle import (
     GroupAlgebraElement,
     LumpingViolation,
+    ShuffleMultiset,
     OracleBoundError,
     enumerate_b_shuffles,
+    expansion_to_group,
     group_identity,
     group_product,
     idempotent_group,
@@ -161,6 +164,22 @@ class TestEnumerateShuffles:
         for b in range(1, 6):
             assert enumerate_b_shuffles(1, b).multiplicity == {perm(1): b}
 
+    def test_one_packet_keeps_a_large_deck(self, monkeypatch):
+        # b = 1 admits any n: its one word must not cost n^2 pair compares
+        def no_pairs(digits):
+            raise AssertionError("pairs compared")
+
+        monkeypatch.setattr(oracle, "_outcome_block", no_pairs)
+        assert enumerate_b_shuffles(10**5, 1).multiplicity == {Permutation.identity(10**5): 1}
+
+    def test_an_outcome_outside_the_support_is_refused(self):
+        # (2,4,1,3) has an inverse with two descents: no 2-shuffle reaches it
+        ShuffleMultiset(4, 2, {Permutation.identity(4): 15, perm(3, 1, 4, 2): 1})
+        with pytest.raises(ValueError, match="support"):
+            ShuffleMultiset(4, 2, {Permutation.identity(4): 15, perm(2, 4, 1, 3): 1})
+        with pytest.raises(ValueError, match="all 2\\^4 words"):
+            ShuffleMultiset(4, 2, {Permutation.identity(4): 15})
+
     def test_total_is_word_count(self):
         for n in range(1, 6):
             for b in range(1, 5):
@@ -276,6 +295,7 @@ class TestSnTable:
         assert perms == list(all_permutations(n))
         assert table.descents.tolist() == [p.descent_count() for p in perms]
         assert table.masks.tolist() == [sum(1 << (i - 1) for i in p.descent_set()) for p in perms]
+        assert table.perms is None if n > 6 else table.perms == tuple(perms)
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_compose_every_pair(self, n):
@@ -284,15 +304,15 @@ class TestSnTable:
             for j, q in enumerate(perms):
                 assert perms[compose[i, j]] == p * q
 
-    def test_compose_seeded_pairs_degree_six(self):
-        compose, perms = oracle._table(6).compose, _table_perms(6)
-        rng = random.Random(6)
-        for _ in range(2000):
-            i, j = rng.randrange(720), rng.randrange(720)
-            assert perms[compose[i, j]] == perms[i] * perms[j]
+    def test_compose_every_pair_degree_six(self):
+        # all 518,400 pairs against a gather: row i, column j holds images[i][images[j] - 1]
+        table = oracle._table(6)
+        images = table.images.astype(np.int64)
+        assert np.array_equal(images[table.compose], images[:, images - 1])
 
     def test_no_compose_table_past_six(self):
-        assert oracle._table(7).compose is None
+        table = oracle._table(7)
+        assert table.compose is None and table.lookup is None and table.perms is None
 
     def test_bound(self):
         with pytest.raises(OracleBoundError):
@@ -368,6 +388,42 @@ class TestTableKernels:
         for e in idems:
             for f in idems:
                 assert group_product(e, f).terms == _convolve(e, f)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (2**31, (2**63 - 1) // (6 * 2**31)),  # the bound 6 * 2^31 * b just holds: int64
+            (2**62, 1),  # over it: each product fits int64, the sums of six do not
+            (Fraction(2**62 - 1, 3), Fraction(-1, 5)),  # each factor over its own denominator
+        ],
+    )
+    def test_products_near_the_int64_bound_are_exact(self, a, b):
+        # each permutation collects one pair per term of the left factor, six in all
+        n = 3
+        u = GroupAlgebraElement(n, {p: a if p.descent_count() else -a for p in all_permutations(n)})
+        v = GroupAlgebraElement(n, {p: b for p in all_permutations(n)})
+        for x, y in ((u, v), (v, u), (u, u)):
+            assert group_product(x, y).terms == _convolve(x, y)
+
+    @pytest.mark.parametrize("n", (3, 7))
+    def test_a_zero_factor_gives_zero(self, n):
+        u = GroupAlgebraElement(n, {Permutation.identity(n): Fraction(2**70)})
+        assert group_product(GroupAlgebraElement(n), u).is_zero()
+        assert group_product(u, GroupAlgebraElement(n)).is_zero()
+
+    def test_degree_seven_has_no_table(self):
+        rng = random.Random(7)
+        perms = list(itertools.islice(all_permutations(7), 0, 5040, 97))
+        u = GroupAlgebraElement(7, {p: Fraction(rng.randint(-2**62, 2**62), rng.randint(1, 9)) for p in perms[:20]})
+        v = GroupAlgebraElement(7, {p: Fraction(rng.randint(-9, 9), 4) for p in perms[20:]})
+        assert group_product(u, v).terms == _convolve(u, v)
+
+    def test_expansion_near_the_int64_bound_is_exact(self):
+        # the identity lies in every S-word, so it collects both coefficients, 2^63 in all
+        top, finest = Composition((3,)), Composition((1, 1, 1))
+        element = expansion_to_group(SWordExpansion(3, {top: Fraction(2**62), finest: Fraction(2**62)}))
+        expected = s_word_to_group(top).scale(2**62) + s_word_to_group(finest).scale(2**62)
+        assert element == expected and element.coefficient(Permutation.identity(3)) == 2**63
 
     def test_corrupt_table_breaks_lumping(self, monkeypatch):
         table = oracle._table(3)
