@@ -46,6 +46,7 @@ from .combinat import (
     superfactorial,
 )
 from .eulerian import (
+    IDEMPOTENT_TERMS,
     foulkes_matrix,
     idempotent_s_expansion,
     internal_product,
@@ -54,6 +55,7 @@ from .eulerian import (
 )
 from .matrix import (
     Report,
+    _check_determinant,
     amazing_entry,
     amazing_matrix,
     descent_polynomial,
@@ -150,10 +152,12 @@ def _cmd_amazing(args) -> int:
 
 
 def _cmd_foulkes(args) -> int:
+    if args.det:  # the determinant's budget is the tighter one; refuse before F is built
+        _check_determinant(args.n)
     F = foulkes_matrix(args.n)
     payload: dict = {"matrix": _matrix_payload(F.entries)}
     if args.det:
-        payload["determinant"] = str(foulkes_determinant(args.n))
+        payload["determinant"] = str(foulkes_determinant(args.n, F))
     _emit("foulkes", {"n": args.n}, payload)
     return 0
 
@@ -168,13 +172,6 @@ def _cmd_eigen(args) -> int:
     report = verify_spectrum(args.n, args.b)
     _emit("eigen", {"n": args.n, "b": args.b}, {"report": _report_payload(report)})
     return 0 if report.ok else 1
-
-
-# Terms of E[1..n] over S-words, (n + 1) 2^(n-2), that `idempotents` writes.
-# 2^17 admits n = 15 (4.9 MB of JSON), which takes 1.9 s and 67 MiB RSS on a
-# 2-vCPU x86-64 host with Python 3.11; n = 16 (278,528 terms, 10.7 MB) took
-# 5.0 s and 128 MiB.
-IDEMPOTENT_TERMS = 2**17
 
 
 def _cmd_idempotents(args) -> int:

@@ -23,8 +23,8 @@ and right eigenvector tables of the shuffle/carries transition matrix:
 ``F W = I`` exactly, and det F is the superfactorial.  Row i of F is the
 x^1..x^n part of (1 - x)^(n+1) sum_k k^i x^k; ``_numerator`` applies that
 factor as n+1 difference passes, and the transition matrix of ``matrix``
-uses the same kernel on binomials.  The rows of n! W follow one from the
-next by one multiplication and one exact division by a linear factor.
+uses the same kernel on columns of binomials.  The rows of n! W follow one
+from the next by one multiplication and one exact division by a linear factor.
 Tables whose estimated bigint work exceeds ``WORK_BUDGET`` are refused
 before any of it is done, with ``ClosedFormBudgetError``.
 
@@ -46,11 +46,11 @@ from .combinat import BudgetError, Composition, binomial, compositions
 # Bigint work admitted for one closed-form table, in 64-bit word operations
 # as ``_work`` counts them, chosen from measured time on a 2-vCPU x86-64 host
 # with Python 3.11.  The largest transition matrix admitted at b = 2,
-# amazing_matrix(281, 2) (work 2.66e8), takes 1.6 s, and 2.1 s as
+# amazing_matrix(281, 2) (work 2.66e8), takes 0.04 s, and 0.12 s as
 # `carrychain amazing`; the other tables stop at foulkes_matrix(200) and
 # worpitzky_matrix(214) (0.7 s), and the matrix products of the checks at
-# verify_spectrum(118, 2) (0.7 s) and verify_multiplicativity(176, 2, 2)
-# (1.5 s).  Bases of 256 bits and more take the spectral path of ``matrix``,
+# verify_spectrum(118, 2) (0.6 s) and verify_multiplicativity(176, 2, 2)
+# (0.5 s).  Bases of 256 bits and more take the spectral path of ``matrix``,
 # which counts less work: amazing_matrix(32, 2^2048), 5.8e8 on the row
 # kernel, counts 4.6e7 (0.1 s), and the largest admitted at that base,
 # amazing_matrix(46, 2^2048) (2.65e8), takes 0.4 s.  The largest
@@ -85,14 +85,14 @@ def _check_budget(what: str, work: int) -> None:
         raise ClosedFormBudgetError(f"{what}: estimated work 2^{math.log2(work):.1f} exceeds the budget 2^{budget:g}")
 
 
-def _numerator(values: list[int]) -> list[int]:
-    """Coefficients of x^0..x^d in (1 - x)^(d+1) sum_k v_k x^k, for the
-    d + 1 values v_0..v_d: d + 1 backward-difference passes.
+def _numerator(values: list[int], passes: int) -> list[int]:
+    """Coefficients of x^0..x^d in (1 - x)^passes sum_k v_k x^k, for the
+    d + 1 values v_0..v_d: ``passes`` backward-difference passes.
 
-    This is the one kernel behind both closed-form tables: fed the
-    binomials C(mk + n - i, n) it gives row i of the transition matrix
-    P(n, m), fed the powers k^i row i of the Foulkes matrix."""
-    for _ in range(len(values)):
+    The one kernel behind both closed-form tables: fed a column C(mq + s, n)
+    it gives the rows i of the transition matrix P(n, m) with
+    (n - i) mod m = s, fed the powers k^i row i of the Foulkes matrix."""
+    for _ in range(passes):
         values = [values[0], *map(sub, values[1:], values)]
     return values
 
@@ -279,7 +279,7 @@ def _foulkes_numerators(n: int) -> list[list[int]]:
     ks = range(n + 1)
     powers, rows = list(ks), []
     for _ in range(n):
-        rows.append(_numerator(powers)[1:])
+        rows.append(_numerator(powers, n + 1)[1:])
         powers = list(map(mul, powers, ks))
     return rows
 
@@ -331,6 +331,13 @@ class SWordExpansion:
         return sorted(self.terms.items(), key=lambda item: item[0].parts)
 
 
+# Terms over S-words admitted in E[k], 2^(n-1) (up to n = 18), and in E[1..n],
+# (n + 1) 2^(n-2), as `idempotents` writes.  2^17 admits n = 15 (4.9 MB of
+# JSON) there, which takes 1.9 s and 67 MiB RSS on a 2-vCPU x86-64 host with
+# Python 3.11; n = 16 (278,528 terms, 10.7 MB) took 5.0 s and 128 MiB.
+IDEMPOTENT_TERMS = 2**17
+
+
 def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:
     """Expansion of the idempotent E[k] over S-words.
 
@@ -341,6 +348,8 @@ def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:
     """
     if not 1 <= k <= n:
         raise ValueError(f"idempotent index must lie in 1..{n}, got {k}")
+    if 2 ** min(n - 1, 64) > IDEMPOTENT_TERMS:  # before any composition is built
+        raise BudgetError(f"idempotent_s_expansion: 2^{n - 1} S-words exceed the budget of {IDEMPOTENT_TERMS} terms")
     row, coeffs = [1], []  # row holds s(m, 0..m), the x^j coefficients of x(x-1)...(x-m+1)
     for m in range(n + 1):
         coeffs.append(Fraction(row[k] if k <= m else 0, math.factorial(m)))

@@ -12,10 +12,12 @@ dividing by b^n gives an exact stochastic matrix.
 The rows are built on one of two paths, chosen by the bit length of b
 against ``_SPECTRAL_MIN_BITS`` (256):
 
-- the row kernel, for small b: row i is the integer kernel
-  ``eulerian._numerator``, which the Foulkes table shares, applied to n+1
-  binomials: the coefficients of x^1..x^n in
-  (1 - x)^(n+1) sum_k C(bk + n - i, n) x^k, by n+1 difference passes;
+- the row kernel, for small b: P(i, j) = g(bj + n - i) for
+  g = (1 - S^b)^(n+1) C(., n), where 1 - S^b, S^b the shift down by b, is a
+  first difference along each residue class mod b.  ``eulerian._numerator``,
+  shared with the Foulkes table, makes n+1 passes over each column
+  C(bq + s, n), q >= 0, and row i is the slice of column s = (n - i) mod b
+  from q0 = (n - i) // b;
 - the spectral path, for wide b: the factorization
   n! P = (n! W) diag(b, b^2, ..., b^n) F, with the integer tables n! W and F
   of ``eulerian``, the powers of b built once, and every entry divided
@@ -48,7 +50,7 @@ from fractions import Fraction
 from operator import mul
 
 from .combinat import binomial, eulerian_numbers
-from .eulerian import _check_budget, _check_work, _foulkes_numerators, _numerator, _work, _worpitzky_numerators
+from .eulerian import BasisMatrix, _check_budget, _check_work, _foulkes_numerators, _numerator, _work, _worpitzky_numerators
 
 
 # Bit length of m from which amazing_matrix and descent_polynomial build P(n, m)
@@ -64,25 +66,24 @@ from .eulerian import _check_budget, _check_work, _foulkes_numerators, _numerato
 #       256          1.35   2.37   2.22   2.35
 #
 # At n <= 4 the spectral path's two small tables make it about 0.03 ms
-# slower at any size up to 256 bits.
+# slower at any size up to 256 bits.  Measured at m >= n, where no two rows
+# of the kernel share a binomial column, as they do at small m.
 _SPECTRAL_MIN_BITS = 256
 
 
-def _row(n: int, m: int, i: int) -> list[int]:
-    """Coefficients of x^0..x^n in (1 - x)^(n+1) sum_k C(mk + n - i, n) x^k:
-    entries 1..n are row i of P(n, m), entry 0 is C(n - i, n)."""
-    return _numerator([binomial(m * k + n - i, n) for k in range(n + 1)])
-
-
 def _kernel_rows(n: int, m: int, rows: int) -> list[list[int]]:
-    """Rows 1..rows of P(n, m) from the row kernel; the degree-0 coefficient
-    C(n - i, n) of every row is checked to vanish."""
-    top = []
-    for i in range(1, rows + 1):
-        row = _row(n, m, i)
-        if row[0] != 0:
-            raise AssertionError(f"degree-0 coefficient of row {i} must vanish, got {row[0]}")
-        top.append(row[1:])
+    """Rows 1..rows of P(n, m) from the row kernel: each of the first
+    min(m, rows) rows opens the column of its residue, which rows m apart
+    share; the degree-0 coefficient of every row, at q0, must vanish."""
+    top = [[] for _ in range(rows)]
+    for first in range(1, min(m, rows) + 1):
+        s, deepest = (n - first) % m, (n - first) // m
+        column = _numerator([binomial(m * q + s, n) for q in range(deepest + n + 1)], n + 1)
+        for i in range(first, rows + 1, m):
+            q0 = (n - i) // m
+            if column[q0] != 0:
+                raise AssertionError(f"degree-0 coefficient of row {i} must vanish, got {column[q0]}")
+            top[i - 1] = column[q0 + 1 : q0 + n + 1]
     return top
 
 
@@ -124,7 +125,10 @@ def _row_work(n: int, rows: int, m_bits: int, spectral: bool) -> int:
     """The estimated work of ``rows`` rows of P(n, m) with m of at most
     ``m_bits`` bits, on the path that will build them.  Row kernel: the
     binomials have at most n (m_bits + 2) bits, and the n + 1 difference
-    passes add at most n + 1 more.  Spectral path: n - 1 products by m for
+    passes add at most n + 1 more, for each row: at small m that overcounts
+    the columns the rows share, but it also bounds the size of the output,
+    and counting shared columns would admit P(1000, 2), hundreds of MB of
+    JSON.  Spectral path: n - 1 products by m for
     the powers, and the normalizer m^n that the row-sum check builds, then
     n (ceil(n/2) + 1) products of a power by an entry of n! W or F for each
     row."""
@@ -319,13 +323,20 @@ def _bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def foulkes_determinant(n: int) -> int:
-    """Exact determinant of the Foulkes matrix (equals the superfactorial)."""
+def _check_determinant(n: int) -> None:
     # Bareiss makes about n^3/3 updates of k x k minors of F; weighted by
     # the updates per step, their root-mean-square size is about n/3
     # entries of F, of at most n (log2 n + 1) bits each
     _check_work("foulkes_determinant", n**3 // 3, 0, n * n * (n.bit_length() + 1) // 3)
-    return _bareiss_determinant(_foulkes_numerators(n))
+
+
+def foulkes_determinant(n: int, F: BasisMatrix | None = None) -> int:
+    """Exact determinant of the Foulkes matrix (equals the superfactorial),
+    read from ``F`` when the caller has built that matrix already."""
+    _check_determinant(n)
+    if F is not None and F.n != n:
+        raise ValueError(f"expected the degree-{n} Foulkes matrix, got degree {F.n}")
+    return _bareiss_determinant(_foulkes_numerators(n) if F is None else [[c.numerator for c in r] for r in F.entries])
 
 
 @dataclass(frozen=True)

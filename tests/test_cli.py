@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from carrychain import cli, simulate
 from carrychain.cli import main, run_verify_all
+from carrychain.combinat import superfactorial
 from carrychain.eulerian import SWordExpansion
 from carrychain.matrix import amazing_matrix
 
@@ -81,6 +82,26 @@ class TestFoulkesWorpitzky:
         assert code == 0
         assert doc["determinant"] == "288"
         assert doc["matrix"][3] == [1, 11, 11, 1]
+
+    def test_determinant_reads_the_table_it_writes(self, capsys, monkeypatch):
+        from carrychain import eulerian, matrix
+
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return numerators(n)
+
+        numerators = eulerian._foulkes_numerators
+        monkeypatch.setattr(eulerian, "_foulkes_numerators", counted)
+        monkeypatch.setattr(matrix, "_foulkes_numerators", counted)
+        code, out, _ = run_cli(capsys, "foulkes", "--n", "40", "--det")
+        assert (code, built) == (0, [40])
+        assert json.loads(out)["determinant"] == str(superfactorial(40))
+        # the determinant's budget is checked before any table is built
+        code, out, err = run_cli(capsys, "foulkes", "--n", "100", "--det")
+        assert (code, out, built) == (2, "", [40])
+        assert err.startswith("error: foulkes_determinant: estimated work")
 
     def test_worpitzky(self, capsys):
         code, out, _ = run_cli(capsys, "worpitzky", "--n", "2")
@@ -153,6 +174,7 @@ class TestBudgets:
             (BudgetError, lambda: simulate.simulate_shuffle_chain(3, 2, many)),  # DRAW_BUDGET
             (BudgetError, lambda: simulate.simulate_carries(1025, 2, digits=1, cfg=config)),  # TALLY_CELLS
             (BudgetError, lambda: cli._cmd_idempotents(argparse.Namespace(n=16, basis="s"))),  # IDEMPOTENT_TERMS
+            (BudgetError, lambda: cli.idempotent_s_expansion(40, 1)),  # IDEMPOTENT_TERMS, one expansion
         ]
         for kind, refused in refusals:
             with pytest.raises(BudgetError) as caught:

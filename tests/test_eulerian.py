@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrychain.combinat import Composition, all_permutations, binomial, compositions, eulerian_number
+from carrychain import eulerian
+from carrychain.combinat import BudgetError, Composition, all_permutations, binomial, compositions, eulerian_number
 from carrychain.eulerian import (
     EulerianElement,
     _worpitzky_numerators,
@@ -305,6 +306,23 @@ class TestIdempotentExpansion:
             idempotent_s_expansion(3, 0)
         with pytest.raises(ValueError):
             idempotent_s_expansion(3, 4)
+
+    def test_words_over_the_budget_are_refused_before_any_composition(self, monkeypatch):
+        # 2^(n-1) S-words: n = 18 gives 2^17, the most admitted
+        monkeypatch.setattr(eulerian, "compositions", _refuse_building)
+        with pytest.raises(_Built):
+            idempotent_s_expansion(18, 1)
+        for n in (19, 40, 10**20):
+            with pytest.raises(BudgetError, match="idempotent_s_expansion: 2\\^"):
+                idempotent_s_expansion(n, 1)
+
+
+class _Built(Exception):
+    """Raised in place of the first object a computation builds."""
+
+
+def _refuse_building(*args):
+    raise _Built
 
 
 class TestFundamentalEvaluation:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from carrychain import eulerian, matrix
-from carrychain.combinat import superfactorial
+from carrychain.combinat import binomial, superfactorial
 from carrychain.eulerian import WORK_BUDGET, ClosedFormBudgetError
 from carrychain.matrix import (
     AmazingMatrix,
@@ -64,6 +64,41 @@ class TestRowKernel:
             assert amazing_matrix(n, b).entries == grid
             for spectral in (False, True):
                 assert matrix._matrix(n, b, spectral).entries == grid
+
+    # b = 1, b < n/2, b near n, b > n and a 255-bit base, on the row kernel
+    # at every size; one row, and the ceil(n/2) rows amazing_matrix builds
+    @pytest.mark.parametrize("n", (1, 2, 7, 12, 25))
+    def test_residue_columns_match_the_alternating_sums(self, n):
+        for b in sorted({1, 2, max(1, n // 3), max(1, n - 1), n, n + 1, 2 * n + 3, 2**255 - 19}):
+            for rows in sorted({1, (n + 1) // 2}):
+                expected = [[amazing_entry(n, b, i, j) for j in range(1, n + 1)] for i in range(1, rows + 1)]
+                assert matrix._kernel_rows(n, b, rows) == expected, (n, b, rows)
+
+    def test_rows_of_one_residue_share_a_column(self, monkeypatch):
+        # P(100, 2): two residues, each one column of 100 + 1 + 99 // 2 = 150
+        # binomials; a column per row would take 50 x 101
+        calls = []
+        monkeypatch.setattr(matrix, "binomial", lambda a, k: calls.append(a) or binomial(a, k))
+        amazing_matrix(100, 2)
+        assert len(calls) == 2 * 150
+        assert sorted(calls) == sorted(2 * q + s for s in (0, 1) for q in range(150))
+
+    @pytest.mark.parametrize(
+        "wrong_at, caught",
+        [
+            # columns of 15 binomials C(2q + s, 10): s = 0 for rows 2 and 4
+            # (q0 = 4, 3), s = 1 for rows 1, 3 and 5 (q0 = 4, 3, 2)
+            (0, "degree-0 coefficient of row 2 must vanish"),
+            (1, "degree-0 coefficient of row 1 must vanish"),
+            (10, "negative entry in row 2 "),
+            (28, "row 2 of the \\(10, 2\\) matrix sums to"),  # the last entry of row 2 only
+            (29, "row 1 of the \\(10, 2\\) matrix sums to"),
+        ],
+    )
+    def test_a_corrupted_binomial_is_caught(self, monkeypatch, wrong_at, caught):
+        monkeypatch.setattr(matrix, "binomial", lambda a, k: binomial(a, k) + (a == wrong_at))
+        with pytest.raises((AssertionError, ValueError), match=caught):
+            amazing_matrix(10, 2)
 
     def test_rejects_bad_arguments(self):
         for n, b in ((0, 2), (2, 0), (-1, 3)):
@@ -277,6 +312,11 @@ class TestFoulkesDeterminant:
     @pytest.mark.parametrize("n", range(1, 16))
     def test_superfactorial(self, n):
         assert foulkes_determinant(n) == superfactorial(n)
+        assert foulkes_determinant(n, eulerian.foulkes_matrix(n)) == superfactorial(n)
+
+    def test_a_table_of_another_degree_is_refused(self):
+        with pytest.raises(ValueError, match="degree-5"):
+            foulkes_determinant(5, eulerian.foulkes_matrix(4))
 
     def test_elimination_against_leibniz_formula(self):
         # sparse random matrices, so zero pivots, row swaps and singular
