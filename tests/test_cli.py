@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carrychain import cli, simulate
+from carrychain import cli, eulerian, matrix, simulate
 from carrychain.cli import main, run_verify_all
 from carrychain.combinat import superfactorial
 from carrychain.eulerian import SWordExpansion
@@ -84,8 +84,6 @@ class TestFoulkesWorpitzky:
         assert doc["matrix"][3] == [1, 11, 11, 1]
 
     def test_determinant_reads_the_table_it_writes(self, capsys, monkeypatch):
-        from carrychain import eulerian, matrix
-
         built = []
 
         def counted(n):
