@@ -46,6 +46,11 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_trials(trial_lo: int, trial_hi: int) -> None:
+    if trial_lo < 0 or trial_hi > 2**64:
+        raise ValueError(f"trial indices must lie in 0..2^64 - 1, got [{trial_lo}, {trial_hi})")
+
+
 def _mix_in_place(x: np.ndarray, scratch: np.ndarray) -> None:
     """mix64 applied to ``x`` in place; ``scratch`` has the shape of ``x``."""
     for shift, factor in ((30, _MIX1), (27, _MIX2), (31, None)):
@@ -69,8 +74,11 @@ def _blocks(rows: int, cols: int):
 def stream_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: int) -> np.ndarray:
     """uint64 values for trials [trial_lo, trial_hi) x draws [draw_lo, draw_hi),
     shape (trials, draws), as the transpose of a C-contiguous draw-major
-    buffer."""
+    buffer.  Trials lie in 0..2^64 - 1 and draws start at 0 or above."""
     check_seed(seed)
+    check_trials(trial_lo, trial_hi)
+    if draw_lo < 0:
+        raise ValueError(f"draw indices start at 0, got draw_lo={draw_lo}")
     states = np.arange(trial_lo, trial_hi, dtype=np.uint64)
     states += _ONE
     states *= _GAMMA

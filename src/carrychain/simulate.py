@@ -33,6 +33,9 @@ short walk along the maps finds each segment's true start carry, and a
 second pass tallies the transitions of all segments at once.  The column
 sums are draw-major too, (columns, trials), so the tail segment is read in
 place and only the body of whole segments is copied into segment layout.
+The sums are added in int64 and cast once to the narrowest signed type
+that holds max(n^2 - 1, (n - 1) + n (b - 1)), the largest transition code
+and carry plus column sum, and the scan stays in it: (3, 10) runs in int8.
 
 Two bounds are checked before any work is done.  A call asks for at most
 ``DRAW_BUDGET`` random draws.  And since the (n, n) int64 tally is
@@ -50,13 +53,15 @@ from fractions import Fraction
 import numpy as np
 
 from .combinat import BudgetError
-from .rng import MAX_BASE, check_seed, digit_block, stream_block
+from .rng import MAX_BASE, check_seed, check_trials, digit_block, stream_block
 
 DRAW_BUDGET = 2**32  # random draws one call may ask for, about 40 s of drawing
 TALLY_CELLS = 2**20  # cells of the (n, n) transition tally one call may allocate
 _CHUNK_VALUES = 1 << 19  # random values per chunk: the rank kernel's rows stay in cache
 _RANK_MAX_N = 32  # the rank kernel up to here, the argsort above (measured crossover)
-_SEGMENT_COLUMNS = 256  # columns per segment of the carry scan
+# columns per segment of the carry scan: a 4*10^6-column (3, 10) trajectory took
+# 191 ms at 256 in int64, 131 at 128 and 135 at 64 in int8 (in process, median of 5)
+_SEGMENT_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,10 @@ class EmpiricalMatrix:
 
     def tv_distances(self, exact_rows) -> tuple[Fraction, ...]:
         """Per-row total-variation distance to an exact stochastic matrix.
-        Rows with no samples are reported at the maximal distance 1."""
+        Rows with no samples are reported at the maximal distance 1.  The
+        exact matrix must be states x states."""
+        if len(exact_rows) != self.states or any(len(row) != self.states for row in exact_rows):
+            raise ValueError(f"need a {self.states} x {self.states} exact matrix")
         out = []
         for row, exact in zip(self.counts, exact_rows):
             total = sum(row)
@@ -138,6 +146,7 @@ def simulate_shuffle_chain(
         raise ValueError(f"need n >= 1 and 1 <= b <= 2^63, got n={n}, b={b}")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
+    check_trials(trial_offset, trial_offset + cfg.trials)
     _check_size(n, cfg.trials * n * (steps + 1))
     counts = np.zeros((n, n), dtype=np.int64)
     kernel = _rank_chunk if n <= _RANK_MAX_N else _sort_chunk
@@ -253,14 +262,22 @@ def _sort_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts:
         d_prev = d_new
 
 
-def _column_sums(block: np.ndarray, n: int) -> np.ndarray:
+def _scan_dtype(n: int, b: int) -> type:
+    """The narrowest signed type that holds every value of the carry scan:
+    codes up to n^2 - 1, and carry plus column sum up to (n - 1) + n (b - 1)."""
+    top = max(n * n - 1, (n - 1) + n * (b - 1))
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+
+
+def _column_sums(block: np.ndarray, n: int, dtype: type) -> np.ndarray:
     """Sums of the ``n`` digits of each column: (trials, columns * n) digits
-    give draw-major (columns, trials) sums, by n - 1 row adds."""
+    give draw-major (columns, trials) sums, by n - 1 int64 row adds, cast
+    once to the scan's ``dtype``."""
     parts = block.T.reshape(-1, n, len(block))
     sums = np.add(parts[:, 0], parts[:, 1])
     for m in range(2, n):
         sums += parts[:, m]
-    return sums
+    return sums.astype(dtype, copy=False)
 
 
 def _segment_starts(segments: np.ndarray, carry: np.ndarray, b: int, n: int) -> np.ndarray:
@@ -268,7 +285,7 @@ def _segment_starts(segments: np.ndarray, carry: np.ndarray, b: int, n: int) -> 
     start carries ``carry`` of the first ones.  One pass runs every segment
     from all n start carries at once and gives its carry map; a walk along
     the maps then chains the segments of each trial."""
-    maps = np.empty((n,) + segments.shape[1:], dtype=np.int64)
+    maps = np.empty((n,) + segments.shape[1:], dtype=segments.dtype)
     maps[...] = np.arange(n)[:, None, None]
     for column in segments:
         maps += column
@@ -280,7 +297,7 @@ def _segment_starts(segments: np.ndarray, carry: np.ndarray, b: int, n: int) -> 
             line.append(c)
             c = carry_map[c]
         starts.append(line)
-    return np.array(starts, dtype=np.int64)
+    return np.array(starts, dtype=segments.dtype)
 
 
 def _carry_scan(sums: np.ndarray, carry: np.ndarray, b: int, counts: np.ndarray) -> np.ndarray:
@@ -296,6 +313,7 @@ def _carry_scan(sums: np.ndarray, carry: np.ndarray, b: int, counts: np.ndarray)
     pass then runs all segments at once and tallies the transitions.
     """
     n = len(counts)
+    b, width = sums.dtype.type(b), sums.dtype.type(n)  # no per-call conversion of Python ints
     columns, trials = sums.shape
     count, length = divmod(columns, _SEGMENT_COLUMNS)
     body = sums[: columns - length].reshape(count, _SEGMENT_COLUMNS, trials).transpose(1, 2, 0)
@@ -304,9 +322,9 @@ def _carry_scan(sums: np.ndarray, carry: np.ndarray, b: int, counts: np.ndarray)
         if segments.size == 0:
             continue
         state = _segment_starts(segments, carry, b, n) if segments.shape[2] > 1 else carry[:, None].copy()
-        codes = np.empty(segments.shape, dtype=np.int64)
+        codes = np.empty_like(segments)
         for column, code in zip(segments, codes):
-            np.multiply(state, n, out=code)
+            np.multiply(state, width, out=code)
             state += column
             state //= b
             code += state
@@ -323,9 +341,11 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
     Trial t consumes draw c*n_summands + m for column c, summand m; each
     trial starts at carry 0.  ``digits`` is the chain length.  Carry plus
     column sum, at most (n_summands - 1) + n_summands (b - 1), must fit in
-    int64.  The digits come in blocks of at most ``_CHUNK_VALUES`` values
-    (whole trials, or pieces of one trial's columns) and one segmented scan
-    (``_carry_scan``) runs the carry on across them.
+    int64; the scan runs in the narrowest signed type that holds it and the
+    transition codes up to n_summands^2 - 1 (``_scan_dtype``).  The digits
+    come in blocks of at most ``_CHUNK_VALUES`` values (whole trials, or
+    pieces of one trial's columns) and one segmented scan (``_carry_scan``)
+    runs the carry on across them.  Trials lie in 0..2^64 - 1.
     """
     if n_summands < 2:
         raise ValueError(f"need at least 2 summands, got {n_summands}")
@@ -335,17 +355,19 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
         raise ValueError(f"carry plus column sum must stay below 2^63, got n_summands={n_summands}, b={b}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
+    check_trials(trial_offset, trial_offset + cfg.trials)
     _check_size(n_summands, cfg.trials * digits * n_summands)
     n = n_summands
     counts = np.zeros((n, n), dtype=np.int64)
+    dtype = _scan_dtype(n, b)
     chunk = max(1, _CHUNK_VALUES // (digits * n))
     for lo in range(0, cfg.trials, chunk):
         hi = min(lo + chunk, cfg.trials)
         t0, t1 = trial_offset + lo, trial_offset + hi
-        carry = np.zeros(hi - lo, dtype=np.int64)
+        carry = np.zeros(hi - lo, dtype=dtype)
         step = max(1, _CHUNK_VALUES // (n * (hi - lo)))
         for c0 in range(0, digits, step):
             c1 = min(c0 + step, digits)
-            sums = _column_sums(digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b), n)
+            sums = _column_sums(digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b), n, dtype)
             carry = _carry_scan(sums, carry, b, counts)
     return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in counts))

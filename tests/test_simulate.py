@@ -76,6 +76,18 @@ class TestEmpiricalMatrix:
         assert tv[0] == Fraction(1, 4)
         assert tv[1] == Fraction(1)  # unsampled row reports maximal distance
 
+    def test_tv_needs_a_states_by_states_matrix(self):
+        # zip would truncate: 2 distances against a 2 x 2 matrix, and 3
+        # against the wrong rows of a 4 x 4 one
+        result = simulate_carries(3, 2, 50, SimulationConfig(trials=1, seed=3))
+        assert len(result.tv_distances(amazing_matrix(3, 2).normalized())) == 3
+        rows = amazing_matrix(3, 2).normalized()
+        wrong = (amazing_matrix(2, 2).normalized(), amazing_matrix(4, 2).normalized(),
+                 rows[:2], rows + rows[:1], rows[:2] + ((Fraction(1),),))  # too few rows, too many, ragged
+        for exact in wrong:
+            with pytest.raises(ValueError, match="3 x 3"):
+                result.tv_distances(exact)
+
 
 class TestShuffleChain:
     def test_deterministic(self):
@@ -270,6 +282,45 @@ class TestCarries:
         assert max(sizes) <= max(chunk, 3)  # one column of 3 digits at least
 
 
+class TestIndexBounds:
+    """Trial indices are unsigned 64-bit and draw indices start at 0; out of
+    range they are refused with ValueError before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("values drawn for a refused call")
+
+        monkeypatch.setattr(simulate, "stream_block", no_draws)
+        monkeypatch.setattr(simulate, "digit_block", no_draws)
+
+    def test_the_last_trial_index_works(self):
+        top = 2**64 - 1
+        assert stream_block(5, top - 1, top + 1, 0, 9).tolist() == [_draws(5, t, 0, 9) for t in (top - 1, top)]
+        got = simulate_carries(3, 10, 50, SimulationConfig(trials=1, seed=5), trial_offset=top)
+        assert got.counts == _carries_reference(3, 10, 50, 5, 1, top)
+        got = simulate_shuffle_chain(4, 3, SimulationConfig(trials=2, seed=5), trial_offset=top - 1, steps=2)
+        assert got.counts == _shuffle_reference(4, 3, 5, 2, 2, top - 1)
+
+    @pytest.mark.parametrize("offset, trials", [(-1, 2), (2**64 - 1, 2), (2**64, 1)])
+    def test_simulators_refuse_trials_out_of_range(self, no_work, offset, trials):
+        cfg = SimulationConfig(trials=trials, seed=1)
+        with pytest.raises(ValueError, match="trial indices"):
+            simulate_carries(2, 2, 10, cfg, trial_offset=offset)
+        with pytest.raises(ValueError, match="trial indices"):
+            simulate_shuffle_chain(2, 2, cfg, trial_offset=offset)
+
+    @pytest.mark.parametrize("window, match", [
+        ((-1, 2, 0, 2), "trial indices"), ((2**64 - 1, 2**64 + 1, 0, 2), "trial indices"),
+        ((0, 2, -3, 2), "draw indices"), ((0, 2, -1, -1), "draw indices"),
+    ])
+    def test_stream_block_refuses_indices_out_of_range(self, window, match):
+        with pytest.raises(ValueError, match=match):
+            stream_block(1, *window)
+        with pytest.raises(ValueError, match=match):
+            digit_block(1, *window, 10)
+
+
 # Pure-Python references, written from the formulas in the rng and simulate
 # docstrings and sharing no code with the numpy kernels.
 
@@ -428,6 +479,68 @@ class TestSimulatorReference:
             assert got.counts == _carries_reference(n, b, digits, 31, trials, 2)
 
 
+# (n, b) on both sides of every edge of the scan's type: carry plus column
+# sum (n - 1) + n (b - 1) reaches 127 at (2, 64), 32767 at (2, 16384) and
+# 2^31 - 1 at (2, 2^30); the largest code n^2 - 1 is 120 at (11, 2) and 143
+# at (12, 2); at (3, 43) the sum alone, 126, fits int8 but carry plus sum
+# does not
+_TYPE_EDGES = [
+    (2, 64, np.int8), (2, 65, np.int16), (11, 2, np.int8), (12, 2, np.int16), (3, 43, np.int16),
+    (2, 16384, np.int16), (2, 16385, np.int32), (2, 2**30, np.int32), (2, 2**30 + 1, np.int64),
+]
+
+
+class TestNarrowScan:
+    def test_the_type_edges(self):
+        for n, b, dtype in _TYPE_EDGES:
+            assert simulate._scan_dtype(n, b) is dtype, (n, b)
+        assert simulate._scan_dtype(3, 10) is np.int8  # the benchmark's trajectory
+        assert simulate._scan_dtype(3, (2**63 + 1) // 3 - 1) is np.int64  # the input bound's top base
+
+    @staticmethod
+    def _record_dtypes(monkeypatch, dtypes):
+        scan = simulate._carry_scan
+
+        def record(sums, *args):
+            dtypes.add(sums.dtype.type)
+            return scan(sums, *args)
+
+        monkeypatch.setattr(simulate, "_carry_scan", record)
+
+    @pytest.mark.parametrize("chunk, segment", [(64, 5), (1000, 3)])
+    @pytest.mark.parametrize("n, b, dtype", _TYPE_EDGES)
+    def test_both_sides_of_every_edge_match_the_reference(self, monkeypatch, chunk, segment, n, b, dtype):
+        # small chunks and segments, so that the carry crosses both borders
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", chunk)
+        monkeypatch.setattr(simulate, "_SEGMENT_COLUMNS", segment)
+        dtypes = set()
+        self._record_dtypes(monkeypatch, dtypes)
+        for digits, trials, offset in ((301, 1, 0), (41, 7, 2**64 - 8)):
+            got = simulate_carries(n, b, digits, SimulationConfig(trials=trials, seed=77), offset)
+            assert got.counts == _carries_reference(n, b, digits, 77, trials, offset)
+        assert dtypes == {dtype}
+
+    @pytest.mark.parametrize("n, b, dtype", _TYPE_EDGES)
+    def test_the_largest_values_fit(self, monkeypatch, n, b, dtype):
+        # every digit b - 1: each column sums to n (b - 1) and the carry climbs
+        # to n - 1 and stays, so carry plus sum and the code reach their maxima
+        def top_digits(seed, t0, t1, d0, d1, base):
+            return np.full((d1 - d0, t1 - t0), base - 1, dtype=np.int64).T
+
+        monkeypatch.setattr(simulate, "digit_block", top_digits)
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", 60)
+        monkeypatch.setattr(simulate, "_SEGMENT_COLUMNS", 4)
+        for digits, trials in ((50, 1), (9, 5)):
+            counts, carry = [[0] * n for _ in range(n)], 0
+            for _ in range(digits):
+                nxt = (carry + n * (b - 1)) // b
+                counts[carry][nxt] += trials
+                carry = nxt
+            assert carry == n - 1
+            got = simulate_carries(n, b, digits, SimulationConfig(trials=trials, seed=1))
+            assert got.counts == tuple(map(tuple, counts))
+
+
 class TestShuffleKernels:
     """The rank kernel runs up to n = ``_RANK_MAX_N``, the argsort kernel
     above it."""
@@ -484,7 +597,7 @@ class TestPinnedCounts:
          "7e9dc292cfcbc35750e32dce6d10d69d16aeab96ea7ad84d90b00ee996bccdb4"),
         (lambda: simulate_shuffle_chain(3, 2, SimulationConfig(200_000, 2011)),  # 3 chunks
          "65297b4be46e84fe33d8c1aee379afdc0b63c7fd6046e42efb4d1579cdb93aef"),
-        (lambda: simulate_carries(2, 2, 400_000, SimulationConfig(1, 2011)),  # 2 chunks, 1563 segments
+        (lambda: simulate_carries(2, 2, 400_000, SimulationConfig(1, 2011)),  # 2 chunks, 3125 segments
          "7a106b4024216cdca70c43058c5578fcee52db69015c914892c06b4df76aa555"),
         (lambda: simulate_carries(2, 10, 20, SimulationConfig(50_000, 2011)),  # 4 chunks
          "6f0ac96f6b7a535729db8ed282d3f7863386085e0db08546f1b8c7231b9d9ebf"),
