@@ -80,8 +80,8 @@ class TestEmpiricalMatrix:
         # zip would truncate: 2 distances against a 2 x 2 matrix, and 3
         # against the wrong rows of a 4 x 4 one
         result = simulate_carries(3, 2, 50, SimulationConfig(trials=1, seed=3))
-        assert len(result.tv_distances(amazing_matrix(3, 2).normalized())) == 3
         rows = amazing_matrix(3, 2).normalized()
+        assert len(result.tv_distances(rows)) == 3
         wrong = (amazing_matrix(2, 2).normalized(), amazing_matrix(4, 2).normalized(),
                  rows[:2], rows + rows[:1], rows[:2] + ((Fraction(1),),))  # too few rows, too many, ragged
         for exact in wrong:
