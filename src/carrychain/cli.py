@@ -35,8 +35,7 @@ from fractions import Fraction
 
 from . import __version__
 from .combinat import (
-    IDEMPOTENT_MAX_N,
-    TRANSITION_MAX_N,
+    GROUP_ALGEBRA_MAX_N,
     BudgetError,
     Composition,
     LumpingViolation,
@@ -231,10 +230,10 @@ def _cmd_oracle_shuffles(args) -> int:
 def _cmd_simulate_shuffle(args) -> int:
     from .simulate import SimulationConfig, simulate_shuffle_chain
 
-    cfg, steps = SimulationConfig(trials=args.trials, seed=args.seed), 1
+    cfg = SimulationConfig(trials=args.trials, seed=args.seed)
     exact = amazing_matrix(args.n, args.b).normalized()  # its budget check comes before any simulation
-    result = simulate_shuffle_chain(args.n, args.b, cfg, steps=steps)
-    params = {"n": args.n, "b": args.b, "trials": cfg.trials, "steps": steps, "seed": cfg.seed}
+    result = simulate_shuffle_chain(args.n, args.b, cfg)
+    params = {"n": args.n, "b": args.b, "trials": cfg.trials, "steps": 1, "seed": cfg.seed}
     payload = {
         "counts": [list(row) for row in result.counts],
         "frequencies": _matrix_payload(result.frequencies()),
@@ -409,9 +408,9 @@ _POWERS = ((2, 1), (2, 2), (2, 3), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1
 
 
 def _descent_cases(top: int):
-    """Bases b^r <= 8 against the enumeration for n <= TRANSITION_MAX_N,
+    """Bases b^r <= 8 against the enumeration for n <= GROUP_ALGEBRA_MAX_N,
     then mass and positivity for bases <= 9 up to the row's cap."""
-    for n, (b, r) in itertools.product(range(1, min(top, TRANSITION_MAX_N) + 1), _POWERS):
+    for n, (b, r) in itertools.product(range(1, min(top, GROUP_ALGEBRA_MAX_N) + 1), _POWERS):
         yield n, b, r, True
     for n, (b, r) in itertools.product(range(1, top + 1), _POWERS + ((9, 1),)):
         yield n, b, r, False
@@ -445,10 +444,10 @@ SUITES = (
     Suite("stationary", 10, {"b": [2, 3]}, _cases((2, 3)), lambda n, b: _tally(verify_stationary(n, b))),
     Suite("shuffle-power-product", 8, {"p,q": "1..6"}, _cases(range(1, 7), range(1, 7)), _spow_product),
     Suite("idempotent-expansion-sum", 8, {}, _cases(), _idempotent_sum),
-    Suite("group-idempotents", IDEMPOTENT_MAX_N, {}, _cases(), _group_idempotents),
-    Suite("shuffle-element", IDEMPOTENT_MAX_N, {"b": "1..4"}, _cases(range(1, 5)), _shuffle_element),
-    Suite("oracle-transition", TRANSITION_MAX_N, {"b": [2, 3]}, _cases((2, 3)), _oracle_transition),
-    Suite("descent-polynomials", 8, {"base": "<= 9"}, _descent_cases, _descent_polynomial, TRANSITION_MAX_N),
+    Suite("group-idempotents", GROUP_ALGEBRA_MAX_N, {}, _cases(), _group_idempotents),
+    Suite("shuffle-element", GROUP_ALGEBRA_MAX_N, {"b": "1..4"}, _cases(range(1, 5)), _shuffle_element),
+    Suite("oracle-transition", GROUP_ALGEBRA_MAX_N, {"b": [2, 3]}, _cases((2, 3)), _oracle_transition),
+    Suite("descent-polynomials", 8, {"base": "<= 9"}, _descent_cases, _descent_polynomial, GROUP_ALGEBRA_MAX_N),
 )
 
 

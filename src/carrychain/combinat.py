@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-# The oracle's caps and failures that the CLI names at import time.  They
+# The oracle's cap and failures that the CLI names at import time.  They
 # live here, not in ``oracle``, so that the closed-form commands can run
-# without importing the oracle and numpy; ``oracle`` re-exports them.
-IDEMPOTENT_MAX_N = 6
-TRANSITION_MAX_N = 6
+# without importing the oracle and numpy; ``oracle`` re-exports them.  All
+# group-algebra work stops at the reach of the S_n composition table.
+GROUP_ALGEBRA_MAX_N = 6
 
 
 class BudgetError(ValueError):

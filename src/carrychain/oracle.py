@@ -7,18 +7,20 @@ permutation, not per class.  It imports nothing from ``matrix``: every
 comparison of an enumerated result with a closed form is made in ``cli``
 (the ``oracle`` commands and the rows of ``verify all``).  One lazily built
 table per n indexes that work without shortcutting it: S_n in lexicographic
-order as a small-int array, with descent counts, descent-set bitmasks and,
-for n <= 6, a lookup from the mixed-radix key of a permutation's images to
-its rank and the composition table, whose every pair is composed and ranked
-through that lookup.  The kernels work on whole table rows: a product reads
+order as a small-int array, with descent counts, descent-set bitmasks, a
+lookup from the mixed-radix key of a permutation's images to its rank and
+the composition table, whose every pair is composed and ranked through that
+lookup.  The kernels work on whole table rows: a product reads
 its right factor, as one dense vector, along the row of p^{-1} for each term
 p of its left factor, so every pair of terms is still composed, in int64
 under an up-front bound on the sums and in exact Python ints above it; an
 S-word expansion adds each coefficient over a descent-set mask; and each
-block of shuffle words is compared pair of positions by pair of positions.  Bounds keep everything at desk scale (group-algebra work at
-n <= 8, exhaustive shuffle enumeration within a 10^7-word budget, drawn in
-blocks of bounded size, and at most 2^17 distinct outcomes, bounded up front
-by min(b^n, n!)).
+block of shuffle words is compared pair of positions by pair of positions.
+Bounds keep everything at desk scale: group-algebra work stops at
+n <= ``GROUP_ALGEBRA_MAX_N`` = 6, the reach of the table, and is refused
+above it before any work; exhaustive shuffle enumeration stays within a
+10^7-word budget, drawn in blocks of bounded size, and at most 2^17
+distinct outcomes, bounded up front by min(b^n, n!).
 
 Orientation conventions:
 
@@ -48,8 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinat import (
-    IDEMPOTENT_MAX_N,
-    TRANSITION_MAX_N,
+    GROUP_ALGEBRA_MAX_N,
     BudgetError,
     Composition,
     LumpingViolation,
@@ -60,14 +61,12 @@ from .combinat import (
 )
 from .eulerian import SWordExpansion, idempotent_s_expansion
 
-GROUP_ALGEBRA_MAX_N = 8
 ENUMERATION_BUDGET = 10**7
 # distinct outcomes kept as Permutation objects: at most min(b^n, n!).  The
 # largest case admitted, n = 17 and b = 2 (131,055 outcomes), peaks at
 # 78 MiB RSS in enumerate_b_shuffles and 129 MiB in `oracle shuffles`.
 OUTCOME_BUDGET = 2**17
 
-_TABLE_MAX_N = 6
 _BLOCK_VALUES = 1 << 15  # cap the values held by one block of a numpy kernel
 
 
@@ -81,9 +80,9 @@ class _SnTable(NamedTuple):
     images: np.ndarray  # (n!, n) int8, one-line notation, 1-based
     descents: np.ndarray  # (n!,) descent counts
     masks: np.ndarray  # (n!,) descent sets, position i as bit i-1
-    lookup: np.ndarray | None  # (n^n,) int16, ``_key`` of a permutation -> its rank; n <= 6
-    compose: np.ndarray | None  # [i, j] = rank of images[i] after images[j]; n <= 6
-    perms: tuple[Permutation, ...] | None  # the rows as Permutation objects, built once; n <= 6
+    lookup: np.ndarray  # (n^n,) int16, ``_key`` of a permutation -> its rank
+    compose: np.ndarray  # [i, j] = rank of images[i] after images[j]
+    perms: tuple[Permutation, ...]  # the rows as Permutation objects, built once
 
 
 def _images(perms, n: int) -> np.ndarray:
@@ -108,33 +107,35 @@ def _key(columns, n: int, shape) -> np.ndarray:
     return key
 
 
+def _check_degree(n: int, work: str) -> None:
+    """Refuse group-algebra work past the table's reach, before any is done."""
+    if n > GROUP_ALGEBRA_MAX_N:
+        raise OracleBoundError(f"{work} limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
+
+
 @lru_cache(maxsize=None)
 def _table(n: int) -> _SnTable:
-    if n > GROUP_ALGEBRA_MAX_N:
-        raise OracleBoundError(f"S_n tables are limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
+    _check_degree(n, "S_n tables are")
     perms = list(itertools.permutations(range(1, n + 1)))
     images = np.array(perms, dtype=np.int8).reshape(len(perms), n)
     falls = images[:, :-1] > images[:, 1:]
     masks = (falls.astype(np.int64) << np.arange(n - 1)).sum(axis=1)
-    lookup = compose = table_perms = None
-    if n <= _TABLE_MAX_N:
-        table_perms = tuple(map(Permutation, perms))
-        zero_based = images - 1
-        lookup = np.full(n**n, -1, dtype=np.int16)
-        lookup[_key(zero_based.T, n, len(perms))] = np.arange(len(perms))
-        # a block of rows i composes p_i with every q_j at once: column s of
-        # its keys gathers p_i(q_j(s)) - 1 from the rows
-        compose = np.empty((len(perms), len(perms)), dtype=np.int16)
-        rows = max(1, _BLOCK_VALUES // len(perms))
-        for start in range(0, len(perms), rows):
-            block = zero_based[start : start + rows]
-            columns = (block[:, column] for column in zero_based.T)
-            compose[start : start + rows] = lookup[_key(columns, n, (len(block), len(perms)))]
-    return _SnTable(images, falls.sum(axis=1), masks, lookup, compose, table_perms)
+    zero_based = images - 1
+    lookup = np.full(n**n, -1, dtype=np.int16)
+    lookup[_key(zero_based.T, n, len(perms))] = np.arange(len(perms))
+    # a block of rows i composes p_i with every q_j at once: column s of its
+    # keys gathers p_i(q_j(s)) - 1 from the rows
+    compose = np.empty((len(perms), len(perms)), dtype=np.int16)
+    rows = max(1, _BLOCK_VALUES // len(perms))
+    for start in range(0, len(perms), rows):
+        block = zero_based[start : start + rows]
+        columns = (block[:, column] for column in zero_based.T)
+        compose[start : start + rows] = lookup[_key(columns, n, (len(block), len(perms)))]
+    return _SnTable(images, falls.sum(axis=1), masks, lookup, compose, tuple(map(Permutation, perms)))
 
 
 def _ranks(table: _SnTable, perms) -> np.ndarray:
-    """The ranks of ``perms`` in ``table`` (n <= 6), read from its lookup."""
+    """The ranks of ``perms`` in ``table``, read from its lookup."""
     n = table.images.shape[1]
     zero_based = _images(perms, n) - 1
     return table.lookup[_key(zero_based.T, n, len(zero_based))]
@@ -142,15 +143,10 @@ def _ranks(table: _SnTable, perms) -> np.ndarray:
 
 def _element(n: int, acc: np.ndarray, denom: int = 1) -> "GroupAlgebraElement":
     """The element with coefficient acc[t] / denom on the t-th permutation of
-    S_n (lexicographic order).  Above n = 6 only the permutations it holds
-    are built, not all n! of them."""
-    table = _table(n)
+    S_n (lexicographic order)."""
+    perms = _table(n).perms
     hit = np.flatnonzero(acc)
-    if table.perms is not None:
-        perms = [table.perms[t] for t in hit.tolist()]
-    else:
-        perms = [Permutation(tuple(row)) for row in table.images[hit].tolist()]
-    return GroupAlgebraElement(n, {p: Fraction(c, denom) for p, c in zip(perms, acc[hit].tolist())})
+    return GroupAlgebraElement(n, {perms[t]: Fraction(c, denom) for t, c in zip(hit.tolist(), acc[hit].tolist())})
 
 
 def _accumulator(size: int, bound: int) -> np.ndarray:
@@ -231,20 +227,11 @@ def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebr
     if u.n != v.n:
         raise ValueError(f"degree mismatch: {u.n} != {v.n}")
     n = u.n
-    if n > GROUP_ALGEBRA_MAX_N:
-        raise OracleBoundError(f"group products are limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
+    _check_degree(n, "group products are")
     if u.is_zero() or v.is_zero():
         return GroupAlgebraElement(n)
     du, u_items = _scaled_integers(u.terms)
     dv, v_items = _scaled_integers(v.terms)
-    denom = du * dv
-    if n > _TABLE_MAX_N:
-        raw: dict[tuple[int, ...], int] = {}
-        for p, a in u_items:
-            for q, b in v_items:
-                key = tuple(p.images[s - 1] for s in q.images)
-                raw[key] = raw.get(key, 0) + a * b
-        return GroupAlgebraElement(n, {Permutation(images): Fraction(c, denom) for images, c in raw.items() if c})
     # The terms b q_j of v sit in one dense vector over S_n.  p_i q_j = p_t
     # exactly when q_j = p_i^{-1} p_t, and row p_i^{-1} of the table names that
     # j for every t, so it gathers from v the coefficient that each pair with
@@ -263,31 +250,28 @@ def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebr
     for start in range(0, len(ranks), rows):
         inverses = table.compose[ranks[start : start + rows]].argmin(axis=1)  # p_i q = identity, rank 0
         acc += coeffs[start : start + rows] @ dense[table.compose[inverses]]
-    return _element(n, acc, denom)
+    return _element(n, acc, du * dv)
 
 
 def ribbon_sum(comp: Composition) -> GroupAlgebraElement:
     """Sum (coefficient 1) of all permutations with descent composition
     ``comp``."""
-    n = comp.weight
-    if n > GROUP_ALGEBRA_MAX_N:
-        raise OracleBoundError(f"ribbon sums are limited to weight <= {GROUP_ALGEBRA_MAX_N}, got {n}")
-    return _element(n, _descent_filter(comp, exact=True).astype(np.int64))
+    _check_degree(comp.weight, "ribbon sums are")
+    return _element(comp.weight, _descent_filter(comp, exact=True).astype(np.int64))
 
 
 def s_word_to_group(comp: Composition) -> GroupAlgebraElement:
     """The complete word S^I as a sum of permutations: the ribbon sums over
     all compositions whose descent set is contained in that of ``comp``,
     i.e. every permutation whose descent set refines the cut points of I."""
-    n = comp.weight
-    if n > GROUP_ALGEBRA_MAX_N:
-        raise OracleBoundError(f"S-words are limited to weight <= {GROUP_ALGEBRA_MAX_N}, got {n}")
-    return _element(n, _descent_filter(comp).astype(np.int64))
+    _check_degree(comp.weight, "S-words are")
+    return _element(comp.weight, _descent_filter(comp).astype(np.int64))
 
 
 def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
     """Push an S-word expansion through ``s_word_to_group`` linearly."""
     n = expansion.n
+    _check_degree(n, "S-word expansions are")
     denom, items = _scaled_integers(expansion.terms)
     # a permutation collects at most every coefficient once
     acc = _accumulator(len(_table(n).images), max((abs(c) for _, c in items), default=0) * len(items))
@@ -298,8 +282,7 @@ def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
 
 def idempotent_group(n: int, k: int) -> GroupAlgebraElement:
     """The k-th Eulerian idempotent realized inside the group algebra."""
-    if n > IDEMPOTENT_MAX_N:
-        raise OracleBoundError(f"group-algebra idempotents are limited to n <= {IDEMPOTENT_MAX_N}, got {n}")
+    _check_degree(n, "group-algebra idempotents are")
     return expansion_to_group(idempotent_s_expansion(n, k))
 
 
@@ -391,8 +374,7 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]
     descent class must produce the identical row (lumping), or
     ``LumpingViolation`` is raised.  The rows are returned as enumerated,
     compared with nothing."""
-    if n > TRANSITION_MAX_N:
-        raise OracleBoundError(f"transition oracle is limited to n <= {TRANSITION_MAX_N}, got {n}")
+    _check_degree(n, "transition oracle is")
     shuffles = enumerate_b_shuffles(n, b)
     table = _table(n)
     outcomes = _ranks(table, shuffles.multiplicity).tolist()
@@ -426,8 +408,7 @@ def shuffle_element_from_basis(n: int, b: int) -> GroupAlgebraElement:
     pushed through the S-word realization.  Used to cross-check the
     enumerated multiset (which carries the same coefficients on inverse
     supports)."""
-    if n > GROUP_ALGEBRA_MAX_N:
-        raise OracleBoundError(f"S-word realization limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
+    _check_degree(n, "S-word realization")
     terms: dict[Composition, Fraction] = {}
     for comp in compositions(n):
         if comp.length <= b:

@@ -74,11 +74,12 @@ def _blocks(rows: int, cols: int):
 def stream_block(seed: int, trial_lo: int, trial_hi: int, draw_lo: int, draw_hi: int) -> np.ndarray:
     """uint64 values for trials [trial_lo, trial_hi) x draws [draw_lo, draw_hi),
     shape (trials, draws), as the transpose of a C-contiguous draw-major
-    buffer.  Trials lie in 0..2^64 - 1 and draws start at 0 or above."""
+    buffer.  Trials and draws lie in 0..2^64 - 1: a draw enters the stream
+    only as (j + 1) * GAMMA mod 2^64, so draw j + 2^64 would repeat draw j."""
     check_seed(seed)
     check_trials(trial_lo, trial_hi)
-    if draw_lo < 0:
-        raise ValueError(f"draw indices start at 0, got draw_lo={draw_lo}")
+    if draw_lo < 0 or draw_hi > 2**64:
+        raise ValueError(f"draw indices must lie in 0..2^64 - 1, got [{draw_lo}, {draw_hi})")
     states = np.arange(trial_lo, trial_hi, dtype=np.uint64)
     states += _ONE
     states *= _GAMMA

@@ -10,10 +10,9 @@ how trials are chunked and bit-reproducible for a fixed seed.
 The shuffle simulator starts each trial from a uniformly random deck (the
 descent-class marginal of a uniform permutation is already the stationary
 Eulerian distribution, so every row of the empirical matrix collects mass)
-and applies ``steps`` successive b-shuffles, recording each descent-count
-transition.  The carries simulator adds ``n_summands`` uniformly random
-base-b digit columns per trial, starting from carry 0, and records the
-successive carry values.
+and applies one b-shuffle, recording its descent-count transition.  The
+carries simulator adds ``n_summands`` uniformly random base-b digit columns
+per trial, starting from carry 0, and records the successive carry values.
 
 Both run as whole-array numpy passes over chunks of at most
 ``_CHUNK_VALUES`` random values, with no Python loop per trial or per
@@ -22,20 +21,20 @@ transpose of a block is a C-contiguous (draws, trials) array, so every
 kernel reads whole rows of one draw across all trials, with no transposing
 copy.  A shuffle step sigma -> tau o sigma relabels the cards and moves
 none, so for n up to ``_RANK_MAX_N`` a trial is held as each card's start
-position and its label, int8 rows of shape (n, trials).  Compares of card
-pairs give both: the start positions from the keys, and at each step the
-new labels and the descents between adjacent cards.  Above that n the
-O(n^2) compares cost more than a stable argsort of the deck, which the
-larger decks keep.  The carries, a sequential recurrence, run as a
-segmented scan: the columns are cut into segments of ``_SEGMENT_COLUMNS``,
-one pass gives each segment's carry map from every possible start carry, a
-short walk along the maps finds each segment's true start carry, and a
-second pass tallies the transitions of all segments at once.  The column
-sums are draw-major too, (columns, trials), so the tail segment is read in
-place and only the body of whole segments is copied into segment layout.
-The sums are added in int64 and cast once to the narrowest signed type
-that holds max(n^2 - 1, (n - 1) + n (b - 1)), the largest transition code
-and carry plus column sum, and the scan stays in it: (3, 10) runs in int8.
+position, an int8 row of shape (n, trials).  Compares of card pairs give
+the start positions from the keys, and then the descents between adjacent
+cards before and after the step.  Above that n the O(n^2) compares cost
+more than a stable argsort of the deck, which the larger decks keep.  The
+carries, a sequential recurrence, run as a segmented scan: the columns are
+cut into segments of ``_SEGMENT_COLUMNS``, one pass gives each segment's
+carry map from every possible start carry, a short walk along the maps
+finds each segment's true start carry, and a second pass tallies the
+transitions of all segments at once.  The column sums are draw-major too,
+(columns, trials), so the tail segment is read in place and only the body
+of whole segments is copied into segment layout.  The sums are added in
+int64 and cast once to the narrowest signed type that holds
+max(n^2 - 1, (n - 1) + n (b - 1)), the largest transition code and carry
+plus column sum, and the scan stays in it: (3, 10) runs in int8.
 
 Two bounds are checked before any work is done.  A call asks for at most
 ``DRAW_BUDGET`` random draws.  And since the (n, n) int64 tally is
@@ -124,142 +123,98 @@ def _check_size(n: int, draws: int) -> None:
         raise BudgetError(f"the ({n}, {n}) transition tally has {n * n} cells, over the bound of {TALLY_CELLS}")
 
 
-def simulate_shuffle_chain(
-    n: int, b: int, cfg: SimulationConfig, trial_offset: int = 0, steps: int = 1
-) -> EmpiricalMatrix:
-    """Empirical descent-count transition matrix of ``steps`` successive
-    GSR b-shuffles per trial.
+def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: int = 0) -> EmpiricalMatrix:
+    """Empirical descent-count transition matrix of one GSR b-shuffle per
+    trial.
 
     Per trial: draws 0..n-1 are raw 64-bit keys, and the start deck sorts
-    the cards 0..n-1 by key, stably; then step s consumes draws
-    n + s*n .. n + (s+1)*n - 1 as the digit word w of one shuffle.  The
-    deck update composes the shuffle outcome after the current deck,
-    matching the exact oracle's orientation: the outcome tau sends label c
-    to its rank under the key (w_c, c), and the deck sigma becomes
+    the cards 0..n-1 by key, stably; draws n..2n-1 are the digit word w of
+    the shuffle.  The deck update composes the shuffle outcome after the
+    deck, matching the exact oracle's orientation: the outcome tau sends
+    label c to its rank under the key (w_c, c), and the deck sigma becomes
     tau o sigma.  So no card moves: the card at each position takes a new
     label, and a descent is an adjacent pair whose earlier label is the
-    larger.  Up to n = ``_RANK_MAX_N``, ``_rank_chunk`` tracks positions
-    and labels by pairwise compares; above it, ``_sort_chunk`` builds the
+    larger.  Up to n = ``_RANK_MAX_N``, ``_rank_chunk`` works on start
+    positions by pairwise compares; above it, ``_sort_chunk`` builds the
     deck by argsort.  Both give the same counts.
     """
     if n < 1 or not 1 <= b <= MAX_BASE:
         raise ValueError(f"need n >= 1 and 1 <= b <= 2^63, got n={n}, b={b}")
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
     check_trials(trial_offset, trial_offset + cfg.trials)
-    _check_size(n, cfg.trials * n * (steps + 1))
+    _check_size(n, cfg.trials * 2 * n)
     counts = np.zeros((n, n), dtype=np.int64)
     kernel = _rank_chunk if n <= _RANK_MAX_N else _sort_chunk
-    chunk = max(1, _CHUNK_VALUES // (n * (steps + 1)))
+    chunk = max(1, _CHUNK_VALUES // (2 * n))
     for lo in range(0, cfg.trials, chunk):
         hi = min(lo + chunk, cfg.trials)
-        kernel(n, b, cfg.seed, steps, trial_offset + lo, trial_offset + hi, counts)
+        kernel(n, b, cfg.seed, trial_offset + lo, trial_offset + hi, counts)
     return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in counts))
-
-
-def _rank_rows(n: int, trials: int) -> np.ndarray:
-    """int8 (n, trials) ranks before any pair is counted: row a holds
-    n - 1 - a, card a's rank if every card above it came first and no card
-    below it did.  ``_count_pairs`` corrects them pair by pair."""
-    return np.repeat(np.arange(n - 1, -1, -1, dtype=np.int8)[:, None], trials, axis=1)
-
-
-def _count_pairs(ranks: np.ndarray, a: int, before: np.ndarray) -> None:
-    """Count the pairs (a, c), c > a, into ``ranks``: ``before[c - a - 1]``
-    says that card a comes before card c."""
-    ones = before.view(np.int8)  # numpy adds int8 faster than bool
-    ranks[a + 1 :] += ones
-    ranks[a] -= ones.sum(axis=0, dtype=np.int8)
 
 
 def _start_positions(keys: np.ndarray) -> np.ndarray:
     """Each card's position in the stable sort of its trial's keys: uint64
-    keys (n, trials) give int8 positions (n, trials)."""
+    keys (n, trials) give int8 positions (n, trials).  Row a starts at
+    n - 1 - a, card a's position if every card above it came first and no
+    card below it did, and each pair a < c corrects it: card a comes before
+    card c when key a <= key c."""
     n, trials = keys.shape
-    pos = _rank_rows(n, trials)
+    pos = np.repeat(np.arange(n - 1, -1, -1, dtype=np.int8)[:, None], trials, axis=1)
     for a in range(n - 1):
-        _count_pairs(pos, a, keys[a] <= keys[a + 1 :])
+        ones = (keys[a] <= keys[a + 1 :]).view(np.int8)  # numpy adds int8 faster than bool
+        pos[a + 1 :] += ones
+        pos[a] -= ones.sum(axis=0, dtype=np.int8)
     return pos
 
 
-def _rank_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts: np.ndarray) -> None:
+def _rank_chunk(n: int, b: int, seed: int, t0: int, t1: int, counts: np.ndarray) -> None:
     """Add the descent transitions of trials [t0, t1) to the (n, n)
     ``counts``, in rank space.
 
     Card a is the one with key a.  It starts with label a at position
-    pos[a], its rank in the stable sort of the keys, where card a comes
-    before a card c > a when key a <= key c.  Cards a < c are adjacent when
-    their positions differ by one, and that adjacency is a descent when the
-    card in front has the larger label.  A step compares the cards by
-    (digit of the label, label): card a's new label is the number of cards
-    below it, and the compare of a < c also tells whether their adjacency
-    becomes a descent.  At the start the labels are the cards, so card a
-    reads digit a; later steps read each card's digit at its label.  Rows
-    are int8, so n must stay below 128.
+    pos[a], its rank in the stable sort of the keys.  Cards a < c are
+    adjacent when their positions differ by one, and that adjacency is a
+    descent when the card in front has the larger label.  The shuffle
+    compares the cards by (digit of the label, label): card a reads digit
+    a, it takes the lower new label when w_a <= w_c, and the compare of
+    a < c tells whether their adjacency becomes a descent.  Rows are int8,
+    so n must stay below 128.
     """
-    trials = t1 - t0
     pos = _start_positions(stream_block(seed, t0, t1, 0, n).T)
-    # gaps[a][c - a - 1] = pos[a] + 1 - pos[c]: 2 when c is just in front of
-    # a, 0 when just behind it, never either otherwise
-    gaps = [pos[a] + np.int8(1) - pos[a + 1 :] for a in range(n - 1)]
-    d_prev = np.zeros(trials, dtype=np.int8)
-    for gap in gaps:
-        d_prev += (gap == 2).view(np.int8).sum(axis=0, dtype=np.int8)  # card c > a just in front of a
-    labels = None
-    for s in range(steps):
-        w = digit_block(seed, t0, t1, n + s * n, n + (s + 1) * n, b).T
-        w = w.astype(np.min_scalar_type(b - 1))  # only the order of the digits counts
-        if labels is not None:
-            w = np.take_along_axis(w, labels, axis=0)
-        new = _rank_rows(n, trials) if s + 1 < steps else None
-        d_new = np.zeros(trials, dtype=np.int8)
-        for a, gap in enumerate(gaps):
-            if labels is None:  # label a is below every label c > a, so it wins the ties
-                lower = w[a] <= w[a + 1 :]
-            else:
-                lower = w[a] < w[a + 1 :]
-                lower |= (w[a] == w[a + 1 :]) & (labels[a] < labels[a + 1 :])
-            # a descent: c in front with the larger new label (gap 2, lower)
-            # or a in front with it (gap 0, not lower)
-            ones = lower.view(np.int8)
-            d_new += (gap == ones + ones).view(np.int8).sum(axis=0, dtype=np.int8)
-            if new is not None:
-                _count_pairs(new, a, lower)
-        counts += np.bincount(d_prev.astype(np.intp) * n + d_new, minlength=n * n).reshape(n, n)
-        labels, d_prev = new, d_new
+    w = digit_block(seed, t0, t1, n, 2 * n, b).T
+    w = w.astype(np.min_scalar_type(b - 1))  # only the order of the digits counts
+    d_prev = np.zeros(t1 - t0, dtype=np.int8)
+    d_new = np.zeros(t1 - t0, dtype=np.int8)
+    for a in range(n - 1):
+        # gap[c - a - 1] = pos[a] + 1 - pos[c]: 2 when c is just in front of
+        # a, 0 when just behind it, never either otherwise
+        gap = pos[a] + np.int8(1) - pos[a + 1 :]
+        d_prev += (gap == 2).view(np.int8).sum(axis=0, dtype=np.int8)
+        # a descent after the step: c in front with the larger new label
+        # (gap 2, a lower) or a in front with it (gap 0, a not lower)
+        ones = (w[a] <= w[a + 1 :]).view(np.int8)
+        d_new += (gap == ones + ones).view(np.int8).sum(axis=0, dtype=np.int8)
+    counts += np.bincount(d_prev.astype(np.intp) * n + d_new, minlength=n * n).reshape(n, n)
 
 
-def _sort_chunk(n: int, b: int, seed: int, steps: int, t0: int, t1: int, counts: np.ndarray) -> None:
+def _sort_chunk(n: int, b: int, seed: int, t0: int, t1: int, counts: np.ndarray) -> None:
     """Add the descent transitions of trials [t0, t1) to the (n, n)
     ``counts`` by building the decks.
 
     decks[p] is the card at position p, held position-major, (n, trials),
     so every compare runs along rows.  With g_p = w_{sigma_p}, the new deck
     has a descent at p exactly when g_p > g_{p+1}, or g_p = g_{p+1} and
-    sigma_p > sigma_{p+1}; the new deck itself (argsort, inverse, gather)
-    is built only when another step follows.
+    sigma_p > sigma_{p+1}.
     """
     decks = np.argsort(stream_block(seed, t0, t1, 0, n).T, axis=0, kind="stable")
+    digits = digit_block(seed, t0, t1, n, 2 * n, b).T
+    g = np.take_along_axis(digits.astype(np.min_scalar_type(b - 1)), decks, axis=0)  # only the order counts
     falls = decks[:-1] > decks[1:]  # the descents of the deck
     d_prev = falls.sum(axis=0)
-    for s in range(steps):
-        digits = digit_block(seed, t0, t1, n + s * n, n + (s + 1) * n, b).T
-        if b <= 2**16:  # only the order counts, and numpy radix-sorts 8- and 16-bit digits
-            digits = digits.astype(np.min_scalar_type(b - 1))
-        g = np.take_along_axis(digits, decks, axis=0)
-        ties = g[:-1] == g[1:]
-        ties &= falls
-        falls = g[:-1] > g[1:]
-        falls |= ties  # now the descents of the new deck
-        d_new = falls.sum(axis=0)
-        counts += np.bincount(d_prev * n + d_new, minlength=n * n).reshape(n, n)
-        if s + 1 < steps:
-            # tau = rho^-1 for the stable digit sort rho; new deck = tau o sigma
-            rho = np.argsort(digits, axis=0, kind="stable")
-            tau = np.empty_like(rho)
-            np.put_along_axis(tau, rho, np.broadcast_to(np.arange(n)[:, None], rho.shape), axis=0)
-            decks = np.take_along_axis(tau, decks, axis=0)
-        d_prev = d_new
+    ties = g[:-1] == g[1:]
+    ties &= falls
+    falls = g[:-1] > g[1:]
+    falls |= ties  # now the descents of the new deck
+    counts += np.bincount(d_prev * n + falls.sum(axis=0), minlength=n * n).reshape(n, n)
 
 
 def _scan_dtype(n: int, b: int) -> type:

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -423,60 +425,94 @@ class TestUsage:
         assert code == 2
 
 
+def _command(argv: list[str]) -> str:
+    """The leaf command of ``argv``: its words before the first option."""
+    return " ".join(itertools.takewhile(lambda word: not word.startswith("-"), argv))
+
+
+def _keeps_the_contract(argv: list[str]) -> tuple[int, str]:
+    """Run ``argv`` in process and assert the CLI contract: exit code 0, 1
+    or 2; no traceback; nothing on stdout with exit 2 and something with
+    exit 0; and stdout, when it holds anything, exactly one document ending
+    in a newline: CSV of equal-length rows for ``--format csv``, else JSON
+    whose meta names the command.  Returns the exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert text == ""
+    if code == 0:
+        assert text
+    if text:
+        assert text.endswith("\n")
+        if "csv" in argv:
+            rows = list(csv.reader(io.StringIO(text)))
+            assert rows and len({len(row) for row in rows}) == 1
+        else:
+            assert json.loads(text)["meta"]["command"] == _command(argv)
+    return code, text
+
+
+def _leaf_commands(parser: argparse.ArgumentParser) -> set[str]:
+    leaves = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                below = _leaf_commands(sub)
+                leaves |= {f"{name} {leaf}" for leaf in below} if below else {name}
+    return leaves
+
+
 # small sizes with the edge values 0 and negatives, plus sizes over every
 # oracle budget (b^n > 10^7, n > 6 for the transition and the idempotents);
 # for `verify all` the size is --max-n, past every row's cap at 30
+_ORACLE_COMMANDS = ["transition", "shuffles", "idempotents", "verify"]
 _ORACLE_SIZES = st.one_of(st.integers(-2, 7), st.just(30))
 _ORACLE_BASES = st.one_of(st.integers(-2, 4), st.just(10**8))
 
 
+def _oracle_argv(command: str, n: int, b: int) -> list[str]:
+    if command == "idempotents":
+        return ["idempotents", "--n", str(n), "--basis", "group"]
+    if command == "verify":
+        return ["verify", "all", "--max-n", str(n)]
+    return ["oracle", command, "--n", str(n), "--b", str(b)]
+
+
 @settings(max_examples=30, deadline=None)
 @example("verify", 0, 1)
-@given(st.sampled_from(["transition", "shuffles", "idempotents", "verify"]), _ORACLE_SIZES, _ORACLE_BASES)
+@given(st.sampled_from(_ORACLE_COMMANDS), _ORACLE_SIZES, _ORACLE_BASES)
 def test_oracle_commands_keep_the_contract(command, n, b):
-    if command == "idempotents":
-        argv = ["idempotents", "--n", str(n), "--basis", "group"]
-    elif command == "verify":
-        argv = ["verify", "all", "--max-n", str(n)]
-    else:
-        argv = ["oracle", command, "--n", str(n), "--b", str(b)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if out.getvalue():
-        assert out.getvalue().endswith("}\n")
-        json.loads(out.getvalue())
-    assert bool(out.getvalue()) == (code == 0)
+    _keeps_the_contract(_oracle_argv(command, n, b))
 
 
 # simulator sizes kept small, with n = 1, bases at and past 2^63 and seeds at
 # and past 2^64
+_SIM_COMMANDS = ["shuffle", "carries"]
 _SIM_SIZES = st.integers(-1, 5)
 _SIM_BASES = st.one_of(st.integers(-1, 12), st.sampled_from([2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**70]))
 _SIM_TRIALS = st.integers(-1, 300)
 _SIM_SEEDS = st.one_of(st.integers(-1, 2**64 - 1), st.integers(2**64, 2**70))
 
 
+def _simulate_argv(command: str, n: int, b: int, trials: int, seed: int) -> list[str]:
+    return ["simulate", command, "--n", str(n), "--b", str(b), "--trials", str(trials), "--seed", str(seed)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["shuffle", "carries"]), _SIM_SIZES, _SIM_BASES, _SIM_TRIALS, _SIM_SEEDS)
+@given(st.sampled_from(_SIM_COMMANDS), _SIM_SIZES, _SIM_BASES, _SIM_TRIALS, _SIM_SEEDS)
 def test_simulate_commands_keep_the_contract(command, n, b, trials, seed):
-    argv = ["simulate", command, "--n", str(n), "--b", str(b), "--trials", str(trials), "--seed", str(seed)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if out.getvalue():
-        assert out.getvalue().endswith("}\n")
-        doc = json.loads(out.getvalue())
-        assert sum(map(sum, doc["counts"])) == trials
-    assert bool(out.getvalue()) == (code == 0)
+    _, text = _keeps_the_contract(_simulate_argv(command, n, b, trials, seed))
+    if text:
+        assert sum(map(sum, json.loads(text)["counts"])) == trials
 
 
 # sizes up to 40 with the edge values 0 and negatives, plus a size and an
 # exponent over the closed-form work budget; bases up to 2^70
+_CLOSED_COMMANDS = ["amazing", "amazing-csv", "descent-poly", "foulkes", "worpitzky", "eigen", "idempotents"]
 _CLOSED_SIZES = st.one_of(st.integers(-2, 40), st.just(100_000))
 _CLOSED_BASES = st.one_of(st.integers(-1, 12), st.sampled_from([2**31, 2**64, 2**70]))
 _CLOSED_EXPONENTS = st.one_of(st.integers(-1, 30), st.just(10**9))
@@ -510,29 +546,24 @@ def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
 @example("eigen", 12, 2**1000, 1)
 @example("descent-poly", 1, 10, 4300)  # one digit over the int->str limit
 @example("idempotents", 16, 1, 1)  # one size over the term budget, refused before any expansion
-@given(
-    st.sampled_from(["amazing", "amazing-csv", "descent-poly", "foulkes", "worpitzky", "eigen", "idempotents"]),
-    _CLOSED_SIZES,
-    _CLOSED_BASES,
-    _CLOSED_EXPONENTS,
-)
+@given(st.sampled_from(_CLOSED_COMMANDS), _CLOSED_SIZES, _CLOSED_BASES, _CLOSED_EXPONENTS)
 def test_closed_form_commands_keep_the_contract(command, n, b, r):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(_closed_form_argv(command, n, b, r))
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    text = out.getvalue()
-    assert bool(text) == (code in (0, 1))
+    code, text = _keeps_the_contract(_closed_form_argv(command, n, b, r))
     if command == "idempotents" and n > 15:
         assert code == 2
-    if not text:
-        return
-    assert text.endswith("\n")
-    if command == "amazing-csv":
+    if text and command == "amazing-csv":
         rows = [line.split(",") for line in text.splitlines()]
         assert len(rows) == n and all(len(row) == n for row in rows)
         assert all(sum(map(int, row)) == b**n for row in rows)
-    else:
-        doc = json.loads(text)
-        assert doc["meta"]["params"]["n"] == n
+    elif text:
+        assert json.loads(text)["meta"]["params"]["n"] == n
+
+
+def test_the_contract_tests_draw_every_command():
+    # a new subcommand fails here until one of the tests above draws it
+    drawn = [_oracle_argv(command, 1, 2) for command in _ORACLE_COMMANDS]
+    drawn += [_simulate_argv(command, 1, 2, 1, 1) for command in _SIM_COMMANDS]
+    drawn += [_closed_form_argv(command, 1, 2, 1) for command in _CLOSED_COMMANDS]
+    leaves = _leaf_commands(cli.build_parser())
+    assert len(leaves) == 11
+    assert {_command(argv) for argv in drawn} == leaves

@@ -153,7 +153,7 @@ class TestLazyExports:
     def test_the_oracle_still_exports_its_caps_and_failures(self):
         from carrychain import combinat
 
-        for name in ("IDEMPOTENT_MAX_N", "TRANSITION_MAX_N", "LumpingViolation", "TransitionMismatch"):
+        for name in ("GROUP_ALGEBRA_MAX_N", "LumpingViolation", "TransitionMismatch"):
             assert getattr(oracle, name) is getattr(combinat, name)
 
     def test_dir_covers_all(self):

@@ -92,7 +92,7 @@ class TestEmpiricalMatrix:
 class TestShuffleChain:
     def test_deterministic(self):
         cfg = SimulationConfig(trials=2000, seed=42)
-        assert simulate_shuffle_chain(3, 2, cfg, steps=2) == simulate_shuffle_chain(3, 2, cfg, steps=2)
+        assert simulate_shuffle_chain(3, 2, cfg) == simulate_shuffle_chain(3, 2, cfg)
 
     def test_partition_independent(self):
         whole = simulate_shuffle_chain(3, 2, SimulationConfig(trials=1000, seed=7))
@@ -103,7 +103,7 @@ class TestShuffleChain:
 
     def test_sample_count(self):
         cfg = SimulationConfig(trials=500, seed=3)
-        assert simulate_shuffle_chain(2, 2, cfg, steps=4).samples == 2000
+        assert simulate_shuffle_chain(2, 2, cfg).samples == 500  # one shuffle, one sample per trial
 
     def test_roughly_matches_exact(self):
         cfg = SimulationConfig(trials=100_000, seed=11)
@@ -114,10 +114,6 @@ class TestShuffleChain:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             simulate_shuffle_chain(0, 2, SimulationConfig(trials=1, seed=1))
-
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError, match="steps"):
-            simulate_shuffle_chain(3, 2, SimulationConfig(trials=1, seed=1), steps=0)
 
     def test_base_bound(self):
         assert simulate_shuffle_chain(3, 2**63, SimulationConfig(trials=50, seed=1)).samples == 50
@@ -145,11 +141,13 @@ class TestDrawBudget:
 
         monkeypatch.setattr(simulate, "stream_block", no_draws)
         monkeypatch.setattr(simulate, "digit_block", no_draws)
-        # 2^32 + 1 = 641 * 6700417 draws; the (n, n) counts of n = 6700417
-        # would take 359 TB
+        # a shuffle trial takes 2n draws, so the smallest request over the
+        # budget is 2^32 + 2 draws, n = 1 with 2^31 + 1 trials; the carries
+        # take 2^32 + 1 = 641 * 6700417, where the (n, n) counts of
+        # n = 6700417 would take 359 TB
         assert simulate.DRAW_BUDGET == 2**32
         with pytest.raises(ValueError, match="budget"):
-            simulate_shuffle_chain(6700417, 2, SimulationConfig(trials=1, seed=1), steps=640)
+            simulate_shuffle_chain(1, 2, SimulationConfig(trials=2**31 + 1, seed=1))
         with pytest.raises(ValueError, match="budget"):
             simulate_carries(6700417, 2, 641, SimulationConfig(trials=1, seed=1))
 
@@ -299,8 +297,8 @@ class TestIndexBounds:
         assert stream_block(5, top - 1, top + 1, 0, 9).tolist() == [_draws(5, t, 0, 9) for t in (top - 1, top)]
         got = simulate_carries(3, 10, 50, SimulationConfig(trials=1, seed=5), trial_offset=top)
         assert got.counts == _carries_reference(3, 10, 50, 5, 1, top)
-        got = simulate_shuffle_chain(4, 3, SimulationConfig(trials=2, seed=5), trial_offset=top - 1, steps=2)
-        assert got.counts == _shuffle_reference(4, 3, 5, 2, 2, top - 1)
+        got = simulate_shuffle_chain(4, 3, SimulationConfig(trials=2, seed=5), trial_offset=top - 1)
+        assert got.counts == _shuffle_reference(4, 3, 5, 2, top - 1)
 
     @pytest.mark.parametrize("offset, trials", [(-1, 2), (2**64 - 1, 2), (2**64, 1)])
     def test_simulators_refuse_trials_out_of_range(self, no_work, offset, trials):
@@ -319,6 +317,19 @@ class TestIndexBounds:
             stream_block(1, *window)
         with pytest.raises(ValueError, match=match):
             digit_block(1, *window, 10)
+
+    def test_the_last_draw_index_works(self):
+        top = 2**64 - 1
+        assert stream_block(1, 0, 2, top, top + 1).tolist() == [_draws(1, t, top, top + 1) for t in (0, 1)]
+        assert stream_block(1, 0, 2, top - 3, top + 1).tolist() == [_draws(1, t, top - 3, top + 1) for t in (0, 1)]
+
+    @pytest.mark.parametrize("window", [(2**64, 2**64 + 3), (2**64 - 1, 2**64 + 1), (0, 2**64 + 1)])
+    def test_draws_past_the_last_index_are_refused_before_any_allocation(self, monkeypatch, window):
+        # draw j + 2^64 would repeat draw j: (2^64, 2^64 + 3) was the block of (0, 3)
+        monkeypatch.setattr(rng, "np", None)  # any numpy call, an allocation among them, fails
+        for make in (lambda: stream_block(1, 0, 2, *window), lambda: digit_block(1, 0, 2, *window, 10)):
+            with pytest.raises(ValueError, match="draw indices"):
+                make()
 
 
 # Pure-Python references, written from the formulas in the rng and simulate
@@ -344,24 +355,21 @@ def _descents(seq):
     return sum(x > y for x, y in zip(seq, seq[1:]))
 
 
-def _shuffle_reference(n, b, seed, trials, steps, offset=0):
-    """Descent transitions of ``steps`` GSR b-shuffles per trial: the start
-    deck stably sorts positions by raw key; each step's digit word stably
-    sorts positions by digit (rho), and the deck sigma becomes tau o sigma
-    with tau = rho^-1."""
+def _shuffle_reference(n, b, seed, trials, offset=0):
+    """Descent transitions of one GSR b-shuffle per trial: the start deck
+    stably sorts positions by raw key; the digit word stably sorts positions
+    by digit (rho), and the deck sigma becomes tau o sigma with
+    tau = rho^-1."""
     counts = [[0] * n for _ in range(n)]
     for t in range(offset, offset + trials):
         keys = _draws(seed, t, 0, n)
         deck = sorted(range(n), key=keys.__getitem__)
-        for s in range(steps):
-            digits = [v % b for v in _draws(seed, t, n + s * n, n + (s + 1) * n)]
-            rho = sorted(range(n), key=digits.__getitem__)
-            tau = [0] * n
-            for rank, pos in enumerate(rho):
-                tau[pos] = rank
-            new = [tau[card] for card in deck]
-            counts[_descents(deck)][_descents(new)] += 1
-            deck = new
+        digits = [v % b for v in _draws(seed, t, n, 2 * n)]
+        rho = sorted(range(n), key=digits.__getitem__)
+        tau = [0] * n
+        for rank, pos in enumerate(rho):
+            tau[pos] = rank
+        counts[_descents(deck)][_descents([tau[card] for card in deck])] += 1
     return tuple(tuple(row) for row in counts)
 
 
@@ -441,20 +449,21 @@ class TestRngReference:
 
 
 class TestSimulatorReference:
-    @pytest.mark.parametrize("steps", (1, 3))
+    @pytest.mark.parametrize("chunks", (1, 3))
     @pytest.mark.parametrize("n, b", [(1, 3), (2, 2), (3, 2), (4, 3), (5, 10), (6, 2**63)])
-    def test_shuffle_chain(self, steps, n, b):
+    def test_shuffle_chain(self, monkeypatch, chunks, n, b):
         for seed, trials, offset in ((1, 300, 0), (2**64 - 1, 57, 1000)):
-            got = simulate_shuffle_chain(n, b, SimulationConfig(trials=trials, seed=seed), offset, steps=steps)
-            assert got.counts == _shuffle_reference(n, b, seed, trials, steps, offset)
+            # 2n draws a trial: the trials run in ``chunks`` chunks
+            monkeypatch.setattr(simulate, "_CHUNK_VALUES", 2 * n * -(-trials // chunks))
+            got = simulate_shuffle_chain(n, b, SimulationConfig(trials=trials, seed=seed), offset)
+            assert got.counts == _shuffle_reference(n, b, seed, trials, offset)
 
     @pytest.mark.parametrize("chunk", (1, 7, 50))
     def test_shuffle_chain_in_small_chunks(self, monkeypatch, chunk):
         monkeypatch.setattr(simulate, "_CHUNK_VALUES", chunk)
         monkeypatch.setattr(rng, "_BLOCK_VALUES", 5, raising=False)
-        for steps in (1, 3):
-            got = simulate_shuffle_chain(4, 3, SimulationConfig(trials=40, seed=5), 3, steps=steps)
-            assert got.counts == _shuffle_reference(4, 3, 5, 40, steps, 3)
+        got = simulate_shuffle_chain(4, 3, SimulationConfig(trials=40, seed=5), 3)
+        assert got.counts == _shuffle_reference(4, 3, 5, 40, 3)
 
     @pytest.mark.parametrize("chunk, segment, block", [(None, None, None), (1, 1, 1), (30, 4, 7), (100, 3, 64)])
     def test_one_long_trajectory(self, monkeypatch, chunk, segment, block):
@@ -566,25 +575,25 @@ class TestShuffleKernels:
         # b = 1 ties every digit and b = 2 most of them, so the labels break ties
         if chunk is not None:
             monkeypatch.setattr(simulate, "_CHUNK_VALUES", chunk)
-        for steps in (1, 2, 3):
+        for s in (1, 2, 3):
             for b in (1, 2, 3, 2**63):
-                got = simulate_shuffle_chain(n, b, SimulationConfig(trials=12, seed=b + steps), 5, steps=steps)
-                assert got.counts == _shuffle_reference(n, b, b + steps, 12, steps, 5)
+                got = simulate_shuffle_chain(n, b, SimulationConfig(trials=12, seed=b + s), 5)
+                assert got.counts == _shuffle_reference(n, b, b + s, 12, 5)
 
     @pytest.mark.parametrize("chunk", (1, 5, 40, None))
     def test_no_block_exceeds_the_chunk(self, chunk):
-        for n, b, steps in ((1, 2, 1), (3, 3, 1), (4, 3, 3), (simulate._RANK_MAX_N + 1, 2, 1)):
-            per_chunk = max(1, (chunk or simulate._CHUNK_VALUES) // (n * (steps + 1)))
+        for n, b in ((1, 2), (3, 3), (4, 3), (simulate._RANK_MAX_N + 1, 2)):
+            per_chunk = max(1, (chunk or simulate._CHUNK_VALUES) // (2 * n))
             cfg = SimulationConfig(trials=3 * per_chunk + 1, seed=8)
-            expected = simulate_shuffle_chain(n, b, cfg, 1, steps)
+            expected = simulate_shuffle_chain(n, b, cfg, 1)
             sizes = []
             with pytest.MonkeyPatch.context() as patch:
                 _record_sizes(patch, sizes)
                 if chunk is not None:
                     patch.setattr(simulate, "_CHUNK_VALUES", chunk)
-                assert simulate_shuffle_chain(n, b, cfg, 1, steps) == expected
-            assert len(sizes) == 4 * (steps + 1)  # a key block and a digit block per step, per chunk
-            assert max(sizes) <= max(chunk or simulate._CHUNK_VALUES, n * (steps + 1))
+                assert simulate_shuffle_chain(n, b, cfg, 1) == expected
+            assert len(sizes) == 8  # a key block and a digit block per chunk
+            assert max(sizes) <= max(chunk or simulate._CHUNK_VALUES, 2 * n)
 
 
 class TestPinnedCounts:
@@ -601,6 +610,12 @@ class TestPinnedCounts:
          "7a106b4024216cdca70c43058c5578fcee52db69015c914892c06b4df76aa555"),
         (lambda: simulate_carries(2, 10, 20, SimulationConfig(50_000, 2011)),  # 4 chunks
          "6f0ac96f6b7a535729db8ed282d3f7863386085e0db08546f1b8c7231b9d9ebf"),
-    ], ids=["shuffle-n10", "shuffle-n3", "carries-one-trajectory", "carries-trials"])
+        # the sort kernel, pinned from its multi-step form
+        (lambda: simulate_shuffle_chain(40, 3, SimulationConfig(20_000, 2011)),  # 4 chunks
+         "f5be2663e69e095f51ee2ab07cf1ba04449c59b9e0ceb6165c77116acfda51fa"),
+        (lambda: simulate_shuffle_chain(40, 70_000, SimulationConfig(7_000, 2011), 5),  # 2 chunks, digits past 2^16
+         "91c422d14d9d7f76d7ed3a66defeabd28efa541bb93578577050f9eaf9bebdee"),
+    ], ids=["shuffle-n10", "shuffle-n3", "carries-one-trajectory", "carries-trials", "shuffle-sort-n40",
+            "shuffle-sort-wide-base"])
     def test_digest(self, run, digest):
         assert hashlib.sha256(repr(run().counts).encode()).hexdigest() == digest
