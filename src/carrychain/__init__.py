@@ -30,43 +30,32 @@ _EXPORTS = {
     "SimulationConfig": "simulate",
     "SWordExpansion": "eulerian",
     "TransitionMismatch": "combinat",
-    "all_permutations": "combinat",
     "amazing_entry": "matrix",
     "amazing_matrix": "matrix",
     "binomial": "combinat",
-    "class_element": "eulerian",
     "compositions": "combinat",
     "descent_polynomial": "matrix",
     "enumerate_b_shuffles": "oracle",
-    "eulerian_number": "combinat",
     "eulerian_numbers": "combinat",
     "expansion_to_group": "oracle",
     "foulkes_determinant": "matrix",
     "foulkes_matrix": "eulerian",
-    "fundamental_evaluation": "eulerian",
     "group_identity": "oracle",
     "group_product": "oracle",
-    "idempotent_element": "eulerian",
     "idempotent_group": "oracle",
     "idempotent_s_expansion": "eulerian",
-    "identity_element": "eulerian",
     "internal_product": "eulerian",
     "oracle_descent_polynomial": "oracle",
     "oracle_transition_matrix": "oracle",
-    "pairing": "eulerian",
-    "ribbon_sum": "oracle",
-    "s_word_to_group": "oracle",
     "shuffle_element_from_basis": "oracle",
     "simulate_carries": "simulate",
     "simulate_shuffle_chain": "simulate",
     "spow_element": "eulerian",
-    "stationary_distribution": "matrix",
     "superfactorial": "combinat",
     "verify_multiplicativity": "matrix",
     "verify_spectrum": "matrix",
     "verify_stationary": "matrix",
     "worpitzky_matrix": "eulerian",
-    "zero_element": "eulerian",
 }
 
 __all__ = list(_EXPORTS)

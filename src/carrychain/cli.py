@@ -36,6 +36,7 @@ from fractions import Fraction
 from . import __version__
 from .combinat import (
     GROUP_ALGEBRA_MAX_N,
+    IDEMPOTENT_TERMS,
     BudgetError,
     Composition,
     LumpingViolation,
@@ -45,7 +46,6 @@ from .combinat import (
     superfactorial,
 )
 from .eulerian import (
-    IDEMPOTENT_TERMS,
     foulkes_matrix,
     idempotent_s_expansion,
     internal_product,

@@ -18,13 +18,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 # The oracle's cap and failures that the CLI names at import time.  They
 # live here, not in ``oracle``, so that the closed-form commands can run
 # without importing the oracle and numpy; ``oracle`` re-exports them.  All
 # group-algebra work stops at the reach of the S_n composition table.
 GROUP_ALGEBRA_MAX_N = 6
+
+# Compositions admitted by ``compositions``, 2^(n-1) (up to n = 18), and S-word
+# terms in E[k], 2^(n-1), and in E[1..n], (n + 1) 2^(n-2), as `idempotents`
+# writes.  2^17 admits n = 15 (4.9 MB of JSON) there, which takes 1.9 s and
+# 67 MiB RSS on a 2-vCPU x86-64 host with Python 3.11; n = 16 (278,528
+# terms, 10.7 MB) took 5.0 s and 128 MiB.
+IDEMPOTENT_TERMS = 2**17
 
 
 class BudgetError(ValueError):
@@ -118,19 +124,6 @@ class Composition:
             sums.append(acc)
         return frozenset(sums)
 
-    @classmethod
-    def from_descent_set(cls, n: int, positions: Iterable[int]) -> "Composition":
-        """The composition of ``n`` whose partial sums are ``positions``."""
-        if n < 0:
-            raise ValueError(f"weight must be nonnegative, got {n}")
-        cuts = sorted(positions)
-        if cuts and not (1 <= cuts[0] and cuts[-1] <= n - 1 and len(set(cuts)) == len(cuts)):
-            raise ValueError(f"descent positions must be distinct and within 1..{n - 1}: {cuts}")
-        if n == 0:
-            return cls(())
-        bounds = [0, *cuts, n]
-        return cls(tuple(b - a for a, b in zip(bounds, bounds[1:])))
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
@@ -139,25 +132,29 @@ def compositions(n: int) -> list[Composition]:
     """All compositions of ``n``, in lexicographic order on the parts.
 
     There are 2^(n-1) of them for n >= 1, and exactly the empty composition
-    for n = 0.  The order is the canonical one used for serialization.
+    for n = 0.  The order is the canonical one used for serialization.  Each
+    is read off one choice, cut or not, after each of the positions
+    1..n-1; more than ``IDEMPOTENT_TERMS`` of them are refused with
+    ``BudgetError`` before any is built.
 
     >>> [c.parts for c in compositions(3)]
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
     if n < 0:
         raise ValueError(f"compositions: n must be nonnegative, got {n}")
-    out: list[Composition] = []
-
-    def extend(prefix: list[int], remaining: int) -> None:
-        if remaining == 0:
-            out.append(Composition(tuple(prefix)))
-            return
-        for part in range(1, remaining + 1):
-            prefix.append(part)
-            extend(prefix, remaining - part)
-            prefix.pop()
-
-    extend([], n)
+    if 2 ** min(n - 1, 64) > IDEMPOTENT_TERMS:
+        raise BudgetError(f"compositions: 2^{n - 1} compositions of {n} exceed the budget of {IDEMPOTENT_TERMS}")
+    if n == 0:
+        return [Composition(())]
+    out = []
+    for cuts in itertools.product((True, False), repeat=n - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        out.append(Composition(tuple(parts)))
     return out
 
 
@@ -179,10 +176,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
-    def __call__(self, i: int) -> int:
-        """Image of the 1-based point ``i``."""
-        return self.images[i - 1]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Function composition: (p * q)(i) = p(q(i))."""
         if self.n != other.n:
@@ -202,38 +195,21 @@ class Permutation:
     def descent_count(self) -> int:
         return sum(1 for i in range(self.n - 1) if self.images[i] > self.images[i + 1])
 
-    def descent_composition(self) -> Composition:
-        return Composition.from_descent_set(self.n, self.descent_set())
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.images)
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic order of one-line notation."""
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
-
-
 def eulerian_numbers(n: int) -> tuple[int, ...]:
-    """The row (E(n,1), ..., E(n,n)) of ``eulerian_number``, built from
-    E(1, 1) = 1 by the recurrence E(m, k) = k E(m-1, k) + (m-k+1) E(m-1, k-1)."""
+    """The Eulerian numbers (E(n,1), ..., E(n,n)), E(n, k) the number of
+    permutations of S_n with exactly k-1 descents, built from E(1, 1) = 1 by
+    the recurrence E(m, k) = k E(m-1, k) + (m-k+1) E(m-1, k-1).
+
+    >>> eulerian_numbers(3)
+    (1, 4, 1)
+    """
     if n < 1:
         raise ValueError(f"eulerian_numbers: n must be positive, got {n}")
     row = [1]
     for m in range(2, n + 1):
         row = [k * a + (m - k + 1) * c for k, a, c in zip(range(1, m + 1), [*row, 0], [0, *row])]
     return tuple(row)
-
-
-def eulerian_number(n: int, k: int) -> int:
-    """Number of permutations of S_n with exactly k-1 descents (1 <= k <= n).
-
-    >>> eulerian_number(3, 2)
-    4
-    """
-    if n < 1:
-        raise ValueError(f"eulerian_number: n must be positive, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"eulerian_number: k must lie in 1..{n}, got {k}")
-    return eulerian_numbers(n)[k - 1]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
 
-from .combinat import BudgetError, Composition, binomial, compositions
+from .combinat import IDEMPOTENT_TERMS, BudgetError, Composition, binomial, compositions
 
 
 # Bigint work admitted for one closed-form table, in 64-bit word operations
@@ -126,35 +126,12 @@ class EulerianElement:
         self._check_degree(other)
         return EulerianElement(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "EulerianElement") -> "EulerianElement":
-        self._check_degree(other)
-        return EulerianElement(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def scale(self, c) -> "EulerianElement":
         c = Fraction(c)
         return EulerianElement(self.n, tuple(c * a for a in self.coords))
 
-    def __mul__(self, other: "EulerianElement") -> "EulerianElement":
-        return internal_product(self, other)
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
-
-
-def zero_element(n: int) -> EulerianElement:
-    return EulerianElement(n, (Fraction(0),) * n)
-
-
-def identity_element(n: int) -> EulerianElement:
-    """S[1], the identity of the internal product (all E-coordinates 1)."""
-    return EulerianElement(n, (Fraction(1),) * n)
-
-
-def idempotent_element(n: int, k: int) -> EulerianElement:
-    """E[k] itself: the k-th coordinate vector."""
-    if not 1 <= k <= n:
-        raise ValueError(f"idempotent index must lie in 1..{n}, got {k}")
-    return EulerianElement(n, tuple(Fraction(1 if i == k else 0) for i in range(1, n + 1)))
 
 
 def spow_element(n: int, k: int) -> EulerianElement:
@@ -176,7 +153,9 @@ def class_element(n: int, p: int) -> EulerianElement:
 
     Expanding A[p] = sum_{r=0..p} (-1)^r C(n+1, r) S[p-r] coordinatewise
     gives coordinate i = sum_r (-1)^r C(n+1, r) (p-r)^i, with 0^i = 0 since
-    S[0] is the zero element.
+    S[0] is the zero element.  Column p of ``foulkes_matrix`` holds these
+    coordinates; this entry-by-entry sum is its reference, kept out of the
+    package's exports.
     """
     if not 1 <= p <= n:
         raise ValueError(f"class index must lie in 1..{n}, got {p}")
@@ -193,20 +172,12 @@ def internal_product(u: EulerianElement, v: EulerianElement) -> EulerianElement:
     return EulerianElement(u.n, tuple(a * b for a, b in zip(u.coords, v.coords)))
 
 
-def pairing(u: EulerianElement, v: EulerianElement) -> Fraction:
-    """The symmetric bilinear form making the idempotents orthonormal."""
-    u._check_degree(v)
-    return sum((a * b for a, b in zip(u.coords, v.coords)), Fraction(0))
-
-
 @dataclass(frozen=True)
 class BasisMatrix:
     """An exact n x n change-of-basis matrix with 1-based index helpers."""
 
     n: int
     entries: tuple[tuple[Fraction, ...], ...]
-    from_basis: str
-    to_basis: str
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
@@ -218,9 +189,6 @@ class BasisMatrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i - 1]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j - 1] for row in self.entries)
 
 
 def _worpitzky_numerators(n: int) -> list[list[int]]:
@@ -267,7 +235,7 @@ def worpitzky_matrix(n: int) -> BasisMatrix:
     numerators = _worpitzky_numerators(n)
     nfact = math.factorial(n)
     rows = tuple(tuple(Fraction(c, nfact) for c in row) for row in numerators)
-    return BasisMatrix(n, rows, from_basis="E", to_basis="A")
+    return BasisMatrix(n, rows)
 
 
 def _foulkes_numerators(n: int) -> list[list[int]]:
@@ -295,7 +263,7 @@ def foulkes_matrix(n: int) -> BasisMatrix:
     transition matrix; ``class_element`` is the column-by-column reference.
     """
     rows = tuple(tuple(row) for row in _foulkes_numerators(n))
-    return BasisMatrix(n, rows, from_basis="A", to_basis="E")
+    return BasisMatrix(n, rows)
 
 
 @dataclass
@@ -316,9 +284,6 @@ class SWordExpansion:
                 cleaned[comp] = coeff
         self.terms = cleaned
 
-    def coefficient(self, comp: Composition) -> Fraction:
-        return self.terms.get(comp, Fraction(0))
-
     def __add__(self, other: "SWordExpansion") -> "SWordExpansion":
         if self.n != other.n:
             raise ValueError(f"weight mismatch: {self.n} != {other.n}")
@@ -329,13 +294,6 @@ class SWordExpansion:
 
     def sorted_terms(self) -> list[tuple[Composition, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: item[0].parts)
-
-
-# Terms over S-words admitted in E[k], 2^(n-1) (up to n = 18), and in E[1..n],
-# (n + 1) 2^(n-2), as `idempotents` writes.  2^17 admits n = 15 (4.9 MB of
-# JSON) there, which takes 1.9 s and 67 MiB RSS on a 2-vCPU x86-64 host with
-# Python 3.11; n = 16 (278,528 terms, 10.7 MB) took 5.0 s and 128 MiB.
-IDEMPOTENT_TERMS = 2**17
 
 
 def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:
@@ -355,13 +313,3 @@ def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:
         coeffs.append(Fraction(row[k] if k <= m else 0, math.factorial(m)))
         row = [a - m * c for a, c in zip([0, *row], [*row, 0])]
     return SWordExpansion(n, {comp: coeffs[comp.length] for comp in compositions(n)})
-
-
-def fundamental_evaluation(comp: Composition, N: int) -> int:
-    """Number of ways to realize the descent class of ``comp`` with letters
-    from an N-letter alphabet: C(N + n - len(comp), n) where n is the
-    weight.  This is the multiplicity with which the class appears in an
-    N-shuffle."""
-    if N < 0:
-        raise ValueError(f"alphabet size must be nonnegative, got {N}")
-    return binomial(N + comp.weight - comp.length, comp.weight)

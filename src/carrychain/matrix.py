@@ -198,10 +198,6 @@ class AmazingMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i - 1]
 
-    def normalized_row(self, i: int) -> tuple[Fraction, ...]:
-        bn = self.normalizer
-        return tuple(Fraction(e, bn) for e in self.entries[i - 1])
-
     def normalized(self) -> tuple[tuple[Fraction, ...], ...]:
         bn = self.normalizer
         return tuple(tuple(Fraction(e, bn) for e in row) for row in self.entries)
@@ -266,12 +262,6 @@ def verify_spectrum(n: int, b: int) -> Report:
         if [sum(map(mul, row, col)) for col in columns] != [bi * c for c in row]:
             failures.append(f"left eigenpair failed: n={n}, b={b}, i={i}")
     return Report("spectrum", {"n": n, "b": b}, 2 * n, tuple(failures))
-
-
-def stationary_distribution(n: int) -> tuple[Fraction, ...]:
-    """The Eulerian distribution (E(n,1), ..., E(n,n)) / n!."""
-    nfact = math.factorial(n)
-    return tuple(Fraction(e, nfact) for e in eulerian_numbers(n))
 
 
 def verify_stationary(n: int, b: int) -> Report:

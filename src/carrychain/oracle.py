@@ -155,12 +155,11 @@ def _accumulator(size: int, bound: int) -> np.ndarray:
     return np.zeros(size, dtype=np.int64 if bound < 2**63 else object)
 
 
-def _descent_filter(comp: Composition, exact: bool = False) -> np.ndarray:
+def _descent_filter(comp: Composition) -> np.ndarray:
     """Which rows of ``_table(comp.weight)`` have their descent set in the
-    cut set of ``comp``, or equal to it if ``exact``."""
-    masks = _table(comp.weight).masks
+    cut set of ``comp``."""
     cut = sum(1 << (i - 1) for i in comp.descent_set())
-    return masks == cut if exact else (masks & ~cut) == 0
+    return (_table(comp.weight).masks & ~cut) == 0
 
 
 @dataclass(frozen=True)
@@ -181,9 +180,6 @@ class GroupAlgebraElement:
                 cleaned[perm] = coeff
         object.__setattr__(self, "terms", cleaned)
 
-    def coefficient(self, perm: Permutation) -> Fraction:
-        return self.terms.get(perm, Fraction(0))
-
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} != {other.n}")
@@ -191,16 +187,6 @@ class GroupAlgebraElement:
         for perm, coeff in other.terms.items():
             merged[perm] = merged.get(perm, Fraction(0)) + coeff
         return GroupAlgebraElement(self.n, merged)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "GroupAlgebraElement":
-        c = Fraction(c)
-        return GroupAlgebraElement(self.n, {perm: c * coeff for perm, coeff in self.terms.items()})
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return group_product(self, other)
 
     def invert_support(self) -> "GroupAlgebraElement":
         """Apply the inversion anti-automorphism sigma -> sigma^{-1}."""
@@ -253,23 +239,11 @@ def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebr
     return _element(n, acc, du * dv)
 
 
-def ribbon_sum(comp: Composition) -> GroupAlgebraElement:
-    """Sum (coefficient 1) of all permutations with descent composition
-    ``comp``."""
-    _check_degree(comp.weight, "ribbon sums are")
-    return _element(comp.weight, _descent_filter(comp, exact=True).astype(np.int64))
-
-
-def s_word_to_group(comp: Composition) -> GroupAlgebraElement:
-    """The complete word S^I as a sum of permutations: the ribbon sums over
-    all compositions whose descent set is contained in that of ``comp``,
-    i.e. every permutation whose descent set refines the cut points of I."""
-    _check_degree(comp.weight, "S-words are")
-    return _element(comp.weight, _descent_filter(comp).astype(np.int64))
-
-
 def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
-    """Push an S-word expansion through ``s_word_to_group`` linearly."""
+    """An S-word expansion as a sum of permutations.  The complete word S^I
+    is the sum, coefficient 1, of every permutation whose descent set lies
+    in the cut set of I, so each coefficient is added over that descent-set
+    filter of the S_n table."""
     n = expansion.n
     _check_degree(n, "S-word expansions are")
     denom, items = _scaled_integers(expansion.terms)
@@ -320,7 +294,7 @@ def enumerate_b_shuffles(n: int, b: int) -> ShuffleMultiset:
     possible distinct outcomes, min(b^n, n!), before any work is done."""
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
-    if b**n > ENUMERATION_BUDGET:
+    if b ** min(n, 64) > ENUMERATION_BUDGET:  # any b >= 2 is over by n = 24; no huge b^n is built
         raise OracleBoundError(f"enumeration budget exceeded: {b}^{n} > {ENUMERATION_BUDGET}")
     if b**n > OUTCOME_BUDGET and factorial(n) > OUTCOME_BUDGET:
         raise OracleBoundError(f"outcome budget exceeded: min({b}^{n}, {n}!) > {OUTCOME_BUDGET}")

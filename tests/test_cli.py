@@ -162,7 +162,7 @@ class TestIdempotents:
 class TestBudgets:
     def test_every_refusal_is_a_budget_error(self):
         from carrychain import oracle
-        from carrychain.combinat import BudgetError
+        from carrychain.combinat import BudgetError, compositions
         from carrychain.eulerian import ClosedFormBudgetError
 
         config = simulate.SimulationConfig(trials=1, seed=1)
@@ -175,6 +175,7 @@ class TestBudgets:
             (BudgetError, lambda: simulate.simulate_carries(1025, 2, digits=1, cfg=config)),  # TALLY_CELLS
             (BudgetError, lambda: cli._cmd_idempotents(argparse.Namespace(n=16, basis="s"))),  # IDEMPOTENT_TERMS
             (BudgetError, lambda: cli.idempotent_s_expansion(40, 1)),  # IDEMPOTENT_TERMS, one expansion
+            (BudgetError, lambda: compositions(1200)),  # IDEMPOTENT_TERMS, compositions
         ]
         for kind, refused in refusals:
             with pytest.raises(BudgetError) as caught:
@@ -330,11 +331,15 @@ def _two_gib_of_address_space():
 
 @pytest.mark.parametrize(
     "argv",
-    _OVER_THE_CLOSED_FORM_BUDGET + [("simulate", "shuffle", "--n", "3", "--b", "2", "--trials", str(10**12), "--seed", "1")],
+    _OVER_THE_CLOSED_FORM_BUDGET + [
+        ("simulate", "shuffle", "--n", "3", "--b", "2", "--trials", str(10**12), "--seed", "1"),
+        ("oracle", "shuffles", "--n", str(10**7), "--b", str(10**9)),
+    ],
 )
 def test_oversized_simulations_exit_2_at_once(argv):
     # the (n, n) counts of n = 10^6 alone would take 8 TB; 10^12 trials are
-    # over the draw budget and would draw for hours
+    # over the draw budget and would draw for hours; (10^9)^(10^7), built in
+    # full before the word budget was compared, took over two minutes
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
     proc = subprocess.run(

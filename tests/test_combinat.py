@@ -1,4 +1,5 @@
 import doctest
+import itertools
 import math
 
 import pytest
@@ -7,12 +8,11 @@ from hypothesis import strategies as st
 
 from carrychain import combinat
 from carrychain.combinat import (
+    BudgetError,
     Composition,
     Permutation,
-    all_permutations,
     binomial,
     compositions,
-    eulerian_number,
     eulerian_numbers,
     superfactorial,
 )
@@ -50,8 +50,21 @@ class TestCompositions:
         assert compositions(0) == [Composition(())]
 
     def test_counts(self):
-        for n in range(1, 11):
-            assert len(compositions(n)) == 2 ** (n - 1)
+        # every composition once, in lexicographic order on the parts
+        for n in range(0, 13):
+            parts = [c.parts for c in compositions(n)]
+            assert len(parts) == (2 ** (n - 1) if n else 1)
+            assert parts == sorted(set(parts))
+            assert all(sum(part) == n for part in parts)
+
+    def test_the_budget_admits_n_18(self):
+        assert len(compositions(18)) == 2**17 == combinat.IDEMPOTENT_TERMS
+
+    @pytest.mark.parametrize("n", [19, 1200, 10**20])
+    def test_over_the_budget_is_refused_without_recursion(self, n):
+        # the recursive version raised RecursionError at n = 1200
+        with pytest.raises(BudgetError, match=f"compositions: 2\\^{n - 1} compositions of {n} exceed the budget"):
+            compositions(n)
 
     def test_weights(self):
         for c in compositions(5):
@@ -63,40 +76,41 @@ class TestCompositions:
             Composition((2, 0, 1))
 
     def test_descent_set_round_trip(self):
+        # the parts are the gaps between consecutive cuts
         for c in compositions(6):
-            assert Composition.from_descent_set(6, c.descent_set()) == c
+            bounds = [0, *sorted(c.descent_set()), 6]
+            assert Composition(tuple(b - a for a, b in zip(bounds, bounds[1:]))) == c
 
 
 class TestDescentStatistics:
     def test_identity(self):
         p = Permutation.identity(4)
-        dset, count, comp = p.descent_set(), p.descent_count(), p.descent_composition()
-        assert (dset, count, comp.parts) == (frozenset(), 0, (4,))
+        assert (p.descent_set(), p.descent_count()) == (frozenset(), 0)
 
     def test_single_descent(self):
         p = Permutation((1, 3, 2))
-        dset, count, comp = p.descent_set(), p.descent_count(), p.descent_composition()
-        assert (dset, count, comp.parts) == (frozenset({2}), 1, (2, 1))
+        assert (p.descent_set(), p.descent_count()) == (frozenset({2}), 1)
 
     def test_reverse(self):
         p = Permutation((4, 3, 2, 1))
-        dset, count, comp = p.descent_set(), p.descent_count(), p.descent_composition()
-        assert (dset, count, comp.parts) == (frozenset({1, 2, 3}), 3, (1, 1, 1, 1))
+        assert (p.descent_set(), p.descent_count()) == (frozenset({1, 2, 3}), 3)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 10).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
     def test_round_trip(self, images):
+        # the descent set is the one of the composition with the same cuts
         p = Permutation(tuple(images))
-        dset, count, comp = p.descent_set(), p.descent_count(), p.descent_composition()
+        dset, count = p.descent_set(), p.descent_count()
+        bounds = [0, *sorted(dset), p.n]
+        comp = Composition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
         assert comp.descent_set() == dset
         assert count == len(dset)
-        assert comp.weight == p.n
 
 
 class TestPermutation:
     def test_compose_then_apply(self):
         p, q = Permutation((2, 3, 1)), Permutation((1, 3, 2))
-        assert (p * q).images == tuple(p(q(i)) for i in (1, 2, 3))
+        assert (p * q).images == tuple(p.images[q.images[i] - 1] for i in range(3))
 
     def test_inverse(self):
         p = Permutation((3, 1, 4, 2))
@@ -110,15 +124,15 @@ class TestPermutation:
     def test_empty_permutation_legal(self):
         p = Permutation(())
         assert p.descent_count() == 0
-        assert p.descent_composition() == Composition(())
+        assert p.descent_set() == frozenset()
 
 
 class TestEulerianNumbers:
     def test_single(self):
-        assert eulerian_number(1, 1) == 1
+        assert eulerian_numbers(1) == (1,)
 
     def test_small(self):
-        assert eulerian_number(3, 2) == 4
+        assert eulerian_numbers(3) == (1, 4, 1)
 
     def test_row_sum_is_factorial(self):
         for n in range(1, 21):
@@ -126,8 +140,8 @@ class TestEulerianNumbers:
 
     def test_symmetry(self):
         for n in range(1, 21):
-            for k in range(1, n + 1):
-                assert eulerian_number(n, k) == eulerian_number(n, n + 1 - k)
+            row = eulerian_numbers(n)
+            assert row == row[::-1]
 
     def test_a_deep_row_needs_no_recursion(self):
         # a recursion once per n raised RecursionError here in a fresh process
@@ -138,15 +152,14 @@ class TestEulerianNumbers:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_enumeration(self, n):
         histogram = [0] * n
-        for p in all_permutations(n):
-            histogram[p.descent_count()] += 1
+        for images in itertools.permutations(range(1, n + 1)):
+            histogram[Permutation(images).descent_count()] += 1
         assert tuple(histogram) == eulerian_numbers(n)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            eulerian_number(3, 0)
-        with pytest.raises(ValueError):
-            eulerian_number(3, 4)
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                eulerian_numbers(n)
 
 
 class TestSuperfactorial:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrychain import oracle
-from carrychain.combinat import Composition, Permutation, all_permutations, compositions
+from carrychain.combinat import Composition, Permutation, compositions
 from carrychain.eulerian import SWordExpansion
 from carrychain.matrix import amazing_matrix, descent_polynomial
 from carrychain.oracle import (
@@ -24,8 +24,6 @@ from carrychain.oracle import (
     idempotent_group,
     oracle_descent_polynomial,
     oracle_transition_matrix,
-    ribbon_sum,
-    s_word_to_group,
     shuffle_element_from_basis,
 )
 
@@ -38,55 +36,67 @@ def support(element):
     return set(element.terms)
 
 
+def every_permutation(n):
+    """S_n in lexicographic order of one-line notation."""
+    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+
+
+# S-words and ribbons reach the group algebra only through expansion_to_group
+
+
+def word(comp):
+    """The complete word S^I, as the expansion with the one term S^I."""
+    return expansion_to_group(SWordExpansion(comp.weight, {comp: Fraction(1)}))
+
+
+def ribbon(comp):
+    """The ribbon sum of I, every permutation whose descent set is exactly
+    the cut set of I: the signed sum of the words S^J over the J whose cuts
+    lie among those of I."""
+    cuts = comp.descent_set()
+    coarser = {J: (-1) ** (comp.length - J.length) for J in compositions(comp.weight) if J.descent_set() <= cuts}
+    return expansion_to_group(SWordExpansion(comp.weight, coarser))
+
+
 class TestRibbonSum:
     def test_single_part_is_identity(self):
         for n in range(1, 6):
-            assert support(ribbon_sum(Composition((n,)))) == {Permutation.identity(n)}
+            assert support(ribbon(Composition((n,)))) == {Permutation.identity(n)}
 
     def test_all_ones_degree_two(self):
-        assert support(ribbon_sum(Composition((1, 1)))) == {perm(2, 1)}
+        assert support(ribbon(Composition((1, 1)))) == {perm(2, 1)}
 
     def test_two_one(self):
-        assert support(ribbon_sum(Composition((2, 1)))) == {perm(1, 3, 2), perm(2, 3, 1)}
+        assert support(ribbon(Composition((2, 1)))) == {perm(1, 3, 2), perm(2, 3, 1)}
 
     def test_partitions_the_group(self):
         for n in range(1, 6):
-            seen = 0
-            for p in all_permutations(n):
-                seen += 1
-            total = 0
-            from carrychain.combinat import compositions
-
-            for comp in compositions(n):
-                total += len(ribbon_sum(comp).terms)
-            assert total == seen
+            assert sum(len(ribbon(comp).terms) for comp in compositions(n)) == math.factorial(n)
 
     def test_bound(self):
         with pytest.raises(OracleBoundError):
-            ribbon_sum(Composition((9,)))
+            ribbon(Composition((9,)))
 
 
 class TestSWordToGroup:
     def test_single_part(self):
-        assert support(s_word_to_group(Composition((2,)))) == {Permutation.identity(2)}
+        assert support(word(Composition((2,)))) == {Permutation.identity(2)}
 
     def test_one_one(self):
-        assert support(s_word_to_group(Composition((1, 1)))) == {perm(1, 2), perm(2, 1)}
+        assert support(word(Composition((1, 1)))) == {perm(1, 2), perm(2, 1)}
 
     def test_finest_word_is_whole_group(self):
-        element = s_word_to_group(Composition((1, 1, 1)))
+        element = word(Composition((1, 1, 1)))
         assert len(element.terms) == 6
         assert all(coeff == 1 for coeff in element.terms.values())
 
     def test_is_sum_of_coarser_ribbons(self):
-        from carrychain.combinat import compositions
-
         comp = Composition((2, 1, 2))
         total = GroupAlgebraElement(5, {})
         for other in compositions(5):
             if other.descent_set() <= comp.descent_set():
-                total = total + ribbon_sum(other)
-        assert s_word_to_group(comp) == total
+                total = total + ribbon(other)
+        assert word(comp) == total
 
 
 class TestGroupProduct:
@@ -213,7 +223,7 @@ class TestEnumerateShuffles:
         shuffles = enumerate_b_shuffles(4, 2)
         assert perm(3, 1, 4, 2) in shuffles.multiplicity
         assert perm(2, 4, 1, 3) not in shuffles.multiplicity
-        expected = {p for p in all_permutations(4) if p.inverse().descent_count() <= 1}
+        expected = {p for p in every_permutation(4) if p.inverse().descent_count() <= 1}
         assert support_of_multiset(shuffles) == expected
 
     def test_budget(self):
@@ -291,7 +301,7 @@ class TestSnTable:
     def test_lexicographic_with_descents(self, n):
         table = oracle._table(n)
         perms = _table_perms(n)
-        assert perms == list(all_permutations(n))
+        assert perms == list(every_permutation(n))
         assert table.descents.tolist() == [p.descent_count() for p in perms]
         assert table.masks.tolist() == [sum(1 << (i - 1) for i in p.descent_set()) for p in perms]
         assert table.perms == tuple(perms)
@@ -319,10 +329,11 @@ class TestSnTable:
 class TestDescentFilter:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_ribbons_and_words_in_lexicographic_order(self, n):
+        perms = every_permutation(n)
         for comp in compositions(n):
             cuts = comp.descent_set()
-            assert list(ribbon_sum(comp).terms) == [p for p in all_permutations(n) if p.descent_set() == cuts]
-            assert list(s_word_to_group(comp).terms) == [p for p in all_permutations(n) if p.descent_set() <= cuts]
+            assert list(ribbon(comp).terms.items()) == [(p, 1) for p in perms if p.descent_set() == cuts]
+            assert list(word(comp).terms.items()) == [(p, 1) for p in perms if p.descent_set() <= cuts]
 
 
 def _shuffles_word_by_word(n, b):
@@ -391,8 +402,8 @@ class TestTableKernels:
     def test_products_near_the_int64_bound_are_exact(self, a, b):
         # each permutation collects one pair per term of the left factor, six in all
         n = 3
-        u = GroupAlgebraElement(n, {p: a if p.descent_count() else -a for p in all_permutations(n)})
-        v = GroupAlgebraElement(n, {p: b for p in all_permutations(n)})
+        u = GroupAlgebraElement(n, {p: a if p.descent_count() else -a for p in every_permutation(n)})
+        v = GroupAlgebraElement(n, {p: b for p in every_permutation(n)})
         for x, y in ((u, v), (v, u), (u, u)):
             assert group_product(x, y).terms == _convolve(x, y)
 
@@ -406,8 +417,8 @@ class TestTableKernels:
         # the identity lies in every S-word, so it collects both coefficients, 2^63 in all
         top, finest = Composition((3,)), Composition((1, 1, 1))
         element = expansion_to_group(SWordExpansion(3, {top: Fraction(2**62), finest: Fraction(2**62)}))
-        expected = s_word_to_group(top).scale(2**62) + s_word_to_group(finest).scale(2**62)
-        assert element == expected and element.coefficient(Permutation.identity(3)) == 2**63
+        identity = Permutation.identity(3)
+        assert element.terms == {p: 2**63 if p == identity else 2**62 for p in every_permutation(3)}
 
     def test_corrupt_table_breaks_lumping(self, monkeypatch):
         table = oracle._table(3)
@@ -425,13 +436,11 @@ class TestReach:
 
     @pytest.mark.parametrize("call, operation", [
         (lambda: group_product(group_identity(7), group_identity(7)), "group products"),
-        (lambda: ribbon_sum(Composition((3, 4))), "ribbon sums"),
-        (lambda: s_word_to_group(Composition((3, 4))), "S-words"),
         (lambda: expansion_to_group(SWordExpansion(7, {Composition((7,)): Fraction(1)})), "S-word expansions"),
         (lambda: shuffle_element_from_basis(7, 2), "S-word realization"),
         (lambda: idempotent_group(7, 1), "group-algebra idempotents"),
         (lambda: oracle_transition_matrix(7, 2), "transition oracle"),
-    ], ids=["group_product", "ribbon_sum", "s_word_to_group", "expansion_to_group", "shuffle_element_from_basis",
+    ], ids=["group_product", "expansion_to_group", "shuffle_element_from_basis",
             "idempotent_group", "oracle_transition_matrix"])
     def test_degree_seven_is_refused_before_any_work(self, monkeypatch, call, operation):
         def no_work(*args):
