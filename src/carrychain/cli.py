@@ -87,6 +87,12 @@ def _fmt(value):
     return value
 
 
+def _label(images) -> str:
+    """A permutation's one-line images as ``str(Permutation)`` writes them,
+    without building the object."""
+    return ",".join(map(str, images))
+
+
 def _matrix_payload(rows) -> list[list]:
     return [[_fmt(v) for v in row] for row in rows]
 
@@ -186,8 +192,9 @@ def _cmd_idempotents(args) -> int:
             from .oracle import idempotent_group
 
             element = idempotent_group(args.n, k)
-            ordered = sorted(element.terms.items(), key=lambda item: item[0].images)
-            table[str(k)] = {str(perm): _fmt(coeff) for perm, coeff in ordered}
+            images, numers = element.support()
+            value = {c: _fmt(Fraction(c, element.denominator)) for c in set(numers)}
+            table[str(k)] = {_label(im): value[c] for im, c in zip(images, numers)}
     _emit("idempotents", {"n": args.n, "basis": args.basis}, {"idempotents": table})
     return 0
 
@@ -221,8 +228,8 @@ def _cmd_oracle_shuffles(args) -> int:
     from .oracle import enumerate_b_shuffles
 
     shuffles = enumerate_b_shuffles(args.n, args.b)
-    ordered = sorted(shuffles.multiplicity.items(), key=lambda item: item[0].images)
-    payload = {"total": shuffles.total(), "multiplicities": {str(p): m for p, m in ordered}}
+    images = (shuffles.positions.T + 1).tolist()
+    payload = {"total": shuffles.total(), "multiplicities": dict(zip(map(_label, images), shuffles.counts.tolist()))}
     _emit("oracle shuffles", {"n": args.n, "b": args.b}, payload)
     return 0
 
@@ -387,7 +394,7 @@ def _shuffle_element(n: int, b: int):
     # ShuffleMultiset has refused any outcome whose inverse has more than b - 1
     # descents, so the support rule is the count of its outcomes
     expected_size = sum(eulerian_numbers(n)[:b])  # permutations with at most b - 1 descents
-    if len(shuffles.multiplicity) != expected_size:
+    if len(shuffles.ranks) != expected_size:
         failures.append(f"support rule failed at n={n}, b={b}")
     if shuffles.to_group_algebra() != shuffle_element_from_basis(n, b).invert_support():
         failures.append(f"multiset != basis realization at n={n}, b={b}")

@@ -122,17 +122,6 @@ class EulerianElement:
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} != {other.n}")
 
-    def __add__(self, other: "EulerianElement") -> "EulerianElement":
-        self._check_degree(other)
-        return EulerianElement(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c) -> "EulerianElement":
-        c = Fraction(c)
-        return EulerianElement(self.n, tuple(c * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
 
 def spow_element(n: int, k: int) -> EulerianElement:
     """The k-shuffle element S[k], with E-coordinates (k, k^2, ..., k^n).

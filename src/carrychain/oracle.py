@@ -5,22 +5,39 @@ every one of the b^n shuffle digit words is enumerated, every pair of terms
 of a product is composed, and the descent transition is tallied for every
 permutation, not per class.  It imports nothing from ``matrix``: every
 comparison of an enumerated result with a closed form is made in ``cli``
-(the ``oracle`` commands and the rows of ``verify all``).  One lazily built
-table per n indexes that work without shortcutting it: S_n in lexicographic
-order as a small-int array, with descent counts, descent-set bitmasks, a
-lookup from the mixed-radix key of a permutation's images to its rank and
-the composition table, whose every pair is composed and ranked through that
-lookup.  The kernels work on whole table rows: a product reads
-its right factor, as one dense vector, along the row of p^{-1} for each term
-p of its left factor, so every pair of terms is still composed, in int64
-under an up-front bound on the sums and in exact Python ints above it; an
-S-word expansion adds each coefficient over a descent-set mask; and each
-block of shuffle words is compared pair of positions by pair of positions.
+(the ``oracle`` commands and the rows of ``verify all``).
+
+The work runs in rank space.  A permutation of S_n is its lexicographic
+rank, the number whose factorial-base digits are its Lehmer code.  A
+group-algebra element is one vector of integer numerators over the ranks
+and one denominator, kept in lowest terms; a shuffle multiset is the
+ascending ranks of its outcomes, with their images and multiplicities.
+``Fraction`` coefficients and ``Permutation`` objects appear only at the
+edge: in ``GroupAlgebraElement.terms`` and ``ShuffleMultiset.multiplicity``,
+read-only views in lexicographic order, built when they are read, and in
+the constructors that take such mappings.
+
+One lazily built table per n indexes the products without shortcutting
+them: S_n in lexicographic order as a small-int array, with descent counts,
+descent-set bitmasks, the rank of each inverse and the composition table,
+whose every pair is composed and ranked through a lookup from the
+mixed-radix key of a permutation's images to its rank.  The kernels work on
+whole table rows: a product reads its right factor along the row of p^{-1}
+for each term p of its left factor, so every pair of terms is still
+composed, in int64 under an up-front bound on the sums and in exact Python
+ints above it; an S-word expansion adds each coefficient over a descent-set
+mask; each block of shuffle words is compared pair of positions by pair of
+positions; and the transition oracle tallies every (sigma, outcome) pair
+in one pass over the table.
+
 Bounds keep everything at desk scale: group-algebra work stops at
 n <= ``GROUP_ALGEBRA_MAX_N`` = 6, the reach of the table, and is refused
-above it before any work; exhaustive shuffle enumeration stays within a
-10^7-word budget, drawn in blocks of bounded size, and at most 2^17
-distinct outcomes, bounded up front by min(b^n, n!).
+above it before any work; an element holds its n! numerators only up to
+n! <= ``OUTCOME_BUDGET`` (n <= 8).  Exhaustive shuffle enumeration stays
+within a 10^7-word budget, drawn in blocks of bounded size, at most 2^17
+distinct outcomes, bounded up front by min(b^n, n!), and n <=
+``RANK_MAX_N`` = 20, the largest n whose ranks fit in int64 (past the other
+two budgets only b = 1 reaches that far).
 
 Orientation conventions:
 
@@ -41,10 +58,11 @@ Orientation conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +70,6 @@ import numpy as np
 from .combinat import (
     GROUP_ALGEBRA_MAX_N,
     BudgetError,
-    Composition,
     LumpingViolation,
     Permutation,
     TransitionMismatch,  # re-exported: the failure that ``cli`` raises for this oracle
@@ -62,10 +79,13 @@ from .combinat import (
 from .eulerian import SWordExpansion, idempotent_s_expansion
 
 ENUMERATION_BUDGET = 10**7
-# distinct outcomes kept as Permutation objects: at most min(b^n, n!).  The
-# largest case admitted, n = 17 and b = 2 (131,055 outcomes), peaks at
-# 78 MiB RSS in enumerate_b_shuffles and 129 MiB in `oracle shuffles`.
+# distinct outcomes held at once, at most min(b^n, n!), and the n! numerators
+# of one group-algebra element.  The largest enumeration admitted, n = 17 and
+# b = 2 (131,055 outcomes), takes 0.13 s and peaks at 41 MiB RSS in
+# enumerate_b_shuffles, and 1.0 s and 113 MiB in `oracle shuffles`, on a
+# 2-vCPU x86-64 host with Python 3.11.
 OUTCOME_BUDGET = 2**17
+RANK_MAX_N = 20  # 20! < 2^63 < 21!: the ranks of S_n fit in int64 up to here
 
 _BLOCK_VALUES = 1 << 15  # cap the values held by one block of a numpy kernel
 
@@ -75,25 +95,14 @@ class OracleBoundError(BudgetError):
 
 
 class _SnTable(NamedTuple):
-    """S_n in lexicographic order (the order of ``itertools.permutations``)."""
+    """S_n in lexicographic order (the order of ``itertools.permutations``):
+    row t is the permutation of rank t."""
 
     images: np.ndarray  # (n!, n) int8, one-line notation, 1-based
     descents: np.ndarray  # (n!,) descent counts
     masks: np.ndarray  # (n!,) descent sets, position i as bit i-1
-    lookup: np.ndarray  # (n^n,) int16, ``_key`` of a permutation -> its rank
+    inverse: np.ndarray  # (n!,) the rank of each row's inverse
     compose: np.ndarray  # [i, j] = rank of images[i] after images[j]
-    perms: tuple[Permutation, ...]  # the rows as Permutation objects, built once
-
-
-def _images(perms, n: int) -> np.ndarray:
-    """The one-line images of ``perms`` as one (len(perms), n) array."""
-    images = [p.images for p in perms]
-    return np.array(images, dtype=np.int64).reshape(len(images), n)
-
-
-def _descent_counts(images: np.ndarray) -> np.ndarray:
-    """The descent count of each row of a one-line image array."""
-    return (images[:, :-1] > images[:, 1:]).sum(axis=1)
 
 
 def _key(columns, n: int, shape) -> np.ndarray:
@@ -131,127 +140,184 @@ def _table(n: int) -> _SnTable:
         block = zero_based[start : start + rows]
         columns = (block[:, column] for column in zero_based.T)
         compose[start : start + rows] = lookup[_key(columns, n, (len(block), len(perms)))]
-    return _SnTable(images, falls.sum(axis=1), masks, lookup, compose, tuple(map(Permutation, perms)))
+    inverse = compose.argmin(axis=1)  # p_i q = identity, rank 0
+    return _SnTable(images, falls.sum(axis=1), masks, inverse, compose)
 
 
-def _ranks(table: _SnTable, perms) -> np.ndarray:
-    """The ranks of ``perms`` in ``table``, read from its lookup."""
-    n = table.images.shape[1]
-    zero_based = _images(perms, n) - 1
-    return table.lookup[_key(zero_based.T, n, len(zero_based))]
+def _rank(positions: np.ndarray) -> np.ndarray:
+    """The lexicographic ranks of permutations held column by column as their
+    images less one (``positions[:, k]`` for permutation k): the Lehmer code,
+    read in the factorial base."""
+    n = len(positions)
+    rank = np.zeros(positions.shape[1], dtype=np.int64)
+    for p in range(n):
+        rank *= n - p
+        rank += (positions[p + 1 :] < positions[p]).sum(axis=0)
+    return rank
 
 
-def _element(n: int, acc: np.ndarray, denom: int = 1) -> "GroupAlgebraElement":
-    """The element with coefficient acc[t] / denom on the t-th permutation of
-    S_n (lexicographic order)."""
-    perms = _table(n).perms
-    hit = np.flatnonzero(acc)
-    return GroupAlgebraElement(n, {perms[t]: Fraction(c, denom) for t, c in zip(hit.tolist(), acc[hit].tolist())})
+def _unrank(ranks: np.ndarray, n: int) -> np.ndarray:
+    """The permutations of S_n with the given ranks, inverting ``_rank``:
+    one column per rank of images less one, as (n, len(ranks)) int8."""
+    positions = np.empty((n, len(ranks)), dtype=np.int8)
+    rest = np.asarray(ranks, dtype=np.int64)
+    for p in range(n - 1, -1, -1):  # Lehmer digits, least significant first
+        rest, positions[p] = np.divmod(rest, n - p)
+    for p in range(n - 2, -1, -1):  # digit p counts the later values below it
+        later = positions[p + 1 :]
+        later += later >= positions[p]
+    return positions
 
 
-def _accumulator(size: int, bound: int) -> np.ndarray:
-    """Zeros to sum integers into: int64 when every partial sum stays below
-    ``bound`` < 2^63, exact Python ints (dtype object) otherwise."""
-    return np.zeros(size, dtype=np.int64 if bound < 2**63 else object)
+def _dtype(bound: int):
+    """int64 for integers whose sums stay below ``bound`` < 2^63, exact
+    Python ints (dtype object) otherwise."""
+    return np.int64 if bound < 2**63 else object
 
 
-def _descent_filter(comp: Composition) -> np.ndarray:
-    """Which rows of ``_table(comp.weight)`` have their descent set in the
-    cut set of ``comp``."""
-    cut = sum(1 << (i - 1) for i in comp.descent_set())
-    return (_table(comp.weight).masks & ~cut) == 0
+def _top(values: np.ndarray) -> int:
+    """The largest absolute value among ``values``, 0 if there are none."""
+    return int(np.abs(values).max(initial=0))
 
 
-@dataclass(frozen=True)
+def _size(n: int) -> int:
+    """n!, the numerators of one element of the group algebra of S_n,
+    refused over ``OUTCOME_BUDGET`` before any is allocated."""
+    if n > RANK_MAX_N or factorial(n) > OUTCOME_BUDGET:
+        raise OracleBoundError(f"group-algebra elements are limited to n! <= {OUTCOME_BUDGET} numerators, got n = {n}")
+    return factorial(n)
+
+
 class GroupAlgebraElement:
-    """An exact rational linear combination of permutations of one S_n."""
+    """An exact rational linear combination of permutations of one S_n.
 
-    n: int
-    terms: dict[Permutation, Fraction] = field(default_factory=dict)
+    ``numerators[t] / denominator`` is the coefficient of the permutation of
+    rank t.  The denominator is positive and shares no factor with every
+    numerator, so equal elements hold equal data; the numerators are int64
+    unless one of them does not fit, and read-only.  ``GroupAlgebraElement(n,
+    terms)`` takes the coefficients by permutation."""
 
-    def __post_init__(self) -> None:
-        cleaned = {}
-        for perm, coeff in self.terms.items():
-            if perm.n != self.n:
-                raise ValueError(f"term {perm} lives in S_{perm.n}, expected S_{self.n}")
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
-            if coeff != 0:
-                cleaned[perm] = coeff
-        object.__setattr__(self, "terms", cleaned)
+    __slots__ = ("n", "numerators", "denominator")
+
+    def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] | None = None) -> None:
+        terms = terms or {}
+        for perm in terms:
+            if perm.n != n:
+                raise ValueError(f"term {perm} lives in S_{perm.n}, expected S_{n}")
+        coeffs = [Fraction(c) for c in terms.values()]
+        denom = lcm(*(c.denominator for c in coeffs))
+        numer = np.zeros(_size(n), dtype=object)
+        positions = np.array([perm.images for perm in terms], dtype=np.int64).reshape(len(terms), n).T - 1
+        numer[_rank(positions)] = [c.numerator * (denom // c.denominator) for c in coeffs]
+        self._set(n, numer, denom)
+
+    def _set(self, n: int, numer: np.ndarray, denom: int) -> None:
+        """Hold numer / denom in lowest terms."""
+        common = gcd(int(np.gcd.reduce(numer)), denom)
+        if common > 1:
+            numer, denom = numer // common, denom // common
+        if numer.dtype == object and _top(numer) < 2**63:
+            numer = numer.astype(np.int64)
+        numer.flags.writeable = False
+        self.n, self.numerators, self.denominator = n, numer, denom
+
+    def support(self) -> tuple[list[list[int]], list[int]]:
+        """The one-line images of the permutations with a nonzero
+        coefficient, in lexicographic order, and their numerators."""
+        hit = np.flatnonzero(self.numerators)
+        return (_unrank(hit, self.n).T + 1).tolist(), self.numerators[hit].tolist()
+
+    @property
+    def terms(self) -> Mapping[Permutation, Fraction]:
+        """The nonzero coefficients by permutation, in lexicographic order:
+        a read-only view, built when read."""
+        images, numers = self.support()
+        coeff = {c: Fraction(c, self.denominator) for c in set(numers)}
+        return MappingProxyType({Permutation(tuple(im)): coeff[c] for im, c in zip(images, numers)})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
+        return (self.n, self.denominator) == (other.n, other.denominator) and np.array_equal(
+            self.numerators, other.numerators
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"GroupAlgebraElement({self.n}, {dict(self.terms)!r})"
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} != {other.n}")
-        merged = dict(self.terms)
-        for perm, coeff in other.terms.items():
-            merged[perm] = merged.get(perm, Fraction(0)) + coeff
-        return GroupAlgebraElement(self.n, merged)
+        denom = lcm(self.denominator, other.denominator)
+        a, b = denom // self.denominator, denom // other.denominator
+        dtype = _dtype(max(a, b) * (1 + _top(self.numerators) + _top(other.numerators)))
+        return _element(self.n, self.numerators.astype(dtype) * a + other.numerators.astype(dtype) * b, denom)
 
     def invert_support(self) -> "GroupAlgebraElement":
         """Apply the inversion anti-automorphism sigma -> sigma^{-1}."""
-        return GroupAlgebraElement(self.n, {perm.inverse(): coeff for perm, coeff in self.terms.items()})
+        return _element(self.n, self.numerators[_table(self.n).inverse], self.denominator)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators.any()
+
+
+def _element(n: int, numer: np.ndarray, denom: int = 1) -> GroupAlgebraElement:
+    """The element numer[t] / denom on the permutation of rank t."""
+    element = GroupAlgebraElement.__new__(GroupAlgebraElement)
+    element._set(n, numer, denom)
+    return element
 
 
 def group_identity(n: int) -> GroupAlgebraElement:
-    return GroupAlgebraElement(n, {Permutation.identity(n): Fraction(1)})
-
-
-def _scaled_integers(terms: dict) -> tuple[int, list[tuple]]:
-    """One common denominator, and the items with values scaled to integers over it."""
-    denom = lcm(*(c.denominator for c in terms.values()))
-    return denom, [(key, c.numerator * (denom // c.denominator)) for key, c in terms.items()]
+    numer = np.zeros(_size(n), dtype=np.int64)
+    numer[0] = 1  # the identity has rank 0
+    return _element(n, numer)
 
 
 def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebraElement:
     """Bilinear extension of permutation composition (u's permutations are
-    applied last).  Coefficients are cleared to a common denominator so the
-    convolution runs on integers."""
+    applied last), on the numerators; the denominators multiply."""
     if u.n != v.n:
         raise ValueError(f"degree mismatch: {u.n} != {v.n}")
     n = u.n
     _check_degree(n, "group products are")
+    # The numerators b_j of v sit on the ranks q_j.  p_i q_j = p_t exactly
+    # when q_j = p_i^{-1} p_t, and row p_i^{-1} of the table names that j for
+    # every t, so it gathers from v the coefficient that each pair with p_i
+    # puts on p_t.  A block of terms a_i p_i of u adds its gathered rows
+    # weighted by a_i, as one matrix product.  Every partial sum is at most
+    # max|a| * max|b| * (terms of u) in size.
     if u.is_zero() or v.is_zero():
-        return GroupAlgebraElement(n)
-    du, u_items = _scaled_integers(u.terms)
-    dv, v_items = _scaled_integers(v.terms)
-    # The terms b q_j of v sit in one dense vector over S_n.  p_i q_j = p_t
-    # exactly when q_j = p_i^{-1} p_t, and row p_i^{-1} of the table names that
-    # j for every t, so it gathers from v the coefficient that each pair with
-    # p_i puts on p_t.  A block of terms a p_i of u adds its gathered rows
-    # weighted by a, as one matrix product.  Every partial sum is at most
-    # max|a| * max|b| * len(u) in size.
+        return _element(n, np.zeros(len(u.numerators), dtype=np.int64))
     table = _table(n)
-    size = len(table.images)
-    bound = max(abs(a) for _, a in u_items) * max(abs(b) for _, b in v_items) * len(u_items)
-    dense = _accumulator(size, bound)
-    dense[_ranks(table, [q for q, _ in v_items])] = [b for _, b in v_items]
-    ranks = _ranks(table, [p for p, _ in u_items])
-    coeffs = np.array([a for _, a in u_items], dtype=dense.dtype)
-    acc = _accumulator(size, bound)
-    rows = max(1, _BLOCK_VALUES // size)
-    for start in range(0, len(ranks), rows):
-        inverses = table.compose[ranks[start : start + rows]].argmin(axis=1)  # p_i q = identity, rank 0
-        acc += coeffs[start : start + rows] @ dense[table.compose[inverses]]
-    return _element(n, acc, du * dv)
+    left = np.flatnonzero(u.numerators)
+    dtype = _dtype(_top(u.numerators) * _top(v.numerators) * len(left))
+    a, b = u.numerators[left].astype(dtype), v.numerators.astype(dtype)
+    acc = np.zeros(len(b), dtype=dtype)
+    rows = max(1, _BLOCK_VALUES // len(b))
+    for start in range(0, len(left), rows):
+        acc += a[start : start + rows] @ b[table.compose[table.inverse[left[start : start + rows]]]]
+    return _element(n, acc, u.denominator * v.denominator)
 
 
 def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
     """An S-word expansion as a sum of permutations.  The complete word S^I
     is the sum, coefficient 1, of every permutation whose descent set lies
     in the cut set of I, so each coefficient is added over that descent-set
-    filter of the S_n table."""
+    filter of the S_n table: one matrix product of the coefficients with
+    the filters."""
     n = expansion.n
     _check_degree(n, "S-word expansions are")
-    denom, items = _scaled_integers(expansion.terms)
+    coeffs = list(expansion.terms.values())
+    denom = lcm(*(c.denominator for c in coeffs))
+    numer = [c.numerator * (denom // c.denominator) for c in coeffs]
+    cuts = [sum(1 << (i - 1) for i in comp.descent_set()) for comp in expansion.terms]
+    inside = (_table(n).masks & ~np.array(cuts, dtype=np.int64)[:, None]) == 0
     # a permutation collects at most every coefficient once
-    acc = _accumulator(len(_table(n).images), max((abs(c) for _, c in items), default=0) * len(items))
-    for comp, coeff in items:
-        acc[_descent_filter(comp)] += coeff
-    return _element(n, acc, denom)
+    dtype = _dtype(max(map(abs, numer), default=0) * len(numer))
+    return _element(n, np.array(numer, dtype=dtype) @ inside.astype(dtype), denom)
 
 
 def idempotent_group(n: int, k: int) -> GroupAlgebraElement:
@@ -260,60 +326,109 @@ def idempotent_group(n: int, k: int) -> GroupAlgebraElement:
     return expansion_to_group(idempotent_s_expansion(n, k))
 
 
-@dataclass(frozen=True)
 class ShuffleMultiset:
-    """All b^n digit words of a b-shuffle, collected by outcome permutation."""
+    """All b^n digit words of a b-shuffle, collected by outcome permutation.
 
-    n: int
-    b: int
-    multiplicity: dict[Permutation, int]
+    ``ranks`` holds the lexicographic ranks of the distinct outcomes,
+    ascending; ``positions[:, k]`` the images of outcome k less one; and
+    ``counts[k]`` its multiplicity, all read-only.  ``ShuffleMultiset(n, b,
+    multiplicity)`` takes the multiplicities by permutation.  Either way the
+    multiplicities must account for every word, and every outcome must be
+    the inverse of a permutation with at most b - 1 descents."""
 
-    def __post_init__(self) -> None:
-        if sum(self.multiplicity.values()) != self.b**self.n:
-            raise ValueError(f"multiplicities must account for all {self.b}^{self.n} words")
+    __slots__ = ("n", "b", "ranks", "positions", "counts")
+
+    def __init__(self, n: int, b: int, multiplicity: Mapping[Permutation, int]) -> None:
+        if n > RANK_MAX_N:
+            raise OracleBoundError(f"shuffle multisets are limited to n <= {RANK_MAX_N}, got {n}")
+        positions = np.array([perm.images for perm in multiplicity], dtype=np.int8).reshape(-1, n).T - 1
+        ranks = _rank(positions)
+        order = np.argsort(ranks)
+        counts = np.array(list(multiplicity.values()), dtype=np.int64)
+        self._set(n, b, ranks[order], positions[:, order], counts[order])
+
+    def _set(self, n: int, b: int, ranks: np.ndarray, positions: np.ndarray, counts: np.ndarray) -> None:
+        if counts.sum() != b**n:
+            raise ValueError(f"multiplicities must account for all {b}^{n} words")
         # sigma^{-1} has a descent at i when the value i + 1 comes before i in sigma
-        images = _images(self.multiplicity, self.n)
-        inverse = np.empty_like(images)
-        np.put_along_axis(inverse, images - 1, np.arange(self.n), axis=1)
-        if (_descent_counts(inverse) > self.b - 1).any():
+        inverse = np.empty_like(positions)
+        np.put_along_axis(inverse, positions, np.arange(n)[:, None], axis=0)
+        if ((inverse[:-1] > inverse[1:]).sum(axis=0) > b - 1).any():
             raise ValueError("support must lie in the inverses of low-descent permutations")
+        for array in (ranks, positions, counts):
+            array.flags.writeable = False
+        self.n, self.b, self.ranks, self.positions, self.counts = n, b, ranks, positions, counts
+
+    @property
+    def multiplicity(self) -> Mapping[Permutation, int]:
+        """The multiplicities by outcome, in lexicographic order: a read-only
+        view, built when read."""
+        images = (self.positions.T + 1).tolist()
+        return MappingProxyType({Permutation(tuple(im)): m for im, m in zip(images, self.counts.tolist())})
+
+    def __repr__(self) -> str:
+        return f"ShuffleMultiset({self.n}, {self.b}, {dict(self.multiplicity)!r})"
 
     def total(self) -> int:
-        return sum(self.multiplicity.values())
+        return int(self.counts.sum())
 
     def to_group_algebra(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self.n, {p: Fraction(m) for p, m in self.multiplicity.items()})
+        numer = np.zeros(_size(self.n), dtype=np.int64)
+        numer[self.ranks] = self.counts
+        return _element(self.n, numer)
 
 
-def enumerate_b_shuffles(n: int, b: int) -> ShuffleMultiset:
-    """Exhaust all b^n digit words.  Each word w stably sorts the positions
-    1..n by digit, giving the sort permutation tau_w; the recorded outcome is
-    sigma_w = tau_w^{-1}.  The support is exactly the set of permutations
-    whose inverse has at most b-1 descents.  ``OracleBoundError`` refuses
-    more than ``ENUMERATION_BUDGET`` words, or more than ``OUTCOME_BUDGET``
-    possible distinct outcomes, min(b^n, n!), before any work is done."""
+def _outcome_blocks(n: int, b: int):
+    """The outcomes of all b^n words, block by block, as ``_outcome_block``
+    gives them.  ``OracleBoundError`` refuses more than
+    ``ENUMERATION_BUDGET`` words, more than ``OUTCOME_BUDGET`` possible
+    distinct outcomes, min(b^n, n!), or n past ``RANK_MAX_N``, before any
+    work is done."""
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
     if b ** min(n, 64) > ENUMERATION_BUDGET:  # any b >= 2 is over by n = 24; no huge b^n is built
         raise OracleBoundError(f"enumeration budget exceeded: {b}^{n} > {ENUMERATION_BUDGET}")
     if b**n > OUTCOME_BUDGET and factorial(n) > OUTCOME_BUDGET:
         raise OracleBoundError(f"outcome budget exceeded: min({b}^{n}, {n}!) > {OUTCOME_BUDGET}")
-    if b == 1:  # the one word 0...0, whose stable sort moves no card: n^2 compares would be waste
-        return ShuffleMultiset(n, b, {Permutation.identity(n): 1})
-    # word k of itertools.product(range(b), repeat=n) holds k // b^(n-1-s) % b at
-    # position s; outcomes merge in the order the words first reach them
+    if n > RANK_MAX_N:  # only b = 1 gets past the two budgets above
+        raise OracleBoundError(f"rank budget exceeded: the ranks of S_{n} overflow int64 past n = {RANK_MAX_N}")
+    if b == 1:  # the one word 0...0, whose stable sort moves no card: no pair is compared
+        return iter([(np.zeros(1, dtype=np.int64), np.arange(n, dtype=np.int8)[:, None])])
+    # word k of itertools.product(range(b), repeat=n) holds k // b^(n-1-s) % b at position s
     place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
     step = max(1, _BLOCK_VALUES // n)
-    counts: dict[tuple[int, ...], int] = {}
-    for start in range(0, b**n, step):
-        digits = np.arange(start, min(start + step, b**n), dtype=np.int64) // place[:, None] % b
-        rank, positions = _outcome_block(digits)
-        _, first, mult = np.unique(rank, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        outcomes = positions[:, first[order]].T + 1
-        for outcome, m in zip(map(tuple, outcomes.tolist()), mult[order].tolist()):
-            counts[outcome] = counts.get(outcome, 0) + m
-    return ShuffleMultiset(n, b, {Permutation(images): m for images, m in counts.items()})
+    return (
+        _outcome_block(np.arange(start, min(start + step, b**n), dtype=np.int64) // place[:, None] % b)
+        for start in range(0, b**n, step)
+    )
+
+
+def _tally(held: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ranks among pairs of (ranks, counts), ascending, with
+    their summed counts."""
+    ranks, where = np.unique(np.concatenate([r for r, _ in held]), return_inverse=True)
+    counts = np.zeros(len(ranks), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in held]))
+    return ranks, counts
+
+
+def enumerate_b_shuffles(n: int, b: int) -> ShuffleMultiset:
+    """Exhaust all b^n digit words.  Each word w stably sorts the positions
+    1..n by digit, giving the sort permutation tau_w; the recorded outcome is
+    sigma_w = tau_w^{-1}.  The support is exactly the set of permutations
+    whose inverse has at most b-1 descents.  The budgets of
+    ``_outcome_blocks`` are checked before any work is done."""
+    held, size = [], 0
+    for ranks, _ in _outcome_blocks(n, b):
+        held.append(np.unique(ranks, return_counts=True))
+        size += len(held[-1][0])
+        if size > OUTCOME_BUDGET:  # fold: at most OUTCOME_BUDGET distinct outcomes stay held
+            held = [_tally(held)]
+            size = len(held[0][0])
+    ranks, counts = _tally(held)
+    shuffles = ShuffleMultiset.__new__(ShuffleMultiset)
+    shuffles._set(n, b, ranks, _unrank(ranks, n), counts)
+    return shuffles
 
 
 def _outcome_block(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,28 +466,32 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]
     _check_degree(n, "transition oracle is")
     shuffles = enumerate_b_shuffles(n, b)
     table = _table(n)
-    outcomes = _ranks(table, shuffles.multiplicity).tolist()
-    # tally[sigma, d] sums the multiplicities of the outcomes w with d(w * sigma) = d
-    tally = np.zeros((len(table.images), n), dtype=np.int64)
-    every = np.arange(len(table.images))
-    for w, mult in zip(outcomes, shuffles.multiplicity.values()):
-        tally[every, table.descents[table.compose[w]]] += mult
-    rows: list[list[int] | None] = [None] * n
-    for sigma, (d, row) in enumerate(zip(table.descents.tolist(), tally.tolist())):
-        if rows[d] is None:
-            rows[d] = row
-        elif rows[d] != row:
-            raise LumpingViolation(n, b, d + 1, table.perms[sigma])
-    return tuple(tuple(Fraction(c, b**n) for c in row) for row in rows if row is not None)
+    size = len(table.images)
+    # tally[sigma, d] sums the counts of the outcomes w with d(w * sigma) = d
+    tally = np.zeros((size, n), dtype=np.int64)
+    every, rows = np.arange(size), max(1, _BLOCK_VALUES // size)
+    for start in range(0, len(shuffles.ranks), rows):
+        block = slice(start, start + rows)
+        landed = table.descents[table.compose[shuffles.ranks[block]]]
+        np.add.at(tally, (every, landed), shuffles.counts[block, None])
+    _, first = np.unique(table.descents, return_index=True)  # each class's first member
+    rows = tally[first]
+    (stray,) = np.nonzero((tally != rows[table.descents]).any(axis=1))
+    if len(stray):
+        sigma = stray[0]
+        raise LumpingViolation(n, b, int(table.descents[sigma]) + 1, Permutation(tuple(table.images[sigma].tolist())))
+    return tuple(tuple(Fraction(c, b**n) for c in row) for row in rows.tolist())
 
 
 def oracle_descent_polynomial(n: int, m: int) -> tuple[int, ...]:
     """Histogram of descent counts over all m^n shuffle words: entry d counts
     the words whose outcome has d descents.  The enumeration-side twin of the
-    coefficients of the closed-formula polynomial."""
-    shuffles = enumerate_b_shuffles(n, m)
+    coefficients of the closed-formula polynomial, tallied block by block
+    under the budgets of ``enumerate_b_shuffles``."""
+    blocks = _outcome_blocks(n, m)
     coeffs = np.zeros(n, dtype=np.int64)
-    np.add.at(coeffs, _descent_counts(_images(shuffles.multiplicity, n)), list(shuffles.multiplicity.values()))
+    for _, positions in blocks:
+        coeffs += np.bincount((positions[:-1] > positions[1:]).sum(axis=0), minlength=n)
     return tuple(coeffs.tolist())
 
 
@@ -383,8 +502,5 @@ def shuffle_element_from_basis(n: int, b: int) -> GroupAlgebraElement:
     enumerated multiset (which carries the same coefficients on inverse
     supports)."""
     _check_degree(n, "S-word realization")
-    terms: dict[Composition, Fraction] = {}
-    for comp in compositions(n):
-        if comp.length <= b:
-            terms[comp] = Fraction(binomial(b, comp.length))
+    terms = {comp: Fraction(binomial(b, comp.length)) for comp in compositions(n) if comp.length <= b}
     return expansion_to_group(SWordExpansion(n, terms))

@@ -244,6 +244,32 @@ class TestOracle:
         assert out == ""
         assert err == "error: transition oracle is limited to n <= 6, got 7\n"
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("oracle", "transition", "--n", "6", "--b", "3"),
+             "67c8df6487ba69e607211546733821342fc8fe40d3a0f57268f11e2dc13b7158"),
+            (("oracle", "shuffles", "--n", "6", "--b", "3"),
+             "cd1c3b4b082798fe37f6404c28c984b774b473049a378df4a9f42dbd17ad9776"),
+            (("idempotents", "--basis", "group", "--n", "6"),
+             "9b7b8a6d097f83b2446164ec6719c3053d29fca25c0ab6e91ba49f9dcc87a56c"),
+        ],
+        ids=["transition", "shuffles", "idempotents"],
+    )
+    def test_output_is_pinned(self, capsys, argv, digest):
+        # SHA-256 of the stdout document, pinned from the release whose
+        # oracle held Permutation objects and Fraction coefficients
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_one_packet_deck_bound_is_usage_error(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "shuffles", "--n", "20", "--b", "1")
+        assert code == 0 and json.loads(out)["multiplicities"] == {",".join(map(str, range(1, 21))): 1}
+        code, out, err = run_cli(capsys, "oracle", "shuffles", "--n", "21", "--b", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: rank budget exceeded: the ranks of S_21 overflow int64 past n = 20\n"
+
     def test_a_mismatch_is_a_failed_verification(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "amazing_matrix", lambda n, b: amazing_matrix(n, b + 1))
         code, out, err = run_cli(capsys, "oracle", "transition", "--n", "3", "--b", "2")
@@ -334,12 +360,15 @@ def _two_gib_of_address_space():
     _OVER_THE_CLOSED_FORM_BUDGET + [
         ("simulate", "shuffle", "--n", "3", "--b", "2", "--trials", str(10**12), "--seed", "1"),
         ("oracle", "shuffles", "--n", str(10**7), "--b", str(10**9)),
+        ("oracle", "shuffles", "--n", str(10**6), "--b", "1"),
     ],
 )
 def test_oversized_simulations_exit_2_at_once(argv):
     # the (n, n) counts of n = 10^6 alone would take 8 TB; 10^12 trials are
     # over the draw budget and would draw for hours; (10^9)^(10^7), built in
-    # full before the word budget was compared, took over two minutes
+    # full before the word budget was compared, took over two minutes; the
+    # one outcome of 10^6 cards at b = 1, built before n was bounded, took
+    # 0.6 s and 143 MiB
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -69,10 +69,8 @@ class TestClassElement:
     def test_classes_sum_to_top_idempotent(self, n):
         # the sum over all descent classes is the full sum over S_n, which
         # absorbs every shuffle operator; its E-coordinates are n! e_n
-        total = class_element(n, 1)
-        for p in range(2, n + 1):
-            total = total + class_element(n, p)
-        assert total == unit(n, n).scale(math.factorial(n))
+        total = tuple(map(sum, zip(*(class_element(n, p).coords for p in range(1, n + 1)))))
+        assert total == tuple(math.factorial(n) * c for c in unit(n, n).coords)
 
 
 class TestInternalProduct:
@@ -121,10 +119,8 @@ class TestWorpitzkyMatrix:
         n = 3
         W = worpitzky_matrix(n)
         for j in range(1, n + 1):
-            total = EulerianElement(n, (0,) * n)
-            for i in range(1, n + 1):
-                total = total + class_element(n, i).scale(W.entry(i, j))
-            assert total == unit(n, j)
+            columns = [[W.entry(i, j) * c for c in class_element(n, i).coords] for i in range(1, n + 1)]
+            assert tuple(map(sum, zip(*columns))) == unit(n, j).coords
 
 
 def _expanded_product(n: int, i: int) -> list[int]:
@@ -202,10 +198,8 @@ class TestTriangularity:
             solution = _solve_exact([list(col) for col in zip(*basis)], target)
             assert solution is not None
             assert solution[-1] == 1
-            rebuilt = EulerianElement(n, (0,) * n)
-            for m, c in enumerate(solution, start=1):
-                rebuilt = rebuilt + spow_element(n, m).scale(c)
-            assert rebuilt == class_element(n, i)
+            terms = [[c * s for s in spow_element(n, m).coords] for m, c in enumerate(solution, start=1)]
+            assert tuple(map(sum, zip(*terms))) == class_element(n, i).coords
 
 
 def _solve_exact(rows, rhs):

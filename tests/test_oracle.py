@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrychain import oracle
+from carrychain.cli import run_verify_all
 from carrychain.combinat import Composition, Permutation, compositions
 from carrychain.eulerian import SWordExpansion
 from carrychain.matrix import amazing_matrix, descent_polynomial
@@ -142,6 +143,76 @@ def _group_elements(n):
     )
 
 
+class TestNormalForm:
+    """Elements hold one numerator vector over the ranks and one positive
+    denominator in lowest terms, so equal elements hold equal data however
+    they were written."""
+
+    def test_unreduced_inputs_give_one_element(self):
+        p, q, r = perm(2, 3, 1), perm(1, 3, 2), perm(3, 2, 1)
+        forms = [
+            GroupAlgebraElement(3, {p: Fraction(1, 2), q: Fraction(-1, 3)}),
+            GroupAlgebraElement(3, {p: Fraction(2, 4), q: Fraction(-2, 6), r: 0}),
+            GroupAlgebraElement(3, {q: Fraction(1, -3), r: Fraction(0, 5), p: Fraction(-3, -6)}),
+            GroupAlgebraElement(3, {p: Fraction(1, 4), q: Fraction(-1, 6)}) + GroupAlgebraElement(3, {p: Fraction(1, 4), q: Fraction(-1, 6)}),
+        ]
+        for element in forms:
+            assert element == forms[0]
+            assert (element.numerators.tolist(), element.denominator) == (forms[0].numerators.tolist(), 6)
+            assert element.terms == {q: Fraction(-1, 3), p: Fraction(1, 2)}
+            assert list(element.terms) == [q, p]  # lexicographic: (1,3,2) before (2,3,1)
+
+    def test_integers_and_cancellation(self):
+        p = perm(2, 1, 3)
+        two = GroupAlgebraElement(3, {p: Fraction(6, 3)})
+        assert (two.numerators[2], two.denominator) == (2, 1)
+        zero = two + GroupAlgebraElement(3, {p: -2})
+        assert zero.is_zero() and zero == GroupAlgebraElement(3) == GroupAlgebraElement(3, {p: 0})
+        assert (zero.denominator, zero.terms) == (1, {})
+
+    def test_terms_come_out_in_lexicographic_order(self):
+        everyone = every_permutation(4)
+        shuffled = everyone[::7] + everyone[1::7] + everyone[5::7]
+        element = GroupAlgebraElement(4, {p: Fraction(i + 1, 3) for i, p in enumerate(shuffled)})
+        assert list(element.terms) == sorted(element.terms, key=lambda p: p.images)
+        images, numers = element.support()
+        assert images == [list(p.images) for p in element.terms]
+        assert [Fraction(c, element.denominator) for c in numers] == list(element.terms.values())
+
+    def test_the_views_are_read_only(self):
+        element = idempotent_group(3, 2)
+        with pytest.raises(TypeError):
+            element.terms[Permutation.identity(3)] = Fraction(1)
+        with pytest.raises(ValueError):
+            element.numerators[0] = 1
+        shuffles = enumerate_b_shuffles(3, 2)
+        with pytest.raises(TypeError):
+            shuffles.multiplicity[Permutation.identity(3)] = 1
+        with pytest.raises(ValueError):
+            shuffles.counts[0] = 1
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**63 + 1, 2**70])
+    def test_both_sides_of_the_int64_bound(self, big):
+        # one numerator past int64 holds the vector as exact Python ints; a
+        # sum that comes back under the bound holds int64 again
+        identity, swap = Permutation.identity(3), perm(2, 1, 3)
+        u = GroupAlgebraElement(3, {identity: big, swap: Fraction(1, 3)})
+        assert u.numerators.dtype == (np.int64 if 3 * big < 2**63 else object)
+        back = u + GroupAlgebraElement(3, {identity: -big})
+        assert back.numerators.dtype == np.int64
+        assert back == GroupAlgebraElement(3, {swap: Fraction(1, 3)})
+        assert u + GroupAlgebraElement(3, {identity: 1}) == GroupAlgebraElement(3, {identity: big + 1, swap: Fraction(1, 3)})
+        assert u.terms == {identity: big, swap: Fraction(1, 3)}
+
+    def test_elements_are_bounded_by_their_numerators(self):
+        assert len(group_identity(8).numerators) == math.factorial(8)
+        for n in (9, 10**6):
+            with pytest.raises(OracleBoundError, match="elements are limited to n! <= 131072"):
+                GroupAlgebraElement(n)
+        with pytest.raises(ValueError, match="lives in S_2"):
+            GroupAlgebraElement(3, {perm(2, 1): 1})
+
+
 class TestIdempotentGroup:
     def test_degree_two(self):
         assert idempotent_group(2, 1).terms == {perm(1, 2): Fraction(1, 2), perm(2, 1): Fraction(-1, 2)}
@@ -174,12 +245,22 @@ class TestEnumerateShuffles:
             assert enumerate_b_shuffles(1, b).multiplicity == {perm(1): b}
 
     def test_one_packet_keeps_a_large_deck(self, monkeypatch):
-        # b = 1 admits any n: its one word must not cost n^2 pair compares
+        # b = 1 admits n up to 20, the last whose ranks fit in int64: its one
+        # word must not cost n^2 pair compares
         def no_pairs(digits):
             raise AssertionError("pairs compared")
 
         monkeypatch.setattr(oracle, "_outcome_block", no_pairs)
-        assert enumerate_b_shuffles(10**5, 1).multiplicity == {Permutation.identity(10**5): 1}
+        assert enumerate_b_shuffles(20, 1).multiplicity == {Permutation.identity(20): 1}
+
+    def test_one_packet_past_the_int64_ranks_is_refused_before_any_work(self, monkeypatch):
+        assert math.factorial(20) < 2**63 < math.factorial(21)
+        monkeypatch.setattr(oracle, "_unrank", lambda *args: pytest.fail("work started past the rank bound"))
+        for n in (21, 10**6, 10**100):
+            with pytest.raises(OracleBoundError, match="^rank budget exceeded: .* past n = 20$"):
+                enumerate_b_shuffles(n, 1)
+            with pytest.raises(OracleBoundError, match="^rank budget exceeded"):
+                oracle_descent_polynomial(n, 1)
 
     def test_an_outcome_outside_the_support_is_refused(self):
         # (2,4,1,3) has an inverse with two descents: no 2-shuffle reaches it
@@ -304,8 +385,8 @@ class TestSnTable:
         assert perms == list(every_permutation(n))
         assert table.descents.tolist() == [p.descent_count() for p in perms]
         assert table.masks.tolist() == [sum(1 << (i - 1) for i in p.descent_set()) for p in perms]
-        assert table.perms == tuple(perms)
-        assert table.lookup.shape == (n**n,) and table.compose.shape == (len(perms), len(perms))
+        assert [perms[t] for t in table.inverse] == [p.inverse() for p in perms]
+        assert table.compose.shape == (len(perms), len(perms))
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_compose_every_pair(self, n):
@@ -337,11 +418,12 @@ class TestDescentFilter:
 
 
 def _shuffles_word_by_word(n, b):
+    """Every word's outcome, counted in a dict, in lexicographic order."""
     counts = {}
     for word in itertools.product(range(b), repeat=n):
         tau = Permutation(tuple(pos + 1 for pos in sorted(range(n), key=word.__getitem__)))
         counts[tau.inverse()] = counts.get(tau.inverse(), 0) + 1
-    return list(counts.items())
+    return sorted(counts.items(), key=lambda item: item[0].images)
 
 
 class TestShuffleBlocks:
@@ -353,10 +435,25 @@ class TestShuffleBlocks:
 
     @pytest.mark.parametrize("n, b", [(1, 5), (3, 4), (4, 7), (6, 3)])
     def test_block_size_changes_nothing(self, monkeypatch, n, b):
-        default = list(enumerate_b_shuffles(n, b).multiplicity.items())
+        def results():
+            return (list(enumerate_b_shuffles(n, b).multiplicity.items()), oracle_descent_polynomial(n, b),
+                    oracle_transition_matrix(n, b))
+
+        default = results()
         for values in (1, 7):
             monkeypatch.setattr(oracle, "_BLOCK_VALUES", values)
-            assert list(enumerate_b_shuffles(n, b).multiplicity.items()) == default
+            assert results() == default
+
+    def test_folding_the_held_outcomes_changes_nothing(self, monkeypatch):
+        # one word per block, and a fold each time more than 24 outcomes are held
+        default = list(enumerate_b_shuffles(4, 3).multiplicity.items())
+        monkeypatch.setattr(oracle, "_BLOCK_VALUES", 1)
+        monkeypatch.setattr(oracle, "OUTCOME_BUDGET", 24)
+        folds = []
+        tally = oracle._tally
+        monkeypatch.setattr(oracle, "_tally", lambda held: folds.append(len(held)) or tally(held))
+        assert list(enumerate_b_shuffles(4, 3).multiplicity.items()) == default
+        assert len(folds) > 2
 
     def test_blocks_bound_memory(self):
         # 2^20 words of 4 digits would take 32 MiB as one int64 array
@@ -427,6 +524,18 @@ class TestTableKernels:
         monkeypatch.setattr(oracle, "_table", lambda n: table._replace(compose=compose))
         with pytest.raises(LumpingViolation):
             oracle_transition_matrix(3, 2)
+
+
+def test_verify_all_builds_no_permutation(monkeypatch):
+    # the rows of `verify all` run in rank space: Permutation objects belong
+    # to the views at the edge, which no row reads
+    built = []
+    original = Permutation.__post_init__
+    monkeypatch.setattr(Permutation, "__post_init__", lambda self: built.append(self.images) or original(self))
+    reports = run_verify_all(5)
+    assert all(report.ok for report in reports)
+    assert built == []
+    assert Permutation.identity(2) and built == [(1, 2)]  # the counter counts
 
 
 class TestReach:
