@@ -407,6 +407,20 @@ class TestSnTable:
             oracle._table(7)
 
 
+class TestRanks:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ranks_are_lexicographic_positions(self, n):
+        images = np.array(list(itertools.permutations(range(n))), dtype=np.int8).reshape(-1, n)
+        assert np.array_equal(oracle._unrank(np.arange(len(images)), n), images.T)
+        assert oracle._rank(images.T).tolist() == list(range(len(images)))
+
+    def test_the_last_ranks_that_fit_in_int64(self):
+        n = oracle.RANK_MAX_N
+        last = np.arange(n - 1, -1, -1, dtype=np.int8)[:, None]  # n, n-1, ..., 1
+        assert oracle._rank(last).tolist() == [math.factorial(n) - 1]
+        assert np.array_equal(oracle._unrank(np.array([math.factorial(n) - 1]), n), last)
+
+
 class TestDescentFilter:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_ribbons_and_words_in_lexicographic_order(self, n):
