@@ -150,11 +150,12 @@ class TestNormalForm:
 
     def test_unreduced_inputs_give_one_element(self):
         p, q, r = perm(2, 3, 1), perm(1, 3, 2), perm(3, 2, 1)
+        quarter = GroupAlgebraElement(3, {p: Fraction(1, 4), q: Fraction(-1, 6)})
         forms = [
             GroupAlgebraElement(3, {p: Fraction(1, 2), q: Fraction(-1, 3)}),
             GroupAlgebraElement(3, {p: Fraction(2, 4), q: Fraction(-2, 6), r: 0}),
             GroupAlgebraElement(3, {q: Fraction(1, -3), r: Fraction(0, 5), p: Fraction(-3, -6)}),
-            GroupAlgebraElement(3, {p: Fraction(1, 4), q: Fraction(-1, 6)}) + GroupAlgebraElement(3, {p: Fraction(1, 4), q: Fraction(-1, 6)}),
+            quarter + quarter,
         ]
         for element in forms:
             assert element == forms[0]
@@ -201,7 +202,8 @@ class TestNormalForm:
         back = u + GroupAlgebraElement(3, {identity: -big})
         assert back.numerators.dtype == np.int64
         assert back == GroupAlgebraElement(3, {swap: Fraction(1, 3)})
-        assert u + GroupAlgebraElement(3, {identity: 1}) == GroupAlgebraElement(3, {identity: big + 1, swap: Fraction(1, 3)})
+        bigger = GroupAlgebraElement(3, {identity: big + 1, swap: Fraction(1, 3)})
+        assert u + GroupAlgebraElement(3, {identity: 1}) == bigger
         assert u.terms == {identity: big, swap: Fraction(1, 3)}
 
     def test_elements_are_bounded_by_their_numerators(self):
