@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
 
-from .combinat import IDEMPOTENT_TERMS, BudgetError, Composition, binomial, compositions
+from .combinat import BudgetError, Composition, binomial, compositions
 
 
 # Bigint work admitted for one closed-form table, in 64-bit word operations
@@ -295,10 +295,9 @@ def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:
     """
     if not 1 <= k <= n:
         raise ValueError(f"idempotent index must lie in 1..{n}, got {k}")
-    if 2 ** min(n - 1, 64) > IDEMPOTENT_TERMS:  # before any composition is built
-        raise BudgetError(f"idempotent_s_expansion: 2^{n - 1} S-words exceed the budget of {IDEMPOTENT_TERMS} terms")
+    words = compositions(n)  # refuses more than IDEMPOTENT_TERMS before the Stirling row
     row, coeffs = [1], []  # row holds s(m, 0..m), the x^j coefficients of x(x-1)...(x-m+1)
     for m in range(n + 1):
         coeffs.append(Fraction(row[k] if k <= m else 0, math.factorial(m)))
         row = [a - m * c for a, c in zip([0, *row], [*row, 0])]
-    return SWordExpansion(n, {comp: coeffs[comp.length] for comp in compositions(n)})
+    return SWordExpansion(n, {comp: coeffs[comp.length] for comp in words})

@@ -25,9 +25,10 @@ against ``_SPECTRAL_MIN_BITS`` (256):
 
 Only rows 1..ceil(n/2) are computed; the others are mirrored, since P is
 centrosymmetric: P(i, j) = P(n+1-i, n+1-j).  ``amazing_entry`` is the
-entry-by-entry reference.  Every table, and the matrix products of every
-check below, is refused up front, with ``ClosedFormBudgetError``, when its
-estimated bigint work on the path it takes exceeds ``eulerian.WORK_BUDGET``.
+entry-by-entry reference.  Every table and entry, and the matrix products
+of every check below, is refused up front, with ``ClosedFormBudgetError``,
+when its estimated bigint work on the path it takes exceeds
+``eulerian.WORK_BUDGET``.
 
 Everything claimed about this matrix is an exact identity and is verified
 here in integer arithmetic: the columns of n! W (Worpitzky) and the rows of
@@ -159,11 +160,17 @@ def _eigen_bits(n: int) -> int:
 
 
 def amazing_entry(n: int, b: int, i: int, j: int) -> int:
-    """One unnormalized transition count: exact alternating sum, always >= 0."""
+    """One unnormalized transition count: exact alternating sum, always >= 0.
+
+    Its j + 1 terms are refused up front over the work budget: a term
+    C(n+1, r) C(N, n), N = n + b(j-r) - i, takes about one full-size
+    multiplication and two passes, and C(N, n) = C(N, N - n) < (n + bj)^k
+    for k = min(n, bj), times C(n+1, r) < 2^(n+1)."""
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices must lie in 1..{n}, got i={i}, j={j}")
+    _check_work("amazing_entry", j + 1, 2, min(n, b * j) * (n + b * j).bit_length() + n + 1)
     return sum((-1) ** r * binomial(n + 1, r) * binomial(n + b * (j - r) - i, n) for r in range(j + 1))
 
 

@@ -8,17 +8,15 @@ comparison of an enumerated result with a closed form is made in ``cli``
 (the ``oracle`` commands and the rows of ``verify all``).
 
 The work runs in rank space.  A permutation of S_n is its lexicographic
-rank, the number whose factorial-base digits are its Lehmer code.  A
-group-algebra element is one vector of integer numerators over the ranks
-and one denominator, kept in lowest terms; a shuffle multiset is the
-ascending ranks of its outcomes, with their images and multiplicities.
-``Fraction`` coefficients and ``Permutation`` objects appear only at the
-edge: in ``GroupAlgebraElement.terms`` and ``ShuffleMultiset.multiplicity``,
-read-only views in lexicographic order, built when they are read, and in
-the constructors that take such mappings.
+rank, the number whose factorial-base digits are its Lehmer code, and a
+set of permutations is held column by column, ``positions[:, k]`` the
+images of permutation k less one.  A group-algebra element is one vector
+of integer numerators over the ranks and one denominator, kept in lowest
+terms; a shuffle multiset is the ascending ranks of its outcomes, with
+their positions and multiplicities.
 
 One lazily built table per n indexes the products without shortcutting
-them: S_n in lexicographic order as a small-int array, with descent counts,
+them: S_n in lexicographic order in that column layout, with descent counts,
 descent-set bitmasks, the rank of each inverse and the composition table,
 whose every pair is composed and ranked through a lookup from the
 mixed-radix key of a permutation's images to its rank.  The kernels work on
@@ -30,14 +28,14 @@ mask; each block of shuffle words is compared pair of positions by pair of
 positions; and the transition oracle tallies every (sigma, outcome) pair
 in one pass over the table.
 
-Bounds keep everything at desk scale: group-algebra work stops at
-n <= ``GROUP_ALGEBRA_MAX_N`` = 6, the reach of the table, and is refused
-above it before any work; an element holds its n! numerators only up to
-n! <= ``OUTCOME_BUDGET`` (n <= 8).  Exhaustive shuffle enumeration stays
-within a 10^7-word budget, drawn in blocks of bounded size, at most 2^17
-distinct outcomes, bounded up front by min(b^n, n!), and n <=
-``RANK_MAX_N`` = 20, the largest n whose ranks fit in int64 (past the other
-two budgets only b = 1 reaches that far).
+Bounds keep everything at desk scale, each refused before any work:
+group-algebra elements, and every product, expansion and inversion of
+them, stop at n <= ``GROUP_ALGEBRA_MAX_N`` = 6, the reach of the table.
+Exhaustive shuffle enumeration stays within ``ENUMERATION_BUDGET`` = 10^7
+words, drawn in blocks of bounded size, and ``OUTCOME_BUDGET`` = 2^17
+distinct outcomes, bounded up front by min(b^n, n!); a shuffle multiset
+stops at n <= ``RANK_MAX_N`` = 20, the largest n whose ranks fit in int64
+(past the other two budgets only b = 1 reaches that far).
 
 Orientation conventions:
 
@@ -57,11 +55,11 @@ Orientation conventions:
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from numbers import Integral
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -79,11 +77,10 @@ from .combinat import (
 from .eulerian import SWordExpansion, idempotent_s_expansion
 
 ENUMERATION_BUDGET = 10**7
-# distinct outcomes held at once, at most min(b^n, n!), and the n! numerators
-# of one group-algebra element.  The largest enumeration admitted, n = 17 and
-# b = 2 (131,055 outcomes), takes 0.13 s and peaks at 41 MiB RSS in
-# enumerate_b_shuffles, and 1.0 s and 113 MiB in `oracle shuffles`, on a
-# 2-vCPU x86-64 host with Python 3.11.
+# distinct outcomes held at once, at most min(b^n, n!).  The largest
+# enumeration admitted, n = 17 and b = 2 (131,055 outcomes), takes 0.13 s
+# and peaks at 41 MiB RSS in enumerate_b_shuffles, and 1.0 s and 113 MiB in
+# `oracle shuffles`, on a 2-vCPU x86-64 host with Python 3.11.
 OUTCOME_BUDGET = 2**17
 RANK_MAX_N = 20  # 20! < 2^63 < 21!: the ranks of S_n fit in int64 up to here
 
@@ -95,14 +92,14 @@ class OracleBoundError(BudgetError):
 
 
 class _SnTable(NamedTuple):
-    """S_n in lexicographic order (the order of ``itertools.permutations``):
-    row t is the permutation of rank t."""
+    """S_n in lexicographic order: column t, and entry t of each vector, is
+    the permutation of rank t."""
 
-    images: np.ndarray  # (n!, n) int8, one-line notation, 1-based
+    positions: np.ndarray  # (n, n!) int8, images less one
     descents: np.ndarray  # (n!,) descent counts
     masks: np.ndarray  # (n!,) descent sets, position i as bit i-1
-    inverse: np.ndarray  # (n!,) the rank of each row's inverse
-    compose: np.ndarray  # [i, j] = rank of images[i] after images[j]
+    inverse: np.ndarray  # (n!,) the rank of each permutation's inverse
+    compose: np.ndarray  # [i, j] = rank of permutation i after permutation j
 
 
 def _key(columns, n: int, shape) -> np.ndarray:
@@ -125,40 +122,28 @@ def _check_degree(n: int, work: str) -> None:
 @lru_cache(maxsize=None)
 def _table(n: int) -> _SnTable:
     _check_degree(n, "S_n tables are")
-    perms = list(itertools.permutations(range(1, n + 1)))
-    images = np.array(perms, dtype=np.int8).reshape(len(perms), n)
-    falls = images[:, :-1] > images[:, 1:]
-    masks = (falls.astype(np.int64) << np.arange(n - 1)).sum(axis=1)
-    zero_based = images - 1
+    size = factorial(n)
+    positions = _unrank(np.arange(size), n)
+    falls = positions[:-1] > positions[1:]
+    masks = (falls.astype(np.int64) << np.arange(n - 1)[:, None]).sum(axis=0)
     lookup = np.full(n**n, -1, dtype=np.int16)
-    lookup[_key(zero_based.T, n, len(perms))] = np.arange(len(perms))
-    # a block of rows i composes p_i with every q_j at once: column s of its
-    # keys gathers p_i(q_j(s)) - 1 from the rows
-    compose = np.empty((len(perms), len(perms)), dtype=np.int16)
-    rows = max(1, _BLOCK_VALUES // len(perms))
-    for start in range(0, len(perms), rows):
-        block = zero_based[start : start + rows]
-        columns = (block[:, column] for column in zero_based.T)
-        compose[start : start + rows] = lookup[_key(columns, n, (len(block), len(perms)))]
+    lookup[_key(positions, n, size)] = np.arange(size)
+    # a block of permutations p_i composes each with every q_j at once:
+    # column s of its keys gathers p_i(q_j(s)) - 1 from the rows p_i - 1
+    compose = np.empty((size, size), dtype=np.int16)
+    rows = max(1, _BLOCK_VALUES // size)
+    for start in range(0, size, rows):
+        block = positions[:, start : start + rows].T
+        columns = (block[:, column] for column in positions)
+        compose[start : start + rows] = lookup[_key(columns, n, (len(block), size))]
     inverse = compose.argmin(axis=1)  # p_i q = identity, rank 0
-    return _SnTable(images, falls.sum(axis=1), masks, inverse, compose)
-
-
-def _rank(positions: np.ndarray) -> np.ndarray:
-    """The lexicographic ranks of permutations held column by column as their
-    images less one (``positions[:, k]`` for permutation k): the Lehmer code,
-    read in the factorial base."""
-    n = len(positions)
-    rank = np.zeros(positions.shape[1], dtype=np.int64)
-    for p in range(n):
-        rank *= n - p
-        rank += (positions[p + 1 :] < positions[p]).sum(axis=0)
-    return rank
+    return _SnTable(positions, falls.sum(axis=0), masks, inverse, compose)
 
 
 def _unrank(ranks: np.ndarray, n: int) -> np.ndarray:
-    """The permutations of S_n with the given ranks, inverting ``_rank``:
-    one column per rank of images less one, as (n, len(ranks)) int8."""
+    """The permutations of S_n with the given lexicographic ranks, one
+    column per rank of images less one, as (n, len(ranks)) int8: the rank's
+    factorial-base digits are the permutation's Lehmer code."""
     positions = np.empty((n, len(ranks)), dtype=np.int8)
     rest = np.asarray(ranks, dtype=np.int64)
     for p in range(n - 1, -1, -1):  # Lehmer digits, least significant first
@@ -180,39 +165,39 @@ def _top(values: np.ndarray) -> int:
     return int(np.abs(values).max(initial=0))
 
 
-def _size(n: int) -> int:
-    """n!, the numerators of one element of the group algebra of S_n,
-    refused over ``OUTCOME_BUDGET`` before any is allocated."""
-    if n > RANK_MAX_N or factorial(n) > OUTCOME_BUDGET:
-        raise OracleBoundError(f"group-algebra elements are limited to n! <= {OUTCOME_BUDGET} numerators, got n = {n}")
-    return factorial(n)
+def _zeros(n: int) -> np.ndarray:
+    """The n! zero numerators of an element of the group algebra of S_n,
+    refused past the table's reach before any is allocated."""
+    _check_degree(n, "group-algebra elements are")
+    return np.zeros(factorial(n), dtype=np.int64)
 
 
 class GroupAlgebraElement:
     """An exact rational linear combination of permutations of one S_n.
 
     ``numerators[t] / denominator`` is the coefficient of the permutation of
-    rank t.  The denominator is positive and shares no factor with every
+    rank t.  The constructor takes the n! integer numerators, as an array or
+    a sequence, and a denominator >= 1, and holds a read-only copy in lowest
+    terms: the denominator is positive and shares no factor with every
     numerator, so equal elements hold equal data; the numerators are int64
-    unless one of them does not fit, and read-only.  ``GroupAlgebraElement(n,
-    terms)`` takes the coefficients by permutation."""
+    unless one of them does not fit, and exact Python ints (dtype object)
+    then."""
 
     __slots__ = ("n", "numerators", "denominator")
 
-    def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] | None = None) -> None:
-        terms = terms or {}
-        for perm in terms:
-            if perm.n != n:
-                raise ValueError(f"term {perm} lives in S_{perm.n}, expected S_{n}")
-        coeffs = [Fraction(c) for c in terms.values()]
-        denom = lcm(*(c.denominator for c in coeffs))
-        numer = np.zeros(_size(n), dtype=object)
-        positions = np.array([perm.images for perm in terms], dtype=np.int64).reshape(len(terms), n).T - 1
-        numer[_rank(positions)] = [c.numerator * (denom // c.denominator) for c in coeffs]
-        self._set(n, numer, denom)
-
-    def _set(self, n: int, numer: np.ndarray, denom: int) -> None:
-        """Hold numer / denom in lowest terms."""
+    def __init__(self, n: int, numerators, denominator: int = 1) -> None:
+        _check_degree(n, "group-algebra elements are")
+        # a copy, so the caller's array stays writable; a sequence is read as exact Python ints
+        numer = np.array(numerators, dtype=None if isinstance(numerators, np.ndarray) else object)
+        if numer.dtype.kind in "iu":
+            numer = numer.astype(np.int64 if np.can_cast(numer.dtype, np.int64) else object, copy=False)
+        elif numer.dtype != object or not all(isinstance(c, Integral) for c in numer.flat):
+            raise ValueError(f"numerators must be integers, got dtype {numer.dtype}")
+        if numer.shape != (factorial(n),):
+            raise ValueError(f"need {factorial(n)} numerators for S_{n}, got shape {numer.shape}")
+        if not isinstance(denominator, Integral) or denominator < 1:
+            raise ValueError(f"denominator must be an integer >= 1, got {denominator!r}")
+        denom = int(denominator)
         common = gcd(int(np.gcd.reduce(numer)), denom)
         if common > 1:
             numer, denom = numer // common, denom // common
@@ -245,7 +230,7 @@ class GroupAlgebraElement:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"GroupAlgebraElement({self.n}, {dict(self.terms)!r})"
+        return f"GroupAlgebraElement({self.n}, {self.numerators.tolist()!r}, {self.denominator})"
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.n != other.n:
@@ -253,27 +238,21 @@ class GroupAlgebraElement:
         denom = lcm(self.denominator, other.denominator)
         a, b = denom // self.denominator, denom // other.denominator
         dtype = _dtype(max(a, b) * (1 + _top(self.numerators) + _top(other.numerators)))
-        return _element(self.n, self.numerators.astype(dtype) * a + other.numerators.astype(dtype) * b, denom)
+        numer = self.numerators.astype(dtype) * a + other.numerators.astype(dtype) * b
+        return GroupAlgebraElement(self.n, numer, denom)
 
     def invert_support(self) -> "GroupAlgebraElement":
         """Apply the inversion anti-automorphism sigma -> sigma^{-1}."""
-        return _element(self.n, self.numerators[_table(self.n).inverse], self.denominator)
+        return GroupAlgebraElement(self.n, self.numerators[_table(self.n).inverse], self.denominator)
 
     def is_zero(self) -> bool:
         return not self.numerators.any()
 
 
-def _element(n: int, numer: np.ndarray, denom: int = 1) -> GroupAlgebraElement:
-    """The element numer[t] / denom on the permutation of rank t."""
-    element = GroupAlgebraElement.__new__(GroupAlgebraElement)
-    element._set(n, numer, denom)
-    return element
-
-
 def group_identity(n: int) -> GroupAlgebraElement:
-    numer = np.zeros(_size(n), dtype=np.int64)
+    numer = _zeros(n)
     numer[0] = 1  # the identity has rank 0
-    return _element(n, numer)
+    return GroupAlgebraElement(n, numer)
 
 
 def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -290,7 +269,7 @@ def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebr
     # weighted by a_i, as one matrix product.  Every partial sum is at most
     # max|a| * max|b| * (terms of u) in size.
     if u.is_zero() or v.is_zero():
-        return _element(n, np.zeros(len(u.numerators), dtype=np.int64))
+        return GroupAlgebraElement(n, np.zeros(len(u.numerators), dtype=np.int64))
     table = _table(n)
     left = np.flatnonzero(u.numerators)
     dtype = _dtype(_top(u.numerators) * _top(v.numerators) * len(left))
@@ -299,7 +278,7 @@ def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebr
     rows = max(1, _BLOCK_VALUES // len(b))
     for start in range(0, len(left), rows):
         acc += a[start : start + rows] @ b[table.compose[table.inverse[left[start : start + rows]]]]
-    return _element(n, acc, u.denominator * v.denominator)
+    return GroupAlgebraElement(n, acc, u.denominator * v.denominator)
 
 
 def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
@@ -317,7 +296,7 @@ def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
     inside = (_table(n).masks & ~np.array(cuts, dtype=np.int64)[:, None]) == 0
     # a permutation collects at most every coefficient once
     dtype = _dtype(max(map(abs, numer), default=0) * len(numer))
-    return _element(n, np.array(numer, dtype=dtype) @ inside.astype(dtype), denom)
+    return GroupAlgebraElement(n, np.array(numer, dtype=dtype) @ inside.astype(dtype), denom)
 
 
 def idempotent_group(n: int, k: int) -> GroupAlgebraElement:
@@ -330,52 +309,46 @@ class ShuffleMultiset:
     """All b^n digit words of a b-shuffle, collected by outcome permutation.
 
     ``ranks`` holds the lexicographic ranks of the distinct outcomes,
-    ascending; ``positions[:, k]`` the images of outcome k less one; and
-    ``counts[k]`` its multiplicity, all read-only.  ``ShuffleMultiset(n, b,
-    multiplicity)`` takes the multiplicities by permutation.  Either way the
+    strictly ascending; ``positions[:, k]`` the images of outcome k less
+    one; and ``counts[k]`` its multiplicity, all read-only copies.  The
     multiplicities must account for every word, and every outcome must be
     the inverse of a permutation with at most b - 1 descents."""
 
     __slots__ = ("n", "b", "ranks", "positions", "counts")
 
-    def __init__(self, n: int, b: int, multiplicity: Mapping[Permutation, int]) -> None:
+    def __init__(self, n: int, b: int, ranks, counts) -> None:
         if n > RANK_MAX_N:
             raise OracleBoundError(f"shuffle multisets are limited to n <= {RANK_MAX_N}, got {n}")
-        positions = np.array([perm.images for perm in multiplicity], dtype=np.int8).reshape(-1, n).T - 1
-        ranks = _rank(positions)
-        order = np.argsort(ranks)
-        counts = np.array(list(multiplicity.values()), dtype=np.int64)
-        self._set(n, b, ranks[order], positions[:, order], counts[order])
-
-    def _set(self, n: int, b: int, ranks: np.ndarray, positions: np.ndarray, counts: np.ndarray) -> None:
-        if counts.sum() != b**n:
-            raise ValueError(f"multiplicities must account for all {b}^{n} words")
+        ranks, counts = np.asarray(ranks), np.asarray(counts)
+        if ranks.ndim != 1 or ranks.shape != counts.shape:
+            raise ValueError(f"need one count per rank, got shapes {ranks.shape} and {counts.shape}")
+        if ranks.dtype.kind not in "iu" or not (
+            len(ranks) == 0 or 0 <= ranks[0] and ranks[-1] < factorial(n) and (ranks[1:] > ranks[:-1]).all()
+        ):
+            raise ValueError(f"ranks must be integers ascending strictly inside 0..{factorial(n) - 1}")
+        if counts.dtype.kind not in "iu" or (counts < 1).any() or counts.sum() != b**n:
+            raise ValueError(f"multiplicities must be positive and account for all {b}^{n} words")
+        positions = _unrank(ranks, n)
         # sigma^{-1} has a descent at i when the value i + 1 comes before i in sigma
         inverse = np.empty_like(positions)
         np.put_along_axis(inverse, positions, np.arange(n)[:, None], axis=0)
         if ((inverse[:-1] > inverse[1:]).sum(axis=0) > b - 1).any():
             raise ValueError("support must lie in the inverses of low-descent permutations")
+        ranks, counts = ranks.astype(np.int64), counts.astype(np.int64)  # copies: the caller's stay writable
         for array in (ranks, positions, counts):
             array.flags.writeable = False
         self.n, self.b, self.ranks, self.positions, self.counts = n, b, ranks, positions, counts
 
-    @property
-    def multiplicity(self) -> Mapping[Permutation, int]:
-        """The multiplicities by outcome, in lexicographic order: a read-only
-        view, built when read."""
-        images = (self.positions.T + 1).tolist()
-        return MappingProxyType({Permutation(tuple(im)): m for im, m in zip(images, self.counts.tolist())})
-
     def __repr__(self) -> str:
-        return f"ShuffleMultiset({self.n}, {self.b}, {dict(self.multiplicity)!r})"
+        return f"ShuffleMultiset({self.n}, {self.b}, {self.ranks.tolist()!r}, {self.counts.tolist()!r})"
 
     def total(self) -> int:
         return int(self.counts.sum())
 
     def to_group_algebra(self) -> GroupAlgebraElement:
-        numer = np.zeros(_size(self.n), dtype=np.int64)
+        numer = _zeros(self.n)
         numer[self.ranks] = self.counts
-        return _element(self.n, numer)
+        return GroupAlgebraElement(self.n, numer)
 
 
 def _outcome_blocks(n: int, b: int):
@@ -392,8 +365,6 @@ def _outcome_blocks(n: int, b: int):
         raise OracleBoundError(f"outcome budget exceeded: min({b}^{n}, {n}!) > {OUTCOME_BUDGET}")
     if n > RANK_MAX_N:  # only b = 1 gets past the two budgets above
         raise OracleBoundError(f"rank budget exceeded: the ranks of S_{n} overflow int64 past n = {RANK_MAX_N}")
-    if b == 1:  # the one word 0...0, whose stable sort moves no card: no pair is compared
-        return iter([(np.zeros(1, dtype=np.int64), np.arange(n, dtype=np.int8)[:, None])])
     # word k of itertools.product(range(b), repeat=n) holds k // b^(n-1-s) % b at position s
     place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
     step = max(1, _BLOCK_VALUES // n)
@@ -425,10 +396,7 @@ def enumerate_b_shuffles(n: int, b: int) -> ShuffleMultiset:
         if size > OUTCOME_BUDGET:  # fold: at most OUTCOME_BUDGET distinct outcomes stay held
             held = [_tally(held)]
             size = len(held[0][0])
-    ranks, counts = _tally(held)
-    shuffles = ShuffleMultiset.__new__(ShuffleMultiset)
-    shuffles._set(n, b, ranks, _unrank(ranks, n), counts)
-    return shuffles
+    return ShuffleMultiset(n, b, *_tally(held))
 
 
 def _outcome_block(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +406,7 @@ def _outcome_block(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Lehmer code of sigma_w at p counts the later positions that sort before
     p, sigma_w(p) - 1 adds the earlier ones that sort before p, and the
     lexicographic rank of sigma_w is the Lehmer code read in the factorial
-    base, below n! < 2^63 since b >= 2 admits n <= 17.  Returns the (words,)
+    base, below n! < 2^63 for n <= ``RANK_MAX_N``.  Returns the (words,)
     int64 ranks and the (n, words) int8 positions sigma_w - 1."""
     n, words = digits.shape
     lehmer = np.zeros((n, words), dtype=np.int8)
@@ -466,7 +434,7 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]
     _check_degree(n, "transition oracle is")
     shuffles = enumerate_b_shuffles(n, b)
     table = _table(n)
-    size = len(table.images)
+    size = len(table.descents)
     # tally[sigma, d] sums the counts of the outcomes w with d(w * sigma) = d
     tally = np.zeros((size, n), dtype=np.int64)
     every, rows = np.arange(size), max(1, _BLOCK_VALUES // size)
@@ -479,7 +447,8 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]
     (stray,) = np.nonzero((tally != rows[table.descents]).any(axis=1))
     if len(stray):
         sigma = stray[0]
-        raise LumpingViolation(n, b, int(table.descents[sigma]) + 1, Permutation(tuple(table.images[sigma].tolist())))
+        images = tuple((table.positions[:, sigma] + 1).tolist())
+        raise LumpingViolation(n, b, int(table.descents[sigma]) + 1, Permutation(images))
     return tuple(tuple(Fraction(c, b**n) for c in row) for row in rows.tolist())
 
 

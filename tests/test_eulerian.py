@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrychain import eulerian
+from carrychain import combinat, eulerian
 from carrychain.combinat import BudgetError, Composition, binomial, compositions, eulerian_numbers
 from carrychain.eulerian import (
     EulerianElement,
@@ -281,8 +281,12 @@ class TestIdempotentExpansion:
         monkeypatch.setattr(eulerian, "compositions", _refuse_building)
         with pytest.raises(_Built):
             idempotent_s_expansion(18, 1)
+        monkeypatch.undo()
+        # past it, compositions(n) refuses before it builds one and before the Stirling row
+        monkeypatch.setattr(combinat, "Composition", _refuse_building)
+        monkeypatch.setattr(eulerian, "Fraction", _refuse_building)
         for n in (19, 40, 10**20):
-            with pytest.raises(BudgetError, match="idempotent_s_expansion: 2\\^"):
+            with pytest.raises(BudgetError, match=f"^compositions: 2\\^{n - 1} compositions of {n} exceed"):
                 idempotent_s_expansion(n, 1)
 
 

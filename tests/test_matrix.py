@@ -42,6 +42,17 @@ class TestAmazingEntry:
             for b in range(1, 11):
                 assert all(amazing_entry(n, b, i, j) >= 0 for i in range(1, n + 1) for j in range(1, n + 1))
 
+    def test_an_entry_over_the_budget_is_refused_before_any_binomial(self, monkeypatch):
+        monkeypatch.setattr(matrix, "binomial", lambda a, k: pytest.fail("binomial computed over the budget"))
+        for n, b, i, j in ((2000, 2**64, 1000, 1000), (1500, 2**100, 1, 1500), (60, 2**3000, 1, 60)):
+            with pytest.raises(ClosedFormBudgetError, match="^amazing_entry: estimated work"):
+                amazing_entry(n, b, i, j)
+
+    def test_a_large_deck_at_a_small_column_is_admitted(self):
+        # C(n + bj - i, n) = C(n + bj - i, bj - i) is a product of at most bj
+        # factors, so column 1 of a deck of 20,000 costs two small terms
+        assert amazing_entry(20_000, 2, 1, 1) == 20_001
+
 
 class TestRowKernel:
     @staticmethod
