@@ -16,14 +16,12 @@ _EXPORTS = {
     "AmazingMatrix": "matrix",
     "BasisMatrix": "eulerian",
     "BudgetError": "combinat",
-    "ClosedFormBudgetError": "eulerian",
     "Composition": "combinat",
     "DescentPolynomial": "matrix",
     "EmpiricalMatrix": "simulate",
     "EulerianElement": "eulerian",
     "GroupAlgebraElement": "oracle",
     "LumpingViolation": "combinat",
-    "OracleBoundError": "oracle",
     "Permutation": "combinat",
     "Report": "matrix",
     "ShuffleMultiset": "oracle",

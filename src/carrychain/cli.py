@@ -79,9 +79,13 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _fmt(value):
-    """Exact scalar for JSON: integers stay numbers, proper fractions become
-    'p/q' strings."""
+def _fmt(value, denominator: int = 1):
+    """Exact scalar for a document, ``value / denominator``: integers stay
+    numbers, proper fractions become 'p/q' strings.  The one place the CLI
+    builds a ``Fraction``: the library hands over integers over one
+    denominator, and an integer over 1 builds none."""
+    if denominator != 1:
+        value = Fraction(value, denominator)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else str(value)
     return value
@@ -93,8 +97,8 @@ def _label(images) -> str:
     return ",".join(map(str, images))
 
 
-def _matrix_payload(rows) -> list[list]:
-    return [[_fmt(v) for v in row] for row in rows]
+def _matrix_payload(rows, denominator: int = 1) -> list[list]:
+    return [[_fmt(v, denominator) for v in row] for row in rows]
 
 
 def _report_payload(report: Report) -> dict:
@@ -160,7 +164,7 @@ def _cmd_foulkes(args) -> int:
     if args.det:  # the determinant's budget is the tighter one; refuse before F is built
         _check_determinant(args.n)
     F = foulkes_matrix(args.n)
-    payload: dict = {"matrix": _matrix_payload(F.entries)}
+    payload: dict = {"matrix": _matrix_payload(F.numerators)}
     if args.det:
         payload["determinant"] = str(foulkes_determinant(args.n, F))
     _emit("foulkes", {"n": args.n}, payload)
@@ -169,7 +173,7 @@ def _cmd_foulkes(args) -> int:
 
 def _cmd_worpitzky(args) -> int:
     W = worpitzky_matrix(args.n)
-    _emit("worpitzky", {"n": args.n}, {"matrix": _matrix_payload(W.entries)})
+    _emit("worpitzky", {"n": args.n}, {"matrix": _matrix_payload(W.numerators, W.denominator)})
     return 0
 
 
@@ -193,7 +197,7 @@ def _cmd_idempotents(args) -> int:
 
             element = idempotent_group(args.n, k)
             images, numers = element.support()
-            value = {c: _fmt(Fraction(c, element.denominator)) for c in set(numers)}
+            value = {c: _fmt(c, element.denominator) for c in set(numers)}
             table[str(k)] = {_label(im): value[c] for im, c in zip(images, numers)}
     _emit("idempotents", {"n": args.n, "basis": args.basis}, {"idempotents": table})
     return 0
@@ -207,9 +211,9 @@ def _cmd_descent_poly(args) -> int:
 
 
 def _check_transition(n: int, b: int, rows) -> None:
-    """Raise ``TransitionMismatch`` at the first enumerated row that differs
-    from the normalized closed-formula matrix."""
-    expected = amazing_matrix(n, b).normalized()
+    """Raise ``TransitionMismatch`` at the first enumerated row of word
+    counts that differs from the closed-formula matrix."""
+    expected = amazing_matrix(n, b).entries
     for state in range(1, n + 1):
         if rows[state - 1] != expected[state - 1]:
             raise TransitionMismatch(n, b, state)
@@ -220,7 +224,7 @@ def _cmd_oracle_transition(args) -> int:
 
     rows = oracle_transition_matrix(args.n, args.b)
     _check_transition(args.n, args.b, rows)
-    _emit("oracle transition", {"n": args.n, "b": args.b}, {"matrix": _matrix_payload(rows)})
+    _emit("oracle transition", {"n": args.n, "b": args.b}, {"matrix": _matrix_payload(rows, args.b**args.n)})
     return 0
 
 
@@ -326,10 +330,12 @@ def _nonnegative(n: int, b: int):
 
 
 def _foulkes_inverse(n: int):
-    F, W = foulkes_matrix(n), worpitzky_matrix(n)
+    """F W = I, checked in integers as F (n! W) = n! I."""
+    F, W = foulkes_matrix(n).numerators, worpitzky_matrix(n)
+    columns = list(zip(*W.numerators))
     failures = []
     for i, j in itertools.product(range(1, n + 1), repeat=2):
-        if sum(F.entry(i, t) * W.entry(t, j) for t in range(1, n + 1)) != (1 if i == j else 0):
+        if sum(f * w for f, w in zip(F[i - 1], columns[j - 1])) != (W.denominator if i == j else 0):
             failures.append(f"F*W != I at n={n}, ({i},{j})")
     return n * n, failures
 
@@ -340,17 +346,17 @@ def _foulkes_determinant(n: int):
 
 
 def _worpitzky_powers(n: int):
-    F = foulkes_matrix(n)
+    F = foulkes_matrix(n).numerators
     failures = []
     for x, k in itertools.product(range(1, 11), range(1, n + 1)):
-        if sum(F.entry(k, i) * binomial(x + n - i, n) for i in range(1, n + 1)) != x**k:
+        if sum(f * binomial(x + n - i, n) for i, f in enumerate(F[k - 1], start=1)) != x**k:
             failures.append(f"power identity failed at n={n}, x={x}, k={k}")
     return 10 * n, failures
 
 
 def _foulkes_eulerian_row(n: int):
-    F = foulkes_matrix(n)
-    bad = [j for j, e in enumerate(eulerian_numbers(n), start=1) if F.entry(n, j) != e]
+    F = foulkes_matrix(n).numerators
+    bad = [j for j, (f, e) in enumerate(zip(F[-1], eulerian_numbers(n)), start=1) if f != e]
     return n, [f"last Foulkes row != Eulerian numbers at n={n}, j={j}" for j in bad]
 
 
@@ -363,7 +369,7 @@ def _idempotent_sum(n: int):
     total = idempotent_s_expansion(n, 1)
     for k in range(2, n + 1):
         total = total + idempotent_s_expansion(n, k)
-    ok = total.terms == {Composition((n,)): Fraction(1)}
+    ok = total.terms == {Composition((n,)): 1}
     return 1, [] if ok else [f"idempotent expansions do not sum to the complete word at n={n}"]
 
 

@@ -1,5 +1,6 @@
 """Basic combinatorial objects: binomials, compositions, permutations,
-descent statistics, Eulerian numbers.
+descent statistics, Eulerian numbers; and the package's one refusal type,
+``BudgetError``, with the work budget of the closed forms.
 
 Conventions used throughout the package:
 
@@ -33,11 +34,49 @@ GROUP_ALGEBRA_MAX_N = 6
 IDEMPOTENT_TERMS = 2**17
 
 
+# Bigint work admitted for one closed-form table, in 64-bit word operations
+# as ``_work`` counts them, chosen from measured time on a 2-vCPU x86-64 host
+# with Python 3.11.  The largest transition matrix admitted at b = 2,
+# amazing_matrix(281, 2) (work 2.66e8), takes 0.04 s, and 0.12 s as
+# `carrychain amazing`; the other tables stop at foulkes_matrix(200) and
+# worpitzky_matrix(214) (0.7 s), and the matrix products of the checks at
+# verify_spectrum(118, 2) (0.6 s) and verify_multiplicativity(176, 2, 2)
+# (0.5 s).  Bases of 256 bits and more take the spectral path of ``matrix``,
+# which counts less work: amazing_matrix(32, 2^2048), 5.8e8 on the row
+# kernel, counts 4.6e7 (0.1 s), and the largest admitted at that base,
+# amazing_matrix(46, 2^2048) (2.65e8), takes 0.4 s.  The largest
+# benchmarked table, foulkes_determinant(40), counts 7.4e7 (0.04 s), and
+# descent_polynomial(16, 3, 3000) 2.9e6 (3.9e7 on the row kernel).
+# eulerian_numbers stops at n = 1672, whose row takes about 2.2 s.
+WORK_BUDGET = 2**28
+
+
 class BudgetError(ValueError):
     """A request over one of the package's work or size budgets, refused
-    before the work starts.  ``ClosedFormBudgetError`` and
-    ``OracleBoundError`` are its kinds; the simulators and the CLI raise it
-    as it is."""
+    before the work starts.  Every refusal is this one type; its message
+    names the operation and the budget."""
+
+
+def _work(values: int, passes: int, bits: int) -> int:
+    """The work of a table of ``values`` integers of at most ``bits`` bits,
+    each built by about one full-size multiplication and then touched by
+    ``passes`` additions.  With w the size of an integer in 64-bit words,
+    that is values * (passes + w) * w word operations."""
+    words = bits // 64 + 1
+    return values * (passes + words) * words
+
+
+def _check_work(what: str, values: int, passes: int, bits: int) -> None:
+    """Refuse up front, before any bigint is built, a table over the budget,
+    its work counted by ``_work``."""
+    _check_budget(what, _work(values, passes, bits))
+
+
+def _check_budget(what: str, work: int) -> None:
+    """Refuse ``work`` word operations over ``WORK_BUDGET``."""
+    if work > WORK_BUDGET:
+        budget = math.log2(WORK_BUDGET)
+        raise BudgetError(f"{what}: estimated work 2^{math.log2(work):.1f} exceeds the budget 2^{budget:g}")
 
 
 class LumpingViolation(RuntimeError):
@@ -202,13 +241,20 @@ class Permutation:
 def eulerian_numbers(n: int) -> tuple[int, ...]:
     """The Eulerian numbers (E(n,1), ..., E(n,n)), E(n, k) the number of
     permutations of S_n with exactly k-1 descents, built from E(1, 1) = 1 by
-    the recurrence E(m, k) = k E(m-1, k) + (m-k+1) E(m-1, k-1).
+    the recurrence E(m, k) = k E(m-1, k) + (m-k+1) E(m-1, k-1).  A row
+    whose estimated work exceeds ``WORK_BUDGET`` is refused before any
+    product, with ``BudgetError``.
 
     >>> eulerian_numbers(3)
     (1, 4, 1)
     """
     if n < 1:
         raise ValueError(f"eulerian_numbers: n must be positive, got {n}")
+    # row m makes about m products of a small integer by an entry below
+    # m! < 2^(m L), L the bit length of n, each one word operation per word;
+    # the entries grow with m, so the ~n^2 / 2 products of the rows cost
+    # about as much as n^2 / 3 products by an entry of the last row
+    _check_budget("eulerian_numbers", n * n // 3 * (n * n.bit_length() // 64 + 1))
     row = [1]
     for m in range(2, n + 1):
         row = [k * a + (m - k + 1) * c for k, a, c in zip(range(1, m + 1), [*row, 0], [0, *row])]

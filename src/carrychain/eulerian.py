@@ -20,13 +20,16 @@ and right eigenvector tables of the shuffle/carries transition matrix:
 - the Foulkes matrix ``F``, whose (i, j) entry is
   sum_r (-1)^r C(n+1, r) (j-r)^i, expresses A[j] over the E-basis.
 
-``F W = I`` exactly, and det F is the superfactorial.  Row i of F is the
+``F W = I`` exactly, and det F is the superfactorial.  Both tables are
+held as integer rows over one denominator (``BasisMatrix``): F over 1 and
+n! W over n!, so the products of ``matrix`` read them in integers and a
+``Fraction`` is built only when one entry is read.  Row i of F is the
 x^1..x^n part of (1 - x)^(n+1) sum_k k^i x^k; ``_numerator`` applies that
 factor as n+1 difference passes, and the transition matrix of ``matrix``
 uses the same kernel on columns of binomials.  The rows of n! W follow one
 from the next by one multiplication and one exact division by a linear factor.
-Tables whose estimated bigint work exceeds ``WORK_BUDGET`` are refused
-before any of it is done, with ``ClosedFormBudgetError``.
+Tables whose estimated bigint work exceeds ``combinat.WORK_BUDGET`` are
+refused before any of it is done, with ``BudgetError``.
 
 The idempotents also expand over words in the complete-function basis
 (products S^I indexed by compositions I); that expansion is what the
@@ -40,49 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
 
-from .combinat import BudgetError, Composition, binomial, compositions
-
-
-# Bigint work admitted for one closed-form table, in 64-bit word operations
-# as ``_work`` counts them, chosen from measured time on a 2-vCPU x86-64 host
-# with Python 3.11.  The largest transition matrix admitted at b = 2,
-# amazing_matrix(281, 2) (work 2.66e8), takes 0.04 s, and 0.12 s as
-# `carrychain amazing`; the other tables stop at foulkes_matrix(200) and
-# worpitzky_matrix(214) (0.7 s), and the matrix products of the checks at
-# verify_spectrum(118, 2) (0.6 s) and verify_multiplicativity(176, 2, 2)
-# (0.5 s).  Bases of 256 bits and more take the spectral path of ``matrix``,
-# which counts less work: amazing_matrix(32, 2^2048), 5.8e8 on the row
-# kernel, counts 4.6e7 (0.1 s), and the largest admitted at that base,
-# amazing_matrix(46, 2^2048) (2.65e8), takes 0.4 s.  The largest
-# benchmarked table, foulkes_determinant(40), counts 7.4e7 (0.04 s), and
-# descent_polynomial(16, 3, 3000) 2.9e6 (3.9e7 on the row kernel).
-WORK_BUDGET = 2**28
-
-
-class ClosedFormBudgetError(BudgetError):
-    """The estimated bigint work of a closed-form table exceeds WORK_BUDGET."""
-
-
-def _work(values: int, passes: int, bits: int) -> int:
-    """The work of a table of ``values`` integers of at most ``bits`` bits,
-    each built by about one full-size multiplication and then touched by
-    ``passes`` additions.  With w the size of an integer in 64-bit words,
-    that is values * (passes + w) * w word operations."""
-    words = bits // 64 + 1
-    return values * (passes + words) * words
-
-
-def _check_work(what: str, values: int, passes: int, bits: int) -> None:
-    """Refuse up front, before any bigint is built, a table over the budget,
-    its work counted by ``_work``."""
-    _check_budget(what, _work(values, passes, bits))
-
-
-def _check_budget(what: str, work: int) -> None:
-    """Refuse ``work`` word operations over ``WORK_BUDGET``."""
-    if work > WORK_BUDGET:
-        budget = math.log2(WORK_BUDGET)
-        raise ClosedFormBudgetError(f"{what}: estimated work 2^{math.log2(work):.1f} exceeds the budget 2^{budget:g}")
+from .combinat import Composition, _check_work, binomial, compositions
 
 
 def _numerator(values: list[int], passes: int) -> list[int]:
@@ -97,26 +58,26 @@ def _numerator(values: list[int], passes: int) -> list[int]:
     return values
 
 
-def _as_fractions(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class EulerianElement:
     """An element of the degree-n Eulerian subalgebra, in E-coordinates.
 
-    ``coords[k-1]`` is the exact coefficient of the k-th idempotent.
+    ``coords[k-1]`` is the exact coefficient of the k-th idempotent, an
+    ``int`` or a ``Fraction``.
     """
 
     n: int
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"degree must be positive, got {self.n}")
-        if len(self.coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(self.coords)}")
-        object.__setattr__(self, "coords", _as_fractions(self.coords))
+        coords = tuple(self.coords)
+        if len(coords) != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
+        if not all(isinstance(c, (int, Fraction)) for c in coords):
+            raise ValueError(f"coordinates must be integers or Fractions, got {coords}")
+        object.__setattr__(self, "coords", coords)
 
     def _check_degree(self, other: "EulerianElement") -> None:
         if self.n != other.n:
@@ -133,7 +94,7 @@ def spow_element(n: int, k: int) -> EulerianElement:
         raise ValueError(f"degree must be positive, got {n}")
     if k < 0:
         raise ValueError(f"shuffle parameter must be nonnegative, got {k}")
-    return EulerianElement(n, tuple(Fraction(k**i) for i in range(1, n + 1)))
+    return EulerianElement(n, tuple(k**i for i in range(1, n + 1)))
 
 
 def class_element(n: int, p: int) -> EulerianElement:
@@ -150,7 +111,7 @@ def class_element(n: int, p: int) -> EulerianElement:
         raise ValueError(f"class index must lie in 1..{n}, got {p}")
     coords = []
     for i in range(1, n + 1):
-        coords.append(Fraction(sum((-1) ** r * binomial(n + 1, r) * (p - r) ** i for r in range(p + 1))))
+        coords.append(sum((-1) ** r * binomial(n + 1, r) * (p - r) ** i for r in range(p + 1)))
     return EulerianElement(n, tuple(coords))
 
 
@@ -163,35 +124,47 @@ def internal_product(u: EulerianElement, v: EulerianElement) -> EulerianElement:
 
 @dataclass(frozen=True)
 class BasisMatrix:
-    """An exact n x n change-of-basis matrix with 1-based index helpers."""
+    """An exact n x n change-of-basis matrix, held as integer rows over one
+    denominator: entry (i, j), 1-based, is ``numerators[i-1][j-1] /
+    denominator``."""
 
     n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
+        rows = tuple(map(tuple, self.numerators))
+        if len(rows) != self.n or any(len(row) != self.n for row in rows):
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
-        object.__setattr__(self, "entries", tuple(_as_fractions(row) for row in self.entries))
+        if not all(isinstance(c, int) for row in rows for c in row):
+            raise ValueError("numerators must be integers")
+        if not isinstance(self.denominator, int) or self.denominator < 1:
+            raise ValueError(f"denominator must be an integer >= 1, got {self.denominator!r}")
+        object.__setattr__(self, "numerators", rows)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i - 1][j - 1]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i - 1]
+        return Fraction(self.numerators[i - 1][j - 1], self.denominator)
 
 
-def _worpitzky_numerators(n: int) -> list[list[int]]:
-    """The integer matrix n! W: row i holds the coefficients of x^1..x^n in
-    p_i(x) = prod_{s=0..n-1} (x + n - i - s).
+def worpitzky_matrix(n: int) -> BasisMatrix:
+    """W(i, j) = coefficient of x^j in C(x + n - i, n), for i, j in 1..n,
+    held as the integer rows of n! W over n!.
 
-    Row 1 is the rising product x (x + 1) ... (x + n - 1), expanded once;
-    each later row follows from the one before it in O(n) operations,
+    Column j holds the A-basis coordinates of the idempotent E[j]; the
+    columns are the right eigenvectors of every shuffle transition matrix.
+    Row i of n! W holds the coefficients of x^1..x^n in
+    p_i(x) = prod_{s=0..n-1} (x + n - i - s).  Row 1 is the rising product
+    x (x + 1) ... (x + n - 1), expanded once; each later row follows from
+    the one before it in O(n) operations,
     p_{i+1}(x) = p_i(x) (x - i) / (x + n - i), the division exact and done
     by synthetic division.
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    _check_work("worpitzky_matrix", n * (n + 1), 2, n * (n + 1).bit_length())
+    # reading the n^2 entries as Fractions reduces each by a gcd with n!,
+    # counted as 8 full-size products; that is more than the rows' own
+    # product and 2 passes per entry, so this one check bounds both
+    _check_work("worpitzky_matrix", 8 * n * n, 0, n * (n + 1).bit_length())
     poly = [1]  # low to high
     for s in range(n):
         poly = [a * s + c for a, c in zip(poly + [0], [0] + poly)]
@@ -205,44 +178,12 @@ def _worpitzky_numerators(n: int) -> list[list[int]]:
             poly[k] = prod[k + 1] - c * poly[k + 1]
         rows.append(poly[1:])
     # the constant term vanishes because the factor with s = n - i is x
-    return rows
-
-
-def worpitzky_matrix(n: int) -> BasisMatrix:
-    """W(i, j) = coefficient of x^j in C(x + n - i, n), for i, j in 1..n.
-
-    Column j holds the A-basis coordinates of the idempotent E[j]; the
-    columns are the right eigenvectors of every shuffle transition matrix.
-    The rows of n! W come from ``_worpitzky_numerators``, one from the next
-    in O(n) operations, and are divided by n! at the end.
-    """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    # each of the n^2 entries is reduced by a gcd with n!, counted as 8
-    # full-size products
-    _check_work("worpitzky_matrix", 8 * n * n, 0, n * (n + 1).bit_length())
-    numerators = _worpitzky_numerators(n)
-    nfact = math.factorial(n)
-    rows = tuple(tuple(Fraction(c, nfact) for c in row) for row in numerators)
-    return BasisMatrix(n, rows)
-
-
-def _foulkes_numerators(n: int) -> list[list[int]]:
-    """The Foulkes matrix as integers: row i holds the coefficients of
-    x^1..x^n in (1 - x)^(n+1) sum_k k^i x^k, from the shared kernel."""
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    _check_work("foulkes_matrix", n * (n + 1), n + 1, n * (n.bit_length() + 1))
-    ks = range(n + 1)
-    powers, rows = list(ks), []
-    for _ in range(n):
-        rows.append(_numerator(powers, n + 1)[1:])
-        powers = list(map(mul, powers, ks))
-    return rows
+    return BasisMatrix(n, rows, math.factorial(n))
 
 
 def foulkes_matrix(n: int) -> BasisMatrix:
-    """F(i, j) = sum_{r=0..j} (-1)^r C(n+1, r) (j-r)^i, with 0^i = 0.
+    """F(i, j) = sum_{r=0..j} (-1)^r C(n+1, r) (j-r)^i, with 0^i = 0, held
+    as integer rows over 1.
 
     Column j holds the E-coordinates of the class sum A[j]; the rows are
     the left eigenvectors of every shuffle transition matrix, and the matrix
@@ -251,7 +192,14 @@ def foulkes_matrix(n: int) -> BasisMatrix:
     sum_k k^i x^k, built by the same difference kernel as the rows of the
     transition matrix; ``class_element`` is the column-by-column reference.
     """
-    rows = tuple(tuple(row) for row in _foulkes_numerators(n))
+    if n < 1:
+        raise ValueError(f"degree must be positive, got {n}")
+    _check_work("foulkes_matrix", n * (n + 1), n + 1, n * (n.bit_length() + 1))
+    ks = range(n + 1)
+    powers, rows = list(ks), []
+    for _ in range(n):
+        rows.append(_numerator(powers, n + 1)[1:])
+        powers = list(map(mul, powers, ks))
     return BasisMatrix(n, rows)
 
 

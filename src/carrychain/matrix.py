@@ -19,16 +19,16 @@ against ``_SPECTRAL_MIN_BITS`` (256):
   C(bq + s, n), q >= 0, and row i is the slice of column s = (n - i) mod b
   from q0 = (n - i) // b;
 - the spectral path, for wide b: the factorization
-  n! P = (n! W) diag(b, b^2, ..., b^n) F, with the integer tables n! W and F
-  of ``eulerian``, the powers of b built once, and every entry divided
-  exactly by n!.
+  n! P = (n! W) diag(b, b^2, ..., b^n) F, with the integer rows of n! W and
+  F that ``eulerian.worpitzky_matrix`` and ``eulerian.foulkes_matrix``
+  hold, the powers of b built once, and every entry divided exactly by n!.
 
 Only rows 1..ceil(n/2) are computed; the others are mirrored, since P is
 centrosymmetric: P(i, j) = P(n+1-i, n+1-j).  ``amazing_entry`` is the
 entry-by-entry reference.  Every table and entry, and the matrix products
-of every check below, is refused up front, with ``ClosedFormBudgetError``,
-when its estimated bigint work on the path it takes exceeds
-``eulerian.WORK_BUDGET``.
+of every check below, is refused up front, with ``BudgetError``, when its
+estimated bigint work on the path it takes exceeds
+``combinat.WORK_BUDGET``.
 
 Everything claimed about this matrix is an exact identity and is verified
 here in integer arithmetic: the columns of n! W (Worpitzky) and the rows of
@@ -45,13 +45,12 @@ product it also checks one path against the other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .combinat import binomial, eulerian_numbers
-from .eulerian import BasisMatrix, _check_budget, _check_work, _foulkes_numerators, _numerator, _work, _worpitzky_numerators
+from .combinat import _check_budget, _check_work, _work, binomial, eulerian_numbers
+from .eulerian import BasisMatrix, _numerator, foulkes_matrix, worpitzky_matrix
 
 
 # Bit length of m from which amazing_matrix and descent_polynomial build P(n, m)
@@ -101,10 +100,11 @@ def _spectral_rows(n: int, m: int, rows: int) -> list[list[int]]:
     for _ in range(n - 1):
         powers.append(powers[-1] * m)
     p = (n - 1) % 2  # index parity of the rows k of F with n - k even
-    columns = [(col[p::2], col[1 - p :: 2]) for col in list(zip(*_foulkes_numerators(n)))[: (n + 1) // 2]]
-    nfact = math.factorial(n)
+    columns = [(col[p::2], col[1 - p :: 2]) for col in list(zip(*foulkes_matrix(n).numerators))[: (n + 1) // 2]]
+    W = worpitzky_matrix(n)
+    nfact = W.denominator
     top = []
-    for i, w in enumerate(_worpitzky_numerators(n)[:rows], start=1):
+    for i, w in enumerate(W.numerators[:rows], start=1):
         scaled = list(map(mul, w, powers))
         even, odd = scaled[p::2], scaled[1 - p :: 2]
         left, right = [], []
@@ -256,7 +256,7 @@ def verify_spectrum(n: int, b: int) -> Report:
     and the eigenvector tables are built before P, so that a size over the
     budget is refused before the largest table is built."""
     _check_products("verify_spectrum", 2 * n * n * (n + 1), n * b.bit_length(), _eigen_bits(n))
-    W, F = _worpitzky_numerators(n), _foulkes_numerators(n)
+    W, F = worpitzky_matrix(n).numerators, foulkes_matrix(n).numerators
     P = _matrix(n, b, spectral=False).entries
     failures = []
     for j, col in enumerate(zip(*W), start=1):
@@ -300,10 +300,10 @@ def verify_multiplicativity(n: int, b1: int, b2: int) -> Report:
     return Report("multiplicativity", {"n": n, "b1": b1, "b2": b2}, 1, tuple(failures))
 
 
-def _bareiss_determinant(rows: list[list[int]]) -> int:
+def _bareiss_determinant(rows) -> int:
     """Exact determinant of an integer matrix by fraction-free (Bareiss)
     elimination with row pivoting: every division is exact."""
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     sign, prev = 1, 1
     for k in range(len(m) - 1):
         pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
@@ -331,9 +331,9 @@ def foulkes_determinant(n: int, F: BasisMatrix | None = None) -> int:
     """Exact determinant of the Foulkes matrix (equals the superfactorial),
     read from ``F`` when the caller has built that matrix already."""
     _check_determinant(n)
-    if F is not None and F.n != n:
-        raise ValueError(f"expected the degree-{n} Foulkes matrix, got degree {F.n}")
-    return _bareiss_determinant(_foulkes_numerators(n) if F is None else [[c.numerator for c in r] for r in F.entries])
+    if F is not None and (F.n, F.denominator) != (n, 1):
+        raise ValueError(f"expected the degree-{n} Foulkes matrix, got degree {F.n} over {F.denominator}")
+    return _bareiss_determinant((foulkes_matrix(n) if F is None else F).numerators)
 
 
 @dataclass(frozen=True)

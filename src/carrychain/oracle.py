@@ -26,9 +26,11 @@ composed, in int64 under an up-front bound on the sums and in exact Python
 ints above it; an S-word expansion adds each coefficient over a descent-set
 mask; each block of shuffle words is compared pair of positions by pair of
 positions; and the transition oracle tallies every (sigma, outcome) pair
-in one pass over the table.
+in one pass over the table, into integer rows of word counts over b^n, the
+layout of the closed-form matrix.
 
-Bounds keep everything at desk scale, each refused before any work:
+Bounds keep everything at desk scale, each refused with ``BudgetError``
+before any work:
 group-algebra elements, and every product, expansion and inversion of
 them, stop at n <= ``GROUP_ALGEBRA_MAX_N`` = 6, the reach of the table.
 Exhaustive shuffle enumeration stays within ``ENUMERATION_BUDGET`` = 10^7
@@ -87,10 +89,6 @@ RANK_MAX_N = 20  # 20! < 2^63 < 21!: the ranks of S_n fit in int64 up to here
 _BLOCK_VALUES = 1 << 15  # cap the values held by one block of a numpy kernel
 
 
-class OracleBoundError(BudgetError):
-    """Requested size exceeds the brute-force budget."""
-
-
 class _SnTable(NamedTuple):
     """S_n in lexicographic order: column t, and entry t of each vector, is
     the permutation of rank t."""
@@ -116,7 +114,7 @@ def _key(columns, n: int, shape) -> np.ndarray:
 def _check_degree(n: int, work: str) -> None:
     """Refuse group-algebra work past the table's reach, before any is done."""
     if n > GROUP_ALGEBRA_MAX_N:
-        raise OracleBoundError(f"{work} limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
+        raise BudgetError(f"{work} limited to n <= {GROUP_ALGEBRA_MAX_N}, got {n}")
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +316,7 @@ class ShuffleMultiset:
 
     def __init__(self, n: int, b: int, ranks, counts) -> None:
         if n > RANK_MAX_N:
-            raise OracleBoundError(f"shuffle multisets are limited to n <= {RANK_MAX_N}, got {n}")
+            raise BudgetError(f"shuffle multisets are limited to n <= {RANK_MAX_N}, got {n}")
         ranks, counts = np.asarray(ranks), np.asarray(counts)
         if ranks.ndim != 1 or ranks.shape != counts.shape:
             raise ValueError(f"need one count per rank, got shapes {ranks.shape} and {counts.shape}")
@@ -353,18 +351,18 @@ class ShuffleMultiset:
 
 def _outcome_blocks(n: int, b: int):
     """The outcomes of all b^n words, block by block, as ``_outcome_block``
-    gives them.  ``OracleBoundError`` refuses more than
+    gives them.  ``BudgetError`` refuses more than
     ``ENUMERATION_BUDGET`` words, more than ``OUTCOME_BUDGET`` possible
     distinct outcomes, min(b^n, n!), or n past ``RANK_MAX_N``, before any
     work is done."""
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
     if b ** min(n, 64) > ENUMERATION_BUDGET:  # any b >= 2 is over by n = 24; no huge b^n is built
-        raise OracleBoundError(f"enumeration budget exceeded: {b}^{n} > {ENUMERATION_BUDGET}")
+        raise BudgetError(f"enumeration budget exceeded: {b}^{n} > {ENUMERATION_BUDGET}")
     if b**n > OUTCOME_BUDGET and factorial(n) > OUTCOME_BUDGET:
-        raise OracleBoundError(f"outcome budget exceeded: min({b}^{n}, {n}!) > {OUTCOME_BUDGET}")
+        raise BudgetError(f"outcome budget exceeded: min({b}^{n}, {n}!) > {OUTCOME_BUDGET}")
     if n > RANK_MAX_N:  # only b = 1 gets past the two budgets above
-        raise OracleBoundError(f"rank budget exceeded: the ranks of S_{n} overflow int64 past n = {RANK_MAX_N}")
+        raise BudgetError(f"rank budget exceeded: the ranks of S_{n} overflow int64 past n = {RANK_MAX_N}")
     # word k of itertools.product(range(b), repeat=n) holds k // b^(n-1-s) % b at position s
     place = b ** np.arange(n - 1, -1, -1, dtype=np.int64)
     step = max(1, _BLOCK_VALUES // n)
@@ -423,8 +421,11 @@ def _outcome_block(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, earlier
 
 
-def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The descent-count transition matrix by exhaustive enumeration.
+def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """The descent-count transition matrix by exhaustive enumeration, as
+    word counts: entry (i, j) counts the b^n words that take a deck with
+    i - 1 descents to one with j - 1, so every row sums to b^n, the layout
+    of ``AmazingMatrix.entries``.
 
     For every permutation sigma (not just one class representative) the full
     outcome distribution of d(sigma_w * sigma) is tallied; all members of a
@@ -449,7 +450,7 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[Fraction, ...], ...]
         sigma = stray[0]
         images = tuple((table.positions[:, sigma] + 1).tolist())
         raise LumpingViolation(n, b, int(table.descents[sigma]) + 1, Permutation(images))
-    return tuple(tuple(Fraction(c, b**n) for c in row) for row in rows.tolist())
+    return tuple(map(tuple, rows.tolist()))
 
 
 def oracle_descent_polynomial(n: int, m: int) -> tuple[int, ...]:

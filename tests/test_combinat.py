@@ -149,6 +149,22 @@ class TestEulerianNumbers:
         assert sum(row) == math.factorial(1500)
         assert row == row[::-1]
 
+    def test_a_row_over_the_work_budget_is_refused_before_any_product(self, monkeypatch):
+        # the largest row admitted takes seconds to build, so a check that
+        # stops whatever it admits stands for the recurrence
+        check = combinat._check_budget
+
+        def refused_past_the_check(*args):
+            check(*args)
+            raise AssertionError("admitted")
+
+        monkeypatch.setattr(combinat, "_check_budget", refused_past_the_check)
+        with pytest.raises(AssertionError, match="^admitted$"):
+            eulerian_numbers(1672)
+        for n in (1673, 4000, 10**30):
+            with pytest.raises(BudgetError, match=r"^eulerian_numbers: estimated work 2\^[\d.]+ exceeds the budget 2\^28$"):
+                eulerian_numbers(n)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_enumeration(self, n):
         histogram = [0] * n

@@ -10,7 +10,6 @@ from carrychain import combinat, eulerian
 from carrychain.combinat import BudgetError, Composition, binomial, compositions, eulerian_numbers
 from carrychain.eulerian import (
     EulerianElement,
-    _worpitzky_numerators,
     class_element,
     foulkes_matrix,
     idempotent_s_expansion,
@@ -90,6 +89,11 @@ class TestInternalProduct:
                     product = internal_product(unit(n, k), unit(n, l))
                     assert product == (unit(n, k) if k == l else EulerianElement(n, (0,) * n))
 
+    def test_coordinates_stay_integers(self):
+        assert all(type(c) is int for c in spow_element(5, 3).coords + class_element(5, 2).coords)
+        with pytest.raises(ValueError, match="^coordinates must be integers or Fractions"):
+            EulerianElement(2, (1, 0.5))
+
     def test_identity_element(self):
         u, one = EulerianElement(4, coords(3, "-1/2", 0, 7)), EulerianElement(4, (1,) * 4)
         assert internal_product(u, one) == u
@@ -107,13 +111,41 @@ class TestInternalProduct:
         assert internal_product(internal_product(u, v), w) == internal_product(u, internal_product(v, w))
 
 
+class TestBasisMatrix:
+    @pytest.mark.parametrize(
+        "numerators, denominator, message",
+        [
+            (((1, 2),), 1, "expected a 2x2 matrix"),
+            (((1, 2), (3,)), 1, "expected a 2x2 matrix"),
+            (((1, Fraction(1, 2)), (0, 1)), 1, "numerators must be integers"),
+            (((1, 0), (0, 1)), 0, "denominator must be an integer >= 1, got 0"),
+            (((1, 0), (0, 1)), Fraction(2), "denominator must be an integer >= 1"),
+        ],
+    )
+    def test_malformed_tables_are_refused(self, numerators, denominator, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            eulerian.BasisMatrix(2, numerators, denominator)
+
+    def test_rows_are_held_as_tuples(self):
+        rows = [[2, 4], [6, 8]]
+        M = eulerian.BasisMatrix(2, rows, 4)
+        rows[0][0] = 99
+        assert M.numerators == ((2, 4), (6, 8))
+        assert (M.entry(1, 1), M.entry(2, 2)) == (Fraction(1, 2), 2)
+
+
 class TestWorpitzkyMatrix:
     def test_degree_one(self):
-        assert worpitzky_matrix(1).entries == ((Fraction(1),),)
+        W = worpitzky_matrix(1)
+        assert (W.numerators, W.denominator) == (((1,),), 1)
+        assert W.entry(1, 1) == 1
 
     def test_degree_two(self):
+        # 2! W over 2!, each entry read as a Fraction in lowest terms
         W = worpitzky_matrix(2)
-        assert W.entries == (coords("1/2", "1/2"), coords("-1/2", "1/2"))
+        assert (W.numerators, W.denominator) == (((1, 1), (-1, 1)), 2)
+        entries = tuple(tuple(W.entry(i, j) for j in (1, 2)) for i in (1, 2))
+        assert entries == (coords("1/2", "1/2"), coords("-1/2", "1/2"))
 
     def test_columns_rebuild_idempotents(self):
         n = 3
@@ -145,13 +177,13 @@ class TestWorpitzkyNumerators:
                 coeffs = _expanded_product(n, i)
                 assert coeffs[0] == 0
                 expected.append(coeffs[1:])
-            assert _worpitzky_numerators(n) == expected
+            assert worpitzky_matrix(n).numerators == tuple(map(tuple, expected))
 
 
 class TestFoulkesMatrix:
     def test_degree_two(self):
         F = foulkes_matrix(2)
-        assert F.entries == (coords(1, -1), coords(1, 1))
+        assert (F.numerators, F.denominator) == (((1, -1), (1, 1)), 1)
 
     def test_first_column_ones(self):
         for n in range(1, 9):
@@ -161,13 +193,13 @@ class TestFoulkesMatrix:
     def test_last_row_is_eulerian(self):
         for n in range(1, 9):
             F = foulkes_matrix(n)
-            assert F.row(n) == eulerian_numbers(n)
+            assert F.numerators[n - 1] == eulerian_numbers(n)
 
     def test_columns_are_class_elements(self):
         for n in range(1, 15):
             F = foulkes_matrix(n)
             for j in range(1, n + 1):
-                assert tuple(row[j - 1] for row in F.entries) == class_element(n, j).coords
+                assert tuple(row[j - 1] for row in F.numerators) == class_element(n, j).coords
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_inverse_of_worpitzky(self, n):

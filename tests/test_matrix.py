@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from carrychain import eulerian, matrix
-from carrychain.combinat import binomial, superfactorial
-from carrychain.eulerian import WORK_BUDGET, ClosedFormBudgetError
+from carrychain import combinat, eulerian, matrix
+from carrychain.combinat import WORK_BUDGET, BudgetError, binomial, superfactorial
 from carrychain.matrix import (
     AmazingMatrix,
     amazing_entry,
@@ -45,7 +44,7 @@ class TestAmazingEntry:
     def test_an_entry_over_the_budget_is_refused_before_any_binomial(self, monkeypatch):
         monkeypatch.setattr(matrix, "binomial", lambda a, k: pytest.fail("binomial computed over the budget"))
         for n, b, i, j in ((2000, 2**64, 1000, 1000), (1500, 2**100, 1, 1500), (60, 2**3000, 1, 60)):
-            with pytest.raises(ClosedFormBudgetError, match="^amazing_entry: estimated work"):
+            with pytest.raises(BudgetError, match="^amazing_entry: estimated work"):
                 amazing_entry(n, b, i, j)
 
     def test_a_large_deck_at_a_small_column_is_admitted(self):
@@ -179,19 +178,20 @@ class TestSpectralPath:
     def test_foulkes_columns_mirror_up_to_the_row_sign(self):
         # the symmetry that lets the spectral path compute half the columns
         for n in range(1, 16):
-            F = eulerian._foulkes_numerators(n)
+            F = eulerian.foulkes_matrix(n).numerators
             for k, row in enumerate(F, start=1):
-                assert row[::-1] == [(-1) ** (n - k) * f for f in row]
+                assert row[::-1] == tuple((-1) ** (n - k) * f for f in row)
 
     def test_a_wrong_worpitzky_entry_is_refused(self, monkeypatch):
-        exact = eulerian._worpitzky_numerators
+        exact = eulerian.worpitzky_matrix
 
         def corrupted(n):
-            rows = exact(n)
+            W = exact(n)
+            rows = [list(row) for row in W.numerators]
             rows[0][0] += 1
-            return rows
+            return eulerian.BasisMatrix(n, rows, W.denominator)
 
-        monkeypatch.setattr(matrix, "_worpitzky_numerators", corrupted)
+        monkeypatch.setattr(matrix, "worpitzky_matrix", corrupted)
         # 3^1000 = 9 mod 4!, so the wrong entry leaves a remainder 9 F(1, 1)
         with pytest.raises(AssertionError, match="not divisible by n! = 24"):
             descent_polynomial(4, 3, 1000)
@@ -326,6 +326,11 @@ class TestFoulkesDeterminant:
         with pytest.raises(ValueError, match="degree-5"):
             foulkes_determinant(5, eulerian.foulkes_matrix(4))
 
+    def test_a_table_with_a_denominator_is_refused(self):
+        # the integer rows of 4! W are not F, though they have its degree
+        with pytest.raises(ValueError, match="^expected the degree-4 Foulkes matrix, got degree 4 over 24$"):
+            foulkes_determinant(4, eulerian.worpitzky_matrix(4))
+
     def test_elimination_against_leibniz_formula(self):
         # sparse random matrices, so zero pivots, row swaps and singular
         # matrices all occur
@@ -392,78 +397,86 @@ class TestWorkBudget:
         with pytest.raises(_Built):
             amazing_matrix(281, 2)
         for n, b in ((282, 2), (100_000, 2), (121, 2**70)):
-            with pytest.raises(ClosedFormBudgetError, match="amazing_matrix"):
+            with pytest.raises(BudgetError, match="amazing_matrix"):
                 amazing_matrix(n, b)
 
     def test_descent_polynomial_is_refused_before_the_power(self):
         # 3^(10^12) would take far longer than any test to build
-        with pytest.raises(ClosedFormBudgetError, match="descent_polynomial"):
+        with pytest.raises(BudgetError, match="descent_polynomial"):
             descent_polynomial(4, 3, 10**12)
-        with pytest.raises(ClosedFormBudgetError):
+        with pytest.raises(BudgetError, match="^descent_polynomial: estimated work"):
             descent_polynomial(1, 2, 10**6)
 
     def test_foulkes_tables_are_refused_before_they_are_built(self, monkeypatch):
         monkeypatch.setattr(eulerian, "_numerator", _refuse_building)
         with pytest.raises(_Built):
             eulerian.foulkes_matrix(200)
-        with pytest.raises(ClosedFormBudgetError, match="foulkes_matrix"):
+        with pytest.raises(BudgetError, match="foulkes_matrix"):
             eulerian.foulkes_matrix(201)
-        monkeypatch.setattr(matrix, "_foulkes_numerators", _refuse_building)
+        monkeypatch.setattr(matrix, "foulkes_matrix", _refuse_building)
         with pytest.raises(_Built):
             foulkes_determinant(48)
-        with pytest.raises(ClosedFormBudgetError, match="foulkes_determinant"):
+        with pytest.raises(BudgetError, match="foulkes_determinant"):
             foulkes_determinant(49)
 
     def test_worpitzky_table_is_refused_before_it_is_built(self, monkeypatch):
-        monkeypatch.setattr(eulerian, "_worpitzky_numerators", _refuse_building)
+        # the table is built past its one check, so a check that refuses
+        # whatever it admits stands for the build
+        check = eulerian._check_work
+
+        def refused_past_the_check(*args):
+            check(*args)
+            raise _Built
+
+        monkeypatch.setattr(eulerian, "_check_work", refused_past_the_check)
         with pytest.raises(_Built):
             eulerian.worpitzky_matrix(214)
-        with pytest.raises(ClosedFormBudgetError, match="worpitzky_matrix"):
+        with pytest.raises(BudgetError, match="worpitzky_matrix"):
             eulerian.worpitzky_matrix(215)
 
     def test_spectrum_is_refused_before_the_transition_matrix(self, monkeypatch):
         # the eigen products are counted before any table is built
-        for name in ("binomial", "_worpitzky_numerators", "_foulkes_numerators"):
+        for name in ("binomial", "worpitzky_matrix", "foulkes_matrix"):
             monkeypatch.setattr(matrix, name, _refuse_building)
         with pytest.raises(_Built):
             verify_spectrum(118, 2)
         for n in (119, 200, 201):
-            with pytest.raises(ClosedFormBudgetError, match="verify_spectrum"):
+            with pytest.raises(BudgetError, match="verify_spectrum"):
                 verify_spectrum(n, 2)
 
     def test_matrix_products_are_refused_before_any_matrix(self, monkeypatch):
         monkeypatch.setattr(matrix, "binomial", _refuse_building)
         with pytest.raises(_Built):
             verify_multiplicativity(176, 2, 2)
-        with pytest.raises(ClosedFormBudgetError, match="verify_multiplicativity"):
+        with pytest.raises(BudgetError, match="verify_multiplicativity"):
             verify_multiplicativity(177, 2, 2)
         # at b = 2 the transition matrix is refused before its stationary
         # products are; a smaller budget shows that they are counted first
-        monkeypatch.setattr(eulerian, "WORK_BUDGET", 100)
-        with pytest.raises(ClosedFormBudgetError, match="verify_stationary"):
+        monkeypatch.setattr(combinat, "WORK_BUDGET", 100)
+        with pytest.raises(BudgetError, match="verify_stationary"):
             verify_stationary(10, 2)
 
     def test_deep_matrices_are_counted_on_the_spectral_path(self, monkeypatch):
         # the row kernel refuses n = 32 at 2049 bits; the spectral path builds
         # it in about 0.1 s and admits sizes up to n = 46
         assert amazing_matrix(32, 2**2048).n == 32
-        with pytest.raises(ClosedFormBudgetError, match="amazing_matrix"):
+        with pytest.raises(BudgetError, match="amazing_matrix"):
             matrix._matrix(32, 2**2048, spectral=False)
         monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
         with pytest.raises(_Built):
             amazing_matrix(46, 2**2048)
-        with pytest.raises(ClosedFormBudgetError, match="amazing_matrix"):
+        with pytest.raises(BudgetError, match="amazing_matrix"):
             amazing_matrix(47, 2**2048)
 
     def test_deep_descent_polynomials_are_counted_before_the_power(self, monkeypatch):
         monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
         with pytest.raises(_Built):
             descent_polynomial(16, 3, 32287)
-        with pytest.raises(ClosedFormBudgetError, match="descent_polynomial"):
+        with pytest.raises(BudgetError, match="descent_polynomial"):
             descent_polynomial(16, 3, 32288)
 
     def test_benchmarked_sizes_pass_a_third_of_the_budget(self, monkeypatch):
-        monkeypatch.setattr(eulerian, "WORK_BUDGET", WORK_BUDGET // 3)
+        monkeypatch.setattr(combinat, "WORK_BUDGET", WORK_BUDGET // 3)
         amazing_matrix(100, 2)
         amazing_matrix(16, 3**1000)
         amazing_matrix(12, 2**3000)
