@@ -79,16 +79,16 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _fmt(value, denominator: int = 1):
-    """Exact scalar for a document, ``value / denominator``: integers stay
-    numbers, proper fractions become 'p/q' strings.  The one place the CLI
-    builds a ``Fraction``: the library hands over integers over one
+def _fmt(numerator: int, denominator: int = 1):
+    """Exact scalar for a document, ``numerator / denominator`` of two
+    integers: a whole number stays a number, a proper fraction becomes a
+    'p/q' string in lowest terms.  The one place an exact rational is built
+    on its way to a document: the library hands over integers over one
     denominator, and an integer over 1 builds none."""
-    if denominator != 1:
-        value = Fraction(value, denominator)
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else str(value)
-    return value
+    if denominator == 1:
+        return numerator
+    value = Fraction(numerator, denominator)
+    return value.numerator if value.denominator == 1 else str(value)
 
 
 def _label(images) -> str:
@@ -125,10 +125,13 @@ def _write(command: str, render: Callable[[], str]) -> None:
     sys.stdout.write(text)
 
 
-def _emit(command: str, params: dict, payload: dict) -> None:
-    doc = {"meta": {"command": command, "version": __version__, "params": params}}
-    doc.update(payload)
-    _write(command, lambda: json.dumps(doc, indent=2) + "\n")
+def _emit(command: str, params: dict, payload: Callable[[], dict]) -> None:
+    """Write the JSON document of ``command``: its meta block, then the
+    fields that ``payload()`` builds.  They are built inside ``_write``, so
+    that an exact value over the digit limit is refused there too; the work
+    whose results they format is done before."""
+    meta = {"meta": {"command": command, "version": __version__, "params": params}}
+    _write(command, lambda: json.dumps({**meta, **payload()}, indent=2) + "\n")
 
 
 def _csv(labels: list[int], rows, header: bool) -> str:
@@ -143,10 +146,10 @@ def _state_labels(n: int, zero_based: bool) -> list[int]:
 
 def _cmd_amazing(args) -> int:
     m = amazing_matrix(args.n, args.b)
-    rows = m.normalized() if args.normalized else m.entries
+    denominator = m.normalizer if args.normalized else 1
     labels = _state_labels(args.n, args.zero_based)
     if args.format == "csv":
-        _write("amazing", lambda: _csv(labels, rows, args.header))
+        _write("amazing", lambda: _csv(labels, _matrix_payload(m.entries, denominator), args.header))
         return 0
     params = {
         "n": args.n,
@@ -156,7 +159,7 @@ def _cmd_amazing(args) -> int:
         "states": labels,
         "normalizer": m.normalizer,
     }
-    _emit("amazing", params, {"matrix": _matrix_payload(rows)})
+    _emit("amazing", params, lambda: {"matrix": _matrix_payload(m.entries, denominator)})
     return 0
 
 
@@ -164,22 +167,25 @@ def _cmd_foulkes(args) -> int:
     if args.det:  # the determinant's budget is the tighter one; refuse before F is built
         _check_determinant(args.n)
     F = foulkes_matrix(args.n)
-    payload: dict = {"matrix": _matrix_payload(F.numerators)}
-    if args.det:
-        payload["determinant"] = str(foulkes_determinant(args.n, F))
+    det = foulkes_determinant(args.n, F) if args.det else None
+
+    def payload() -> dict:
+        extra = {} if det is None else {"determinant": str(det)}
+        return {"matrix": _matrix_payload(F.numerators), **extra}
+
     _emit("foulkes", {"n": args.n}, payload)
     return 0
 
 
 def _cmd_worpitzky(args) -> int:
     W = worpitzky_matrix(args.n)
-    _emit("worpitzky", {"n": args.n}, {"matrix": _matrix_payload(W.numerators, W.denominator)})
+    _emit("worpitzky", {"n": args.n}, lambda: {"matrix": _matrix_payload(W.numerators, W.denominator)})
     return 0
 
 
 def _cmd_eigen(args) -> int:
     report = verify_spectrum(args.n, args.b)
-    _emit("eigen", {"n": args.n, "b": args.b}, {"report": _report_payload(report)})
+    _emit("eigen", {"n": args.n, "b": args.b}, lambda: {"report": _report_payload(report)})
     return 0 if report.ok else 1
 
 
@@ -191,7 +197,7 @@ def _cmd_idempotents(args) -> int:
     for k in range(1, args.n + 1):
         if args.basis == "s":
             expansion = idempotent_s_expansion(args.n, k)
-            table[str(k)] = {str(comp): _fmt(coeff) for comp, coeff in expansion.sorted_terms()}
+            table[str(k)] = {str(comp): _fmt(c.numerator, c.denominator) for comp, c in expansion.sorted_terms()}
         else:
             from .oracle import idempotent_group
 
@@ -199,14 +205,14 @@ def _cmd_idempotents(args) -> int:
             images, numers = element.support()
             value = {c: _fmt(c, element.denominator) for c in set(numers)}
             table[str(k)] = {_label(im): value[c] for im, c in zip(images, numers)}
-    _emit("idempotents", {"n": args.n, "basis": args.basis}, {"idempotents": table})
+    _emit("idempotents", {"n": args.n, "basis": args.basis}, lambda: {"idempotents": table})
     return 0
 
 
 def _cmd_descent_poly(args) -> int:
     poly = descent_polynomial(args.n, args.b, args.r)
     params = {"n": args.n, "b": args.b, "r": args.r, "base": poly.base}
-    _emit("descent-poly", params, {"coefficients": list(poly.coeffs), "mass": poly.mass})
+    _emit("descent-poly", params, lambda: {"coefficients": list(poly.coeffs), "mass": poly.mass})
     return 0
 
 
@@ -224,7 +230,7 @@ def _cmd_oracle_transition(args) -> int:
 
     rows = oracle_transition_matrix(args.n, args.b)
     _check_transition(args.n, args.b, rows)
-    _emit("oracle transition", {"n": args.n, "b": args.b}, {"matrix": _matrix_payload(rows, args.b**args.n)})
+    _emit("oracle transition", {"n": args.n, "b": args.b}, lambda: {"matrix": _matrix_payload(rows, args.b**args.n)})
     return 0
 
 
@@ -234,23 +240,29 @@ def _cmd_oracle_shuffles(args) -> int:
     shuffles = enumerate_b_shuffles(args.n, args.b)
     images = (shuffles.positions.T + 1).tolist()
     payload = {"total": shuffles.total(), "multiplicities": dict(zip(map(_label, images), shuffles.counts.tolist()))}
-    _emit("oracle shuffles", {"n": args.n, "b": args.b}, payload)
+    _emit("oracle shuffles", {"n": args.n, "b": args.b}, lambda: payload)
     return 0
+
+
+def _simulation_payload(result, exact) -> dict:
+    """The counts of a simulation, their frequencies row by row and each
+    row's total-variation distance to the exact matrix."""
+    totals = [sum(row) or 1 for row in result.counts]  # a row with no samples has frequencies 0
+    return {
+        "counts": [list(row) for row in result.counts],
+        "frequencies": [[_fmt(c, t) for c in row] for row, t in zip(result.counts, totals)],
+        "tv_per_row": [str(d) for d in result.tv_distances(exact.entries, exact.normalizer)],
+    }
 
 
 def _cmd_simulate_shuffle(args) -> int:
     from .simulate import SimulationConfig, simulate_shuffle_chain
 
     cfg = SimulationConfig(trials=args.trials, seed=args.seed)
-    exact = amazing_matrix(args.n, args.b).normalized()  # its budget check comes before any simulation
+    exact = amazing_matrix(args.n, args.b)  # its budget check comes before any simulation
     result = simulate_shuffle_chain(args.n, args.b, cfg)
     params = {"n": args.n, "b": args.b, "trials": cfg.trials, "steps": 1, "seed": cfg.seed}
-    payload = {
-        "counts": [list(row) for row in result.counts],
-        "frequencies": _matrix_payload(result.frequencies()),
-        "tv_per_row": [str(d) for d in result.tv_distances(exact)],
-    }
-    _emit("simulate shuffle", params, payload)
+    _emit("simulate shuffle", params, lambda: _simulation_payload(result, exact))
     return 0
 
 
@@ -258,7 +270,7 @@ def _cmd_simulate_carries(args) -> int:
     from .simulate import SimulationConfig, simulate_carries
 
     cfg = SimulationConfig(trials=1, seed=args.seed)
-    exact = amazing_matrix(args.n, args.b).normalized()  # its budget check comes before any simulation
+    exact = amazing_matrix(args.n, args.b)  # its budget check comes before any simulation
     result = simulate_carries(args.n, args.b, digits=args.trials, cfg=cfg)
     params = {
         "n_summands": args.n,
@@ -267,12 +279,7 @@ def _cmd_simulate_carries(args) -> int:
         "seed": cfg.seed,
         "states": _state_labels(args.n, True),
     }
-    payload = {
-        "counts": [list(row) for row in result.counts],
-        "frequencies": _matrix_payload(result.frequencies()),
-        "tv_per_row": [str(d) for d in result.tv_distances(exact)],
-    }
-    _emit("simulate carries", params, payload)
+    _emit("simulate carries", params, lambda: _simulation_payload(result, exact))
     return 0
 
 
@@ -320,8 +327,8 @@ def _tally(report: Report) -> tuple[int, list[str]]:
 
 
 def _row_sums(n: int, b: int):
-    m = amazing_matrix(n, b)
-    return n, [f"row sum failed at n={n}, b={b}, i={i}" for i in range(1, n + 1) if sum(m.row(i)) != b**n]
+    rows = amazing_matrix(n, b).entries
+    return n, [f"row sum failed at n={n}, b={b}, i={i}" for i, row in enumerate(rows, start=1) if sum(row) != b**n]
 
 
 def _nonnegative(n: int, b: int):
@@ -477,7 +484,7 @@ def _cmd_verify_all(args) -> int:
     ok = all(r.ok for r in reports)
     print(f"{'all checks passed' if ok else 'FAILURES detected'} (max_n={args.max_n})", file=sys.stderr)
     payload = {"report": {"suites": [_report_payload(r) for r in reports], "ok": ok}}
-    _emit("verify all", {"max_n": args.max_n}, payload)
+    _emit("verify all", {"max_n": args.max_n}, lambda: payload)
     return 0 if ok else 1
 
 

@@ -46,7 +46,6 @@ product it also checks one path against the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .combinat import _check_budget, _check_work, _work, binomial, eulerian_numbers
@@ -178,7 +177,9 @@ def amazing_entry(n: int, b: int, i: int, j: int) -> int:
 class AmazingMatrix:
     """The n x n unnormalized transition matrix for parameter b.
 
-    Entries are nonnegative integers; every row sums to the normalizer b^n.
+    Entries are nonnegative integers; every row sums to the normalizer b^n,
+    so ``entries`` over ``normalizer`` is the exact stochastic matrix, with
+    row and column i for state i (i - 1 descents).
     """
 
     n: int
@@ -198,16 +199,6 @@ class AmazingMatrix:
     @property
     def normalizer(self) -> int:
         return self.b**self.n
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i - 1]
-
-    def normalized(self) -> tuple[tuple[Fraction, ...], ...]:
-        bn = self.normalizer
-        return tuple(tuple(Fraction(e, bn) for e in row) for row in self.entries)
 
 
 def _matrix(n: int, b: int, spectral: bool) -> AmazingMatrix:

@@ -470,7 +470,11 @@ def shuffle_element_from_basis(n: int, b: int) -> GroupAlgebraElement:
     S[b] = sum over compositions I with at most b parts of C(b, len(I)) S^I,
     pushed through the S-word realization.  Used to cross-check the
     enumerated multiset (which carries the same coefficients on inverse
-    supports)."""
+    supports).  ``b = 0`` gives the zero element.  A negative b is refused:
+    ``binomial`` reads C(b, l) as 0 there, which is not the polynomial
+    value (C(-2, l) = (-1)^l (l + 1))."""
     _check_degree(n, "S-word realization")
+    if b < 0:
+        raise ValueError(f"shuffle parameter must be nonnegative, got {b}")
     terms = {comp: Fraction(binomial(b, comp.length)) for comp in compositions(n) if comp.length <= b}
     return expansion_to_group(SWordExpansion(n, terms))

@@ -1,11 +1,12 @@
 """Monte-Carlo twins of the exact chains: GSR b-shuffles and base-b carries.
 
-Both simulators tally integer transition counts; empirical frequencies and
-total-variation distances are exact rationals over those counts, so the only
-approximation anywhere is the sampling itself.  Randomness comes from the
-counter-based streams in :mod:`carrychain.rng`: trial ``t`` consumes draws
-indexed ``(seed, trial_offset + t, j)``, which makes results independent of
-how trials are chunked and bit-reproducible for a fixed seed.
+Both simulators tally integer transition counts, and their total-variation
+distances to an exact matrix, given as integer rows over one denominator, are
+exact rationals, so the only approximation anywhere is the sampling itself.
+Randomness comes from the counter-based streams in :mod:`carrychain.rng`:
+trial ``t`` consumes draws indexed ``(seed, trial_offset + t, j)``, which
+makes results independent of how trials are chunked and bit-reproducible for
+a fixed seed.
 
 The shuffle simulator starts each trial from a uniformly random deck (the
 descent-class marginal of a uniform permutation is already the stationary
@@ -79,40 +80,29 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class EmpiricalMatrix:
-    """Integer transition counts over ``states`` states, with exact-valued
-    row frequencies and total-variation helpers."""
+    """Integer transition counts, row i for the transitions out of state i."""
 
-    states: int
     counts: tuple[tuple[int, ...], ...]
 
     @property
     def samples(self) -> int:
         return sum(sum(row) for row in self.counts)
 
-    def frequencies(self) -> tuple[tuple[Fraction, ...], ...]:
-        rows = []
-        for row in self.counts:
-            total = sum(row)
-            if total == 0:
-                rows.append(tuple(Fraction(0) for _ in row))
-            else:
-                rows.append(tuple(Fraction(c, total) for c in row))
-        return tuple(rows)
-
-    def tv_distances(self, exact_rows) -> tuple[Fraction, ...]:
-        """Per-row total-variation distance to an exact stochastic matrix.
-        Rows with no samples are reported at the maximal distance 1.  The
-        exact matrix must be states x states."""
-        if len(exact_rows) != self.states or any(len(row) != self.states for row in exact_rows):
-            raise ValueError(f"need a {self.states} x {self.states} exact matrix")
+    def tv_distances(self, rows, denominator: int) -> tuple[Fraction, ...]:
+        """Per-row total-variation distance to the exact stochastic matrix
+        ``rows`` / ``denominator``, integer rows of the shape of ``counts``.
+        A row of T samples is at sum |c N - e T| / (2 T N), N the
+        denominator, summed in integers; a row with no samples is at the
+        maximal distance 1."""
+        if len(rows) != len(self.counts) or any(len(e) != len(c) for e, c in zip(rows, self.counts)):
+            raise ValueError(f"need a {len(self.counts)} x {len(self.counts)} exact matrix")
+        if denominator < 1:
+            raise ValueError(f"the denominator must be a positive integer, got {denominator}")
         out = []
-        for row, exact in zip(self.counts, exact_rows):
+        for row, exact in zip(self.counts, rows):
             total = sum(row)
-            if total == 0:
-                out.append(Fraction(1))
-                continue
-            diff = sum(abs(Fraction(c, total) - Fraction(e)) for c, e in zip(row, exact))
-            out.append(diff / 2)
+            gap = sum(abs(c * denominator - e * total) for c, e in zip(row, exact))
+            out.append(Fraction(gap, 2 * total * denominator) if total else Fraction(1))
         return tuple(out)
 
 
@@ -148,7 +138,7 @@ def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: 
     for lo in range(0, cfg.trials, chunk):
         hi = min(lo + chunk, cfg.trials)
         kernel(n, b, cfg.seed, trial_offset + lo, trial_offset + hi, counts)
-    return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in counts))
+    return EmpiricalMatrix(tuple(tuple(int(c) for c in row) for row in counts))
 
 
 def _start_positions(keys: np.ndarray) -> np.ndarray:
@@ -325,4 +315,4 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
             c1 = min(c0 + step, digits)
             sums = _column_sums(digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b), n, dtype)
             carry = _carry_scan(sums, carry, b, counts)
-    return EmpiricalMatrix(n, tuple(tuple(int(c) for c in row) for row in counts))
+    return EmpiricalMatrix(tuple(tuple(int(c) for c in row) for row in counts))

@@ -71,6 +71,14 @@ class TestAmazing:
         assert out == ""
         assert err.startswith("error: amazing_matrix: estimated work")
 
+    @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["json", "csv"])
+    def test_the_normalized_digit_limit_names_the_command(self, capsys, fmt):
+        # the normalizer 3^16000 has 7634 digits, and so do the denominators
+        # of the entries over it
+        code, out, err = run_cli(capsys, "amazing", "--n", "16", "--b", str(3**1000), "--normalized", *fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: amazing: the output holds an integer of more than 4300 digits, Python's int-to-str limit\n"
+
     def test_repeated_invocations_are_byte_identical(self, capsys):
         args = ("amazing", "--n", "5", "--b", "3", "--normalized")
         _, out1, _ = run_cli(capsys, *args)
@@ -260,13 +268,27 @@ class TestOracle:
              "23e27952574c93222af3cd965bc19e7ed0d021231f54cb5a9320e5e19c5b955e"),
             (("amazing", "--n", "12", "--b", "3", "--normalized"),
              "fa97134305153cfc4fb45731ae61325db142e3765b223a6538d56fff6bf6b20f"),
+            (("amazing", "--n", "12", "--b", "3", "--normalized", "--format", "csv", "--header"),
+             "64e003a0f2baa377fe27843600c8484233ac5c03a9f0d514a85fd1dc88abe805"),
+            # three rows with no samples, whose frequencies are 0 and distances 1
+            (("simulate", "shuffle", "--n", "10", "--b", "2", "--trials", "1000", "--seed", "1"),
+             "407861f4417381c0617684f6c2150c48c4382817363fef63f7482bef2d9f02ea"),
+            (("simulate", "shuffle", "--n", "3", "--b", "2", "--trials", "100000", "--seed", "42"),
+             "24b4f14597baaacfcbc63d455279c476adc79376e67947f436d866bd740000e9"),
+            (("simulate", "carries", "--n", "3", "--b", "10", "--trials", "100000", "--seed", "7"),
+             "a85a4704b701f4da445c5a39d744bc4378cbf8bace7dca9bea814e8f4a9d8c3c"),
         ],
-        ids=["transition", "shuffles", "idempotents", "foulkes-det", "worpitzky", "amazing-normalized"],
+        ids=[
+            "transition", "shuffles", "idempotents", "foulkes-det", "worpitzky", "amazing-normalized",
+            "amazing-normalized-csv", "simulate-shuffle-unsampled-rows", "simulate-shuffle", "simulate-carries",
+        ],
     )
     def test_output_is_pinned(self, capsys, argv, digest):
         # SHA-256 of the stdout document, pinned from the release whose
-        # oracle held Permutation objects and Fraction coefficients, and
-        # whose Foulkes and Worpitzky tables held Fraction entries
+        # oracle held Permutation objects and Fraction coefficients, whose
+        # Foulkes and Worpitzky tables held Fraction entries, and whose
+        # normalized matrix, frequencies and TV distances were built from
+        # Fraction rows
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -397,6 +397,19 @@ class TestEnumerateShuffles:
         enumerated = enumerate_b_shuffles(n, b).to_group_algebra()
         assert enumerated == shuffle_element_from_basis(n, b).invert_support()
 
+    def test_basis_realization_needs_a_nonnegative_parameter(self, monkeypatch):
+        # S[0] is the zero element; S[-2] is not, since C(-2, l) = (-1)^l (l + 1),
+        # but binomial reads it as 0, so a negative b is refused before any work
+        assert shuffle_element_from_basis(3, 0).is_zero()
+
+        def never(*args):
+            raise AssertionError("expanded a negative shuffle parameter")
+
+        monkeypatch.setattr(oracle, "compositions", never)
+        for b in (-1, -2):
+            with pytest.raises(ValueError, match=f"shuffle parameter must be nonnegative, got {b}"):
+                shuffle_element_from_basis(3, b)
+
 
 class TestOracleTransition:
     # the rows are word counts out of b^n, as the closed form's entries are

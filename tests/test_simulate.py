@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carrychain import rng, simulate
 from carrychain.matrix import amazing_matrix
@@ -66,27 +68,62 @@ class TestSimulationConfig:
 
 
 class TestEmpiricalMatrix:
-    def test_frequencies_and_tv(self):
-        em = EmpiricalMatrix(2, ((3, 1), (0, 0)))
-        freq = em.frequencies()
-        assert freq[0] == (Fraction(3, 4), Fraction(1, 4))
-        assert freq[1] == (Fraction(0), Fraction(0))
-        exact = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
-        tv = em.tv_distances(exact)
+    def test_tv_distances(self):
+        em = EmpiricalMatrix(((3, 1), (0, 0)))
+        tv = em.tv_distances(((1, 1), (1, 1)), 2)
         assert tv[0] == Fraction(1, 4)
         assert tv[1] == Fraction(1)  # unsampled row reports maximal distance
+        assert em.samples == 4
 
     def test_tv_needs_a_states_by_states_matrix(self):
         # zip would truncate: 2 distances against a 2 x 2 matrix, and 3
         # against the wrong rows of a 4 x 4 one
         result = simulate_carries(3, 2, 50, SimulationConfig(trials=1, seed=3))
-        rows = amazing_matrix(3, 2).normalized()
-        assert len(result.tv_distances(rows)) == 3
-        wrong = (amazing_matrix(2, 2).normalized(), amazing_matrix(4, 2).normalized(),
-                 rows[:2], rows + rows[:1], rows[:2] + ((Fraction(1),),))  # too few rows, too many, ragged
+        rows = amazing_matrix(3, 2).entries
+        assert len(result.tv_distances(rows, 8)) == 3
+        wrong = (amazing_matrix(2, 2).entries, amazing_matrix(4, 2).entries,
+                 rows[:2], rows + rows[:1], rows[:2] + ((8,),))  # too few rows, too many, ragged
         for exact in wrong:
             with pytest.raises(ValueError, match="3 x 3"):
-                result.tv_distances(exact)
+                result.tv_distances(exact, 8)
+
+    @pytest.mark.parametrize("denominator", (0, -8))
+    def test_tv_needs_a_positive_denominator(self, denominator):
+        result = simulate_carries(3, 2, 50, SimulationConfig(trials=1, seed=3))
+        with pytest.raises(ValueError, match="denominator"):
+            result.tv_distances(amazing_matrix(3, 2).entries, denominator)
+
+
+@st.composite
+def _counts_and_exact(draw):
+    """A square table of counts, some rows empty, and a stochastic matrix as
+    integer rows that each sum to one denominator."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, draw(st.sampled_from([3, 1000, 10**12]))), min_size=n, max_size=n)
+    counts = draw(st.lists(st.one_of(st.just([0] * n), row), min_size=n, max_size=n))
+    denominator = draw(st.one_of(st.integers(1, 100), st.integers(1, 2**200)))
+    exact = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.integers(0, denominator), min_size=n - 1, max_size=n - 1)))
+        exact.append(tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, denominator])))
+    return tuple(map(tuple, counts)), tuple(exact), denominator
+
+
+@settings(max_examples=200, deadline=None)
+@given(_counts_and_exact())
+def test_tv_distances_follow_the_definition(case):
+    counts, exact, denominator = case
+
+    def reference(row, exact_row):
+        # half the L1 distance of the row's frequencies to the exact row
+        total = sum(row)
+        if total == 0:
+            return Fraction(1)
+        return sum(abs(Fraction(c, total) - Fraction(e, denominator)) for c, e in zip(row, exact_row)) / 2
+
+    tv = EmpiricalMatrix(counts).tv_distances(exact, denominator)
+    assert tv == tuple(map(reference, counts, exact))
+    assert all(0 <= d <= 1 for d in tv)
 
 
 class TestShuffleChain:
@@ -108,7 +145,8 @@ class TestShuffleChain:
     def test_roughly_matches_exact(self):
         cfg = SimulationConfig(trials=100_000, seed=11)
         result = simulate_shuffle_chain(3, 2, cfg)
-        tv = result.tv_distances(amazing_matrix(3, 2).normalized())
+        exact = amazing_matrix(3, 2)
+        tv = result.tv_distances(exact.entries, exact.normalizer)
         assert max(tv) < Fraction(1, 50)
 
     def test_rejects_bad_dimensions(self):
@@ -235,12 +273,13 @@ class TestCarries:
 
     def test_roughly_matches_exact(self):
         result = simulate_carries(2, 2, 100_000, SimulationConfig(trials=1, seed=5))
-        tv = result.tv_distances(amazing_matrix(2, 2).normalized())
+        exact = amazing_matrix(2, 2)
+        tv = result.tv_distances(exact.entries, exact.normalizer)
         assert max(tv) < Fraction(1, 50)
 
     def test_carry_states_stay_in_range(self):
         result = simulate_carries(4, 2, 2000, SimulationConfig(trials=2, seed=17))
-        assert result.states == 4
+        assert len(result.counts) == 4 and all(len(row) == 4 for row in result.counts)
         assert result.samples == 2 * 2000
 
     def test_rejects_bad_arguments(self):
