@@ -19,7 +19,6 @@ _EXPORTS = {
     "Composition": "combinat",
     "DescentPolynomial": "matrix",
     "EmpiricalMatrix": "simulate",
-    "EulerianElement": "eulerian",
     "GroupAlgebraElement": "oracle",
     "LumpingViolation": "combinat",
     "Permutation": "combinat",
@@ -42,13 +41,11 @@ _EXPORTS = {
     "group_product": "oracle",
     "idempotent_group": "oracle",
     "idempotent_s_expansion": "eulerian",
-    "internal_product": "eulerian",
     "oracle_descent_polynomial": "oracle",
     "oracle_transition_matrix": "oracle",
     "shuffle_element_from_basis": "oracle",
     "simulate_carries": "simulate",
     "simulate_shuffle_chain": "simulate",
-    "spow_element": "eulerian",
     "superfactorial": "combinat",
     "verify_multiplicativity": "matrix",
     "verify_spectrum": "matrix",

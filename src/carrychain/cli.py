@@ -38,20 +38,14 @@ from .combinat import (
     GROUP_ALGEBRA_MAX_N,
     IDEMPOTENT_TERMS,
     BudgetError,
-    Composition,
     LumpingViolation,
     TransitionMismatch,
     binomial,
+    compositions,
     eulerian_numbers,
     superfactorial,
 )
-from .eulerian import (
-    foulkes_matrix,
-    idempotent_s_expansion,
-    internal_product,
-    spow_element,
-    worpitzky_matrix,
-)
+from .eulerian import foulkes_matrix, idempotent_s_expansion, worpitzky_matrix
 from .matrix import (
     Report,
     _check_determinant,
@@ -190,22 +184,25 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_idempotents(args) -> int:
-    # 2^min(n, 64) keeps the count small for a huge n, over the bound either way
-    if args.basis == "s" and (args.n + 1) * 2 ** min(args.n, 64) // 4 > IDEMPOTENT_TERMS:
-        raise BudgetError(f"idempotents: E[1..{args.n}] over S-words exceed the budget of {IDEMPOTENT_TERMS} terms")
-    table = {}
-    for k in range(1, args.n + 1):
-        if args.basis == "s":
-            expansion = idempotent_s_expansion(args.n, k)
-            table[str(k)] = {str(comp): _fmt(c.numerator, c.denominator) for comp, c in expansion.sorted_terms()}
-        else:
-            from .oracle import idempotent_group
+    n, table = args.n, {}
+    if args.basis == "s":
+        # 2^min(n, 64) keeps the count small for a huge n, over the bound either way
+        if (n + 1) * 2 ** min(n, 64) // 4 > IDEMPOTENT_TERMS:
+            raise BudgetError(f"idempotents: E[1..{n}] over S-words exceed the budget of {IDEMPOTENT_TERMS} terms")
+        words = [(str(comp), comp.length - 1) for comp in compositions(n)]  # in lexicographic order
+        for k in range(1, n + 1):
+            expansion = idempotent_s_expansion(n, k)
+            value = [_fmt(c, expansion.denominator) for c in expansion.numerators]  # by length less one
+            table[str(k)] = {word: value[l] for word, l in words if expansion.numerators[l]}
+    else:
+        from .oracle import idempotent_group
 
-            element = idempotent_group(args.n, k)
+        for k in range(1, n + 1):
+            element = idempotent_group(n, k)
             images, numers = element.support()
             value = {c: _fmt(c, element.denominator) for c in set(numers)}
             table[str(k)] = {_label(im): value[c] for im, c in zip(images, numers)}
-    _emit("idempotents", {"n": args.n, "basis": args.basis}, lambda: {"idempotents": table})
+    _emit("idempotents", {"n": n, "basis": args.basis}, lambda: {"idempotents": table})
     return 0
 
 
@@ -332,8 +329,17 @@ def _row_sums(n: int, b: int):
 
 
 def _nonnegative(n: int, b: int):
-    cells = itertools.product(range(1, n + 1), repeat=2)
-    return n * n, [f"negative entry at n={n}, b={b}, i={i}, j={j}" for i, j in cells if amazing_entry(n, b, i, j) < 0]
+    """Each entry by its alternating sum is nonnegative and is the entry of
+    the matrix built by the row kernel."""
+    rows = amazing_matrix(n, b).entries
+    failures = []
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        entry = amazing_entry(n, b, i, j)
+        if entry < 0:
+            failures.append(f"negative entry at n={n}, b={b}, i={i}, j={j}")
+        elif entry != rows[i - 1][j - 1]:
+            failures.append(f"entry != matrix at n={n}, b={b}, i={i}, j={j}")
+    return n * n, failures
 
 
 def _foulkes_inverse(n: int):
@@ -367,16 +373,24 @@ def _foulkes_eulerian_row(n: int):
     return n, [f"last Foulkes row != Eulerian numbers at n={n}, j={j}" for j in bad]
 
 
-def _spow_product(n: int, p: int, q: int):
-    ok = internal_product(spow_element(n, p), spow_element(n, q)) == spow_element(n, p * q)
-    return 1, [] if ok else [f"S[p]*S[q] != S[pq] at n={n}, p={p}, q={q}"]
+def _shuffle_product(n: int):
+    """S[p] S[q] = S[pq] in the group algebra of S_n, every pair of terms
+    composed, for p, q in 1..6."""
+    from .oracle import group_product, shuffle_element_from_basis
+
+    pairs = list(itertools.product(range(1, 7), repeat=2))
+    S = {b: shuffle_element_from_basis(n, b) for b in {p * q for p, q in pairs}}
+    bad = [(p, q) for p, q in pairs if group_product(S[p], S[q]) != S[p * q]]
+    return len(pairs), [f"S[p]*S[q] != S[pq] at n={n}, p={p}, q={q}" for p, q in bad]
 
 
 def _idempotent_sum(n: int):
-    total = idempotent_s_expansion(n, 1)
-    for k in range(2, n + 1):
-        total = total + idempotent_s_expansion(n, k)
-    ok = total.terms == {Composition((n,)): 1}
+    """sum_k E[k] is the one word of length 1, S^(n): by length l over n!,
+    sum_k s(l, k) n!/l! = [l = 1] n!."""
+    expansions = [idempotent_s_expansion(n, k) for k in range(1, n + 1)]
+    totals = [sum(column) for column in zip(*(e.numerators for e in expansions))]
+    whole = expansions[0].denominator
+    ok = all(e.denominator == whole for e in expansions) and totals == [whole] + [0] * (n - 1)
     return 1, [] if ok else [f"idempotent expansions do not sum to the complete word at n={n}"]
 
 
@@ -462,7 +476,7 @@ SUITES = (
         lambda n, b1, b2: _tally(verify_multiplicativity(n, b1, b2)),
     ),
     Suite("stationary", 10, {"b": [2, 3]}, _cases((2, 3)), lambda n, b: _tally(verify_stationary(n, b))),
-    Suite("shuffle-power-product", 8, {"p,q": "1..6"}, _cases(range(1, 7), range(1, 7)), _spow_product),
+    Suite("shuffle-power-product", GROUP_ALGEBRA_MAX_N, {"p,q": "1..6"}, _cases(), _shuffle_product),
     Suite("idempotent-expansion-sum", 8, {}, _cases(), _idempotent_sum),
     Suite("group-idempotents", GROUP_ALGEBRA_MAX_N, {}, _cases(), _group_idempotents),
     Suite("shuffle-element", GROUP_ALGEBRA_MAX_N, {"b": "1..4"}, _cases(range(1, 5)), _shuffle_element),

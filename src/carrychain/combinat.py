@@ -26,11 +26,12 @@ from dataclasses import dataclass
 # group-algebra work stops at the reach of the S_n composition table.
 GROUP_ALGEBRA_MAX_N = 6
 
-# Compositions admitted by ``compositions``, 2^(n-1) (up to n = 18), and S-word
-# terms in E[k], 2^(n-1), and in E[1..n], (n + 1) 2^(n-2), as `idempotents`
-# writes.  2^17 admits n = 15 (4.9 MB of JSON) there, which takes 1.9 s and
-# 67 MiB RSS on a 2-vCPU x86-64 host with Python 3.11; n = 16 (278,528
-# terms, 10.7 MB) took 5.0 s and 128 MiB.
+# Compositions admitted by ``compositions`` and S-words behind one
+# expansion, 2^(n-1) (up to n = 18), and S-word terms in E[1..n],
+# (n + 1) 2^(n-2), as `idempotents` writes.  2^17 admits n = 15 (4.9 MB of
+# JSON) there, which takes 0.29 s and 50 MiB RSS in a fresh process on a
+# 2-vCPU x86-64 host with Python 3.11; n = 16 (278,528 terms, 10.7 MB) would
+# take 0.6 s and 88 MiB.
 IDEMPOTENT_TERMS = 2**17
 
 
@@ -167,6 +168,13 @@ class Composition:
         return ",".join(str(p) for p in self.parts)
 
 
+def _check_words(n: int) -> None:
+    """Refuse the 2^(n-1) compositions of n, the S-words of weight n, past
+    ``IDEMPOTENT_TERMS``, before any is built."""
+    if 2 ** min(n - 1, 64) > IDEMPOTENT_TERMS:
+        raise BudgetError(f"compositions: 2^{n - 1} compositions of {n} exceed the budget of {IDEMPOTENT_TERMS}")
+
+
 def compositions(n: int) -> list[Composition]:
     """All compositions of ``n``, in lexicographic order on the parts.
 
@@ -181,8 +189,7 @@ def compositions(n: int) -> list[Composition]:
     """
     if n < 0:
         raise ValueError(f"compositions: n must be nonnegative, got {n}")
-    if 2 ** min(n - 1, 64) > IDEMPOTENT_TERMS:
-        raise BudgetError(f"compositions: 2^{n - 1} compositions of {n} exceed the budget of {IDEMPOTENT_TERMS}")
+    _check_words(n)
     if n == 0:
         return [Composition(())]
     out = []

@@ -3,12 +3,10 @@
 The subalgebra of degree n has three distinguished bases, all indexed by
 k = 1..n:
 
-- ``E[k]``: the orthogonal idempotents.  The internal product is
-  coordinatewise in this basis, which is why elements are stored by their
-  exact E-coordinates.
-- ``S[k]``: the k-shuffle elements, with E-coordinates (k, k^2, ..., k^n).
-  ``S[1]`` is the identity of the internal product and
-  ``S[p] * S[q] = S[pq]``.
+- ``E[k]``: the orthogonal idempotents.
+- ``S[k]``: the k-shuffle elements, S[k] = sum_j k^j E[j].  ``S[1]`` is the
+  identity of the product and ``S[p] S[q] = S[pq]``, which ``verify all``
+  checks in the group algebra of ``oracle``.
 - ``A[k]``: the descent-class sums (all permutations with k-1 descents),
   obtained from the shuffle elements by an alternating binomial sum.
 
@@ -31,19 +29,23 @@ from the next by one multiplication and one exact division by a linear factor.
 Tables whose estimated bigint work exceeds ``combinat.WORK_BUDGET`` are
 refused before any of it is done, with ``BudgetError``.
 
-The idempotents also expand over words in the complete-function basis
-(products S^I indexed by compositions I); that expansion is what the
-brute-force group-algebra oracle consumes.
+The subalgebra also lives on the words S^I of the complete basis, products
+indexed by compositions I of n, through one identity:
+S[x] = sum_I C(x, len I) S^I.  So S[b] and each E[k], the x^k coefficient,
+put on S^I a coefficient that depends only on the length of I, and an
+``SWordExpansion`` holds n integer numerators by length over one
+denominator.  The expansions of the idempotents are what the brute-force
+group-algebra oracle consumes.  No element is held in E-coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
-from .combinat import Composition, _check_work, binomial, compositions
+from .combinat import _check_words, _check_work
 
 
 def _numerator(values: list[int], passes: int) -> list[int]:
@@ -58,68 +60,13 @@ def _numerator(values: list[int], passes: int) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class EulerianElement:
-    """An element of the degree-n Eulerian subalgebra, in E-coordinates.
-
-    ``coords[k-1]`` is the exact coefficient of the k-th idempotent, an
-    ``int`` or a ``Fraction``.
-    """
-
-    n: int
-    coords: tuple[int | Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"degree must be positive, got {self.n}")
-        coords = tuple(self.coords)
-        if len(coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
-        if not all(isinstance(c, (int, Fraction)) for c in coords):
-            raise ValueError(f"coordinates must be integers or Fractions, got {coords}")
-        object.__setattr__(self, "coords", coords)
-
-    def _check_degree(self, other: "EulerianElement") -> None:
-        if self.n != other.n:
-            raise ValueError(f"degree mismatch: {self.n} != {other.n}")
-
-
-def spow_element(n: int, k: int) -> EulerianElement:
-    """The k-shuffle element S[k], with E-coordinates (k, k^2, ..., k^n).
-
-    ``k = 0`` gives the zero element: the degree-n component of the empty
-    shuffle vanishes for n >= 1.
-    """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
-    if k < 0:
-        raise ValueError(f"shuffle parameter must be nonnegative, got {k}")
-    return EulerianElement(n, tuple(k**i for i in range(1, n + 1)))
-
-
-def class_element(n: int, p: int) -> EulerianElement:
-    """The descent-class sum A[p] (permutations with p-1 descents), in
-    E-coordinates.
-
-    Expanding A[p] = sum_{r=0..p} (-1)^r C(n+1, r) S[p-r] coordinatewise
-    gives coordinate i = sum_r (-1)^r C(n+1, r) (p-r)^i, with 0^i = 0 since
-    S[0] is the zero element.  Column p of ``foulkes_matrix`` holds these
-    coordinates; this entry-by-entry sum is its reference, kept out of the
-    package's exports.
-    """
-    if not 1 <= p <= n:
-        raise ValueError(f"class index must lie in 1..{n}, got {p}")
-    coords = []
-    for i in range(1, n + 1):
-        coords.append(sum((-1) ** r * binomial(n + 1, r) * (p - r) ** i for r in range(p + 1)))
-    return EulerianElement(n, tuple(coords))
-
-
-def internal_product(u: EulerianElement, v: EulerianElement) -> EulerianElement:
-    """Coordinatewise product: the internal product is diagonal on the
-    idempotent basis (E[k] * E[l] = delta_kl E[k])."""
-    u._check_degree(v)
-    return EulerianElement(u.n, tuple(a * b for a, b in zip(u.coords, v.coords)))
+def _check_integers(numerators, denominator) -> None:
+    """Refuse numerators or a denominator that are not integers over one
+    denominator >= 1."""
+    if not all(isinstance(c, int) for c in numerators):
+        raise ValueError("numerators must be integers")
+    if not isinstance(denominator, int) or denominator < 1:
+        raise ValueError(f"denominator must be an integer >= 1, got {denominator!r}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +83,7 @@ class BasisMatrix:
         rows = tuple(map(tuple, self.numerators))
         if len(rows) != self.n or any(len(row) != self.n for row in rows):
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
-        if not all(isinstance(c, int) for row in rows for c in row):
-            raise ValueError("numerators must be integers")
-        if not isinstance(self.denominator, int) or self.denominator < 1:
-            raise ValueError(f"denominator must be an integer >= 1, got {self.denominator!r}")
+        _check_integers([c for row in rows for c in row], self.denominator)
         object.__setattr__(self, "numerators", rows)
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -190,7 +134,7 @@ def foulkes_matrix(n: int) -> BasisMatrix:
     is the inverse of the Worpitzky matrix.  Its last row is the row of
     Eulerian numbers.  Row i is the x^1..x^n part of (1 - x)^(n+1) times
     sum_k k^i x^k, built by the same difference kernel as the rows of the
-    transition matrix; ``class_element`` is the column-by-column reference.
+    transition matrix.
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
@@ -203,49 +147,42 @@ def foulkes_matrix(n: int) -> BasisMatrix:
     return BasisMatrix(n, rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SWordExpansion:
-    """An exact linear combination of complete-basis words S^I, all of one
-    weight n.  Keys are compositions of n; zero coefficients are dropped."""
+    """An exact linear combination of the complete-basis words S^I of weight
+    n whose coefficient depends only on the length of I, held as integers
+    over one denominator: every word of length l has the coefficient
+    ``numerators[l-1] / denominator``."""
 
     n: int
-    terms: dict[Composition, Fraction] = field(default_factory=dict)
+    numerators: tuple[int, ...]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        cleaned = {}
-        for comp, coeff in self.terms.items():
-            if comp.weight != self.n:
-                raise ValueError(f"term {comp} has weight {comp.weight}, expected {self.n}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                cleaned[comp] = coeff
-        self.terms = cleaned
-
-    def __add__(self, other: "SWordExpansion") -> "SWordExpansion":
-        if self.n != other.n:
-            raise ValueError(f"weight mismatch: {self.n} != {other.n}")
-        merged = dict(self.terms)
-        for comp, coeff in other.terms.items():
-            merged[comp] = merged.get(comp, Fraction(0)) + coeff
-        return SWordExpansion(self.n, merged)
-
-    def sorted_terms(self) -> list[tuple[Composition, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: item[0].parts)
+        numerators = tuple(self.numerators)
+        if self.n < 1 or len(numerators) != self.n:
+            raise ValueError(f"expected one numerator per length 1..{self.n}, got {len(numerators)}")
+        _check_integers(numerators, self.denominator)
+        object.__setattr__(self, "numerators", numerators)
 
 
 def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:
-    """Expansion of the idempotent E[k] over S-words.
+    """Expansion of the idempotent E[k] over S-words, held over n!.
 
     E[k] is the x^k coefficient of S[x] = sum_I C(x, len I) S^I, so the
-    coefficient of S^I is s(len I, k) / (len I)!, with s the signed Stirling
-    numbers of the first kind (Gelfand, Krob, Lascoux, Leclerc, Retakh and
-    Thibon, Noncommutative symmetric functions, 1995).
+    coefficient of a word of length l is s(l, k) / l!, with s the signed
+    Stirling numbers of the first kind (Gelfand, Krob, Lascoux, Leclerc,
+    Retakh and Thibon, Noncommutative symmetric functions, 1995); its
+    numerator over n! is s(l, k) n! / l!.  The expansion stands for the
+    2^(n-1) words of weight n, and more than ``IDEMPOTENT_TERMS`` of them
+    are refused before the Stirling row.
     """
     if not 1 <= k <= n:
         raise ValueError(f"idempotent index must lie in 1..{n}, got {k}")
-    words = compositions(n)  # refuses more than IDEMPOTENT_TERMS before the Stirling row
-    row, coeffs = [1], []  # row holds s(m, 0..m), the x^j coefficients of x(x-1)...(x-m+1)
-    for m in range(n + 1):
-        coeffs.append(Fraction(row[k] if k <= m else 0, math.factorial(m)))
-        row = [a - m * c for a, c in zip([0, *row], [*row, 0])]
-    return SWordExpansion(n, {comp: coeffs[comp.length] for comp in words})
+    _check_words(n)
+    row, numerators = [1], []  # row holds s(l, 0..l), the x^j coefficients of x(x-1)...(x-l+1)
+    whole = math.factorial(n)
+    for l in range(1, n + 1):
+        row = [a - (l - 1) * c for a, c in zip([0, *row], [*row, 0])]
+        numerators.append(row[k] * (whole // math.factorial(l)) if k <= l else 0)
+    return SWordExpansion(n, numerators, whole)

@@ -17,17 +17,20 @@ their positions and multiplicities.
 
 One lazily built table per n indexes the products without shortcutting
 them: S_n in lexicographic order in that column layout, with descent counts,
-descent-set bitmasks, the rank of each inverse and the composition table,
+descent-set bitmasks, the rank of each inverse, the composition table,
 whose every pair is composed and ranked through a lookup from the
-mixed-radix key of a permutation's images to its rank.  The kernels work on
-whole table rows: a product reads its right factor along the row of p^{-1}
-for each term p of its left factor, so every pair of terms is still
-composed, in int64 under an up-front bound on the sums and in exact Python
-ints above it; an S-word expansion adds each coefficient over a descent-set
-mask; each block of shuffle words is compared pair of positions by pair of
-positions; and the transition oracle tallies every (sigma, outcome) pair
-in one pass over the table, into integer rows of word counts over b^n, the
-layout of the closed-form matrix.
+mixed-radix key of a permutation's images to its rank, and the length
+filters, which count for each permutation the complete words S^I of each
+length that hold it, summed over every composition's descent-set filter.
+The kernels work on whole table rows: a product reads its right factor
+along the row of p^{-1} for each term p of its left factor, so every pair
+of terms is still composed, in int64 under an up-front bound on the sums
+and in exact Python ints above it; an S-word expansion, whose coefficients
+go by word length, is one product of its numerators with the length
+filters; each block of shuffle words is compared pair of positions by pair
+of positions; and the transition oracle tallies every (sigma, outcome)
+pair in one pass over the table, into integer rows of word counts over
+b^n, the layout of the closed-form matrix.
 
 Bounds keep everything at desk scale, each refused with ``BudgetError``
 before any work:
@@ -98,6 +101,7 @@ class _SnTable(NamedTuple):
     masks: np.ndarray  # (n!,) descent sets, position i as bit i-1
     inverse: np.ndarray  # (n!,) the rank of each permutation's inverse
     compose: np.ndarray  # [i, j] = rank of permutation i after permutation j
+    lengths: np.ndarray  # [l, t] = words S^I of length l that hold permutation t, l in 0..n
 
 
 def _key(columns, n: int, shape) -> np.ndarray:
@@ -135,7 +139,13 @@ def _table(n: int) -> _SnTable:
         columns = (block[:, column] for column in positions)
         compose[start : start + rows] = lookup[_key(columns, n, (len(block), size))]
     inverse = compose.argmin(axis=1)  # p_i q = identity, rank 0
-    return _SnTable(positions, falls.sum(axis=0), masks, inverse, compose)
+    # S^I holds every permutation whose descent set lies in the cut set of I:
+    # each composition's descent-set filter, summed by the length of I
+    lengths = np.zeros((n + 1, size), dtype=np.int64)  # only the empty word of S_0 has length 0
+    for comp in compositions(n):
+        cuts = sum(1 << (i - 1) for i in comp.descent_set())
+        lengths[comp.length] += (masks & ~cuts) == 0
+    return _SnTable(positions, falls.sum(axis=0), masks, inverse, compose, lengths)
 
 
 def _unrank(ranks: np.ndarray, n: int) -> np.ndarray:
@@ -275,26 +285,23 @@ def group_product(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebr
     acc = np.zeros(len(b), dtype=dtype)
     rows = max(1, _BLOCK_VALUES // len(b))
     for start in range(0, len(left), rows):
-        acc += a[start : start + rows] @ b[table.compose[table.inverse[left[start : start + rows]]]]
+        acc += a[start : start + rows] @ b.take(table.compose[table.inverse[left[start : start + rows]]])
     return GroupAlgebraElement(n, acc, u.denominator * v.denominator)
 
 
 def expansion_to_group(expansion: SWordExpansion) -> GroupAlgebraElement:
     """An S-word expansion as a sum of permutations.  The complete word S^I
     is the sum, coefficient 1, of every permutation whose descent set lies
-    in the cut set of I, so each coefficient is added over that descent-set
-    filter of the S_n table: one matrix product of the coefficients with
-    the filters."""
+    in the cut set of I, so the words of one length add up to that length's
+    filter of the S_n table: one product of the n numerators with the n
+    filters."""
     n = expansion.n
     _check_degree(n, "S-word expansions are")
-    coeffs = list(expansion.terms.values())
-    denom = lcm(*(c.denominator for c in coeffs))
-    numer = [c.numerator * (denom // c.denominator) for c in coeffs]
-    cuts = [sum(1 << (i - 1) for i in comp.descent_set()) for comp in expansion.terms]
-    inside = (_table(n).masks & ~np.array(cuts, dtype=np.int64)[:, None]) == 0
-    # a permutation collects at most every coefficient once
-    dtype = _dtype(max(map(abs, numer), default=0) * len(numer))
-    return GroupAlgebraElement(n, np.array(numer, dtype=dtype) @ inside.astype(dtype), denom)
+    numer = expansion.numerators
+    # a permutation lies in at most C(n - 1, l - 1) words of length l, 2^(n-1) in all
+    dtype = _dtype(max(map(abs, numer)) << (n - 1))
+    filters = _table(n).lengths[1:].astype(dtype)
+    return GroupAlgebraElement(n, np.array(numer, dtype=dtype) @ filters, expansion.denominator)
 
 
 def idempotent_group(n: int, k: int) -> GroupAlgebraElement:
@@ -467,14 +474,14 @@ def oracle_descent_polynomial(n: int, m: int) -> tuple[int, ...]:
 
 def shuffle_element_from_basis(n: int, b: int) -> GroupAlgebraElement:
     """The b-shuffle element assembled from the commutative-basis identity
-    S[b] = sum over compositions I with at most b parts of C(b, len(I)) S^I,
-    pushed through the S-word realization.  Used to cross-check the
-    enumerated multiset (which carries the same coefficients on inverse
-    supports).  ``b = 0`` gives the zero element.  A negative b is refused:
-    ``binomial`` reads C(b, l) as 0 there, which is not the polynomial
-    value (C(-2, l) = (-1)^l (l + 1))."""
+    S[b] = sum over compositions I of C(b, len(I)) S^I, the coefficient 0
+    past b parts, pushed through the S-word realization.  Used to
+    cross-check the enumerated multiset (which carries the same coefficients
+    on inverse supports) and the product rule S[p] S[q] = S[pq].  ``b = 0``
+    gives the zero element.  A negative b is refused: ``binomial`` reads
+    C(b, l) as 0 there, which is not the polynomial value
+    (C(-2, l) = (-1)^l (l + 1))."""
     _check_degree(n, "S-word realization")
     if b < 0:
         raise ValueError(f"shuffle parameter must be nonnegative, got {b}")
-    terms = {comp: Fraction(binomial(b, comp.length)) for comp in compositions(n) if comp.length <= b}
-    return expansion_to_group(SWordExpansion(n, terms))
+    return expansion_to_group(SWordExpansion(n, [binomial(b, l) for l in range(1, n + 1)]))

@@ -157,7 +157,7 @@ class TestIdempotents:
     def test_s_basis_terms_are_bounded_before_any_expansion(self, capsys, monkeypatch):
         # n = 15 writes (15 + 1) 2^13 = 2^17 terms, the most admitted
         built = []
-        monkeypatch.setattr(cli, "idempotent_s_expansion", lambda n, k: built.append(k) or SWordExpansion(n))
+        monkeypatch.setattr(cli, "idempotent_s_expansion", lambda n, k: built.append(k) or SWordExpansion(n, [0] * n))
         code, out, _ = run_cli(capsys, "idempotents", "--n", "15")
         assert code == 0 and built == list(range(1, 16))
         assert json.loads(out)["idempotents"] == {str(k): {} for k in range(1, 16)}
@@ -262,6 +262,10 @@ class TestOracle:
              "cd1c3b4b082798fe37f6404c28c984b774b473049a378df4a9f42dbd17ad9776"),
             (("idempotents", "--basis", "group", "--n", "6"),
              "9b7b8a6d097f83b2446164ec6719c3053d29fca25c0ab6e91ba49f9dcc87a56c"),
+            (("idempotents", "--n", "12"),
+             "838feafae0384b8fc260f4a190c1b84bf07e0e1a99157003f2544ca06e7c460d"),
+            (("idempotents", "--n", "1"),
+             "0ee767523502b982186a00380e0971b7e7448afc74f0e048cc80a99d9716ca4d"),
             (("foulkes", "--n", "12", "--det"),
              "e06ce516f188010bcdb7f056bdf79de2626d67a7d9a63339687a382e167a2eab"),
             (("worpitzky", "--n", "12"),
@@ -279,8 +283,9 @@ class TestOracle:
              "a85a4704b701f4da445c5a39d744bc4378cbf8bace7dca9bea814e8f4a9d8c3c"),
         ],
         ids=[
-            "transition", "shuffles", "idempotents", "foulkes-det", "worpitzky", "amazing-normalized",
-            "amazing-normalized-csv", "simulate-shuffle-unsampled-rows", "simulate-shuffle", "simulate-carries",
+            "transition", "shuffles", "idempotents", "idempotents-s", "idempotents-s-n1", "foulkes-det",
+            "worpitzky", "amazing-normalized", "amazing-normalized-csv", "simulate-shuffle-unsampled-rows",
+            "simulate-shuffle", "simulate-carries",
         ],
     )
     def test_output_is_pinned(self, capsys, argv, digest):

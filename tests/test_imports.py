@@ -137,16 +137,16 @@ class TestLazyExports:
     def test_all_keeps_its_names_and_order(self):
         assert carrychain.__all__ == [
             "AmazingMatrix", "BasisMatrix", "BudgetError", "Composition",
-            "DescentPolynomial", "EmpiricalMatrix", "EulerianElement", "GroupAlgebraElement", "LumpingViolation",
+            "DescentPolynomial", "EmpiricalMatrix", "GroupAlgebraElement", "LumpingViolation",
             "Permutation", "Report", "ShuffleMultiset", "SimulationConfig", "SWordExpansion",
             "TransitionMismatch", "amazing_entry", "amazing_matrix", "binomial",
             "compositions", "descent_polynomial", "enumerate_b_shuffles",
             "eulerian_numbers", "expansion_to_group", "foulkes_determinant", "foulkes_matrix",
             "group_identity", "group_product",
-            "idempotent_group", "idempotent_s_expansion", "internal_product",
+            "idempotent_group", "idempotent_s_expansion",
             "oracle_descent_polynomial", "oracle_transition_matrix",
             "shuffle_element_from_basis", "simulate_carries", "simulate_shuffle_chain",
-            "spow_element", "superfactorial", "verify_multiplicativity",
+            "superfactorial", "verify_multiplicativity",
             "verify_spectrum", "verify_stationary", "worpitzky_matrix",
         ]  # fmt: skip
 

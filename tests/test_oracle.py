@@ -75,52 +75,85 @@ def lex_rank(p):
     return sum(sum(q < v for q in p.images[i + 1 :]) * math.factorial(p.n - 1 - i) for i, v in enumerate(p.images))
 
 
-# S-words and ribbons reach the group algebra only through expansion_to_group
+# The complete words S^I and the ribbons R_I, by a Permutation brute force
+# over descent sets.  The oracle reaches S-words only by length, through
+# expansion_to_group.
 
 
 def word(comp):
-    """The complete word S^I, as the expansion with the one term S^I."""
-    return expansion_to_group(SWordExpansion(comp.weight, {comp: Fraction(1)}))
+    """The complete word S^I: every permutation whose descent set lies in
+    the cut set of I."""
+    cuts = comp.descent_set()
+    return element_of(comp.weight, {p: 1 for p in every_permutation(comp.weight) if p.descent_set() <= cuts})
 
 
 def ribbon(comp):
-    """The ribbon sum of I, every permutation whose descent set is exactly
-    the cut set of I: the signed sum of the words S^J over the J whose cuts
-    lie among those of I."""
+    """The ribbon sum R_I: every permutation whose descent set is the cut
+    set of I."""
     cuts = comp.descent_set()
-    coarser = {J: (-1) ** (comp.length - J.length) for J in compositions(comp.weight) if J.descent_set() <= cuts}
-    return expansion_to_group(SWordExpansion(comp.weight, coarser))
+    return element_of(comp.weight, {p: 1 for p in every_permutation(comp.weight) if p.descent_set() == cuts})
+
+
+def by_length(n, numerators):
+    """The S-word expansion with the coefficient numerators[l-1] on every
+    word of length l, through the oracle."""
+    return expansion_to_group(SWordExpansion(n, numerators))
+
+
+def words_of_length(n, l):
+    """The sum of the words S^I of length l, through the oracle."""
+    return by_length(n, [int(j == l) for j in range(1, n + 1)])
+
+
+def descent_class(n, l):
+    """The permutations with l - 1 descents, the ribbons of length l,
+    through the oracle.  A ribbon is the alternating sum of the words whose
+    cuts lie among its own, and a word of length j has its cuts among those
+    of C(n - j, l - j) ribbons of length l, so the class is
+    sum_j (-1)^(l-j) C(n - j, l - j) times the words of length j."""
+    return by_length(n, [(-1) ** (l - j) * math.comb(n - j, l - j) if j <= l else 0 for j in range(1, n + 1)])
 
 
 class TestRibbonSum:
     def test_single_part_is_identity(self):
         for n in range(1, 6):
-            assert support(ribbon(Composition((n,)))) == {Permutation.identity(n)}
+            assert descent_class(n, 1) == ribbon(Composition((n,))) == group_identity(n)
 
     def test_all_ones_degree_two(self):
-        assert support(ribbon(Composition((1, 1)))) == {perm(2, 1)}
+        assert support(descent_class(2, 2)) == support(ribbon(Composition((1, 1)))) == {perm(2, 1)}
 
     def test_two_one(self):
         assert support(ribbon(Composition((2, 1)))) == {perm(1, 3, 2), perm(2, 3, 1)}
+        assert descent_class(3, 2) == ribbon(Composition((1, 2))) + ribbon(Composition((2, 1)))
 
     def test_partitions_the_group(self):
         for n in range(1, 6):
-            assert sum(len(ribbon(comp).terms) for comp in compositions(n)) == math.factorial(n)
+            sizes = 0
+            for l in range(1, n + 1):
+                expected = element_of(n)
+                for comp in compositions(n):
+                    if comp.length == l:
+                        expected = expected + ribbon(comp)
+                assert descent_class(n, l) == expected
+                sizes += len(expected.terms)
+            assert sizes == math.factorial(n)
 
     def test_bound(self):
         with pytest.raises(BudgetError, match="^S-word expansions are limited to n <= 6, got 9$"):
-            ribbon(Composition((9,)))
+            descent_class(9, 1)
 
 
 class TestSWordToGroup:
     def test_single_part(self):
-        assert support(word(Composition((2,)))) == {Permutation.identity(2)}
+        assert words_of_length(2, 1) == word(Composition((2,)))
+        assert support(words_of_length(2, 1)) == {Permutation.identity(2)}
 
     def test_one_one(self):
-        assert support(word(Composition((1, 1)))) == {perm(1, 2), perm(2, 1)}
+        assert words_of_length(2, 2) == word(Composition((1, 1)))
+        assert support(words_of_length(2, 2)) == {perm(1, 2), perm(2, 1)}
 
     def test_finest_word_is_whole_group(self):
-        element = word(Composition((1, 1, 1)))
+        element = words_of_length(3, 3)
         assert len(element.terms) == 6
         assert all(coeff == 1 for coeff in element.terms.values())
 
@@ -131,6 +164,13 @@ class TestSWordToGroup:
             if other.descent_set() <= comp.descent_set():
                 total = total + ribbon(other)
         assert word(comp) == total
+        # the words of one length, each such a sum, are what the oracle adds up
+        for l in range(1, 6):
+            total = element_of(5)
+            for other in compositions(5):
+                if other.length == l:
+                    total = total + word(other)
+            assert words_of_length(5, l) == total
 
 
 class TestGroupProduct:
@@ -397,6 +437,14 @@ class TestEnumerateShuffles:
         enumerated = enumerate_b_shuffles(n, b).to_group_algebra()
         assert enumerated == shuffle_element_from_basis(n, b).invert_support()
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_a_p_shuffle_after_a_q_shuffle_is_a_pq_shuffle(self, n):
+        # the composition rule of Bayer and Diaconis on the enumerated
+        # multisets themselves, every pair of outcomes composed
+        shuffles = {b: enumerate_b_shuffles(n, b).to_group_algebra() for b in (1, 2, 3, 4, 6, 9)}
+        for p, q in itertools.product(range(1, 4), repeat=2):
+            assert group_product(shuffles[p], shuffles[q]) == shuffles[p * q]
+
     def test_basis_realization_needs_a_nonnegative_parameter(self, monkeypatch):
         # S[0] is the zero element; S[-2] is not, since C(-2, l) = (-1)^l (l + 1),
         # but binomial reads it as 0, so a negative b is refused before any work
@@ -505,14 +553,30 @@ class TestRanks:
         assert np.array_equal(oracle._unrank(ranks, n), np.stack([before, last], axis=1))
 
 
+def _holding(n, l, p):
+    """The compositions of n of length l whose cut set holds the descent set of p."""
+    return sum(1 for comp in compositions(n) if comp.length == l and p.descent_set() <= comp.descent_set())
+
+
 class TestDescentFilter:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_ribbons_and_words_in_lexicographic_order(self, n):
+        # by length: the ribbons of length l are the class of l - 1 descents
         perms = every_permutation(n)
-        for comp in compositions(n):
-            cuts = comp.descent_set()
-            assert list(ribbon(comp).terms.items()) == [(p, 1) for p in perms if p.descent_set() == cuts]
-            assert list(word(comp).terms.items()) == [(p, 1) for p in perms if p.descent_set() <= cuts]
+        for l in range(1, n + 1):
+            assert list(descent_class(n, l).terms.items()) == [(p, 1) for p in perms if p.descent_count() == l - 1]
+            held = [(p, _holding(n, l, p)) for p in perms]
+            assert list(words_of_length(n, l).terms.items()) == [(p, c) for p, c in held if c]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_length_filter_counts_the_words_that_hold_each_permutation(self, n):
+        # sigma lies in the words S^I whose cut set holds Des(sigma); of
+        # length l there are C(n - 1 - d, l - 1 - d) of them, d = des(sigma)
+        lengths = oracle._table(n).lengths
+        for t, p in enumerate(every_permutation(n)):
+            d = p.descent_count()
+            for l in range(1, n + 1):
+                assert lengths[l, t] == _holding(n, l, p) == (math.comb(n - 1 - d, l - 1 - d) if l > d else 0)
 
 
 def _shuffles_word_by_word(n, b):
@@ -612,8 +676,8 @@ class TestTableKernels:
 
     def test_expansion_near_the_int64_bound_is_exact(self):
         # the identity lies in every S-word, so it collects both coefficients, 2^63 in all
-        top, finest = Composition((3,)), Composition((1, 1, 1))
-        element = expansion_to_group(SWordExpansion(3, {top: Fraction(2**62), finest: Fraction(2**62)}))
+        # S^(3), the one word of length 1, and S^(1,1,1), the one of length 3
+        element = by_length(3, (2**62, 0, 2**62))
         identity = Permutation.identity(3)
         assert element.terms == {p: 2**63 if p == identity else 2**62 for p in every_permutation(3)}
 
@@ -647,7 +711,7 @@ class TestReach:
         (lambda: group_identity(7), "group-algebra elements"),
         # no element of S_7 can be built: stand-ins of degree 7 reach the product's own check
         (lambda: group_product(SimpleNamespace(n=7), SimpleNamespace(n=7)), "group products"),
-        (lambda: expansion_to_group(SWordExpansion(7, {Composition((7,)): Fraction(1)})), "S-word expansions"),
+        (lambda: expansion_to_group(SWordExpansion(7, (1, 0, 0, 0, 0, 0, 0))), "S-word expansions"),
         (lambda: shuffle_element_from_basis(7, 2), "S-word realization"),
         (lambda: idempotent_group(7, 1), "group-algebra idempotents"),
         (lambda: oracle_transition_matrix(7, 2), "transition oracle"),
