@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
+import math
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .combinat import (
@@ -74,15 +74,15 @@ def _seed_value(text: str) -> int:
 
 
 def _fmt(numerator: int, denominator: int = 1):
-    """Exact scalar for a document, ``numerator / denominator`` of two
-    integers: a whole number stays a number, a proper fraction becomes a
-    'p/q' string in lowest terms.  The one place an exact rational is built
-    on its way to a document: the library hands over integers over one
-    denominator, and an integer over 1 builds none."""
+    """Exact scalar for a document, ``numerator / denominator`` of an
+    integer over a positive integer: a whole number stays a number, a
+    proper fraction becomes a 'p/q' string in lowest terms.  The library
+    hands over integers over one denominator, and they are reduced here by
+    one gcd."""
     if denominator == 1:
         return numerator
-    value = Fraction(numerator, denominator)
-    return value.numerator if value.denominator == 1 else str(value)
+    g = math.gcd(numerator, denominator)
+    return numerator // g if g == denominator else f"{numerator // g}/{denominator // g}"
 
 
 def _label(images) -> str:
@@ -119,13 +119,66 @@ def _write(command: str, render: Callable[[], str]) -> None:
     sys.stdout.write(text)
 
 
+def _json(value) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, for the types
+    a document holds: dicts with str keys, lists, tuples, str, int, bool and
+    None.  An int over the int->str digit limit raises ValueError, as it
+    does in ``json``."""
+    parts: list[str] = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(value, indent: str, parts: list[str]) -> None:
+    """Append the pieces of ``value`` to ``parts``; ``indent`` is the newline
+    and indentation of its own level.  A list of plain ints is one piece,
+    written by one join."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            parts += (sep, encode_basestring_ascii(key), ": ")
+            _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts += (indent, "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(item) is int for item in value):
+            parts += ("[", inner, ("," + inner).join(map(int.__repr__, value)), indent, "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts += (indent, "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(command: str, params: dict, payload: Callable[[], dict]) -> None:
     """Write the JSON document of ``command``: its meta block, then the
     fields that ``payload()`` builds.  They are built inside ``_write``, so
     that an exact value over the digit limit is refused there too; the work
     whose results they format is done before."""
     meta = {"meta": {"command": command, "version": __version__, "params": params}}
-    _write(command, lambda: json.dumps({**meta, **payload()}, indent=2) + "\n")
+    _write(command, lambda: _json({**meta, **payload()}) + "\n")
 
 
 def _csv(labels: list[int], rows, header: bool) -> str:

@@ -39,8 +39,12 @@ IDEMPOTENT_TERMS = 2**17
 # as ``_work`` counts them, chosen from measured time on a 2-vCPU x86-64 host
 # with Python 3.11.  The largest transition matrix admitted at b = 2,
 # amazing_matrix(281, 2) (work 2.66e8), takes 0.04 s, and 0.12 s as
-# `carrychain amazing`; the other tables stop at foulkes_matrix(200) and
-# worpitzky_matrix(214) (0.7 s), and the matrix products of the checks at
+# `carrychain amazing`; the other tables stop at foulkes_matrix(200) (0.02 s,
+# 0.23 s as `carrychain foulkes`) and worpitzky_matrix(214) (0.03 s, 0.9 s as
+# `carrychain worpitzky`, which reduces every entry by a gcd with n!).  The
+# Foulkes estimate still counts n + 1 difference passes per entry, which the
+# row recurrence no longer makes, so it over-counts; its refusal point is
+# kept.  The matrix products of the checks stop at
 # verify_spectrum(118, 2) (0.6 s) and verify_multiplicativity(176, 2, 2)
 # (0.5 s).  Bases of 256 bits and more take the spectral path of ``matrix``,
 # which counts less work: amazing_matrix(32, 2^2048), 5.8e8 on the row

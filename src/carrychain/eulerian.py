@@ -22,10 +22,10 @@ and right eigenvector tables of the shuffle/carries transition matrix:
 held as integer rows over one denominator (``BasisMatrix``): F over 1 and
 n! W over n!, so the products of ``matrix`` read them in integers and a
 ``Fraction`` is built only when one entry is read.  Row i of F is the
-x^1..x^n part of (1 - x)^(n+1) sum_k k^i x^k; ``_numerator`` applies that
-factor as n+1 difference passes, and the transition matrix of ``matrix``
-uses the same kernel on columns of binomials.  The rows of n! W follow one
-from the next by one multiplication and one exact division by a linear factor.
+x^1..x^n part of (1 - x)^(n+1) sum_k k^i x^k, and each row follows from the
+one before it by one pass of x d/dx over that polynomial.  The rows of n! W
+follow one from the next by one multiplication and one exact division by a
+linear factor.
 Tables whose estimated bigint work exceeds ``combinat.WORK_BUDGET`` are
 refused before any of it is done, with ``BudgetError``.
 
@@ -43,21 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from itertools import accumulate
+from operator import add, mul
 
 from .combinat import _check_words, _check_work
-
-
-def _numerator(values: list[int], passes: int) -> list[int]:
-    """Coefficients of x^0..x^d in (1 - x)^passes sum_k v_k x^k, for the
-    d + 1 values v_0..v_d: ``passes`` backward-difference passes.
-
-    The one kernel behind both closed-form tables: fed a column C(mq + s, n)
-    it gives the rows i of the transition matrix P(n, m) with
-    (n - i) mod m = s, fed the powers k^i row i of the Foulkes matrix."""
-    for _ in range(passes):
-        values = [values[0], *map(sub, values[1:], values)]
-    return values
 
 
 def _check_integers(numerators, denominator) -> None:
@@ -132,18 +121,22 @@ def foulkes_matrix(n: int) -> BasisMatrix:
     Column j holds the E-coordinates of the class sum A[j]; the rows are
     the left eigenvectors of every shuffle transition matrix, and the matrix
     is the inverse of the Worpitzky matrix.  Its last row is the row of
-    Eulerian numbers.  Row i is the x^1..x^n part of (1 - x)^(n+1) times
-    sum_k k^i x^k, built by the same difference kernel as the rows of the
-    transition matrix.
+    Eulerian numbers.  Row i holds the coefficients of x^1..x^n in
+    H_i(x) = (1 - x)^(n+1) sum_k k^i x^k, a polynomial of degree n.  Each
+    row follows from the one before it in O(n) operations: x d/dx takes
+    sum_k k^i x^k to sum_k k^(i+1) x^k, which on H_i reads
+    (1 - x) H_{i+1} = x (1 - x) H_i' + (n + 1) x H_i, that is
+    h'_j = h'_{j-1} + j h_j + (n + 2 - j) h_{j-1} with h'_0 = 0, starting
+    from H_0 = (1 - x)^n.
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
     _check_work("foulkes_matrix", n * (n + 1), n + 1, n * (n.bit_length() + 1))
-    ks = range(n + 1)
-    powers, rows = list(ks), []
+    h = [(-1) ** j * math.comb(n, j) for j in range(n + 1)]  # H_0, low to high
+    up, down, rows = range(1, n + 1), range(n + 1, 1, -1), []  # j and n + 2 - j for j = 1..n
     for _ in range(n):
-        rows.append(_numerator(powers, n + 1)[1:])
-        powers = list(map(mul, powers, ks))
+        h = [0, *accumulate(map(add, map(mul, up, h[1:]), map(mul, down, h)))]
+        rows.append(h[1:])
     return BasisMatrix(n, rows)
 
 

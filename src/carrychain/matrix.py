@@ -14,10 +14,9 @@ against ``_SPECTRAL_MIN_BITS`` (256):
 
 - the row kernel, for small b: P(i, j) = g(bj + n - i) for
   g = (1 - S^b)^(n+1) C(., n), where 1 - S^b, S^b the shift down by b, is a
-  first difference along each residue class mod b.  ``eulerian._numerator``,
-  shared with the Foulkes table, makes n+1 passes over each column
-  C(bq + s, n), q >= 0, and row i is the slice of column s = (n - i) mod b
-  from q0 = (n - i) // b;
+  first difference along each residue class mod b.  ``_numerator`` makes
+  n+1 passes over each column C(bq + s, n), q >= 0, and row i is the slice
+  of column s = (n - i) mod b from q0 = (n - i) // b;
 - the spectral path, for wide b: the factorization
   n! P = (n! W) diag(b, b^2, ..., b^n) F, with the integer rows of n! W and
   F that ``eulerian.worpitzky_matrix`` and ``eulerian.foulkes_matrix``
@@ -46,10 +45,10 @@ product it also checks one path against the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 from .combinat import _check_budget, _check_work, _work, binomial, eulerian_numbers
-from .eulerian import BasisMatrix, _numerator, foulkes_matrix, worpitzky_matrix
+from .eulerian import BasisMatrix, foulkes_matrix, worpitzky_matrix
 
 
 # Bit length of m from which amazing_matrix and descent_polynomial build P(n, m)
@@ -68,6 +67,16 @@ from .eulerian import BasisMatrix, _numerator, foulkes_matrix, worpitzky_matrix
 # slower at any size up to 256 bits.  Measured at m >= n, where no two rows
 # of the kernel share a binomial column, as they do at small m.
 _SPECTRAL_MIN_BITS = 256
+
+
+def _numerator(values: list[int], passes: int) -> list[int]:
+    """Coefficients of x^0..x^d in (1 - x)^passes sum_k v_k x^k, for the
+    d + 1 values v_0..v_d: ``passes`` backward-difference passes.  Fed a
+    column C(mq + s, n), it gives the rows i of P(n, m) with
+    (n - i) mod m = s."""
+    for _ in range(passes):
+        values = [values[0], *map(sub, values[1:], values)]
+    return values
 
 
 def _kernel_rows(n: int, m: int, rows: int) -> list[list[int]]:

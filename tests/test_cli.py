@@ -281,11 +281,25 @@ class TestOracle:
              "24b4f14597baaacfcbc63d455279c476adc79376e67947f436d866bd740000e9"),
             (("simulate", "carries", "--n", "3", "--b", "10", "--trials", "100000", "--seed", "7"),
              "a85a4704b701f4da445c5a39d744bc4378cbf8bace7dca9bea814e8f4a9d8c3c"),
+            (("amazing", "--n", "100", "--b", "2"),
+             "34e47ba5998a507b4685d1a482841f5a852e65ed2ad4c773096bae93a8af642a"),
+            (("amazing", "--n", "80", "--b", "3", "--format", "csv"),
+             "b08bc0ef444f3c58ad08dbbb198c2746a97b53066ad38421a90c70d2a7a19837"),
+            (("eigen", "--n", "40", "--b", "3"),
+             "ddec655fe75bc9b74486889f5b004c98e94b9f2537ca3c52ff4583ecc77e905d"),
+            (("foulkes", "--n", "40", "--det"),
+             "7be8224464b3426fd80e2bb196ee062f6196cc94439ab035ed440948bb988f78"),
+            (("descent-poly", "--n", "60", "--b", "2", "--r", "20"),
+             "7cabee423902849fba5bb14aee898b6d2f2863a4eb6a98f6776f9990fcf3cfa6"),
+            # a base of 401 bits, on the spectral path
+            (("amazing", "--n", "10", "--b", str(2**400)),
+             "fbf1ad611a275041bb0a2f57de507c4b8aff85fd3993bbeba5e1a16183f32232"),
         ],
         ids=[
             "transition", "shuffles", "idempotents", "idempotents-s", "idempotents-s-n1", "foulkes-det",
             "worpitzky", "amazing-normalized", "amazing-normalized-csv", "simulate-shuffle-unsampled-rows",
-            "simulate-shuffle", "simulate-carries",
+            "simulate-shuffle", "simulate-carries", "amazing-wide", "amazing-csv", "eigen-wide", "foulkes-det-wide",
+            "descent-poly-wide", "amazing-spectral",
         ],
     )
     def test_output_is_pinned(self, capsys, argv, digest):
@@ -648,3 +662,76 @@ def test_the_contract_tests_draw_every_command():
     leaves = _leaf_commands(cli.build_parser())
     assert len(leaves) == 11
     assert {_command(argv) for argv in drawn} == leaves
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_EDGE_INTS = [2**64, -(2**64), 2**64 + 1, 10 ** (_LIMIT - 1), 10**_LIMIT - 1, -(10**_LIMIT - 1)]
+_JSON_INTS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=10 ** (_LIMIT - 2), max_value=10**_LIMIT - 1).map(lambda v: v * (-1) ** (v % 2)),
+    st.sampled_from(_EDGE_INTS),
+)
+_JSON_TEXT = st.one_of(
+    st.text(),
+    st.text(st.characters(blacklist_categories=())),  # lone surrogates too
+    st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80 aé \U0001f600')),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(_JSON_INTS, max_size=8),  # the one-join path for plain ints
+        st.dictionaries(_JSON_TEXT, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @example([])
+    @example({})
+    @example({"a": [], "b": {}, "c": ()})
+    @example([1, True, False, None, 0])
+    @example([[1, 2], [3, "4/5"]])
+    @example(_EDGE_INTS)
+    @given(_JSON_VALUES)
+    def test_writes_the_bytes_of_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        _JSON_VALUES,
+        st.integers(min_value=10**_LIMIT, max_value=10 ** (_LIMIT + 50)),
+        st.booleans(),
+        st.sampled_from([lambda v, big: {"value": v, "big": big},
+                         lambda v, big: [v, [1, big, 2]],
+                         lambda v, big: {"rows": [[v], ["1/2", big]]}]),
+    )
+    def test_an_int_over_the_digit_limit_is_refused_as_json_refuses_it(self, value, big, negative, place):
+        doc = place(value, -big if negative else big)
+        with pytest.raises(ValueError) as theirs:
+            json.dumps(doc, indent=2)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(ValueError) as ours:
+            cli._write("amazing", lambda: cli._json(doc) + "\n")
+        assert type(ours.value) is type(theirs.value)
+        assert str(ours.value) == (
+            f"amazing: the output holds an integer of more than {_LIMIT} digits, Python's int-to-str limit"
+        )
+        assert out.getvalue() == ""
+
+    def test_refuses_what_a_document_never_holds(self):
+        for value in (1.5, {1: 2}, {"a": object()}):
+            with pytest.raises(TypeError):
+                cli._json(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(), st.integers(min_value=1), st.sampled_from([1, 2, 3, 2**64]))
+    def test_fmt_reduces_as_a_fraction_does(self, numerator, denominator, scale):
+        value = Fraction(numerator, denominator)
+        expected = value.numerator if value.denominator == 1 else str(value)
+        got = cli._fmt(numerator * scale, denominator * scale)
+        assert got == expected and type(got) is type(expected)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -231,10 +232,30 @@ class TestFoulkesMatrix:
             assert F.numerators[n - 1] == eulerian_numbers(n)
 
     def test_columns_are_class_elements(self):
-        for n in range(1, 15):
+        # every column up to n = 14 and at the benchmarked n = 40
+        for n in [*range(1, 15), 40]:
             F = foulkes_matrix(n)
             for j in range(1, n + 1):
                 assert tuple(row[j - 1] for row in F.numerators) == class_element(n, j)
+
+    def test_sampled_entries_at_the_largest_size(self):
+        # n = 200 is the largest table the work budget admits
+        n = 200
+        F = foulkes_matrix(n)
+        for i, j in itertools.product((1, 2, 3, 99, 100, 199, 200), (1, 2, 50, 100, 101, 199, 200)):
+            direct = sum((-1) ** r * binomial(n + 1, r) * (j - r) ** i for r in range(j + 1))
+            assert F.numerators[i - 1][j - 1] == direct, (i, j)
+        assert F.numerators[-1] == eulerian_numbers(n)
+
+    def test_inverse_of_worpitzky_in_integers_at_the_benchmarked_size(self):
+        # F (n! W) = n! I, every entry, at n = 40
+        n = 40
+        F, W = foulkes_matrix(n), worpitzky_matrix(n)
+        columns = list(zip(*W.numerators))
+        for i, row in enumerate(F.numerators):
+            assert [sum(map(operator.mul, row, col)) for col in columns] == [
+                W.denominator if i == j else 0 for j in range(n)
+            ]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_inverse_of_worpitzky(self, n):

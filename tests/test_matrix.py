@@ -378,6 +378,19 @@ def _refuse_building(*args):
     raise _Built
 
 
+def _refuse_past_the_check(monkeypatch):
+    """Both tables of ``eulerian`` are built right past their one work
+    check, so a check that refuses whatever it admits stands for the
+    build."""
+    check = eulerian._check_work
+
+    def refused_past_the_check(*args):
+        check(*args)
+        raise _Built
+
+    monkeypatch.setattr(eulerian, "_check_work", refused_past_the_check)
+
+
 class TestWorkBudget:
     def test_matrix_is_refused_before_any_binomial(self, monkeypatch):
         # the documented largest case at b = 2 passes the check, the next
@@ -397,7 +410,7 @@ class TestWorkBudget:
             descent_polynomial(1, 2, 10**6)
 
     def test_foulkes_tables_are_refused_before_they_are_built(self, monkeypatch):
-        monkeypatch.setattr(eulerian, "_numerator", _refuse_building)
+        _refuse_past_the_check(monkeypatch)
         with pytest.raises(_Built):
             eulerian.foulkes_matrix(200)
         with pytest.raises(BudgetError, match="foulkes_matrix"):
@@ -409,15 +422,7 @@ class TestWorkBudget:
             foulkes_determinant(49)
 
     def test_worpitzky_table_is_refused_before_it_is_built(self, monkeypatch):
-        # the table is built past its one check, so a check that refuses
-        # whatever it admits stands for the build
-        check = eulerian._check_work
-
-        def refused_past_the_check(*args):
-            check(*args)
-            raise _Built
-
-        monkeypatch.setattr(eulerian, "_check_work", refused_past_the_check)
+        _refuse_past_the_check(monkeypatch)
         with pytest.raises(_Built):
             eulerian.worpitzky_matrix(214)
         with pytest.raises(BudgetError, match="worpitzky_matrix"):
