@@ -16,12 +16,10 @@ _EXPORTS = {
     "AmazingMatrix": "matrix",
     "BasisMatrix": "eulerian",
     "BudgetError": "combinat",
-    "Composition": "combinat",
     "DescentPolynomial": "matrix",
     "EmpiricalMatrix": "simulate",
     "GroupAlgebraElement": "oracle",
     "LumpingViolation": "combinat",
-    "Permutation": "combinat",
     "Report": "matrix",
     "ShuffleMultiset": "oracle",
     "SimulationConfig": "simulate",

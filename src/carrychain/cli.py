@@ -40,6 +40,7 @@ from .combinat import (
     BudgetError,
     LumpingViolation,
     TransitionMismatch,
+    _label,
     binomial,
     compositions,
     eulerian_numbers,
@@ -83,12 +84,6 @@ def _fmt(numerator: int, denominator: int = 1):
         return numerator
     g = math.gcd(numerator, denominator)
     return numerator // g if g == denominator else f"{numerator // g}/{denominator // g}"
-
-
-def _label(images) -> str:
-    """A permutation's one-line images as ``str(Permutation)`` writes them,
-    without building the object."""
-    return ",".join(map(str, images))
 
 
 def _matrix_payload(rows, denominator: int = 1) -> list[list]:
@@ -242,7 +237,7 @@ def _cmd_idempotents(args) -> int:
         # 2^min(n, 64) keeps the count small for a huge n, over the bound either way
         if (n + 1) * 2 ** min(n, 64) // 4 > IDEMPOTENT_TERMS:
             raise BudgetError(f"idempotents: E[1..{n}] over S-words exceed the budget of {IDEMPOTENT_TERMS} terms")
-        words = [(str(comp), comp.length - 1) for comp in compositions(n)]  # in lexicographic order
+        words = [(_label(parts), len(parts) - 1) for parts in compositions(n)]  # in lexicographic order
         for k in range(1, n + 1):
             expansion = idempotent_s_expansion(n, k)
             value = [_fmt(c, expansion.denominator) for c in expansion.numerators]  # by length less one

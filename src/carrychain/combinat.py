@@ -1,24 +1,24 @@
-"""Basic combinatorial objects: binomials, compositions, permutations,
-descent statistics, Eulerian numbers; and the package's one refusal type,
-``BudgetError``, with the work budget of the closed forms.
+"""Basic combinatorics: binomials, compositions, Eulerian numbers; the
+package's one refusal type, ``BudgetError``, with the work budget of the
+closed forms; and the oracle's failures, with the one label writer.
 
 Conventions used throughout the package:
 
-- Permutations are written in one-line notation with 1-based values, so
-  ``Permutation((3, 1, 2))`` maps 1 -> 3, 2 -> 1, 3 -> 2.
+- A permutation is the tuple of its images in one-line notation, 1-based,
+  so ``(3, 1, 2)`` maps 1 -> 3, 2 -> 1, 3 -> 2, and a document labels it
+  ``3,1,2``.
 - Positions are 1-based as well: position ``i`` of a permutation ``p`` is a
   descent when ``p(i) > p(i+1)``, for ``i`` in ``1..n-1``.
-- A composition of ``n`` is an ordered tuple of positive parts summing to
-  ``n``; its partial sums (all but the last) encode a descent set.
-- Arithmetic is exact everywhere: Python integers and ``fractions.Fraction``.
-  No floating point is used in this module or any module built on it.
+- A composition of ``n`` is a tuple of positive parts summing to ``n``;
+  its partial sums (all but the last) encode a descent set.
+- Arithmetic is exact everywhere: this module uses Python integers only,
+  and no module built on it uses floating point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 # The oracle's cap and failures that the CLI names at import time.  They
 # live here, not in ``oracle``, so that the closed-form commands can run
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 # group-algebra work stops at the reach of the S_n composition table.
 GROUP_ALGEBRA_MAX_N = 6
 
-# Compositions admitted by ``compositions`` and S-words behind one
+# The compositions admitted by ``compositions`` and S-words behind one
 # expansion, 2^(n-1) (up to n = 18), and S-word terms in E[1..n],
 # (n + 1) 2^(n-2), as `idempotents` writes.  2^17 admits n = 15 (4.9 MB of
 # JSON) there, which takes 0.29 s and 50 MiB RSS in a fresh process on a
@@ -84,14 +84,20 @@ def _check_budget(what: str, work: int) -> None:
         raise BudgetError(f"{what}: estimated work 2^{math.log2(work):.1f} exceeds the budget 2^{budget:g}")
 
 
+def _label(values) -> str:
+    """A permutation's images or a composition's parts as a document
+    labels them: ``1,3,2``."""
+    return ",".join(map(str, values))
+
+
 class LumpingViolation(RuntimeError):
     """Two permutations in the same descent class produced different
     transition rows."""
 
-    def __init__(self, n: int, b: int, state: int, perm: Permutation):
+    def __init__(self, n: int, b: int, state: int, images):
         self.n, self.b, self.state = n, b, state
         super().__init__(
-            f"lumping violated at n={n}, b={b}: representative {perm} of state {state} "
+            f"lumping violated at n={n}, b={b}: representative {_label(images)} of state {state} "
             f"disagrees with its class row"
         )
 
@@ -137,41 +143,6 @@ def superfactorial(n: int) -> int:
     return math.prod(math.factorial(m) for m in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive integer parts.
-
-    ``weight`` is the sum of the parts, ``length`` the number of parts.  The
-    empty composition (weight 0) is legal.
-    """
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
-            raise ValueError(f"composition parts must be positive integers: {self.parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def descent_set(self) -> frozenset[int]:
-        """Partial sums of all but the last part (a subset of 1..weight-1)."""
-        sums = []
-        acc = 0
-        for p in self.parts[:-1]:
-            acc += p
-            sums.append(acc)
-        return frozenset(sums)
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
-
-
 def _check_words(n: int) -> None:
     """Refuse the 2^(n-1) compositions of n, the S-words of weight n, past
     ``IDEMPOTENT_TERMS``, before any is built."""
@@ -179,8 +150,8 @@ def _check_words(n: int) -> None:
         raise BudgetError(f"compositions: 2^{n - 1} compositions of {n} exceed the budget of {IDEMPOTENT_TERMS}")
 
 
-def compositions(n: int) -> list[Composition]:
-    """All compositions of ``n``, in lexicographic order on the parts.
+def compositions(n: int) -> list[tuple[int, ...]]:
+    """All compositions of ``n`` as tuples of parts, in lexicographic order.
 
     There are 2^(n-1) of them for n >= 1, and exactly the empty composition
     for n = 0.  The order is the canonical one used for serialization.  Each
@@ -188,14 +159,14 @@ def compositions(n: int) -> list[Composition]:
     1..n-1; more than ``IDEMPOTENT_TERMS`` of them are refused with
     ``BudgetError`` before any is built.
 
-    >>> [c.parts for c in compositions(3)]
+    >>> compositions(3)
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
     if n < 0:
         raise ValueError(f"compositions: n must be nonnegative, got {n}")
     _check_words(n)
     if n == 0:
-        return [Composition(())]
+        return [()]
     out = []
     for cuts in itertools.product((True, False), repeat=n - 1):
         parts = [1]
@@ -204,49 +175,8 @@ def compositions(n: int) -> list[Composition]:
                 parts.append(1)
             else:
                 parts[-1] += 1
-        out.append(Composition(tuple(parts)))
+        out.append(tuple(parts))
     return out
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n} in one-line notation (1-based values)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Function composition: (p * q)(i) = p(q(i))."""
-        if self.n != other.n:
-            raise ValueError(f"cannot compose permutations of sizes {self.n} and {other.n}")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for pos, img in enumerate(self.images):
-            inv[img - 1] = pos + 1
-        return Permutation(tuple(inv))
-
-    def descent_set(self) -> frozenset[int]:
-        """Positions i with p(i) > p(i+1), 1-based."""
-        return frozenset(i + 1 for i in range(self.n - 1) if self.images[i] > self.images[i + 1])
-
-    def descent_count(self) -> int:
-        return sum(1 for i in range(self.n - 1) if self.images[i] > self.images[i + 1])
-
-    def __str__(self) -> str:
-        return ",".join(str(v) for v in self.images)
 
 
 def eulerian_numbers(n: int) -> tuple[int, ...]:

@@ -94,8 +94,8 @@ def worpitzky_matrix(n: int) -> BasisMatrix:
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    # reading the n^2 entries as Fractions reduces each by a gcd with n!,
-    # counted as 8 full-size products; that is more than the rows' own
+    # writing the n^2 entries out (``cli._fmt``) reduces each by a gcd with
+    # n!, counted as 8 full-size products; that is more than the rows' own
     # product and 2 passes per entry, so this one check bounds both
     _check_work("worpitzky_matrix", 8 * n * n, 0, n * (n + 1).bit_length())
     poly = [1]  # low to high

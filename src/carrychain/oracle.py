@@ -17,11 +17,11 @@ their positions and multiplicities.
 
 One lazily built table per n indexes the products without shortcutting
 them: S_n in lexicographic order in that column layout, with descent counts,
-descent-set bitmasks, the rank of each inverse, the composition table,
-whose every pair is composed and ranked through a lookup from the
-mixed-radix key of a permutation's images to its rank, and the length
-filters, which count for each permutation the complete words S^I of each
-length that hold it, summed over every composition's descent-set filter.
+the rank of each inverse, the composition table, whose every pair is
+composed and ranked through a lookup from the mixed-radix key of a
+permutation's images to its rank, and the length filters, which count for
+each permutation the complete words S^I of each length that hold it,
+summed over every composition's descent-set filter.
 The kernels work on whole table rows: a product reads its right factor
 along the row of p^{-1} for each term p of its left factor, so every pair
 of terms is still composed, in int64 under an up-front bound on the sums
@@ -63,6 +63,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from numbers import Integral
 from types import MappingProxyType
@@ -74,8 +75,8 @@ from .combinat import (
     GROUP_ALGEBRA_MAX_N,
     BudgetError,
     LumpingViolation,
-    Permutation,
     TransitionMismatch,  # re-exported: the failure that ``cli`` raises for this oracle
+    _label,
     binomial,
     compositions,
 )
@@ -98,7 +99,6 @@ class _SnTable(NamedTuple):
 
     positions: np.ndarray  # (n, n!) int8, images less one
     descents: np.ndarray  # (n!,) descent counts
-    masks: np.ndarray  # (n!,) descent sets, position i as bit i-1
     inverse: np.ndarray  # (n!,) the rank of each permutation's inverse
     compose: np.ndarray  # [i, j] = rank of permutation i after permutation j
     lengths: np.ndarray  # [l, t] = words S^I of length l that hold permutation t, l in 0..n
@@ -127,7 +127,7 @@ def _table(n: int) -> _SnTable:
     size = factorial(n)
     positions = _unrank(np.arange(size), n)
     falls = positions[:-1] > positions[1:]
-    masks = (falls.astype(np.int64) << np.arange(n - 1)[:, None]).sum(axis=0)
+    masks = (falls.astype(np.int64) << np.arange(n - 1)[:, None]).sum(axis=0)  # position i as bit i-1
     lookup = np.full(n**n, -1, dtype=np.int16)
     lookup[_key(positions, n, size)] = np.arange(size)
     # a block of permutations p_i composes each with every q_j at once:
@@ -142,10 +142,10 @@ def _table(n: int) -> _SnTable:
     # S^I holds every permutation whose descent set lies in the cut set of I:
     # each composition's descent-set filter, summed by the length of I
     lengths = np.zeros((n + 1, size), dtype=np.int64)  # only the empty word of S_0 has length 0
-    for comp in compositions(n):
-        cuts = sum(1 << (i - 1) for i in comp.descent_set())
-        lengths[comp.length] += (masks & ~cuts) == 0
-    return _SnTable(positions, falls.sum(axis=0), masks, inverse, compose, lengths)
+    for parts in compositions(n):
+        cuts = sum(1 << (i - 1) for i in accumulate(parts[:-1]))
+        lengths[len(parts)] += (masks & ~cuts) == 0
+    return _SnTable(positions, falls.sum(axis=0), inverse, compose, lengths)
 
 
 def _unrank(ranks: np.ndarray, n: int) -> np.ndarray:
@@ -169,8 +169,10 @@ def _dtype(bound: int):
 
 
 def _top(values: np.ndarray) -> int:
-    """The largest absolute value among ``values``, 0 if there are none."""
-    return int(np.abs(values).max(initial=0))
+    """The largest absolute value among ``values``, 0 if there are none,
+    taken from their least and greatest as Python ints: the absolute value
+    of -2^63 does not fit in int64."""
+    return max(-int(values.min(initial=0)), int(values.max(initial=0)))
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -207,8 +209,8 @@ class GroupAlgebraElement:
             raise ValueError(f"denominator must be an integer >= 1, got {denominator!r}")
         denom = int(denominator)
         common = gcd(int(np.gcd.reduce(numer)), denom)
-        if common > 1:
-            numer, denom = numer // common, denom // common
+        if common > 1:  # 2^63, from int64 numerators that are all -2^63 or 0, divides in exact ints
+            numer, denom = numer.astype(_dtype(common), copy=False) // common, denom // common
         if numer.dtype == object and _top(numer) < 2**63:
             numer = numer.astype(np.int64)
         numer.flags.writeable = False
@@ -221,12 +223,13 @@ class GroupAlgebraElement:
         return (_unrank(hit, self.n).T + 1).tolist(), self.numerators[hit].tolist()
 
     @property
-    def terms(self) -> Mapping[Permutation, Fraction]:
-        """The nonzero coefficients by permutation, in lexicographic order:
-        a read-only view, built when read."""
+    def terms(self) -> Mapping[str, Fraction]:
+        """The nonzero coefficients by the label of their permutation
+        (``"1,3,2"``), in lexicographic order: a read-only view, built when
+        read."""
         images, numers = self.support()
         coeff = {c: Fraction(c, self.denominator) for c in set(numers)}
-        return MappingProxyType({Permutation(tuple(im)): coeff[c] for im, c in zip(images, numers)})
+        return MappingProxyType({_label(im): coeff[c] for im, c in zip(images, numers)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupAlgebraElement):
@@ -331,8 +334,13 @@ class ShuffleMultiset:
             len(ranks) == 0 or 0 <= ranks[0] and ranks[-1] < factorial(n) and (ranks[1:] > ranks[:-1]).all()
         ):
             raise ValueError(f"ranks must be integers ascending strictly inside 0..{factorial(n) - 1}")
-        if counts.dtype.kind not in "iu" or (counts < 1).any() or counts.sum() != b**n:
-            raise ValueError(f"multiplicities must be positive and account for all {b}^{n} words")
+        if counts.dtype.kind not in "iu" or (counts < 1).any():
+            raise ValueError("multiplicities must be positive integers")
+        top = int(counts.max(initial=0))
+        if top >= 2**63:
+            raise ValueError(f"multiplicities must fit in int64, got {top}")
+        if int(counts.astype(_dtype(top * len(counts))).sum()) != b**n:
+            raise ValueError(f"multiplicities must account for all {b}^{n} words")
         positions = _unrank(ranks, n)
         # sigma^{-1} has a descent at i when the value i + 1 comes before i in sigma
         inverse = np.empty_like(positions)
@@ -455,8 +463,7 @@ def oracle_transition_matrix(n: int, b: int) -> tuple[tuple[int, ...], ...]:
     (stray,) = np.nonzero((tally != rows[table.descents]).any(axis=1))
     if len(stray):
         sigma = stray[0]
-        images = tuple((table.positions[:, sigma] + 1).tolist())
-        raise LumpingViolation(n, b, int(table.descents[sigma]) + 1, Permutation(images))
+        raise LumpingViolation(n, b, int(table.descents[sigma]) + 1, (table.positions[:, sigma] + 1).tolist())
     return tuple(map(tuple, rows.tolist()))
 
 

@@ -22,6 +22,7 @@ from carrychain.cli import main, run_verify_all
 from carrychain.combinat import superfactorial
 from carrychain.eulerian import SWordExpansion
 from carrychain.matrix import amazing_matrix
+from reference import LUMPING_MESSAGE, corrupt_table
 
 
 def run_cli(capsys, *argv):
@@ -325,6 +326,12 @@ class TestOracle:
         assert code == 1
         assert out == ""
         assert err == "verification failed: transition row mismatch at n=3, b=2, state 1\n"
+
+    def test_a_lumping_violation_is_a_failed_verification(self, capsys, monkeypatch):
+        corrupt_table(monkeypatch)
+        code, out, err = run_cli(capsys, "oracle", "transition", "--n", "3", "--b", "2")
+        assert (code, out) == (1, "")
+        assert err == f"verification failed: {LUMPING_MESSAGE}\n"
 
     def test_corrupt_closed_matrix_is_a_mismatch(self, monkeypatch):
         monkeypatch.setattr(cli, "amazing_matrix", lambda n, b: amazing_matrix(n, b + 1))

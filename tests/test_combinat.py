@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from carrychain import combinat
 from carrychain.combinat import (
     BudgetError,
-    Composition,
-    Permutation,
+    _label,
     binomial,
     compositions,
     eulerian_numbers,
     superfactorial,
 )
+from reference import Permutation
 
 
 def test_doctests():
@@ -44,18 +44,18 @@ class TestBinomial:
 
 class TestCompositions:
     def test_three(self):
-        assert [c.parts for c in compositions(3)] == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+        assert compositions(3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
 
     def test_empty(self):
-        assert compositions(0) == [Composition(())]
+        assert compositions(0) == [()]
 
     def test_counts(self):
         # every composition once, in lexicographic order on the parts
         for n in range(0, 13):
-            parts = [c.parts for c in compositions(n)]
+            parts = compositions(n)
             assert len(parts) == (2 ** (n - 1) if n else 1)
             assert parts == sorted(set(parts))
-            assert all(sum(part) == n for part in parts)
+            assert all(sum(part) == n and min(part, default=1) >= 1 for part in parts)
 
     def test_the_budget_admits_n_18(self):
         assert len(compositions(18)) == 2**17 == combinat.IDEMPOTENT_TERMS
@@ -65,21 +65,6 @@ class TestCompositions:
         # the recursive version raised RecursionError at n = 1200
         with pytest.raises(BudgetError, match=f"compositions: 2\\^{n - 1} compositions of {n} exceed the budget"):
             compositions(n)
-
-    def test_weights(self):
-        for c in compositions(5):
-            assert c.weight == 5
-            assert c.length == len(c.parts)
-
-    def test_bad_parts_rejected(self):
-        with pytest.raises(ValueError):
-            Composition((2, 0, 1))
-
-    def test_descent_set_round_trip(self):
-        # the parts are the gaps between consecutive cuts
-        for c in compositions(6):
-            bounds = [0, *sorted(c.descent_set()), 6]
-            assert Composition(tuple(b - a for a, b in zip(bounds, bounds[1:]))) == c
 
 
 class TestDescentStatistics:
@@ -98,16 +83,19 @@ class TestDescentStatistics:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 10).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
     def test_round_trip(self, images):
-        # the descent set is the one of the composition with the same cuts
+        # the descent set is the cut set of the composition with the same cuts
         p = Permutation(tuple(images))
         dset, count = p.descent_set(), p.descent_count()
         bounds = [0, *sorted(dset), p.n]
-        comp = Composition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
-        assert comp.descent_set() == dset
+        parts = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        assert parts in compositions(p.n)
+        assert set(itertools.accumulate(parts[:-1])) == dset
         assert count == len(dset)
 
 
 class TestPermutation:
+    """The tests' reference for rank space, which lives in ``reference``."""
+
     def test_compose_then_apply(self):
         p, q = Permutation((2, 3, 1)), Permutation((1, 3, 2))
         assert (p * q).images == tuple(p.images[q.images[i] - 1] for i in range(3))
@@ -125,6 +113,10 @@ class TestPermutation:
         p = Permutation(())
         assert p.descent_count() == 0
         assert p.descent_set() == frozenset()
+
+
+def test_labels_join_the_values_with_commas():
+    assert (_label((1, 3, 2)), _label([12, 1]), _label(())) == ("1,3,2", "12,1", "")
 
 
 class TestEulerianNumbers:

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carrychain import combinat, eulerian
-from carrychain.combinat import BudgetError, Composition, binomial, compositions, eulerian_numbers
+from carrychain.combinat import BudgetError, binomial, compositions, eulerian_numbers
 from carrychain.eulerian import SWordExpansion, foulkes_matrix, idempotent_s_expansion, worpitzky_matrix
 from carrychain.oracle import (
     GroupAlgebraElement,
@@ -325,23 +326,23 @@ def _split_sum_expansion(n: int, k: int) -> dict:
     series and words multiply by concatenation: the coefficient of S^I is a
     sum over the ways to split I into k consecutive blocks."""
     terms = {}
-    for comp in compositions(n):
+    for parts in compositions(n):
         total = Fraction(0)
-        for cuts in itertools.combinations(range(1, comp.length), k - 1):
-            bounds = (0, *cuts, comp.length)
+        for cuts in itertools.combinations(range(1, len(parts)), k - 1):
+            bounds = (0, *cuts, len(parts))
             total += math.prod(Fraction((-1) ** (b - a - 1), b - a) for a, b in zip(bounds, bounds[1:]))
         if total:
-            terms[comp] = total / math.factorial(k)
+            terms[parts] = total / math.factorial(k)
     return terms
 
 
 def _terms(expansion: SWordExpansion) -> dict:
-    """The nonzero coefficient of every word, by composition."""
+    """The nonzero coefficient of every word, by the parts of its composition."""
     numerators, denominator = expansion.numerators, expansion.denominator
     return {
-        comp: Fraction(numerators[comp.length - 1], denominator)
-        for comp in compositions(expansion.n)
-        if numerators[comp.length - 1]
+        parts: Fraction(numerators[len(parts) - 1], denominator)
+        for parts in compositions(expansion.n)
+        if numerators[len(parts) - 1]
     }
 
 
@@ -378,20 +379,20 @@ class TestIdempotentExpansion:
         expansion = idempotent_s_expansion(2, 1)
         assert (expansion.numerators, expansion.denominator) == ((2, -1), 2)
         assert _terms(expansion) == {
-            Composition((2,)): Fraction(1),
-            Composition((1, 1)): Fraction(-1, 2),
+            (2,): Fraction(1),
+            (1, 1): Fraction(-1, 2),
         }
 
     def test_second_of_degree_two(self):
-        assert _terms(idempotent_s_expansion(2, 2)) == {Composition((1, 1)): Fraction(1, 2)}
+        assert _terms(idempotent_s_expansion(2, 2)) == {(1, 1): Fraction(1, 2)}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sum_is_complete_word(self, n):
         total = {}
         for k in range(1, n + 1):
-            for comp, coeff in _terms(idempotent_s_expansion(n, k)).items():
-                total[comp] = total.get(comp, 0) + coeff
-        assert {comp: c for comp, c in total.items() if c} == {Composition((n,)): Fraction(1)}
+            for parts, coeff in _terms(idempotent_s_expansion(n, k)).items():
+                total[parts] = total.get(parts, 0) + coeff
+        assert {parts: c for parts, c in total.items() if c} == {(n,): Fraction(1)}
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -400,9 +401,10 @@ class TestIdempotentExpansion:
             idempotent_s_expansion(3, 4)
 
     def test_words_over_the_budget_are_refused_before_any_composition(self, monkeypatch):
-        # the expansion stands for 2^(n-1) S-words and builds none of them:
-        # n = 18 gives 2^17, the most admitted
-        monkeypatch.setattr(combinat, "Composition", _refuse_building)
+        # the expansion stands for 2^(n-1) S-words and builds none of them
+        # (``compositions`` reads each off ``itertools.product``): n = 18
+        # gives 2^17, the most admitted
+        monkeypatch.setattr(combinat, "itertools", SimpleNamespace(product=_refuse_building))
         assert len(idempotent_s_expansion(18, 1).numerators) == 18
         # past it, the refusal comes before the Stirling row, which for 10^20 would never end
         for n in (19, 40, 10**20):

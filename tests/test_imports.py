@@ -136,9 +136,9 @@ def _names(tree: ast.AST) -> set[str]:
 class TestLazyExports:
     def test_all_keeps_its_names_and_order(self):
         assert carrychain.__all__ == [
-            "AmazingMatrix", "BasisMatrix", "BudgetError", "Composition",
+            "AmazingMatrix", "BasisMatrix", "BudgetError",
             "DescentPolynomial", "EmpiricalMatrix", "GroupAlgebraElement", "LumpingViolation",
-            "Permutation", "Report", "ShuffleMultiset", "SimulationConfig", "SWordExpansion",
+            "Report", "ShuffleMultiset", "SimulationConfig", "SWordExpansion",
             "TransitionMismatch", "amazing_entry", "amazing_matrix", "binomial",
             "compositions", "descent_polynomial", "enumerate_b_shuffles",
             "eulerian_numbers", "expansion_to_group", "foulkes_determinant", "foulkes_matrix",
