@@ -1,5 +1,6 @@
-"""Plain references that the tests hold the library against, imported by
-the test modules and collected by none.
+"""Plain references that the tests hold the library against, and the
+corrupted S_3 table that breaks the oracle's lumping check; imported by the
+test modules and collected by none.
 
 The library keeps permutations as tuples of images and, in the oracle, as
 lexicographic ranks.  ``Permutation`` below is an object written apart from
