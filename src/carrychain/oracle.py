@@ -210,7 +210,7 @@ class GroupAlgebraElement:
         denom = int(denominator)
         common = gcd(int(np.gcd.reduce(numer)), denom)
         if common > 1:  # 2^63, from int64 numerators that are all -2^63 or 0, divides in exact ints
-            numer, denom = numer.astype(_dtype(common), copy=False) // common, denom // common
+            numer, denom = (numer.astype(object) if common >= 2**63 else numer) // common, denom // common
         if numer.dtype == object and _top(numer) < 2**63:
             numer = numer.astype(np.int64)
         numer.flags.writeable = False

@@ -302,6 +302,15 @@ class TestNormalForm:
         assert (u.numerators.tolist(), u.denominator) == ([-1, 0], 1)
         assert u.numerators.dtype == np.int64
 
+    def test_a_common_factor_of_numerators_past_int64_is_divided_out(self):
+        # exact Python ints past int64 stay exact while the factor is divided out
+        u = GroupAlgebraElement(2, [2**64, 2], 2)
+        assert (u.numerators.tolist(), u.denominator) == ([2**63, 1], 1)
+        assert u.numerators.dtype == object
+        v = GroupAlgebraElement(2, [2**64, 1], 2)
+        assert v + v == GroupAlgebraElement(2, [2**64, 1])
+        assert group_product(v, v) == GroupAlgebraElement(2, [2**128 + 1, 2**65], 4)
+
     def test_elements_are_bounded_by_their_numerators(self):
         # the bound is the S_n table's, which every product, expansion and inversion needs
         assert len(group_identity(6).numerators) == math.factorial(6)
