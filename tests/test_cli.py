@@ -511,9 +511,18 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
 
+    # argparse words the last line of a usage error alike on Python 3.10-3.12
+    # and at any terminal width; the usage lines above it wrap
     def test_missing_required_flag(self, capsys):
-        code, _, _ = run_cli(capsys, "foulkes")
-        assert code == 2
+        code, out, err = run_cli(capsys, "foulkes")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "carrychain foulkes: error: the following arguments are required: --n"
+
+    def test_missing_required_flags_of_a_subcommand(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "shuffle", "--n", "3")
+        assert (code, out) == (2, "")
+        last = "carrychain simulate shuffle: error: the following arguments are required: --b, --trials, --seed"
+        assert err.splitlines()[-1] == last
 
 
 def _command(argv: list[str]) -> str:
