@@ -191,7 +191,7 @@ def _cmd_amazing(args) -> int:
     denominator = m.normalizer if args.normalized else 1
     labels = _state_labels(args.n, args.zero_based)
     if args.format == "csv":
-        _write("amazing", lambda: _csv(labels, _matrix_payload(m.entries, denominator), args.header))
+        _write(args.command, lambda: _csv(labels, _matrix_payload(m.entries, denominator), args.header))
         return 0
     params = {
         "n": args.n,
@@ -201,7 +201,7 @@ def _cmd_amazing(args) -> int:
         "states": labels,
         "normalizer": m.normalizer,
     }
-    _emit("amazing", params, lambda: {"matrix": _matrix_payload(m.entries, denominator)})
+    _emit(args.command, params, lambda: {"matrix": _matrix_payload(m.entries, denominator)})
     return 0
 
 
@@ -215,19 +215,19 @@ def _cmd_foulkes(args) -> int:
         extra = {} if det is None else {"determinant": str(det)}
         return {"matrix": _matrix_payload(F.numerators), **extra}
 
-    _emit("foulkes", {"n": args.n}, payload)
+    _emit(args.command, {"n": args.n}, payload)
     return 0
 
 
 def _cmd_worpitzky(args) -> int:
     W = worpitzky_matrix(args.n)
-    _emit("worpitzky", {"n": args.n}, lambda: {"matrix": _matrix_payload(W.numerators, W.denominator)})
+    _emit(args.command, {"n": args.n}, lambda: {"matrix": _matrix_payload(W.numerators, W.denominator)})
     return 0
 
 
 def _cmd_eigen(args) -> int:
     report = verify_spectrum(args.n, args.b)
-    _emit("eigen", {"n": args.n, "b": args.b}, lambda: {"report": _report_payload(report)})
+    _emit(args.command, {"n": args.n, "b": args.b}, lambda: {"report": _report_payload(report)})
     return 0 if report.ok else 1
 
 
@@ -250,14 +250,14 @@ def _cmd_idempotents(args) -> int:
             images, numers = element.support()
             value = {c: _fmt(c, element.denominator) for c in set(numers)}
             table[str(k)] = {_label(im): value[c] for im, c in zip(images, numers)}
-    _emit("idempotents", {"n": n, "basis": args.basis}, lambda: {"idempotents": table})
+    _emit(args.command, {"n": n, "basis": args.basis}, lambda: {"idempotents": table})
     return 0
 
 
 def _cmd_descent_poly(args) -> int:
     poly = descent_polynomial(args.n, args.b, args.r)
     params = {"n": args.n, "b": args.b, "r": args.r, "base": poly.base}
-    _emit("descent-poly", params, lambda: {"coefficients": list(poly.coeffs), "mass": poly.mass})
+    _emit(args.command, params, lambda: {"coefficients": list(poly.coeffs), "mass": poly.mass})
     return 0
 
 
@@ -275,7 +275,7 @@ def _cmd_oracle_transition(args) -> int:
 
     rows = oracle_transition_matrix(args.n, args.b)
     _check_transition(args.n, args.b, rows)
-    _emit("oracle transition", {"n": args.n, "b": args.b}, lambda: {"matrix": _matrix_payload(rows, args.b**args.n)})
+    _emit(args.command, {"n": args.n, "b": args.b}, lambda: {"matrix": _matrix_payload(rows, args.b**args.n)})
     return 0
 
 
@@ -285,7 +285,7 @@ def _cmd_oracle_shuffles(args) -> int:
     shuffles = enumerate_b_shuffles(args.n, args.b)
     images = (shuffles.positions.T + 1).tolist()
     payload = {"total": shuffles.total(), "multiplicities": dict(zip(map(_label, images), shuffles.counts.tolist()))}
-    _emit("oracle shuffles", {"n": args.n, "b": args.b}, lambda: payload)
+    _emit(args.command, {"n": args.n, "b": args.b}, lambda: payload)
     return 0
 
 
@@ -307,7 +307,7 @@ def _cmd_simulate_shuffle(args) -> int:
     exact = amazing_matrix(args.n, args.b)  # its budget check comes before any simulation
     result = simulate_shuffle_chain(args.n, args.b, cfg)
     params = {"n": args.n, "b": args.b, "trials": cfg.trials, "steps": 1, "seed": cfg.seed}
-    _emit("simulate shuffle", params, lambda: _simulation_payload(result, exact))
+    _emit(args.command, params, lambda: _simulation_payload(result, exact))
     return 0
 
 
@@ -324,7 +324,7 @@ def _cmd_simulate_carries(args) -> int:
         "seed": cfg.seed,
         "states": _state_labels(args.n, True),
     }
-    _emit("simulate carries", params, lambda: _simulation_payload(result, exact))
+    _emit(args.command, params, lambda: _simulation_payload(result, exact))
     return 0
 
 
@@ -546,80 +546,58 @@ def _cmd_verify_all(args) -> int:
     ok = all(r.ok for r in reports)
     print(f"{'all checks passed' if ok else 'FAILURES detected'} (max_n={args.max_n})", file=sys.stderr)
     payload = {"report": {"suites": [_report_payload(r) for r in reports], "ok": ok}}
-    _emit("verify all", {"max_n": args.max_n}, lambda: payload)
+    _emit(args.command, {"max_n": args.max_n}, lambda: payload)
     return 0 if ok else 1
+
+
+_SWITCH = {"action": "store_true"}
+
+# Every command, in help order: its words, its help, its handler, its required
+# integer flags and its other flags.  The words name the command in its
+# document's meta block; a command of two words sits in the group of the
+# first, which is created on first use with its help from ``_GROUPS``.
+_COMMANDS = (
+    ("amazing", "the (un)normalized transition matrix", _cmd_amazing, "n b", {
+        "--normalized": _SWITCH, "--zero-based": _SWITCH, "--format": {"choices": ("csv", "json"), "default": "json"},
+        "--header": {**_SWITCH, "help": "column labels on CSV output"},
+    }),
+    ("foulkes", "the Foulkes character table", _cmd_foulkes, "n", {"--det": _SWITCH}),
+    ("worpitzky", "the Worpitzky coefficient matrix", _cmd_worpitzky, "n", {}),
+    ("eigen", "exact spectral verification report", _cmd_eigen, "n b", {}),
+    ("idempotents", "Eulerian idempotents in a chosen basis", _cmd_idempotents, "n",
+     {"--basis": {"choices": ("s", "group"), "default": "s"}}),
+    ("descent-poly", "descent polynomial of b^r-shuffles", _cmd_descent_poly, "n b r", {}),
+    ("oracle transition", "transition matrix by exhaustive enumeration", _cmd_oracle_transition, "n b", {}),
+    ("oracle shuffles", "shuffle outcomes with multiplicities", _cmd_oracle_shuffles, "n b", {}),
+    ("simulate shuffle", "GSR shuffle chain transitions", _cmd_simulate_shuffle, "n b trials seed", {}),
+    ("simulate carries", "base-b carries chain (--trials counts digit columns)", _cmd_simulate_carries,
+     "n b trials seed", {}),
+    ("verify all", "all suites up to --max-n", _cmd_verify_all, "",
+     {"--max-n": {"type": _positive, "default": 6, "dest": "max_n"}}),
+)
+_GROUPS = {
+    "oracle": "brute-force enumeration oracles",
+    "simulate": "seeded Monte-Carlo chains",
+    "verify": "run exact identity suites",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="carrychain", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("amazing", help="the (un)normalized transition matrix")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--b", type=_positive, required=True)
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--zero-based", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--header", action="store_true", help="column labels on CSV output")
-    p.set_defaults(func=_cmd_amazing)
-
-    p = sub.add_parser("foulkes", help="the Foulkes character table")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--det", action="store_true")
-    p.set_defaults(func=_cmd_foulkes)
-
-    p = sub.add_parser("worpitzky", help="the Worpitzky coefficient matrix")
-    p.add_argument("--n", type=_positive, required=True)
-    p.set_defaults(func=_cmd_worpitzky)
-
-    p = sub.add_parser("eigen", help="exact spectral verification report")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--b", type=_positive, required=True)
-    p.set_defaults(func=_cmd_eigen)
-
-    p = sub.add_parser("idempotents", help="Eulerian idempotents in a chosen basis")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--basis", choices=("s", "group"), default="s")
-    p.set_defaults(func=_cmd_idempotents)
-
-    p = sub.add_parser("descent-poly", help="descent polynomial of b^r-shuffles")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--b", type=_positive, required=True)
-    p.add_argument("--r", type=_positive, required=True)
-    p.set_defaults(func=_cmd_descent_poly)
-
-    oracle = sub.add_parser("oracle", help="brute-force enumeration oracles")
-    oracle_sub = oracle.add_subparsers(dest="subcommand", required=True)
-    p = oracle_sub.add_parser("transition", help="transition matrix by exhaustive enumeration")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--b", type=_positive, required=True)
-    p.set_defaults(func=_cmd_oracle_transition)
-    p = oracle_sub.add_parser("shuffles", help="shuffle outcomes with multiplicities")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--b", type=_positive, required=True)
-    p.set_defaults(func=_cmd_oracle_shuffles)
-
-    sim = sub.add_parser("simulate", help="seeded Monte-Carlo chains")
-    sim_sub = sim.add_subparsers(dest="subcommand", required=True)
-    p = sim_sub.add_parser("shuffle", help="GSR shuffle chain transitions")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--b", type=_positive, required=True)
-    p.add_argument("--trials", type=_positive, required=True)
-    p.add_argument("--seed", type=_seed_value, required=True)
-    p.set_defaults(func=_cmd_simulate_shuffle)
-    p = sim_sub.add_parser("carries", help="base-b carries chain (--trials counts digit columns)")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--b", type=_positive, required=True)
-    p.add_argument("--trials", type=_positive, required=True)
-    p.add_argument("--seed", type=_seed_value, required=True)
-    p.set_defaults(func=_cmd_simulate_carries)
-
-    verify = sub.add_parser("verify", help="run exact identity suites")
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    p = verify_sub.add_parser("all", help="all suites up to --max-n")
-    p.add_argument("--max-n", type=_positive, default=6, dest="max_n")
-    p.set_defaults(func=_cmd_verify_all)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, summary, handler, ints, flags in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group not in subparsers:
+            p = subparsers[""].add_parser(group, help=_GROUPS[group])
+            subparsers[group] = p.add_subparsers(dest="subcommand", required=True)
+        p = subparsers[group].add_parser(name, help=summary)
+        for flag in ints.split():
+            p.add_argument(f"--{flag}", type=_seed_value if flag == "seed" else _positive, required=True)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+        # a group stores its own word in ``command`` before its leaf parses;
+        # the leaf's default then puts every word of the command there
+        p.set_defaults(func=handler, command=words)
     return parser
 
 

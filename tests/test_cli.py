@@ -556,16 +556,6 @@ def _keeps_the_contract(argv: list[str]) -> tuple[int, str]:
     return code, text
 
 
-def _leaf_commands(parser: argparse.ArgumentParser) -> set[str]:
-    leaves = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                below = _leaf_commands(sub)
-                leaves |= {f"{name} {leaf}" for leaf in below} if below else {name}
-    return leaves
-
-
 # small sizes with the edge values 0 and negatives, plus sizes over every
 # oracle budget (b^n > 10^7, n > 6 for the transition and the idempotents);
 # for `verify all` the size is --max-n, past every row's cap at 30
@@ -675,9 +665,9 @@ def test_the_contract_tests_draw_every_command():
     drawn = [_oracle_argv(command, 1, 2) for command in _ORACLE_COMMANDS]
     drawn += [_simulate_argv(command, 1, 2, 1, 1) for command in _SIM_COMMANDS]
     drawn += [_closed_form_argv(command, 1, 2, 1) for command in _CLOSED_COMMANDS]
-    leaves = _leaf_commands(cli.build_parser())
-    assert len(leaves) == 11
-    assert {_command(argv) for argv in drawn} == leaves
+    commands = [words for words, *_ in cli._COMMANDS]
+    assert len(set(commands)) == len(commands) == 11
+    assert {_command(argv) for argv in drawn} == set(commands)
 
 
 _LIMIT = sys.get_int_max_str_digits()
