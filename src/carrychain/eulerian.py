@@ -20,10 +20,10 @@ and right eigenvector tables of the shuffle/carries transition matrix:
 
 ``F W = I`` exactly, and det F is the superfactorial.  Both tables are
 held as integer rows over one denominator (``BasisMatrix``): F over 1 and
-n! W over n!, so the products of ``matrix`` read them in integers and a
-``Fraction`` is built only when one entry is read.  Row i of F is the
-x^1..x^n part of (1 - x)^(n+1) sum_k k^i x^k, and each row follows from the
-one before it by one pass of x d/dx over that polynomial.  The rows of n! W
+n! W over n!, so the products of ``matrix`` read them in integers and no
+``Fraction`` is built.  Row i of F is the x^1..x^n part of
+(1 - x)^(n+1) sum_k k^i x^k, and each row follows from the one before it by
+one pass of x d/dx over that polynomial.  The rows of n! W
 follow one from the next by one multiplication and one exact division by a
 linear factor.
 Tables whose estimated bigint work exceeds ``combinat.WORK_BUDGET`` are
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
 
@@ -74,9 +73,6 @@ class BasisMatrix:
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
         _check_integers([c for row in rows for c in row], self.denominator)
         object.__setattr__(self, "numerators", rows)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.numerators[i - 1][j - 1], self.denominator)
 
 
 def worpitzky_matrix(n: int) -> BasisMatrix:

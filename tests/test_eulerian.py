@@ -25,6 +25,11 @@ def coords(*values):
     return tuple(Fraction(v) for v in values)
 
 
+def entry(M, i: int, j: int) -> Fraction:
+    """Entry (i, j), 1-based, of a ``BasisMatrix``."""
+    return Fraction(M.numerators[i - 1][j - 1], M.denominator)
+
+
 def unit(n: int, k: int) -> tuple[int, ...]:
     """The E-coordinates of the idempotent E[k]: the k-th unit vector."""
     return tuple(int(i == k) for i in range(1, n + 1))
@@ -168,27 +173,27 @@ class TestBasisMatrix:
         M = eulerian.BasisMatrix(2, rows, 4)
         rows[0][0] = 99
         assert M.numerators == ((2, 4), (6, 8))
-        assert (M.entry(1, 1), M.entry(2, 2)) == (Fraction(1, 2), 2)
+        assert (entry(M, 1, 1), entry(M, 2, 2)) == (Fraction(1, 2), 2)
 
 
 class TestWorpitzkyMatrix:
     def test_degree_one(self):
         W = worpitzky_matrix(1)
         assert (W.numerators, W.denominator) == (((1,),), 1)
-        assert W.entry(1, 1) == 1
+        assert entry(W, 1, 1) == 1
 
     def test_degree_two(self):
         # 2! W over 2!, each entry read as a Fraction in lowest terms
         W = worpitzky_matrix(2)
         assert (W.numerators, W.denominator) == (((1, 1), (-1, 1)), 2)
-        entries = tuple(tuple(W.entry(i, j) for j in (1, 2)) for i in (1, 2))
+        entries = tuple(tuple(entry(W, i, j) for j in (1, 2)) for i in (1, 2))
         assert entries == (coords("1/2", "1/2"), coords("-1/2", "1/2"))
 
     def test_columns_rebuild_idempotents(self):
         n = 3
         W = worpitzky_matrix(n)
         for j in range(1, n + 1):
-            columns = [[W.entry(i, j) * c for c in class_element(n, i)] for i in range(1, n + 1)]
+            columns = [[entry(W, i, j) * c for c in class_element(n, i)] for i in range(1, n + 1)]
             assert tuple(map(sum, zip(*columns))) == unit(n, j)
 
 
@@ -225,7 +230,7 @@ class TestFoulkesMatrix:
     def test_first_column_ones(self):
         for n in range(1, 9):
             F = foulkes_matrix(n)
-            assert all(F.entry(i, 1) == 1 for i in range(1, n + 1))
+            assert all(entry(F, i, 1) == 1 for i in range(1, n + 1))
 
     def test_last_row_is_eulerian(self):
         for n in range(1, 9):
@@ -263,7 +268,7 @@ class TestFoulkesMatrix:
         F, W = foulkes_matrix(n), worpitzky_matrix(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                value = sum(F.entry(i, t) * W.entry(t, j) for t in range(1, n + 1))
+                value = sum(entry(F, i, t) * entry(W, t, j) for t in range(1, n + 1))
                 assert value == (1 if i == j else 0)
 
     def test_power_identity(self):
@@ -272,7 +277,7 @@ class TestFoulkesMatrix:
             F = foulkes_matrix(n)
             for x in range(1, 11):
                 for k in range(1, n + 1):
-                    total = sum(F.entry(k, i) * binomial(x + n - i, n) for i in range(1, n + 1))
+                    total = sum(entry(F, k, i) * binomial(x + n - i, n) for i in range(1, n + 1))
                     assert total == x**k
 
 

@@ -1,7 +1,8 @@
 """What importing the package and running a command loads.
 
 The closed forms are integer arithmetic, so ``import carrychain`` and the
-closed-form commands must not pay for numpy, the oracle or the simulator.
+closed-form commands must not pay for numpy, the oracle, the simulator or
+``fractions`` (which loads ``decimal``).
 The import-graph tests run in a fresh interpreter, since this one has loaded
 everything already; the static guard reads the sources and needs none.
 """
@@ -23,13 +24,14 @@ PACKAGE = Path(carrychain.__file__).resolve().parent
 HEAVY = ("numpy", "carrychain.oracle", "carrychain.rng", "carrychain.simulate")
 
 # run a CLI command with its output swallowed, then list what it loaded
+# of the heavy modules and ``fractions``
 _PROBE = """
 import contextlib, io, json, sys
 from carrychain.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
-""" % (HEAVY,)
+""" % (HEAVY + ("fractions",),)
 
 
 def _fresh_python(script: str, *argv: str) -> dict:
@@ -70,10 +72,10 @@ class TestImportGraph:
     @pytest.mark.parametrize(
         "argv, loaded",
         [
-            (["oracle", "transition", "--n", "3", "--b", "2"], ["numpy", "carrychain.oracle"]),
+            (["oracle", "transition", "--n", "3", "--b", "2"], ["numpy", "carrychain.oracle", "fractions"]),
             (
                 ["simulate", "shuffle", "--n", "3", "--b", "2", "--trials", "100", "--seed", "1"],
-                ["numpy", "carrychain.rng", "carrychain.simulate"],
+                ["numpy", "carrychain.rng", "carrychain.simulate", "fractions"],
             ),
         ],
         ids=["oracle", "simulate"],
