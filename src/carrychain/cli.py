@@ -1,12 +1,18 @@
 """Command-line front end.
 
 Every command writes one machine-readable document to stdout (JSON by
-default, CSV for matrices on request); diagnostics and the human-readable
-pass/fail table of ``verify all`` go to stderr.  Exit codes: 0 success or
-all checks passed, 1 a verification failed, 2 usage error.
+default, CSV for matrices on request) or nothing; diagnostics and the
+human-readable pass/fail table of ``verify all`` go to stderr.  Exit codes:
+0 success or all checks passed, 1 a verification failed, 2 bad input or
+input over a budget.  ``_DESCRIPTION`` says so in ``carrychain --help``.
 
 Output is byte-identical across repeated identical invocations (simulations
 included: the seed is part of the invocation).
+
+The commands are the rows of one table, ``_COMMANDS``, which
+``build_parser`` walks.  A row's words also name the command in its
+document's meta block: the parser stores them in ``args.command``, and each
+handler hands that to ``_emit`` or ``_write``.
 
 ``verify all`` walks one table, ``SUITES``.  A row (``Suite``) holds the
 suite name, the cap on n, the report's parameters beyond max_n, the grid of
@@ -550,6 +556,12 @@ def _cmd_verify_all(args) -> int:
     return 0 if ok else 1
 
 
+_DESCRIPTION = (
+    "Exact tables, identity checks and seeded simulations of the carries chain and of riffle shuffles. "
+    "Every command writes one document to stdout (JSON, or CSV for a matrix on request) or nothing; "
+    "diagnostics go to stderr. Exit status: 0 success, 1 a verification failed, "
+    "2 bad input or input over a budget."
+)
 _SWITCH = {"action": "store_true"}
 
 # Every command, in help order: its words, its help, its handler, its required
@@ -583,7 +595,7 @@ _GROUPS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="carrychain", description=__doc__)
+    parser = argparse.ArgumentParser(prog="carrychain", description=_DESCRIPTION)
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
     for words, summary, handler, ints, flags in _COMMANDS:
         group, _, name = words.rpartition(" ")

@@ -511,6 +511,12 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
 
+    def test_top_level_help_states_the_contract_not_the_internals(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "2 bad input or input over a budget." in " ".join(out.split())
+        assert "SUITES" not in out
+
     # argparse words the last line of a usage error alike on Python 3.10-3.12
     # and at any terminal width; the usage lines above it wrap
     def test_missing_required_flag(self, capsys):
