@@ -23,9 +23,8 @@ held as integer rows over one denominator (``BasisMatrix``): F over 1 and
 n! W over n!, so the products of ``matrix`` read them in integers and no
 ``Fraction`` is built.  Row i of F is the x^1..x^n part of
 (1 - x)^(n+1) sum_k k^i x^k, and each row follows from the one before it by
-one pass of x d/dx over that polynomial.  The rows of n! W
-follow one from the next by one multiplication and one exact division by a
-linear factor.
+one pass of x d/dx over that polynomial.  The rows of n! W follow one from
+the next by one multiplication and one exact division by a linear factor.
 Tables whose estimated bigint work exceeds ``combinat.WORK_BUDGET`` are
 refused before any of it is done, with ``BudgetError``.
 
