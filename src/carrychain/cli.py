@@ -93,6 +93,8 @@ def _fmt(numerator: int, denominator: int = 1):
 
 
 def _matrix_payload(rows, denominator: int = 1) -> list[list]:
+    if denominator == 1:  # integer rows, which ``_json_parts`` writes with one join each
+        return [list(row) for row in rows]
     return [[_fmt(v, denominator) for v in row] for row in rows]
 
 
@@ -594,10 +596,16 @@ _GROUPS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: tuple = _COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the rows ``commands``, by default of every command.
+    With fewer rows the top parser still names every command in its usage
+    line, which a leftover word after a command makes it print."""
     parser = argparse.ArgumentParser(prog="carrychain", description=_DESCRIPTION)
-    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
-    for words, summary, handler, ints, flags in _COMMANDS:
+    metavar = None  # on the full parser a metavar would also rename the command in its errors
+    if commands != _COMMANDS:
+        metavar = "{" + ",".join(dict.fromkeys(words.split()[0] for words, *_ in _COMMANDS)) + "}"
+    subparsers = {"": parser.add_subparsers(dest="command", required=True, metavar=metavar)}
+    for words, summary, handler, ints, flags in commands:
         group, _, name = words.rpartition(" ")
         if group not in subparsers:
             p = subparsers[""].add_parser(group, help=_GROUPS[group])
@@ -613,10 +621,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _named(argv: list[str]) -> tuple:
+    """The one row whose words lead ``argv``, or every row: help and errors
+    above a leaf need the full parser."""
+    for row in _COMMANDS:
+        words = row[0].split()
+        if argv[: len(words)] == words:
+            return (row,)
+    return _COMMANDS
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(_named(argv)).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -531,6 +531,60 @@ class TestUsage:
         assert err.splitlines()[-1] == last
 
 
+_HELP_SCREENS = [["--help"]] + [[group, "--help"] for group in cli._GROUPS] + [
+    words.split() + ["--help"] for words, *_ in cli._COMMANDS
+]
+_TOP_LEVEL_ERRORS = [[], ["bogus"], ["oracle"], ["oracle", "bogus"], ["oracle", "-h", "transition"]]
+_LEAF_ERRORS = [
+    ["amazing", "--n", "x", "--b", "2"],
+    ["amazing", "--n", "3", "--b", "2", "--format", "xml"],
+    ["simulate", "shuffle", "--n", "3"],
+    ["simulate", "carries", "--n", "3", "--b", "10", "--trials", "5", "--seed", "18446744073709551616"],
+    ["amazing", "--n", "3", "--b", "2", "extra"],
+    ["oracle", "transition", "--n", "3", "--b", "2", "extra"],
+]
+
+
+def _valid_argv(words: str) -> list[str]:
+    """A small argv that runs the command ``words`` to exit 0."""
+    _, _, _, ints, flags = next(row for row in cli._COMMANDS if row[0] == words)
+    argv = words.split() + [value for flag in ints.split() for value in (f"--{flag}", "2")]
+    return argv + (["--max-n", "1"] if "--max-n" in flags else [])
+
+
+class TestParsePath:
+    """``main`` builds the parser of the named command alone; it must parse
+    as the full parser does, to the byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        _HELP_SCREENS + _TOP_LEVEL_ERRORS + _LEAF_ERRORS + [_valid_argv("amazing") + ["--format", "csv"]],
+        ids=" ".join,
+    )
+    def test_parses_as_the_full_parser_does(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help and usage at
+        ours = run_cli(capsys, *argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands=cli._COMMANDS: full())
+        assert ours == run_cli(capsys, *argv)
+        assert ours[0] in (0, 2) and (ours[1] or ours[2])
+
+    @pytest.mark.parametrize("from_sys_argv", [False, True])
+    @pytest.mark.parametrize("words", [words for words, *_ in cli._COMMANDS])
+    def test_a_command_builds_only_its_own_path(self, capsys, monkeypatch, words, from_sys_argv):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        monkeypatch.setattr(sys, "argv", ["carrychain", *_valid_argv(words)])
+        code = main() if from_sys_argv else main(_valid_argv(words))
+        assert (code, built) == (0, words.split()) and capsys.readouterr().out
+
+
 def _command(argv: list[str]) -> str:
     """The leaf command of ``argv``: its words before the first option."""
     return " ".join(itertools.takewhile(lambda word: not word.startswith("-"), argv))
