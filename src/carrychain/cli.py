@@ -66,15 +66,28 @@ from .matrix import (
 )
 
 
+def _integer(text: str, wanted: str) -> int:
+    """``text`` read by ``int``; what it cannot read is refused by an
+    ArgumentTypeError that says what was ``wanted``, so argparse does not
+    name this function's caller."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and len(text) > limit:
+            wanted, text = f"{wanted} of at most {limit} digits", f"{len(text)} characters"
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}") from None
+
+
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text, "a positive integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
 def _seed_value(text: str) -> int:
-    value = int(text)
+    value = _integer(text, "an integer")
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {text}")
     return value

@@ -531,6 +531,25 @@ class TestUsage:
         assert err.splitlines()[-1] == last
 
 
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (["amazing", "--n", "x", "--b", "2"], "carrychain amazing: error: argument --n: must be a positive integer, got x"),
+            (["verify", "all", "--max-n", "2.5"],
+             "carrychain verify all: error: argument --max-n: must be a positive integer, got 2.5"),
+            (["simulate", "carries", "--n", "3", "--b", "10", "--trials", "5", "--seed", "x"],
+             "carrychain simulate carries: error: argument --seed: must be an integer, got x"),
+            (["amazing", "--n", "1" * (sys.get_int_max_str_digits() + 1), "--b", "2"],
+             f"carrychain amazing: error: argument --n: must be a positive integer of at most "
+             f"{sys.get_int_max_str_digits()} digits, got {sys.get_int_max_str_digits() + 1} characters"),
+        ],
+    )
+    def test_a_flag_that_is_no_integer_is_named_by_what_it_must_be(self, capsys, argv, last):
+        # these were "invalid _positive value: 'x'" and "invalid _seed_value value: 'x'"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", last)
+
+
 _HELP_SCREENS = [["--help"]] + [[group, "--help"] for group in cli._GROUPS] + [
     words.split() + ["--help"] for words, *_ in cli._COMMANDS
 ]
