@@ -10,9 +10,13 @@ Output is byte-identical across repeated identical invocations (simulations
 included: the seed is part of the invocation).
 
 The commands are the rows of one table, ``_COMMANDS``, which
-``build_parser`` walks.  A row's words also name the command in its
-document's meta block: the parser stores them in ``args.command``, and each
-handler hands that to ``_emit`` or ``_write``.
+``build_parser`` walks.  ``main`` has it build only the path of the command
+whose words lead the arguments: the top parser, the group parser if any and
+that one leaf.  Help above a leaf and the top-level usage errors (no
+command, an unknown one, a group alone) fall back to the full parser.  A
+row's words also name the command in its document's meta block: the parser
+stores them in ``args.command``, and each handler hands that to ``_emit`` or
+``_write``.
 
 ``verify all`` walks one table, ``SUITES``.  A row (``Suite``) holds the
 suite name, the cap on n, the report's parameters beyond max_n, the grid of
@@ -67,9 +71,9 @@ from .matrix import (
 
 
 def _integer(text: str, wanted: str) -> int:
-    """``text`` read by ``int``; what it cannot read is refused by an
-    ArgumentTypeError that says what was ``wanted``, so argparse does not
-    name this function's caller."""
+    """``text`` read by ``int``.  What it cannot read is refused by an
+    ArgumentTypeError that says what was ``wanted``; from a ValueError,
+    argparse would name the converter that called this."""
     try:
         return int(text)
     except ValueError:

@@ -530,11 +530,11 @@ class TestUsage:
         last = "carrychain simulate shuffle: error: the following arguments are required: --b, --trials, --seed"
         assert err.splitlines()[-1] == last
 
-
     @pytest.mark.parametrize(
         "argv, last",
         [
-            (["amazing", "--n", "x", "--b", "2"], "carrychain amazing: error: argument --n: must be a positive integer, got x"),
+            (["amazing", "--n", "x", "--b", "2"],
+             "carrychain amazing: error: argument --n: must be a positive integer, got x"),
             (["verify", "all", "--max-n", "2.5"],
              "carrychain verify all: error: argument --max-n: must be a positive integer, got 2.5"),
             (["simulate", "carries", "--n", "3", "--b", "10", "--trials", "5", "--seed", "x"],
