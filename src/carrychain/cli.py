@@ -39,8 +39,8 @@ import argparse
 import itertools
 import math
 import sys
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -357,21 +357,15 @@ def _cmd_simulate_carries(args) -> int:
 # the identity table behind `verify all`
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(namedtuple("Suite", "name cap params grid check shown_cap", defaults=(None,))):
     """One row of the identity table: ``check(*case)`` runs for every case
     of ``grid(top)``, top = min(max_n, cap), and returns how many identities
     it checked and one message per failed identity.  ``params`` are the
     report's parameters beyond max_n.  ``shown_cap`` lowers the max_n the
     report shows, for a row whose grid reaches further in n for some checks
-    than for others."""
+    than for others.  A named tuple, like the records of ``matrix``."""
 
-    name: str
-    cap: int
-    params: dict
-    grid: Callable[[int], Iterable[tuple]]
-    check: Callable[..., tuple[int, list[str]]]
-    shown_cap: int | None = None
+    __slots__ = ()
 
     def run(self, max_n: int) -> Report:
         top = min(max_n, self.cap)

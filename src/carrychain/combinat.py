@@ -1,6 +1,8 @@
 """Basic combinatorics: binomials, compositions, Eulerian numbers; the
 package's one refusal type, ``BudgetError``, with the work budget of the
-closed forms; and the oracle's failures, with the one label writer.
+closed forms; the oracle's failures, with the one label writer; and
+``_Checked``, which keeps the checks of the records built on
+``collections.namedtuple`` when they are copied.
 
 Conventions used throughout the package:
 
@@ -82,6 +84,19 @@ def _check_budget(what: str, work: int) -> None:
     if work > WORK_BUDGET:
         budget = math.log2(WORK_BUDGET)
         raise BudgetError(f"{what}: estimated work 2^{math.log2(work):.1f} exceeds the budget 2^{budget:g}")
+
+
+class _Checked:
+    """Mixin for the package's records, ``collections.namedtuple``
+    subclasses that check their fields in ``__new__``: ``_make``, and with
+    it ``_replace``, go through the constructor, so no copy skips the
+    checks.  Put it before the namedtuple base."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _label(values) -> str:

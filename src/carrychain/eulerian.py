@@ -40,11 +40,11 @@ group-algebra oracle consumes.  No element is held in E-coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from operator import add, mul
 
-from .combinat import _check_words, _check_work
+from .combinat import _check_words, _check_work, _Checked
 
 
 def _check_integers(numerators, denominator) -> None:
@@ -56,22 +56,24 @@ def _check_integers(numerators, denominator) -> None:
         raise ValueError(f"denominator must be an integer >= 1, got {denominator!r}")
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
+class BasisMatrix(_Checked, namedtuple("BasisMatrix", "n numerators denominator", defaults=(1,))):
     """An exact n x n change-of-basis matrix, held as integer rows over one
     denominator: entry (i, j), 1-based, is ``numerators[i-1][j-1] /
-    denominator``."""
+    denominator``.  ``numerators`` is kept as a tuple of tuples.
 
-    n: int
-    numerators: tuple[tuple[int, ...], ...]
-    denominator: int = 1
+    Like every record of the package, it is an immutable named tuple that
+    checks its fields when built or ``_replace``d: it can also be iterated
+    and indexed, and it equals the plain tuple of its fields."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         rows = tuple(map(tuple, self.numerators))
         if len(rows) != self.n or any(len(row) != self.n for row in rows):
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
         _check_integers([c for row in rows for c in row], self.denominator)
-        object.__setattr__(self, "numerators", rows)
+        return super().__new__(cls, self.n, rows, self.denominator)
 
 
 def worpitzky_matrix(n: int) -> BasisMatrix:
@@ -135,23 +137,22 @@ def foulkes_matrix(n: int) -> BasisMatrix:
     return BasisMatrix(n, rows)
 
 
-@dataclass(frozen=True)
-class SWordExpansion:
+class SWordExpansion(_Checked, namedtuple("SWordExpansion", "n numerators denominator", defaults=(1,))):
     """An exact linear combination of the complete-basis words S^I of weight
     n whose coefficient depends only on the length of I, held as integers
     over one denominator: every word of length l has the coefficient
-    ``numerators[l-1] / denominator``."""
+    ``numerators[l-1] / denominator``.  A named tuple, checked as
+    ``BasisMatrix`` is."""
 
-    n: int
-    numerators: tuple[int, ...]
-    denominator: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         numerators = tuple(self.numerators)
         if self.n < 1 or len(numerators) != self.n:
             raise ValueError(f"expected one numerator per length 1..{self.n}, got {len(numerators)}")
         _check_integers(numerators, self.denominator)
-        object.__setattr__(self, "numerators", numerators)
+        return super().__new__(cls, self.n, numerators, self.denominator)
 
 
 def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:

@@ -44,10 +44,10 @@ product it also checks one path against the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul, sub
 
-from .combinat import _check_budget, _check_work, _work, binomial, eulerian_numbers
+from .combinat import _check_budget, _check_work, _Checked, _work, binomial, eulerian_numbers
 from .eulerian import BasisMatrix, foulkes_matrix, worpitzky_matrix
 
 
@@ -182,20 +182,19 @@ def amazing_entry(n: int, b: int, i: int, j: int) -> int:
     return sum((-1) ** r * binomial(n + 1, r) * binomial(n + b * (j - r) - i, n) for r in range(j + 1))
 
 
-@dataclass(frozen=True)
-class AmazingMatrix:
+class AmazingMatrix(_Checked, namedtuple("AmazingMatrix", "n b entries")):
     """The n x n unnormalized transition matrix for parameter b.
 
     Entries are nonnegative integers; every row sums to the normalizer b^n,
     so ``entries`` over ``normalizer`` is the exact stochastic matrix, with
-    row and column i for state i (i - 1 descents).
+    row and column i for state i (i - 1 descents).  A named tuple, checked
+    when built or ``_replace``d, as ``eulerian.BasisMatrix`` is.
     """
 
-    n: int
-    b: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         bn = self.b**self.n
         if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
             raise ValueError(f"the ({self.n}, {self.b}) matrix needs {self.n} rows of {self.n} entries")
@@ -204,6 +203,7 @@ class AmazingMatrix:
                 raise ValueError(f"negative entry in row {i} of the ({self.n}, {self.b}) matrix")
             if sum(row) != bn:
                 raise ValueError(f"row {i} of the ({self.n}, {self.b}) matrix sums to {sum(row)}, expected {bn}")
+        return self
 
     @property
     def normalizer(self) -> int:
@@ -228,15 +228,13 @@ def amazing_matrix(n: int, b: int) -> AmazingMatrix:
     return _matrix(n, b, b.bit_length() >= _SPECTRAL_MIN_BITS)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(namedtuple("Report", "name params checked failures")):
     """Outcome of one verification suite: which identities were checked and
-    which failed.  ``failures`` holds one message per failed identity."""
+    which failed.  ``failures`` holds one message per failed identity.  A
+    named tuple with nothing to check, so it needs no ``_Checked``; its
+    ``params`` dict makes it unhashable."""
 
-    name: str
-    params: dict
-    checked: int
-    failures: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -336,19 +334,18 @@ def foulkes_determinant(n: int, F: BasisMatrix | None = None) -> int:
     return _bareiss_determinant((foulkes_matrix(n) if F is None else F).numerators)
 
 
-@dataclass(frozen=True)
-class DescentPolynomial:
+class DescentPolynomial(_Checked, namedtuple("DescentPolynomial", "n base coeffs")):
     """Descent generating vector of m-shuffles: ``coeffs[k-1]`` counts the
     shuffle outcomes (with multiplicity, out of m^n words) having k-1
-    descents."""
+    descents.  A named tuple, checked as ``AmazingMatrix`` is."""
 
-    n: int
-    base: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.coeffs) != self.n or any(c < 0 for c in self.coeffs):
             raise ValueError(f"expected {self.n} nonnegative coefficients, got {self.coeffs}")
+        return self
 
     @property
     def mass(self) -> int:

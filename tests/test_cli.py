@@ -489,8 +489,8 @@ class TestVerify:
             raise RuntimeError("planted crash")
 
         rows = list(cli.SUITES)
-        rows[1] = dataclasses.replace(rows[1], check=lambda *case: (1, [f"planted failure at {case}"]))
-        rows[2] = dataclasses.replace(rows[2], check=crash)
+        rows[1] = rows[1]._replace(check=lambda *case: (1, [f"planted failure at {case}"]))
+        rows[2] = rows[2]._replace(check=crash)
         monkeypatch.setattr(cli, "SUITES", tuple(rows))
         code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2")
         assert code == 1

@@ -2,7 +2,9 @@
 
 The closed forms are integer arithmetic, so ``import carrychain`` and the
 closed-form commands must not pay for numpy, the oracle, the simulator or
-``fractions`` (which loads ``decimal``).
+``fractions`` (which loads ``decimal``).  No command but the two
+``simulate`` ones loads ``dataclasses`` (which loads ``inspect``): the
+records are named tuples, and only ``simulate`` keeps dataclasses.
 The import-graph tests run in a fresh interpreter, since this one has loaded
 everything already; the static guard reads the sources and needs none.
 """
@@ -24,14 +26,14 @@ PACKAGE = Path(carrychain.__file__).resolve().parent
 HEAVY = ("numpy", "carrychain.oracle", "carrychain.rng", "carrychain.simulate")
 
 # run a CLI command with its output swallowed, then list what it loaded
-# of the heavy modules and ``fractions``
+# of the heavy modules, ``fractions`` and ``dataclasses``
 _PROBE = """
 import contextlib, io, json, sys
 from carrychain.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
-""" % (HEAVY + ("fractions",),)
+""" % (HEAVY + ("fractions", "dataclasses"),)
 
 
 def _fresh_python(script: str, *argv: str) -> dict:
@@ -67,18 +69,35 @@ class TestImportGraph:
         ids=lambda argv: argv[0],
     )
     def test_closed_form_commands_load_no_numpy(self, argv):
+        # nor ``fractions`` nor ``dataclasses``
         assert _fresh_python(_PROBE, *argv) == {"code": 0, "loaded": []}
+
+    def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self):
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import carrychain.cli\n"
+            "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+        )
+        assert _fresh_python(script) == []
 
     @pytest.mark.parametrize(
         "argv, loaded",
         [
             (["oracle", "transition", "--n", "3", "--b", "2"], ["numpy", "carrychain.oracle", "fractions"]),
+            (["oracle", "shuffles", "--n", "3", "--b", "2"], ["numpy", "carrychain.oracle", "fractions"]),
+            (["idempotents", "--n", "3", "--basis", "group"], ["numpy", "carrychain.oracle", "fractions"]),
+            (["verify", "all", "--max-n", "2"], ["numpy", "carrychain.oracle", "fractions"]),
             (
                 ["simulate", "shuffle", "--n", "3", "--b", "2", "--trials", "100", "--seed", "1"],
-                ["numpy", "carrychain.rng", "carrychain.simulate", "fractions"],
+                ["numpy", "carrychain.rng", "carrychain.simulate", "fractions", "dataclasses"],
+            ),
+            (
+                ["simulate", "carries", "--n", "3", "--b", "10", "--trials", "100", "--seed", "1"],
+                ["numpy", "carrychain.rng", "carrychain.simulate", "fractions", "dataclasses"],
             ),
         ],
-        ids=["oracle", "simulate"],
+        ids=["oracle", "oracle-shuffles", "idempotents-group", "verify-all", "simulate", "simulate-carries"],
     )
     def test_oracle_and_simulate_commands_load_what_they_use(self, argv, loaded):
         assert _fresh_python(_PROBE, *argv) == {"code": 0, "loaded": loaded}

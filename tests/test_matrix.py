@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -244,6 +245,82 @@ class TestAmazingMatrix:
         ):
             with pytest.raises(ValueError, match="3 rows of 3 entries"):
                 AmazingMatrix(3, 2, entries)
+
+
+# one record of each library type, the repr it had as a frozen dataclass,
+# and for the checked ones, a field value that the checks must refuse
+_RECORDS = [
+    (
+        matrix.AmazingMatrix(2, 2, ((3, 1), (1, 3))),
+        "AmazingMatrix(n=2, b=2, entries=((3, 1), (1, 3)))",
+        {"entries": ((3, 1), (2, 3))},
+        "row 2 of the \\(2, 2\\) matrix sums to 5, expected 4",
+    ),
+    (
+        eulerian.BasisMatrix(2, ((1, 2), (3, 4)), 5),
+        "BasisMatrix(n=2, numerators=((1, 2), (3, 4)), denominator=5)",
+        {"numerators": ((1, 2),)},
+        "expected a 2x2 matrix",
+    ),
+    (
+        eulerian.SWordExpansion(2, (1, -1), 2),
+        "SWordExpansion(n=2, numerators=(1, -1), denominator=2)",
+        {"numerators": (1,)},
+        "expected one numerator per length 1..2, got 1",
+    ),
+    (
+        matrix.DescentPolynomial(2, 2, (3, 1)),
+        "DescentPolynomial(n=2, base=2, coeffs=(3, 1))",
+        {"coeffs": (5, -1)},
+        "expected 2 nonnegative coefficients",
+    ),
+    (
+        matrix.Report("spectrum", {"n": 2, "b": 2}, 4, ()),
+        "Report(name='spectrum', params={'n': 2, 'b': 2}, checked=4, failures=())",
+        None,
+        None,
+    ),
+]
+_IDS = [type(record).__name__ for record, *_ in _RECORDS]
+
+
+class TestRecords:
+    """The records are named tuples: immutable, checked on every path that
+    builds one, with the field-named repr they had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("record, shown, bad, message", _RECORDS, ids=_IDS)
+    def test_fields_cannot_be_assigned(self, record, shown, bad, message):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("record, shown, bad, message", _RECORDS[:4], ids=_IDS[:4])
+    def test_an_invalid_field_is_refused_by_the_constructor_and_by_replace(self, record, shown, bad, message):
+        fields = record._asdict() | bad
+        with pytest.raises(ValueError, match=message):
+            type(record)(**fields)
+        with pytest.raises(ValueError, match=message):
+            record._replace(**bad)
+
+    @pytest.mark.parametrize("record, shown, bad, message", _RECORDS, ids=_IDS)
+    def test_repr_names_the_fields(self, record, shown, bad, message):
+        assert repr(record) == shown
+
+    @pytest.mark.parametrize("record, shown, bad, message", _RECORDS, ids=_IDS)
+    def test_a_pickle_round_trip_gives_an_equal_record(self, record, shown, bad, message):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
+
+    def test_replace_normalizes_as_the_constructor_does(self):
+        M = eulerian.BasisMatrix(2, ((1, 0), (0, 1)))
+        assert M._replace(numerators=[[2, 0], [0, 2]]).numerators == ((2, 0), (0, 2))
+        assert M.denominator == 1
+
+    def test_a_record_is_the_tuple_of_its_fields(self):
+        # the one behaviour the dataclasses did not have
+        assert matrix.DescentPolynomial(2, 2, (3, 1)) == (2, 2, (3, 1))
 
 
 class TestSpectrum:
