@@ -71,16 +71,21 @@ from .matrix import (
 
 
 def _integer(text: str, wanted: str) -> int:
-    """``text`` read by ``int``.  What it cannot read is refused by an
-    ArgumentTypeError that says what was ``wanted``; from a ValueError,
-    argparse would name the converter that called this."""
-    try:
-        return int(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if limit and len(text) > limit:
-            wanted, text = f"{wanted} of at most {limit} digits", f"{len(text)} characters"
-        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}") from None
+    """``text`` read as an integer: an optional ``-`` and the ASCII digits
+    0-9, nothing else, since ``int`` alone would also take underscores,
+    whitespace, a ``+`` and other scripts' digits.  Anything else is refused
+    by an ArgumentTypeError that says what was ``wanted``; from a
+    ValueError, argparse would name the converter that called this."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than Python's int->str limit
+            pass
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        wanted, text = f"{wanted} of at most {limit} digits", f"{len(text)} characters"
+    raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
 
 
 def _positive(text: str) -> int:

@@ -542,6 +542,13 @@ class TestUsage:
             (["amazing", "--n", "1" * (sys.get_int_max_str_digits() + 1), "--b", "2"],
              f"carrychain amazing: error: argument --n: must be a positive integer of at most "
              f"{sys.get_int_max_str_digits()} digits, got {sys.get_int_max_str_digits() + 1} characters"),
+            # int() reads the next four as 10, 2, 3 and 5, in spellings that no document echoes
+            *[(["amazing", "--n", text, "--b", "2"],
+               f"carrychain amazing: error: argument --n: must be a positive integer, got {text}")
+              for text in ("1_0", " 2 ", "\u0663", "+5")],
+            # a leading minus is still read, and the value then refused
+            (["simulate", "carries", "--n", "3", "--b", "10", "--trials", "5", "--seed", "-1"],
+             "carrychain simulate carries: error: argument --seed: seed must fit in 64 unsigned bits, got -1"),
         ],
     )
     def test_a_flag_that_is_no_integer_is_named_by_what_it_must_be(self, capsys, argv, last):
