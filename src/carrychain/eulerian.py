@@ -61,9 +61,9 @@ class BasisMatrix(_Checked, namedtuple("BasisMatrix", "n numerators denominator"
     denominator: entry (i, j), 1-based, is ``numerators[i-1][j-1] /
     denominator``.  ``numerators`` is kept as a tuple of tuples.
 
-    Like every record of the package, it is an immutable named tuple that
-    checks its fields when built or ``_replace``d: it can also be iterated
-    and indexed, and it equals the plain tuple of its fields."""
+    Like the other records of the closed forms, it is an immutable named
+    tuple that checks its fields when built or ``_replace``d: it can also be
+    iterated and indexed, and it equals the plain tuple of its fields."""
 
     __slots__ = ()
 

@@ -247,8 +247,8 @@ class TestAmazingMatrix:
                 AmazingMatrix(3, 2, entries)
 
 
-# one record of each library type, the repr it had as a frozen dataclass,
-# and for the checked ones, a field value that the checks must refuse
+# one record of each library type, its field-named repr, and for the
+# checked ones, a field value that the checks must refuse
 _RECORDS = [
     (
         matrix.AmazingMatrix(2, 2, ((3, 1), (1, 3))),
@@ -286,7 +286,7 @@ _IDS = [type(record).__name__ for record, *_ in _RECORDS]
 
 class TestRecords:
     """The records are named tuples: immutable, checked on every path that
-    builds one, with the field-named repr they had as frozen dataclasses."""
+    builds one, with a field-named repr."""
 
     @pytest.mark.parametrize("record, shown, bad, message", _RECORDS, ids=_IDS)
     def test_fields_cannot_be_assigned(self, record, shown, bad, message):
@@ -319,7 +319,6 @@ class TestRecords:
         assert M.denominator == 1
 
     def test_a_record_is_the_tuple_of_its_fields(self):
-        # the one behaviour the dataclasses did not have
         assert matrix.DescentPolynomial(2, 2, (3, 1)) == (2, 2, (3, 1))
 
 
