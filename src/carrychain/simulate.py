@@ -16,10 +16,18 @@ carries simulator adds ``n_summands`` uniformly random base-b digit columns
 per trial, starting from carry 0, and records the successive carry values.
 
 Both run as whole-array numpy passes over chunks of at most
-``_CHUNK_VALUES`` random values, with no Python loop per trial or per
-column.  The random blocks are draw-major (see :mod:`carrychain.rng`): the
-transpose of a block is a C-contiguous (draws, trials) array, so every
-kernel reads whole rows of one draw across all trials, with no transposing
+``_CHUNK_VALUES`` = 2^18 random values, with no Python loop per trial or
+per column.  ``_run_ordered`` runs the chunks on ``_WORKERS`` = min(2,
+usable CPUs) threads, the caller among them, so at most 2^19 values are in
+flight; with one CPU, or one chunk, they run inline.  numpy releases the
+interpreter lock inside its passes, so two chunks fill at once.  Each
+shuffle chunk returns its own tally; each carries chunk returns its column
+sums, and the caller scans them in order, two chunks at a time, carrying
+the carry across them.  The merges are integer sums in a fixed order, so
+the counts do not depend on the number of threads.  The random blocks are
+draw-major (see :mod:`carrychain.rng`): the transpose of a block is a
+C-contiguous (draws, trials) array, so every kernel reads whole rows of one
+draw across all trials, with no transposing
 copy.  A shuffle step sigma -> tau o sigma relabels the cards and moves
 none, so for n up to ``_RANK_MAX_N`` a trial is held as each card's start
 position, an int8 row of shape (n, trials).  Compares of card pairs give
@@ -28,14 +36,16 @@ cards before and after the step.  Above that n the O(n^2) compares cost
 more than a stable argsort of the deck, which the larger decks keep.  The
 carries, a sequential recurrence, run as a segmented scan: the columns are
 cut into segments of ``_SEGMENT_COLUMNS``, one pass gives each segment's
-carry map from every possible start carry, a short walk along the maps
-finds each segment's true start carry, and a second pass tallies the
+carry map from every possible start carry, pointer doubling composes the
+maps into each segment's true start carry, and a second pass tallies the
 transitions of all segments at once.  The column sums are draw-major too,
 (columns, trials), so the tail segment is read in place and only the body
-of whole segments is copied into segment layout.  The sums are added in
-int64 and cast once to the narrowest signed type that holds
+of whole segments is copied into segment layout.  The digits come from
+``digit_block`` already in the narrowest signed type that holds
 max(n^2 - 1, (n - 1) + n (b - 1)), the largest transition code and carry
-plus column sum, and the scan stays in it: (3, 10) runs in int8.
+plus column sum; the sums are added and the scan runs in it: (3, 10) runs
+in int8.  The shuffle's digits come as the narrowest unsigned type that
+holds b - 1, uint8 up to b = 256, since only their order counts.
 
 Two bounds are checked before any work is done.  A call asks for at most
 ``DRAW_BUDGET`` random draws.  And since the (n, n) int64 tally is
@@ -47,6 +57,8 @@ n <= 1024.  Without it one trial of n = 65536 would ask for 32 GiB.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,11 +69,14 @@ from .rng import MAX_BASE, check_seed, check_trials, digit_block, stream_block
 
 DRAW_BUDGET = 2**32  # random draws one call may ask for, about 40 s of drawing
 TALLY_CELLS = 2**20  # cells of the (n, n) transition tally one call may allocate
-_CHUNK_VALUES = 1 << 19  # random values per chunk: the rank kernel's rows stay in cache
+_CHUNK_VALUES = 1 << 18  # random values per chunk: the rank kernel's rows stay in cache
+# threads that run chunks, the caller among them: _WORKERS * _CHUNK_VALUES values in flight
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _RANK_MAX_N = 32  # the rank kernel up to here, the argsort above (measured crossover)
 # columns per segment of the carry scan: a 4*10^6-column (3, 10) trajectory took
 # 191 ms at 256 in int64, 131 at 128 and 135 at 64 in int8 (in process, median of 5)
 _SEGMENT_COLUMNS = 128
+_SCAN_BATCH = 2  # chunks of column sums per carry scan, whose cost per call is mostly fixed
 
 
 @dataclass(frozen=True)
@@ -113,6 +128,62 @@ def _check_size(n: int, draws: int) -> None:
         raise BudgetError(f"the ({n}, {n}) transition tally has {n * n} cells, over the bound of {TALLY_CELLS}")
 
 
+def _run_ordered(work, jobs: list, merge) -> None:
+    """Call ``work(*job)`` for every job of ``jobs`` and hand each job with
+    its result to ``merge(job, result)`` on the calling thread, in job
+    order.
+
+    Job k runs on thread k % W, W = min(``_WORKERS``, len(jobs)), and the
+    caller is thread 0; with W = 1 every job runs inline.  A worker starts
+    its next job only once the caller has taken its last result, so at most
+    W jobs run at once and at most one finished result waits per worker.
+    An exception from a job is raised in the caller, at that job's turn,
+    and every thread is joined before the call returns or raises.
+    """
+    threads = min(_WORKERS, len(jobs))
+    if threads <= 1:
+        for job in jobs:
+            merge(job, work(*job))
+        return
+    slots = [None] * threads  # worker w's last (result, exception)
+    free = [threading.Semaphore(1) for _ in range(threads)]  # worker w may start a job
+    full = [threading.Semaphore(0) for _ in range(threads)]  # worker w's slot holds a result
+    stop = False
+
+    def serve(w: int) -> None:
+        for job in jobs[w::threads]:
+            free[w].acquire()
+            if stop:
+                return
+            try:
+                slots[w] = (work(*job), None)
+            except BaseException as exc:  # handed to the caller, which raises it
+                slots[w] = (None, exc)
+            full[w].release()
+
+    workers = [threading.Thread(target=serve, args=(w,)) for w in range(1, threads)]
+    try:
+        for thread in workers:
+            thread.start()
+        for k, job in enumerate(jobs):
+            w = k % threads
+            if w == 0:
+                result = work(*job)
+            else:
+                full[w].acquire()
+                (result, exc), slots[w] = slots[w], None
+                free[w].release()
+                if exc is not None:
+                    raise exc
+            merge(job, result)
+    finally:
+        stop = True
+        for w, thread in enumerate(workers, start=1):
+            free[w].release()
+            if thread.ident is not None:
+                thread.join()
+
+
 def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: int = 0) -> EmpiricalMatrix:
     """Empirical descent-count transition matrix of one GSR b-shuffle per
     trial.
@@ -135,9 +206,9 @@ def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: 
     counts = np.zeros((n, n), dtype=np.int64)
     kernel = _rank_chunk if n <= _RANK_MAX_N else _sort_chunk
     chunk = max(1, _CHUNK_VALUES // (2 * n))
-    for lo in range(0, cfg.trials, chunk):
-        hi = min(lo + chunk, cfg.trials)
-        kernel(n, b, cfg.seed, trial_offset + lo, trial_offset + hi, counts)
+    t0, t1 = trial_offset, trial_offset + cfg.trials
+    jobs = [(n, b, cfg.seed, lo, min(lo + chunk, t1)) for lo in range(t0, t1, chunk)]
+    _run_ordered(kernel, jobs, lambda job, tally: np.add(counts, tally, out=counts))
     return EmpiricalMatrix(tuple(tuple(int(c) for c in row) for row in counts))
 
 
@@ -156,9 +227,9 @@ def _start_positions(keys: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _rank_chunk(n: int, b: int, seed: int, t0: int, t1: int, counts: np.ndarray) -> None:
-    """Add the descent transitions of trials [t0, t1) to the (n, n)
-    ``counts``, in rank space.
+def _rank_chunk(n: int, b: int, seed: int, t0: int, t1: int) -> np.ndarray:
+    """The (n, n) tally of the descent transitions of trials [t0, t1), in
+    rank space.
 
     Card a is the one with key a.  It starts with label a at position
     pos[a], its rank in the stable sort of the keys.  Cards a < c are
@@ -170,8 +241,7 @@ def _rank_chunk(n: int, b: int, seed: int, t0: int, t1: int, counts: np.ndarray)
     so n must stay below 128.
     """
     pos = _start_positions(stream_block(seed, t0, t1, 0, n).T)
-    w = digit_block(seed, t0, t1, n, 2 * n, b).T
-    w = w.astype(np.min_scalar_type(b - 1))  # only the order of the digits counts
+    w = digit_block(seed, t0, t1, n, 2 * n, b, np.min_scalar_type(b - 1)).T  # only their order counts
     d_prev = np.zeros(t1 - t0, dtype=np.int8)
     d_new = np.zeros(t1 - t0, dtype=np.int8)
     for a in range(n - 1):
@@ -183,12 +253,15 @@ def _rank_chunk(n: int, b: int, seed: int, t0: int, t1: int, counts: np.ndarray)
         # (gap 2, a lower) or a in front with it (gap 0, a not lower)
         ones = (w[a] <= w[a + 1 :]).view(np.int8)
         d_new += (gap == ones + ones).view(np.int8).sum(axis=0, dtype=np.int8)
-    counts += np.bincount(d_prev.astype(np.intp) * n + d_new, minlength=n * n).reshape(n, n)
+    codes = d_prev.astype(np.int16)  # n^2 - 1 < 2^15 for n < 128
+    codes *= n
+    codes += d_new
+    return np.bincount(codes, minlength=n * n).reshape(n, n)
 
 
-def _sort_chunk(n: int, b: int, seed: int, t0: int, t1: int, counts: np.ndarray) -> None:
-    """Add the descent transitions of trials [t0, t1) to the (n, n)
-    ``counts`` by building the decks.
+def _sort_chunk(n: int, b: int, seed: int, t0: int, t1: int) -> np.ndarray:
+    """The (n, n) tally of the descent transitions of trials [t0, t1), by
+    building the decks.
 
     decks[p] is the card at position p, held position-major, (n, trials),
     so every compare runs along rows.  With g_p = w_{sigma_p}, the new deck
@@ -196,15 +269,15 @@ def _sort_chunk(n: int, b: int, seed: int, t0: int, t1: int, counts: np.ndarray)
     sigma_p > sigma_{p+1}.
     """
     decks = np.argsort(stream_block(seed, t0, t1, 0, n).T, axis=0, kind="stable")
-    digits = digit_block(seed, t0, t1, n, 2 * n, b).T
-    g = np.take_along_axis(digits.astype(np.min_scalar_type(b - 1)), decks, axis=0)  # only the order counts
+    digits = digit_block(seed, t0, t1, n, 2 * n, b, np.min_scalar_type(b - 1)).T  # only their order counts
+    g = np.take_along_axis(digits, decks, axis=0)
     falls = decks[:-1] > decks[1:]  # the descents of the deck
     d_prev = falls.sum(axis=0)
     ties = g[:-1] == g[1:]
     ties &= falls
     falls = g[:-1] > g[1:]
     falls |= ties  # now the descents of the new deck
-    counts += np.bincount(d_prev * n + falls.sum(axis=0), minlength=n * n).reshape(n, n)
+    return np.bincount(d_prev * n + falls.sum(axis=0), minlength=n * n).reshape(n, n)
 
 
 def _scan_dtype(n: int, b: int) -> type:
@@ -214,35 +287,38 @@ def _scan_dtype(n: int, b: int) -> type:
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
 
 
-def _column_sums(block: np.ndarray, n: int, dtype: type) -> np.ndarray:
+def _column_sums(block: np.ndarray, n: int) -> np.ndarray:
     """Sums of the ``n`` digits of each column: (trials, columns * n) digits
-    give draw-major (columns, trials) sums, by n - 1 int64 row adds, cast
-    once to the scan's ``dtype``."""
+    give draw-major (columns, trials) sums, by n - 1 row adds in the digits'
+    type, the scan's."""
     parts = block.T.reshape(-1, n, len(block))
     sums = np.add(parts[:, 0], parts[:, 1])
     for m in range(2, n):
         sums += parts[:, m]
-    return sums.astype(dtype, copy=False)
+    return sums
 
 
 def _segment_starts(segments: np.ndarray, carry: np.ndarray, b: int, n: int) -> np.ndarray:
     """True start carry of every segment, (trials, segments), from the
     start carries ``carry`` of the first ones.  One pass runs every segment
-    from all n start carries at once and gives its carry map; a walk along
-    the maps then chains the segments of each trial."""
-    maps = np.empty((n,) + segments.shape[1:], dtype=segments.dtype)
+    but the last from all n start carries at once and gives its carry map;
+    pointer doubling then composes the maps, so that map s runs segments
+    0..s, and segment s + 1 starts where map s takes ``carry``."""
+    _, trials, count = segments.shape
+    maps = np.empty((n, trials, count - 1), dtype=segments.dtype)
     maps[...] = np.arange(n)[:, None, None]
-    for column in segments:
+    for column in segments[:, :, :-1]:
         maps += column
         maps //= b
-    starts = []
-    for c, row in zip(carry.tolist(), maps.transpose(1, 2, 0).tolist()):
-        line = []
-        for carry_map in row:
-            line.append(c)
-            c = carry_map[c]
-        starts.append(line)
-    return np.array(starts, dtype=segments.dtype)
+    rows, segment = np.arange(trials)[:, None], np.arange(count - 1)
+    span = 1  # each map runs the span segments that end at it, or all before it
+    while span < count - 1:
+        maps[:, :, span:] = maps[maps[:, :, :-span], rows, segment[span:]]
+        span *= 2
+    starts = np.empty((trials, count), dtype=segments.dtype)
+    starts[:, 0] = carry
+    starts[:, 1:] = maps[carry[:, None], rows, segment]
+    return starts
 
 
 def _carry_scan(sums: np.ndarray, carry: np.ndarray, b: int, counts: np.ndarray) -> np.ndarray:
@@ -288,9 +364,11 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
     column sum, at most (n_summands - 1) + n_summands (b - 1), must fit in
     int64; the scan runs in the narrowest signed type that holds it and the
     transition codes up to n_summands^2 - 1 (``_scan_dtype``).  The digits
-    come in blocks of at most ``_CHUNK_VALUES`` values (whole trials, or
-    pieces of one trial's columns) and one segmented scan (``_carry_scan``)
-    runs the carry on across them.  Trials lie in 0..2^64 - 1.
+    come in chunks of at most ``_CHUNK_VALUES`` values (whole trials, or
+    pieces of one trial's columns), whose column sums the threads of
+    ``_run_ordered`` build; the caller runs the segmented scan
+    (``_carry_scan``) over them in order, ``_SCAN_BATCH`` chunks at a time,
+    and carries the carry on across them.  Trials lie in 0..2^64 - 1.
     """
     if n_summands < 2:
         raise ValueError(f"need at least 2 summands, got {n_summands}")
@@ -302,17 +380,37 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
         raise ValueError(f"digits must be positive, got {digits}")
     check_trials(trial_offset, trial_offset + cfg.trials)
     _check_size(n_summands, cfg.trials * digits * n_summands)
-    n = n_summands
+    n, end = n_summands, trial_offset + cfg.trials
     counts = np.zeros((n, n), dtype=np.int64)
     dtype = _scan_dtype(n, b)
     chunk = max(1, _CHUNK_VALUES // (digits * n))
-    for lo in range(0, cfg.trials, chunk):
-        hi = min(lo + chunk, cfg.trials)
-        t0, t1 = trial_offset + lo, trial_offset + hi
-        carry = np.zeros(hi - lo, dtype=dtype)
-        step = max(1, _CHUNK_VALUES // (n * (hi - lo)))
-        for c0 in range(0, digits, step):
-            c1 = min(c0 + step, digits)
-            sums = _column_sums(digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b), n, dtype)
-            carry = _carry_scan(sums, carry, b, counts)
+    jobs = []
+    for t0 in range(trial_offset, end, chunk):
+        t1 = min(t0 + chunk, end)
+        step = max(1, _CHUNK_VALUES // (n * (t1 - t0)))
+        jobs += [(t0, t1, c0, min(c0 + step, digits)) for c0 in range(0, digits, step)]
+
+    def column_sums(t0: int, t1: int, c0: int, c1: int) -> np.ndarray:
+        return _column_sums(digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b, dtype), n)
+
+    batch, carry = [], None
+
+    def scan() -> None:
+        nonlocal carry
+        carry = _carry_scan(np.concatenate(batch) if len(batch) > 1 else batch[0], carry, b, counts)
+        batch.clear()
+
+    def collect(job: tuple, sums: np.ndarray) -> None:
+        nonlocal carry
+        if job[2] == 0:  # the first columns of new trials
+            if batch:
+                scan()
+            carry = np.zeros(sums.shape[1], dtype=dtype)
+        batch.append(sums)
+        if len(batch) == _SCAN_BATCH:
+            scan()
+
+    _run_ordered(column_sums, jobs, collect)
+    if batch:
+        scan()
     return EmpiricalMatrix(tuple(tuple(int(c) for c in row) for row in counts))

@@ -26,14 +26,15 @@ PACKAGE = Path(carrychain.__file__).resolve().parent
 HEAVY = ("numpy", "carrychain.oracle", "carrychain.rng", "carrychain.simulate")
 
 # run a CLI command with its output swallowed, then list what it loaded
-# of the heavy modules, ``fractions`` and ``dataclasses``
+# of the heavy modules, ``fractions``, ``dataclasses`` and
+# ``concurrent.futures``, which the simulators' threads do without
 _PROBE = """
 import contextlib, io, json, sys
 from carrychain.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
-""" % (HEAVY + ("fractions", "dataclasses"),)
+""" % (HEAVY + ("fractions", "dataclasses", "concurrent.futures"),)
 
 
 def _fresh_python(script: str, *argv: str) -> dict:

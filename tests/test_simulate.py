@@ -4,6 +4,8 @@ import random
 import resource
 import subprocess
 import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -487,6 +489,26 @@ class TestRngReference:
                 assert got.tolist() == [[v % base for v in _draws(seed, t, d0, d1)] for t in range(t0, t1)]
 
 
+    @pytest.mark.parametrize("block", (7, 64, None))
+    @pytest.mark.parametrize("base", (2, 3, 10, 256, 2**63))
+    def test_narrow_digits_equal_the_int64_ones(self, monkeypatch, block, base):
+        # every type that holds base - 1, at and across the block edges
+        if block is not None:
+            monkeypatch.setattr(rng, "_BLOCK_VALUES", block, raising=False)
+        types = [t for t in (np.uint8, np.int8, np.int16, np.int32, np.uint64) if base - 1 <= np.iinfo(t).max]
+        for t0, t1, d0, d1 in _WINDOWS:
+            wide = digit_block(11, t0, t1, d0, d1, base)
+            for dtype in types:
+                got = digit_block(11, t0, t1, d0, d1, base, dtype)
+                assert got.dtype == dtype and got.T.flags.c_contiguous
+                assert (got == wide.astype(dtype)).all() and got.tolist() == wide.tolist()
+
+    @pytest.mark.parametrize("base, dtype", [(257, np.uint8), (129, np.int8), (2**15 + 1, np.int16), (2**63, np.int32)])
+    def test_a_type_too_narrow_for_the_digits_is_refused(self, base, dtype):
+        with pytest.raises(ValueError, match="cannot hold"):
+            digit_block(1, 0, 2, 0, 3, base, dtype)
+
+
 class TestSimulatorReference:
     @pytest.mark.parametrize("chunks", (1, 3))
     @pytest.mark.parametrize("n, b", [(1, 3), (2, 2), (3, 2), (4, 3), (5, 10), (6, 2**63)])
@@ -572,8 +594,8 @@ class TestNarrowScan:
     def test_the_largest_values_fit(self, monkeypatch, n, b, dtype):
         # every digit b - 1: each column sums to n (b - 1) and the carry climbs
         # to n - 1 and stays, so carry plus sum and the code reach their maxima
-        def top_digits(seed, t0, t1, d0, d1, base):
-            return np.full((d1 - d0, t1 - t0), base - 1, dtype=np.int64).T
+        def top_digits(seed, t0, t1, d0, d1, base, dtype):
+            return np.full((d1 - d0, t1 - t0), base - 1, dtype=dtype).T
 
         monkeypatch.setattr(simulate, "digit_block", top_digits)
         monkeypatch.setattr(simulate, "_CHUNK_VALUES", 60)
@@ -658,3 +680,78 @@ class TestPinnedCounts:
             "shuffle-sort-wide-base"])
     def test_digest(self, run, digest):
         assert hashlib.sha256(repr(run().counts).encode()).hexdigest() == digest
+
+
+@pytest.fixture(params=(1, 3), ids=("inline", "three-threads"))
+def workers(request, monkeypatch):
+    monkeypatch.setattr(simulate, "_WORKERS", request.param)
+
+
+@pytest.mark.usefixtures("workers")
+class TestPinnedCountsOnOtherThreadCounts(TestPinnedCounts):
+    """The same digests with the chunks run inline and on three threads."""
+
+
+class TestWorkers:
+    """The chunks run on ``_WORKERS`` threads; the counts must not depend on
+    how many, and no thread may outlive a call."""
+
+    @pytest.mark.parametrize("count", (1, 2, 3))
+    def test_counts_do_not_depend_on_the_threads(self, monkeypatch, count):
+        monkeypatch.setattr(simulate, "_WORKERS", count)
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", 24)  # many jobs
+        monkeypatch.setattr(simulate, "_SEGMENT_COLUMNS", 3)
+        before = threading.active_count()
+        for n, b in ((3, 2), (4, 3), (simulate._RANK_MAX_N + 1, 2)):
+            got = simulate_shuffle_chain(n, b, SimulationConfig(trials=60, seed=4), 2)
+            assert got.counts == _shuffle_reference(n, b, 4, 60, 2)
+        for n, b, digits, trials in ((3, 10, 301, 1), (2, 7, 40, 9), (4, 2, 5, 13)):
+            got = simulate_carries(n, b, digits, SimulationConfig(trials=trials, seed=6), 1)
+            assert got.counts == _carries_reference(n, b, digits, 6, trials, 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ("worker", "caller"))
+    def test_a_failing_job_reaches_the_caller_and_every_thread_ends(self, monkeypatch, failing):
+        monkeypatch.setattr(simulate, "_WORKERS", 2)
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", 30)
+        main = threading.main_thread()
+
+        def failing_digits(*args):
+            if (threading.current_thread() is main) == (failing == "caller"):
+                raise RuntimeError(f"a job on the {failing} thread failed")
+            return digit_block(*args)
+
+        monkeypatch.setattr(simulate, "digit_block", failing_digits)
+        before = threading.active_count()
+        for call in (lambda: simulate_shuffle_chain(3, 2, SimulationConfig(trials=100, seed=1)),
+                     lambda: simulate_carries(3, 10, 200, SimulationConfig(trials=1, seed=1)),
+                     lambda: simulate_carries(2, 10, 5, SimulationConfig(trials=50, seed=1))):
+            with pytest.raises(RuntimeError, match=f"on the {failing} thread"):
+                call()
+            assert threading.active_count() == before
+
+    def test_one_job_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_WORKERS", 2)
+        threads = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: threads.append(self))
+        assert simulate_carries(3, 10, 50, SimulationConfig(trials=4, seed=2)).samples == 200
+        assert threads == []
+
+    def test_at_most_two_threads(self):
+        assert 1 <= simulate._WORKERS <= 2
+
+
+class TestMemory:
+    def test_one_long_trajectory_stays_under_the_in_flight_budget(self):
+        # 2^19 values were in flight before the chunks ran on threads, drawn
+        # into one uint64 buffer of 4 MiB; the threads and the scan together
+        # must stay under that
+        cfg = SimulationConfig(1, 7)
+        simulate_carries(3, 10, 1000, cfg)  # numpy's own lazy set-up
+        tracemalloc.start()
+        try:
+            simulate_carries(3, 10, 10**6, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19 * 8
