@@ -16,14 +16,18 @@ carries simulator adds ``n_summands`` uniformly random base-b digit columns
 per trial, starting from carry 0, and records the successive carry values.
 
 Both run as whole-array numpy passes over chunks of at most
-``_CHUNK_VALUES`` = 2^18 random values, with no Python loop per trial or
-per column.  ``_run_ordered`` runs the chunks on ``_WORKERS`` = min(2,
-usable CPUs) threads, the caller among them, so at most 2^19 values are in
-flight; with one CPU, or one chunk, they run inline.  numpy releases the
-interpreter lock inside its passes, so two chunks fill at once.  Each
-shuffle chunk returns its own tally; each carries chunk returns its column
-sums, and the caller scans them in order, two chunks at a time, carrying
-the carry across them.  The merges are integer sums in a fixed order, so
+``_CHUNK_VALUES`` = 2^19 / ``_WORKERS`` random values, with no Python loop
+per trial or per column.  ``_run_ordered`` runs the chunks on
+``_WORKERS`` = min(2, usable CPUs) threads, the caller among them, so at
+most 2^19 values are in flight: two chunks of 2^18 on two CPUs, one of
+2^19 on one.  With one CPU, or a single chunk, the chunks run inline on
+the caller.  numpy releases the interpreter lock inside its passes, so two
+chunks fill at once.  Each shuffle chunk returns its own tally; each
+carries chunk returns its column sums, and the caller scans them in order,
+carrying the carry across them.  When one group of trials is cut into
+pieces of its columns, the caller scans ``_SCAN_BATCH`` = ``_WORKERS``
+pieces per call, the sums of 2^19 values, since a scan's cost is mostly
+per call; a chunk of whole trials is scanned on its own.  The merges are integer sums in a fixed order, so
 the counts do not depend on the number of threads.  The random blocks are
 draw-major (see :mod:`carrychain.rng`): the transpose of a block is a
 C-contiguous (draws, trials) array, so every kernel reads whole rows of one
@@ -69,14 +73,18 @@ from .rng import MAX_BASE, check_seed, check_trials, digit_block, stream_block
 
 DRAW_BUDGET = 2**32  # random draws one call may ask for, about 40 s of drawing
 TALLY_CELLS = 2**20  # cells of the (n, n) transition tally one call may allocate
-_CHUNK_VALUES = 1 << 18  # random values per chunk: the rank kernel's rows stay in cache
-# threads that run chunks, the caller among them: _WORKERS * _CHUNK_VALUES values in flight
+# threads that run chunks, the caller among them
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+# random values per chunk: 2^19 in flight on one thread or two, and the rank
+# kernel's rows stay in cache
+_CHUNK_VALUES = (1 << 19) // _WORKERS
 _RANK_MAX_N = 32  # the rank kernel up to here, the argsort above (measured crossover)
 # columns per segment of the carry scan: a 4*10^6-column (3, 10) trajectory took
 # 191 ms at 256 in int64, 131 at 128 and 135 at 64 in int8 (in process, median of 5)
 _SEGMENT_COLUMNS = 128
-_SCAN_BATCH = 2  # chunks of column sums per carry scan, whose cost per call is mostly fixed
+# column pieces of one group of trials per carry scan, the sums of 2^19 values:
+# a scan's cost is mostly per call
+_SCAN_BATCH = _WORKERS
 
 
 @dataclass(frozen=True)
@@ -367,8 +375,9 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
     come in chunks of at most ``_CHUNK_VALUES`` values (whole trials, or
     pieces of one trial's columns), whose column sums the threads of
     ``_run_ordered`` build; the caller runs the segmented scan
-    (``_carry_scan``) over them in order, ``_SCAN_BATCH`` chunks at a time,
-    and carries the carry on across them.  Trials lie in 0..2^64 - 1.
+    (``_carry_scan``) over them in order and carries the carry on across
+    them, over ``_SCAN_BATCH`` column pieces of one group of trials per
+    call, or over one chunk of whole trials.  Trials lie in 0..2^64 - 1.
     """
     if n_summands < 2:
         raise ValueError(f"need at least 2 summands, got {n_summands}")

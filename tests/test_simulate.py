@@ -737,8 +737,10 @@ class TestWorkers:
         assert simulate_carries(3, 10, 50, SimulationConfig(trials=4, seed=2)).samples == 200
         assert threads == []
 
-    def test_at_most_two_threads(self):
+    def test_at_most_two_threads_and_two_to_the_19_values_in_flight(self):
+        # one CPU runs one chunk of 2^19 values inline, two run two of 2^18
         assert 1 <= simulate._WORKERS <= 2
+        assert simulate._WORKERS * simulate._CHUNK_VALUES == 2**19
 
 
 class TestMemory:
