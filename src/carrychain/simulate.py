@@ -17,17 +17,17 @@ per trial, starting from carry 0, and records the successive carry values.
 
 Both run as whole-array numpy passes over chunks of at most
 ``_CHUNK_VALUES`` = 2^19 / ``_WORKERS`` random values, with no Python loop
-per trial or per column.  ``_run_ordered`` runs the chunks on
-``_WORKERS`` = min(2, usable CPUs) threads, the caller among them, so at
-most 2^19 values are in flight: two chunks of 2^18 on two CPUs, one of
-2^19 on one.  With one CPU, or a single chunk, the chunks run inline on
-the caller.  numpy releases the interpreter lock inside its passes, so two
-chunks fill at once.  Each shuffle chunk returns its own tally; each
-carries chunk returns its column sums, and the caller scans them in order,
-carrying the carry across them.  When one group of trials is cut into
-pieces of its columns, the caller scans ``_SCAN_BATCH`` = ``_WORKERS``
-pieces per call, the sums of 2^19 values, since a scan's cost is mostly
-per call; a chunk of whole trials is scanned on its own.  The merges are integer sums in a fixed order, so
+per trial or per column.  ``_run_rounds`` runs the chunks in rounds of
+``_WORKERS`` = min(2, usable CPUs) at once, the caller running the first
+of each and a helper thread each of the others, so at most 2^19 values are
+in flight: two chunks of 2^18 on two CPUs, one of 2^19 on one, where no
+helper starts.  numpy releases the interpreter lock inside its passes, so
+two chunks fill at once.  After each round the caller merges its results
+in job order.  A shuffle round adds its chunks' tallies.  A carries chunk
+returns its column sums: a chunk of whole trials is scanned on its own
+from carry 0, and the pieces of one long trial's columns are scanned a
+round per call, the carry carried on from round to round, since a scan's
+cost is mostly per call.  The merges are integer sums in a fixed order, so
 the counts do not depend on the number of threads.  The random blocks are
 draw-major (see :mod:`carrychain.rng`): the transpose of a block is a
 C-contiguous (draws, trials) array, so every kernel reads whole rows of one
@@ -62,6 +62,7 @@ n <= 1024.  Without it one trial of n = 65536 would ask for 32 GiB.
 from __future__ import annotations
 
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,9 +83,6 @@ _RANK_MAX_N = 32  # the rank kernel up to here, the argsort above (measured cros
 # columns per segment of the carry scan: a 4*10^6-column (3, 10) trajectory took
 # 191 ms at 256 in int64, 131 at 128 and 135 at 64 in int8 (in process, median of 5)
 _SEGMENT_COLUMNS = 128
-# column pieces of one group of trials per carry scan, the sums of 2^19 values:
-# a scan's cost is mostly per call
-_SCAN_BATCH = _WORKERS
 
 
 @dataclass(frozen=True)
@@ -136,60 +134,52 @@ def _check_size(n: int, draws: int) -> None:
         raise BudgetError(f"the ({n}, {n}) transition tally has {n * n} cells, over the bound of {TALLY_CELLS}")
 
 
-def _run_ordered(work, jobs: list, merge) -> None:
-    """Call ``work(*job)`` for every job of ``jobs`` and hand each job with
-    its result to ``merge(job, result)`` on the calling thread, in job
-    order.
+def _run_rounds(work, jobs: list, merge, state):
+    """Call ``work(*job)`` for every job of ``jobs`` and fold the results
+    into ``state`` on the calling thread, a round at a time: ``state =
+    merge(state, results)``, ``results`` those of one round in job order.
+    Return the last state.
 
-    Job k runs on thread k % W, W = min(``_WORKERS``, len(jobs)), and the
-    caller is thread 0; with W = 1 every job runs inline.  A worker starts
-    its next job only once the caller has taken its last result, so at most
-    W jobs run at once and at most one finished result waits per worker.
-    An exception from a job is raised in the caller, at that job's turn,
-    and every thread is joined before the call returns or raises.
+    A round is W = min(``_WORKERS``, len(jobs)) consecutive jobs that run at
+    once: the caller runs the first, and each of W - 1 helper threads, which
+    live for the whole call, runs one other.  So at most W jobs run and at
+    most W results wait at any time, and W = 1 starts no helper.  An
+    exception from a job is raised in the caller, at that job's turn, and
+    every helper is joined before the call returns or raises.
     """
-    threads = min(_WORKERS, len(jobs))
-    if threads <= 1:
-        for job in jobs:
-            merge(job, work(*job))
-        return
-    slots = [None] * threads  # worker w's last (result, exception)
-    free = [threading.Semaphore(1) for _ in range(threads)]  # worker w may start a job
-    full = [threading.Semaphore(0) for _ in range(threads)]  # worker w's slot holds a result
-    stop = False
+    width = min(_WORKERS, len(jobs))
+    mail = [(queue.SimpleQueue(), queue.SimpleQueue()) for _ in range(width - 1)]  # each helper's inbox, outbox
 
-    def serve(w: int) -> None:
-        for job in jobs[w::threads]:
-            free[w].acquire()
-            if stop:
-                return
+    def serve(inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+        while (job := inbox.get()) is not None:
             try:
-                slots[w] = (work(*job), None)
+                outbox.put((work(*job), None))
             except BaseException as exc:  # handed to the caller, which raises it
-                slots[w] = (None, exc)
-            full[w].release()
+                outbox.put((None, exc))
 
-    workers = [threading.Thread(target=serve, args=(w,)) for w in range(1, threads)]
+    def run_round(first: tuple, *others: tuple) -> list:
+        for (inbox, _), job in zip(mail, others):
+            inbox.put(job)
+        results = [work(*first)]
+        for _, outbox in mail[: len(others)]:
+            result, exc = outbox.get()
+            if exc is not None:
+                raise exc
+            results.append(result)
+        return results
+
+    helpers = [threading.Thread(target=serve, args=pair) for pair in mail]
     try:
-        for thread in workers:
-            thread.start()
-        for k, job in enumerate(jobs):
-            w = k % threads
-            if w == 0:
-                result = work(*job)
-            else:
-                full[w].acquire()
-                (result, exc), slots[w] = slots[w], None
-                free[w].release()
-                if exc is not None:
-                    raise exc
-            merge(job, result)
+        for helper in helpers:
+            helper.start()
+        for k in range(0, len(jobs), width):
+            state = merge(state, run_round(*jobs[k : k + width]))
+        return state
     finally:
-        stop = True
-        for w, thread in enumerate(workers, start=1):
-            free[w].release()
-            if thread.ident is not None:
-                thread.join()
+        for (inbox, _), helper in zip(mail, helpers):
+            inbox.put(None)
+            if helper.ident is not None:
+                helper.join()
 
 
 def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: int = 0) -> EmpiricalMatrix:
@@ -211,12 +201,17 @@ def simulate_shuffle_chain(n: int, b: int, cfg: SimulationConfig, trial_offset: 
         raise ValueError(f"need n >= 1 and 1 <= b <= 2^63, got n={n}, b={b}")
     check_trials(trial_offset, trial_offset + cfg.trials)
     _check_size(n, cfg.trials * 2 * n)
-    counts = np.zeros((n, n), dtype=np.int64)
     kernel = _rank_chunk if n <= _RANK_MAX_N else _sort_chunk
     chunk = max(1, _CHUNK_VALUES // (2 * n))
     t0, t1 = trial_offset, trial_offset + cfg.trials
     jobs = [(n, b, cfg.seed, lo, min(lo + chunk, t1)) for lo in range(t0, t1, chunk)]
-    _run_ordered(kernel, jobs, lambda job, tally: np.add(counts, tally, out=counts))
+
+    def add(counts: np.ndarray, tallies: list) -> np.ndarray:
+        for tally in tallies:
+            counts += tally
+        return counts
+
+    counts = _run_rounds(kernel, jobs, add, np.zeros((n, n), dtype=np.int64))
     return EmpiricalMatrix(tuple(tuple(int(c) for c in row) for row in counts))
 
 
@@ -372,12 +367,13 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
     column sum, at most (n_summands - 1) + n_summands (b - 1), must fit in
     int64; the scan runs in the narrowest signed type that holds it and the
     transition codes up to n_summands^2 - 1 (``_scan_dtype``).  The digits
-    come in chunks of at most ``_CHUNK_VALUES`` values (whole trials, or
-    pieces of one trial's columns), whose column sums the threads of
-    ``_run_ordered`` build; the caller runs the segmented scan
-    (``_carry_scan``) over them in order and carries the carry on across
-    them, over ``_SCAN_BATCH`` column pieces of one group of trials per
-    call, or over one chunk of whole trials.  Trials lie in 0..2^64 - 1.
+    come in chunks of at most ``_CHUNK_VALUES`` values, whose column sums
+    ``_run_rounds`` builds a round at a time; the caller runs the segmented
+    scan (``_carry_scan``) over them.  A chunk holds whole trials, and is
+    scanned on its own, unless one trial's columns fill more than a chunk.
+    Then the trials run one by one, each in pieces of its columns, and the
+    pieces of a round are scanned in one call that carries the carry on from
+    the round before.  Trials lie in 0..2^64 - 1.
     """
     if n_summands < 2:
         raise ValueError(f"need at least 2 summands, got {n_summands}")
@@ -392,34 +388,24 @@ def simulate_carries(n_summands: int, b: int, digits: int, cfg: SimulationConfig
     n, end = n_summands, trial_offset + cfg.trials
     counts = np.zeros((n, n), dtype=np.int64)
     dtype = _scan_dtype(n, b)
-    chunk = max(1, _CHUNK_VALUES // (digits * n))
-    jobs = []
-    for t0 in range(trial_offset, end, chunk):
-        t1 = min(t0 + chunk, end)
-        step = max(1, _CHUNK_VALUES // (n * (t1 - t0)))
-        jobs += [(t0, t1, c0, min(c0 + step, digits)) for c0 in range(0, digits, step)]
+    chunk = max(1, _CHUNK_VALUES // (digits * n))  # trials per chunk
+    step = max(1, _CHUNK_VALUES // (n * chunk))  # columns per piece of a trial
 
     def column_sums(t0: int, t1: int, c0: int, c1: int) -> np.ndarray:
         return _column_sums(digit_block(cfg.seed, t0, t1, c0 * n, c1 * n, b, dtype), n)
 
-    batch, carry = [], None
+    def scan_each(_, round_sums: list) -> None:
+        for sums in round_sums:
+            _carry_scan(sums, np.zeros(sums.shape[1], dtype=dtype), b, counts)
 
-    def scan() -> None:
-        nonlocal carry
-        carry = _carry_scan(np.concatenate(batch) if len(batch) > 1 else batch[0], carry, b, counts)
-        batch.clear()
+    def scan_on(carry: np.ndarray, round_sums: list) -> np.ndarray:
+        return _carry_scan(np.concatenate(round_sums), carry, b, counts)
 
-    def collect(job: tuple, sums: np.ndarray) -> None:
-        nonlocal carry
-        if job[2] == 0:  # the first columns of new trials
-            if batch:
-                scan()
-            carry = np.zeros(sums.shape[1], dtype=dtype)
-        batch.append(sums)
-        if len(batch) == _SCAN_BATCH:
-            scan()
-
-    _run_ordered(column_sums, jobs, collect)
-    if batch:
-        scan()
+    if step >= digits:  # chunks of whole trials
+        jobs = [(t0, min(t0 + chunk, end), 0, digits) for t0 in range(trial_offset, end, chunk)]
+        _run_rounds(column_sums, jobs, scan_each, None)
+    else:  # one trial at a time, in pieces of its columns
+        for t in range(trial_offset, end):
+            jobs = [(t, t + 1, c0, min(c0 + step, digits)) for c0 in range(0, digits, step)]
+            _run_rounds(column_sums, jobs, scan_on, np.zeros(1, dtype=dtype))
     return EmpiricalMatrix(tuple(tuple(int(c) for c in row) for row in counts))

@@ -737,6 +737,50 @@ class TestWorkers:
         assert simulate_carries(3, 10, 50, SimulationConfig(trials=4, seed=2)).samples == 200
         assert threads == []
 
+    @pytest.mark.parametrize("count", (2, 3))
+    def test_the_helpers_serve_every_round_of_a_call(self, monkeypatch, count):
+        # a new thread per round made the monte-carlo workload 4 % slower, so
+        # W - 1 helpers serve all rounds of a call, or of one long trial
+        monkeypatch.setattr(simulate, "_WORKERS", count)
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", 24)  # many rounds
+        start, started = threading.Thread.start, []
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        for call, helpers in (
+            (lambda: simulate_shuffle_chain(3, 2, SimulationConfig(trials=100, seed=1)), count - 1),  # 25 chunks
+            (lambda: simulate_carries(2, 7, 4, SimulationConfig(trials=60, seed=1)), count - 1),  # 20 chunks
+            (lambda: simulate_carries(3, 10, 200, SimulationConfig(trials=2, seed=1)), 2 * (count - 1)),  # 25 pieces each
+        ):
+            started.clear()
+            call()
+            assert 0 < len(started) <= helpers
+
+    @pytest.mark.parametrize("count", (1, 2, 3))
+    def test_a_long_trial_is_scanned_a_round_per_call(self, monkeypatch, count):
+        monkeypatch.setattr(simulate, "_WORKERS", count)
+        monkeypatch.setattr(simulate, "_CHUNK_VALUES", 24)
+        scan, shapes = simulate._carry_scan, []
+
+        def record(sums, *args):
+            shapes.append(sums.shape)
+            return scan(sums, *args)
+
+        monkeypatch.setattr(simulate, "_carry_scan", record)
+        # two trials of 203 columns, each in 25 pieces of 8 columns and one of 3
+        got = simulate_carries(3, 10, 203, SimulationConfig(trials=2, seed=5), 4)
+        assert got.counts == _carries_reference(3, 10, 203, 5, 2, 4)
+        rounds = -(-26 // count)
+        assert len(shapes) == 2 * rounds
+        assert [columns for columns, _ in shapes[:rounds]] == [8 * count] * (rounds - 1) + [203 - 8 * count * (rounds - 1)]
+        shapes.clear()
+        # 60 whole trials of 4 columns in 20 chunks of 3, scanned one by one
+        simulate_carries(2, 7, 4, SimulationConfig(trials=60, seed=5))
+        assert shapes == [(4, 3)] * 20
+
     def test_at_most_two_threads_and_two_to_the_19_values_in_flight(self):
         # one CPU runs one chunk of 2^19 values inline, two run two of 2^18
         assert 1 <= simulate._WORKERS <= 2
@@ -753,6 +797,18 @@ class TestMemory:
         tracemalloc.start()
         try:
             simulate_carries(3, 10, 10**6, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19 * 8
+
+    def test_many_trials_stay_under_the_in_flight_budget(self):
+        # the other path: chunks of whole trials, a round of them in flight,
+        # each scanned on its own
+        simulate_carries(2, 10, 20, SimulationConfig(10, 7))
+        tracemalloc.start()
+        try:
+            simulate_carries(2, 10, 20, SimulationConfig(50_000, 7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
