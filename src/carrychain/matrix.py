@@ -40,12 +40,22 @@ stationary checks take P from the row kernel at every b, since a spectral P
 would reduce them to F W = I; the multiplicativity check takes P(b1) and
 P(b2) from the row kernel and P(b1 b2) from ``amazing_matrix``, so at a wide
 product it also checks one path against the other.
+
+The same mirror halves the products these checks form.  With P
+centrosymmetric, n! W(n+1-i, j) = (-1)^(n+j) n! W(i, j),
+F(i, n+1-j) = (-1)^(n-i) F(i, j) and E(n+1-k) = E(k) for the Eulerian
+row E, the rows 1..ceil(n/2) of P W = W D, the columns 1..ceil(n/2) of
+F P = D F and of E P = b^n E, and the rows 1..ceil(n/2) of
+P(b1) P(b2) = P(b1 b2) decide the rest.  Each check first tests every
+mirror it relies on, in O(n^2) compares, on the tables it got, and reports
+failed each identity whose mirror fails; so a fault in the half that is not
+multiplied is still seen.  Their budgets still count the full products.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul, sub
+from operator import mul, neg, sub
 
 from .combinat import _check_budget, _check_work, _Checked, _work, binomial, eulerian_numbers
 from .eulerian import BasisMatrix, foulkes_matrix, worpitzky_matrix
@@ -247,53 +257,99 @@ class Report(namedtuple("Report", "name params checked failures")):
         return f"{status} {self.name} ({params}) [{self.checked} identities]{detail}"
 
 
+def _centrosymmetric(rows: tuple) -> bool:
+    """Whether the tuple ``rows`` read from the bottom is its rows reversed:
+    the mirror P(n+1-i, n+1-j) = P(i, j) that lets a product check multiply
+    only half of P."""
+    return rows[::-1] == tuple(row[::-1] for row in rows)
+
+
+def _mirrors(vector: tuple, negated: int) -> bool:
+    """Whether the tuple ``vector`` reversed is itself, or, when ``negated``
+    is 1, itself negated."""
+    return vector[::-1] == (tuple(map(neg, vector)) if negated else vector)
+
+
 def verify_spectrum(n: int, b: int) -> Report:
     """Check, in integers, that the columns of n! W are right eigenvectors
     and the rows of F left eigenvectors of P(n, b), with eigenvalues b^k.
-    The 2 n^2 (n + 1) products are checked against the work budget first,
+
+    Only half of each product is formed.  Row n+1-i of P W is (-1)^(n+j)
+    times row i in column j, and so is row n+1-i of W D, once P is
+    centrosymmetric and column j of n! W mirrors up to that sign,
+    n! W(n+1-i, j) = (-1)^(n+j) n! W(i, j); so P w_j = b^j w_j is checked on
+    rows 1..ceil(n/2).  Likewise F(i, n+1-j) = (-1)^(n-i) F(i, j) carries
+    f_i P = b^i f_i from columns 1..ceil(n/2) to the rest.  Each of these
+    mirrors is tested, in O(n^2) compares, on the tables the check got, and
+    an eigenpair whose mirror fails is reported failed.  The 2 n^2 (n + 1)
+    products of the full check are counted against the work budget first,
     and the eigenvector tables are built before P, so that a size over the
     budget is refused before the largest table is built."""
     _check_products("verify_spectrum", 2 * n * n * (n + 1), n * b.bit_length(), _eigen_bits(n))
     W, F = worpitzky_matrix(n).numerators, foulkes_matrix(n).numerators
     P = _matrix(n, b, spectral=False).entries
+    half = (n + 1) // 2
+    mirrored, top = _centrosymmetric(P), P[:half]
     failures = []
     for j, col in enumerate(zip(*W), start=1):
         bj = b**j
-        if [sum(map(mul, row, col)) for row in P] != [bj * c for c in col]:
+        if not (
+            mirrored
+            and _mirrors(col, (n + j) % 2)
+            and [sum(map(mul, row, col)) for row in top] == [bj * c for c in col[:half]]
+        ):
             failures.append(f"right eigenpair failed: n={n}, b={b}, j={j}")
-    columns = list(zip(*P))
+    left = list(zip(*P))[:half]
     for i, row in enumerate(F, start=1):
         bi = b**i
-        if [sum(map(mul, row, col)) for col in columns] != [bi * c for c in row]:
+        if not (
+            mirrored
+            and _mirrors(row, (n - i) % 2)
+            and [sum(map(mul, row, col)) for col in left] == [bi * c for c in row[:half]]
+        ):
             failures.append(f"left eigenpair failed: n={n}, b={b}, i={i}")
     return Report("spectrum", {"n": n, "b": b}, 2 * n, tuple(failures))
 
 
 def verify_stationary(n: int, b: int) -> Report:
     """Check pi P = b^n pi for the Eulerian distribution pi, as E P = b^n E
-    in integers on the Eulerian row E = n! pi.  Its n (n + 1) products are
-    checked against the work budget before P is built."""
+    in integers on the Eulerian row E = n! pi.  Entry n+1-j of E P is entry
+    j once P is centrosymmetric and E(n+1-k) = E(k), so, with both mirrors
+    tested, only columns 1..ceil(n/2) are multiplied.  The n (n + 1)
+    products of the full check are counted against the work budget before
+    P is built."""
     _check_products("verify_stationary", n * (n + 1), n * b.bit_length(), _eigen_bits(n))
     P = _matrix(n, b, spectral=False).entries
     E = eulerian_numbers(n)
     bn = b**n
+    half = (n + 1) // 2
     failures = []
-    if [sum(map(mul, E, col)) for col in zip(*P)] != [bn * e for e in E]:
+    if not (
+        _centrosymmetric(P)
+        and E[::-1] == E
+        and [sum(map(mul, E, col)) for col in list(zip(*P))[:half]] == [bn * e for e in E[:half]]
+    ):
         failures.append(f"stationary identity failed: n={n}, b={b}")
     return Report("stationary", {"n": n, "b": b}, 1, tuple(failures))
 
 
 def verify_multiplicativity(n: int, b1: int, b2: int) -> Report:
-    """Check P(b1) P(b2) = P(b1 b2) on unnormalized entries.  The n^3
-    products are checked against the work budget before any matrix is
-    built."""
+    """Check P(b1) P(b2) = P(b1 b2) on unnormalized entries.  A product of
+    two centrosymmetric matrices is centrosymmetric, so once all three are
+    tested to be, the rows 1..ceil(n/2) of the product decide the rest.
+    The n^3 products of the full check are counted against the work budget
+    before any matrix is built."""
     _check_products("verify_multiplicativity", n**3, n * b1.bit_length(), n * b2.bit_length())
     A = _matrix(n, b1, spectral=False).entries
-    columns = list(zip(*_matrix(n, b2, spectral=False).entries))
-    C = amazing_matrix(n, b1 * b2)
-    product = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in A)
+    B = _matrix(n, b2, spectral=False).entries
+    C = amazing_matrix(n, b1 * b2).entries
+    half = (n + 1) // 2
+    columns = list(zip(*B))
     failures = []
-    if product != C.entries:
+    if not (
+        all(map(_centrosymmetric, (A, B, C)))
+        and tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in A[:half]) == C[:half]
+    ):
         failures.append(f"multiplicativity failed: n={n}, b1={b1}, b2={b2}")
     return Report("multiplicativity", {"n": n, "b1": b1, "b2": b2}, 1, tuple(failures))
 

@@ -2,6 +2,11 @@
 corrupted S_3 table that breaks the oracle's lumping check; imported by the
 test modules and collected by none.
 
+``full_spectrum``, ``full_stationary`` and ``full_multiplicativity`` form
+every entry of the products that ``matrix.verify_spectrum``,
+``verify_stationary`` and ``verify_multiplicativity`` check, where the
+library forms half of each and tests the mirror that gives the rest.
+
 The library keeps permutations as tuples of images and, in the oracle, as
 lexicographic ranks.  ``Permutation`` below is an object written apart from
 both, in one-line notation with 1-based values, so that a test which ranks,
@@ -11,10 +16,14 @@ composes or inverts through it does not rest on the oracle's own kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import pytest
 
 from carrychain import oracle
+from carrychain.combinat import eulerian_numbers
+from carrychain.eulerian import foulkes_matrix, worpitzky_matrix
+from carrychain.matrix import Report, _matrix, amazing_matrix
 
 
 @dataclass(frozen=True)
@@ -66,3 +75,35 @@ def corrupt_table(monkeypatch: pytest.MonkeyPatch) -> None:
     compose = table.compose.copy()
     compose[:, 1] = compose[:, 0]
     monkeypatch.setattr(oracle, "_table", lambda n: table._replace(compose=compose))
+
+
+def full_spectrum(n: int, b: int) -> Report:
+    """``verify_spectrum`` by the full products P W and F P."""
+    W, F = worpitzky_matrix(n).numerators, foulkes_matrix(n).numerators
+    P = _matrix(n, b, spectral=False).entries
+    failures = []
+    for j, col in enumerate(zip(*W), start=1):
+        if [sum(map(mul, row, col)) for row in P] != [b**j * c for c in col]:
+            failures.append(f"right eigenpair failed: n={n}, b={b}, j={j}")
+    for i, row in enumerate(F, start=1):
+        if [sum(map(mul, row, col)) for col in zip(*P)] != [b**i * c for c in row]:
+            failures.append(f"left eigenpair failed: n={n}, b={b}, i={i}")
+    return Report("spectrum", {"n": n, "b": b}, 2 * n, tuple(failures))
+
+
+def full_stationary(n: int, b: int) -> Report:
+    """``verify_stationary`` by the full product E P."""
+    P = _matrix(n, b, spectral=False).entries
+    E = eulerian_numbers(n)
+    ok = [sum(map(mul, E, col)) for col in zip(*P)] == [b**n * e for e in E]
+    return Report("stationary", {"n": n, "b": b}, 1, () if ok else (f"stationary identity failed: n={n}, b={b}",))
+
+
+def full_multiplicativity(n: int, b1: int, b2: int) -> Report:
+    """``verify_multiplicativity`` by the full product P(b1) P(b2)."""
+    A = _matrix(n, b1, spectral=False).entries
+    columns = list(zip(*_matrix(n, b2, spectral=False).entries))
+    product = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in A)
+    ok = product == amazing_matrix(n, b1 * b2).entries
+    failures = () if ok else (f"multiplicativity failed: n={n}, b1={b1}, b2={b2}",)
+    return Report("multiplicativity", {"n": n, "b1": b1, "b2": b2}, 1, failures)

@@ -8,6 +8,7 @@ import pytest
 
 from carrychain import combinat, eulerian, matrix
 from carrychain.combinat import WORK_BUDGET, BudgetError, binomial, superfactorial
+from carrychain.eulerian import BasisMatrix
 from carrychain.matrix import (
     AmazingMatrix,
     amazing_entry,
@@ -18,6 +19,7 @@ from carrychain.matrix import (
     verify_spectrum,
     verify_stationary,
 )
+from reference import full_multiplicativity, full_spectrum, full_stationary
 
 
 class TestAmazingEntry:
@@ -135,6 +137,128 @@ class TestRowKernel:
         # the swapped P(2) squared is compared with the exact P(4)
         multiplicativity = verify_multiplicativity(4, 2, 2)
         assert multiplicativity.failures == ("multiplicativity failed: n=4, b1=2, b2=2",)
+
+
+def _faulty_matrix(n, b, change):
+    """``matrix._matrix`` with ``change`` made to the rows of P(n, b)."""
+    exact = matrix._matrix
+
+    def faulty(n_, b_, spectral):
+        P = exact(n_, b_, spectral)
+        if (n_, b_) != (n, b):
+            return P
+        rows = [list(row) for row in P.entries]
+        change(rows)
+        return AmazingMatrix(n, b, tuple(map(tuple, rows)))
+
+    return faulty
+
+
+def _faulty_table(build, change):
+    """``build``, the Worpitzky or Foulkes table, with ``change`` made to
+    its integer rows."""
+
+    def faulty(n):
+        table = build(n)
+        rows = [list(row) for row in table.numerators]
+        change(rows)
+        return BasisMatrix(n, rows, table.denominator)
+
+    return faulty
+
+
+def _move_a_unit_in_the_last_row(rows):
+    # from column n-1 to column n: the row sum stays b^n, and at n = 7 both
+    # columns lie right of ceil(n/2) = 4
+    rows[-1][-2] -= 1
+    rows[-1][-1] += 1
+
+
+def _shifted_mirror(n, b, spectral):
+    """``_matrix`` for odd n with the mirror shifted by one row: row
+    n+1-i is row i+1 reversed.  Every row still sums to b^n."""
+    top = [tuple(row) for row in matrix._top_rows("amazing_matrix", n, b, (n + 1) // 2, spectral)]
+    return AmazingMatrix(n, b, tuple(top + [row[::-1] for row in reversed(top[1:])]))
+
+
+class TestHalfProducts:
+    """The product checks multiply rows or columns 1..ceil(n/2) and test the
+    mirrors that give the rest: they must report what the full products
+    report, and see a fault that only the other half holds."""
+
+    @pytest.mark.parametrize("b", (1, 2, 3, 7, 2**300 + 1))
+    def test_reports_equal_the_full_products(self, b):
+        # odd n has a middle row (and column) that is its own mirror
+        for n in range(1, 14):
+            assert verify_spectrum(n, b) == full_spectrum(n, b)
+            assert verify_stationary(n, b) == full_stationary(n, b)
+            for b2 in (1, 3):
+                assert verify_multiplicativity(n, b, b2) == full_multiplicativity(n, b, b2)
+
+    EIGENPAIRS = tuple(f"right eigenpair failed: n=7, b=2, j={j}" for j in range(1, 8)) + tuple(
+        f"left eigenpair failed: n=7, b=2, i={i}" for i in range(1, 8)
+    )
+
+    # At n = 7, b = 2 the eigen checks multiply rows 1..4 and columns 1..4
+    # of P, and the multiplicativity check rows 1..4 of P(b1): a unit moved
+    # in the last row of P(2) lies outside all of them, and a shifted mirror
+    # outside the right eigen products
+    @pytest.mark.parametrize(
+        "fault",
+        [_faulty_matrix(7, 2, _move_a_unit_in_the_last_row), _shifted_mirror],
+        ids=["a-unit-moved-in-the-last-row", "mirror-shifted-by-one-row"],
+    )
+    @pytest.mark.parametrize(
+        "check, args, failures",
+        [
+            (verify_spectrum, (7, 2), EIGENPAIRS),
+            (verify_stationary, (7, 2), ("stationary identity failed: n=7, b=2",)),
+            (verify_multiplicativity, (7, 2, 3), ("multiplicativity failed: n=7, b1=2, b2=3",)),
+        ],
+        ids=["spectrum", "stationary", "multiplicativity"],
+    )
+    def test_a_fault_in_the_mirrored_rows_of_p_fails_every_identity(self, monkeypatch, fault, check, args, failures):
+        monkeypatch.setattr(matrix, "_matrix", fault)
+        assert check(*args).failures == failures
+
+    def test_a_sign_flipped_in_a_bottom_row_of_w_fails_its_eigenpair(self, monkeypatch):
+        # rows 1..4 of P(7, 2) are 0 in column 7, so the multiplied rows of
+        # P W never read row 7 of n! W
+        def flip(rows):
+            rows[-1][2] = -rows[-1][2]
+
+        monkeypatch.setattr(matrix, "worpitzky_matrix", _faulty_table(eulerian.worpitzky_matrix, flip))
+        assert verify_spectrum(7, 2).failures == ("right eigenpair failed: n=7, b=2, j=3",)
+
+    # Every row of P(7, 2) is nonzero in a column <= 4, so the multiplied
+    # columns see any one changed entry of F or E.  The change below they
+    # cannot see: rows 5, 6 and 7 of P are (0, 0, 8, 56), (0, 0, 1, 28) and
+    # (0, 0, 0, 8) in columns 1..4, and 1 (8, 56) - 8 (1, 28) + 21 (0, 8) = 0
+    UNSEEN = {4: 1, 5: -8, 6: 21}
+
+    @pytest.mark.parametrize("change", [{6: 1}, UNSEEN], ids=["one-entry", "unseen-by-the-left-columns"])
+    def test_a_change_in_the_right_half_of_f_fails_its_eigenpair(self, monkeypatch, change):
+        def add(rows):
+            for k, d in change.items():
+                rows[2][k] += d
+
+        monkeypatch.setattr(matrix, "foulkes_matrix", _faulty_table(eulerian.foulkes_matrix, add))
+        assert verify_spectrum(7, 2).failures == ("left eigenpair failed: n=7, b=2, i=3",)
+
+    def test_a_change_in_the_right_half_of_the_eulerian_row_fails(self, monkeypatch):
+        exact = combinat.eulerian_numbers
+        monkeypatch.setattr(
+            matrix, "eulerian_numbers", lambda n: tuple(e + self.UNSEEN.get(k, 0) for k, e in enumerate(exact(n)))
+        )
+        assert verify_stationary(7, 2).failures == ("stationary identity failed: n=7, b=2",)
+
+    # P(2) P(3) = P(6): the multiplied rows 1..4 of P(2) are 0 in column 7,
+    # so they never read row 7 of P(3); nor is any row of P(6) past row 4 read
+    @pytest.mark.parametrize("b", (3, 6), ids=["second-factor", "product"])
+    def test_a_fault_in_the_bottom_rows_of_p_b2_or_p_b1_b2_fails(self, monkeypatch, b):
+        monkeypatch.setattr(matrix, "_matrix", _faulty_matrix(7, b, _move_a_unit_in_the_last_row))
+        assert verify_multiplicativity(7, 2, 3).failures == ("multiplicativity failed: n=7, b1=2, b2=3",)
+        assert verify_spectrum(7, 2).ok and verify_stationary(7, 2).ok
 
 
 def _base(bits: int) -> int:
