@@ -52,8 +52,10 @@ IDEMPOTENT_TERMS = 2**17
 # which counts less work: amazing_matrix(32, 2^2048), 5.8e8 on the row
 # kernel, counts 4.6e7 (0.1 s), and the largest admitted at that base,
 # amazing_matrix(46, 2^2048) (2.65e8), takes 0.4 s.  The largest
-# benchmarked table, foulkes_determinant(40), counts 7.4e7 (0.04 s), and
-# descent_polynomial(16, 3, 3000) 2.9e6 (3.9e7 on the row kernel).
+# benchmarked table, foulkes_determinant(40), counts 7.4e7, the elimination
+# of all of F (0.02 s), though it eliminates only the two half-size blocks
+# of F's mirror (0.003 s), and descent_polynomial(16, 3, 3000) counts 2.9e6
+# (3.9e7 on the row kernel).
 # eulerian_numbers stops at n = 1672, whose row takes about 2.2 s.
 WORK_BUDGET = 2**28
 

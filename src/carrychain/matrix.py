@@ -34,12 +34,13 @@ here in integer arithmetic: the columns of n! W (Worpitzky) and the rows of
 F (Foulkes) are its right and left eigenvectors (eigenvalue b^k for the
 k-th), matrices for different b multiply as P(b1) P(b2) = P(b1 b2), the
 stationary distribution is the Eulerian distribution, det F is the
-superfactorial (by fraction-free elimination), and row 1 for parameter b^r
-is the descent generating polynomial of b^r-shuffles.  The eigen and
-stationary checks take P from the row kernel at every b, since a spectral P
-would reduce them to F W = I; the multiplicativity check takes P(b1) and
-P(b2) from the row kernel and P(b1 b2) from ``amazing_matrix``, so at a wide
-product it also checks one path against the other.
+superfactorial (by fraction-free elimination of the two blocks of about
+half its size that the mirror of F, below, splits it into), and row 1 for
+parameter b^r is the descent generating polynomial of b^r-shuffles.  The
+eigen and stationary checks take P from the row kernel at every b, since a
+spectral P would reduce them to F W = I; the multiplicativity check takes
+P(b1) and P(b2) from the row kernel and P(b1 b2) from ``amazing_matrix``,
+so at a wide product it also checks one path against the other.
 
 The same mirror halves the products these checks form.  With P
 centrosymmetric, n! W(n+1-i, j) = (-1)^(n+j) n! W(i, j),
@@ -49,7 +50,9 @@ F P = D F and of E P = b^n E, and the rows 1..ceil(n/2) of
 P(b1) P(b2) = P(b1 b2) decide the rest.  Each check first tests every
 mirror it relies on, in O(n^2) compares, on the tables it got, and reports
 failed each identity whose mirror fails; so a fault in the half that is not
-multiplied is still seen.  Their budgets still count the full products.
+multiplied is still seen.  Their budgets still count the full products, as
+the determinant's budget counts the elimination of all of F, and the
+determinant raises on a row of F that does not mirror.
 """
 
 from __future__ import annotations
@@ -356,7 +359,8 @@ def verify_multiplicativity(n: int, b1: int, b2: int) -> Report:
 
 def _bareiss_determinant(rows) -> int:
     """Exact determinant of an integer matrix by fraction-free (Bareiss)
-    elimination with row pivoting: every division is exact."""
+    elimination with row pivoting: every division is exact.  The 0 x 0
+    matrix has determinant 1, the empty product."""
     m = [list(row) for row in rows]
     sign, prev = 1, 1
     for k in range(len(m) - 1):
@@ -371,23 +375,49 @@ def _bareiss_determinant(rows) -> int:
             rk = m[r][k]
             m[r][k + 1 :] = [(a * pk - rk * c) // prev for a, c in zip(m[r][k + 1 :], top)]
         prev = pk
-    return sign * m[-1][-1]
+    return sign * m[-1][-1] if m else 1
 
 
 def _check_determinant(n: int) -> None:
-    # Bareiss makes about n^3/3 updates of k x k minors of F; weighted by
-    # the updates per step, their root-mean-square size is about n/3
-    # entries of F, of at most n (log2 n + 1) bits each
+    # Bareiss on all of F makes about n^3/3 updates of k x k minors of F;
+    # weighted by the updates per step, their root-mean-square size is about
+    # n/3 entries of F, of at most n (log2 n + 1) bits each.  The two
+    # half-size blocks that foulkes_determinant eliminates make about a
+    # quarter of those updates, but the full count is kept on purpose, so
+    # that the refusal point stays at n = 49
     _check_work("foulkes_determinant", n**3 // 3, 0, n * n * (n.bit_length() + 1) // 3)
 
 
 def foulkes_determinant(n: int, F: BasisMatrix | None = None) -> int:
     """Exact determinant of the Foulkes matrix (equals the superfactorial),
-    read from ``F`` when the caller has built that matrix already."""
+    read from ``F`` when the caller has built that matrix already.
+
+    F is split by its mirror F(i, n+1-j) = (-1)^(n-i) F(i, j), h = floor(n/2):
+    A holds the rows i with n - i even, in increasing i, on columns
+    1..ceil(n/2), B the rows with n - i odd on columns 1..h, and
+    det F = 2^h det A det B, two Bareiss eliminations of about half the
+    size.  Replacing c_j by c_j + c_{n+1-j} and c_{n+1-j} by
+    c_j - c_{n+1-j}, j = 1..h, multiplies det F by (-2)^h and leaves, in
+    the even rows, A with columns 1..h doubled on columns 1..ceil(n/2); in
+    the odd rows, 2B with its h columns reversed on columns ceil(n/2)+1..n;
+    zeros elsewhere.  Rows n, n-1, ... alternate even, odd, ..., so moving
+    the even rows above the odd ones passes h (h + 1) / 2 pairs, and
+    reversing h columns swaps h (h - 1) / 2: the signs make
+    (-1)^(h^2) = (-1)^h, so (-2)^h det F = (-1)^h 4^h det A det B, the
+    same sign for every n.  Each row of F is first tested to mirror, and a
+    row that does not raises ``AssertionError``, since the columns right of
+    the middle are never read."""
     _check_determinant(n)
     if F is not None and (F.n, F.denominator) != (n, 1):
         raise ValueError(f"expected the degree-{n} Foulkes matrix, got degree {F.n} over {F.denominator}")
-    return _bareiss_determinant((foulkes_matrix(n) if F is None else F).numerators)
+    rows = (foulkes_matrix(n) if F is None else F).numerators
+    for i, row in enumerate(rows, start=1):
+        if not _mirrors(row, (n - i) % 2):
+            raise AssertionError(f"row {i} of the degree-{n} Foulkes matrix breaks F(i, n+1-j) = (-1)^(n-i) F(i, j)")
+    p = (n - 1) % 2  # index parity of the rows i with n - i even
+    A = [row[: (n + 1) // 2] for row in rows[p::2]]
+    B = [row[: n // 2] for row in rows[1 - p :: 2]]
+    return 2 ** (n // 2) * _bareiss_determinant(A) * _bareiss_determinant(B)
 
 
 class DescentPolynomial(_Checked, namedtuple("DescentPolynomial", "n base coeffs")):

@@ -6,6 +6,9 @@ test modules and collected by none.
 every entry of the products that ``matrix.verify_spectrum``,
 ``verify_stationary`` and ``verify_multiplicativity`` check, where the
 library forms half of each and tests the mirror that gives the rest.
+``full_foulkes_determinant`` eliminates all of F, where
+``matrix.foulkes_determinant`` eliminates the two half-size blocks that
+the mirror of F splits it into.
 
 The library keeps permutations as tuples of images and, in the oracle, as
 lexicographic ranks.  ``Permutation`` below is an object written apart from
@@ -23,7 +26,7 @@ import pytest
 from carrychain import oracle
 from carrychain.combinat import eulerian_numbers
 from carrychain.eulerian import foulkes_matrix, worpitzky_matrix
-from carrychain.matrix import Report, _matrix, amazing_matrix
+from carrychain.matrix import Report, _bareiss_determinant, _matrix, amazing_matrix
 
 
 @dataclass(frozen=True)
@@ -107,3 +110,8 @@ def full_multiplicativity(n: int, b1: int, b2: int) -> Report:
     ok = product == amazing_matrix(n, b1 * b2).entries
     failures = () if ok else (f"multiplicativity failed: n={n}, b1={b1}, b2={b2}",)
     return Report("multiplicativity", {"n": n, "b1": b1, "b2": b2}, 1, failures)
+
+
+def full_foulkes_determinant(n: int) -> int:
+    """``foulkes_determinant`` by Bareiss elimination on all of F."""
+    return _bareiss_determinant(foulkes_matrix(n).numerators)

@@ -95,6 +95,12 @@ class TestFoulkesWorpitzky:
         assert doc["determinant"] == "288"
         assert doc["matrix"][3] == [1, 11, 11, 1]
 
+    def test_determinant_at_odd_n(self, capsys):
+        # odd n: the middle column of F belongs to one of the two blocks
+        code, out, _ = run_cli(capsys, "foulkes", "--n", "41", "--det")
+        assert code == 0
+        assert json.loads(out)["determinant"] == str(superfactorial(41))
+
     def test_determinant_reads_the_table_it_writes(self, capsys, monkeypatch):
         built = []
 

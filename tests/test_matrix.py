@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from carrychain import combinat, eulerian, matrix
+from carrychain.cli import run_verify_all
 from carrychain.combinat import WORK_BUDGET, BudgetError, binomial, superfactorial
 from carrychain.eulerian import BasisMatrix
 from carrychain.matrix import (
@@ -19,7 +20,7 @@ from carrychain.matrix import (
     verify_spectrum,
     verify_stationary,
 )
-from reference import full_multiplicativity, full_spectrum, full_stationary
+from reference import full_foulkes_determinant, full_multiplicativity, full_spectrum, full_stationary
 
 
 class TestAmazingEntry:
@@ -520,11 +521,43 @@ class TestFoulkesDeterminant:
         with pytest.raises(ValueError, match="^expected the degree-4 Foulkes matrix, got degree 4 over 24$"):
             foulkes_determinant(4, eulerian.worpitzky_matrix(4))
 
+    @pytest.mark.parametrize("n", [*range(1, 31), 40, 41, 48])
+    def test_the_split_equals_the_full_elimination(self, n):
+        assert foulkes_determinant(n) == full_foulkes_determinant(n)
+
+    # The split reads only columns 1..ceil(n/2), so a fault right of them,
+    # or in the middle column of a row whose mirror negates it, is seen only
+    # by the mirror test
+    @pytest.mark.parametrize(
+        "n, i, j",
+        [(7, 3, 6), (7, 4, 7), (8, 2, 5), (8, 5, 8), (7, 2, 4), (7, 6, 4)],
+        ids=["7-even-row", "7-odd-row", "8-even-row", "8-odd-row", "7-middle-of-row-2", "7-middle-of-row-6"],
+    )
+    def test_a_fault_the_split_does_not_read_raises(self, n, i, j):
+        def add(rows):
+            rows[i - 1][j - 1] += 1
+
+        F = _faulty_table(eulerian.foulkes_matrix, add)(n)
+        with pytest.raises(AssertionError, match=f"^row {i} of the degree-{n} Foulkes matrix breaks"):
+            foulkes_determinant(n, F)
+
+    def test_a_fault_the_split_does_not_read_fails_verify_all(self, monkeypatch):
+        def add(rows):
+            if len(rows) == 6:
+                rows[2][-1] += 1
+
+        monkeypatch.setattr(matrix, "foulkes_matrix", _faulty_table(eulerian.foulkes_matrix, add))
+        (report,) = [r for r in run_verify_all(6) if r.name == "foulkes-determinant"]
+        assert (report.checked, report.failures) == (
+            5,
+            ("AssertionError: row 3 of the degree-6 Foulkes matrix breaks F(i, n+1-j) = (-1)^(n-i) F(i, j)",),
+        )
+
     def test_elimination_against_leibniz_formula(self):
         # sparse random matrices, so zero pivots, row swaps and singular
-        # matrices all occur
+        # matrices all occur; the 0 x 0 matrix has determinant 1
         rng = random.Random(3)
-        for size in range(1, 6):
+        for size in range(0, 6):
             for _ in range(40):
                 rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(size)] for _ in range(size)]
                 leibniz = sum(
