@@ -46,10 +46,9 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .combinat import (
     GROUP_ALGEBRA_MAX_N,
-    IDEMPOTENT_TERMS,
-    BudgetError,
     LumpingViolation,
     TransitionMismatch,
+    _check_terms,
     _label,
     binomial,
     compositions,
@@ -264,9 +263,7 @@ def _cmd_eigen(args) -> int:
 def _cmd_idempotents(args) -> int:
     n, table = args.n, {}
     if args.basis == "s":
-        # 2^min(n, 64) keeps the count small for a huge n, over the bound either way
-        if (n + 1) * 2 ** min(n, 64) // 4 > IDEMPOTENT_TERMS:
-            raise BudgetError(f"idempotents: E[1..{n}] over S-words exceed the budget of {IDEMPOTENT_TERMS} terms")
+        _check_terms(n)
         words = [(_label(parts), len(parts) - 1) for parts in compositions(n)]  # in lexicographic order
         for k in range(1, n + 1):
             expansion = idempotent_s_expansion(n, k)

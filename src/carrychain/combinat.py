@@ -37,26 +37,14 @@ GROUP_ALGEBRA_MAX_N = 6
 IDEMPOTENT_TERMS = 2**17
 
 
-# Bigint work admitted for one closed-form table, in 64-bit word operations
-# as ``_work`` counts them, chosen from measured time on a 2-vCPU x86-64 host
-# with Python 3.11.  The largest transition matrix admitted at b = 2,
-# amazing_matrix(281, 2) (work 2.66e8), takes 0.04 s, and 0.12 s as
-# `carrychain amazing`; the other tables stop at foulkes_matrix(200) (0.02 s,
-# 0.23 s as `carrychain foulkes`) and worpitzky_matrix(214) (0.03 s, 0.9 s as
-# `carrychain worpitzky`, which reduces every entry by a gcd with n!).  The
-# Foulkes estimate still counts n + 1 difference passes per entry, which the
-# row recurrence no longer makes, so it over-counts; its refusal point is
-# kept.  The matrix products of the checks stop at
-# verify_spectrum(118, 2) (0.6 s) and verify_multiplicativity(176, 2, 2)
-# (0.5 s).  Bases of 256 bits and more take the spectral path of ``matrix``,
-# which counts less work: amazing_matrix(32, 2^2048), 5.8e8 on the row
-# kernel, counts 4.6e7 (0.1 s), and the largest admitted at that base,
-# amazing_matrix(46, 2^2048) (2.65e8), takes 0.4 s.  The largest
-# benchmarked table, foulkes_determinant(40), counts 7.4e7, the elimination
-# of all of F (0.02 s), though it eliminates only the two half-size blocks
-# of F's mirror (0.003 s), and descent_polynomial(16, 3, 3000) counts 2.9e6
-# (3.9e7 on the row kernel).
-# eulerian_numbers stops at n = 1672, whose row takes about 2.2 s.
+# The work model of every closed form: an operation on integers of at most
+# x and y bits costs C + w(x) w(y) word operations, w(x) = x // 64 + 1, so a
+# sum is a product by one word.  C = _OP is one interpreter operation: on a
+# 2-vCPU x86-64 host with Python 3.11 a product of two 32-word integers
+# takes 5.3 us, 5 ns a word operation, and one of small integers 50-90 ns.
+# A closed form's price sums its path, writing each entry it returns once
+# included; README's Bounds table lists the sizes WORK_BUDGET admits.
+_OP = 16
 WORK_BUDGET = 2**28
 
 
@@ -66,26 +54,16 @@ class BudgetError(ValueError):
     names the operation and the budget."""
 
 
-def _work(values: int, passes: int, bits: int) -> int:
-    """The work of a table of ``values`` integers of at most ``bits`` bits,
-    each built by about one full-size multiplication and then touched by
-    ``passes`` additions.  With w the size of an integer in 64-bit words,
-    that is values * (passes + w) * w word operations."""
-    words = bits // 64 + 1
-    return values * (passes + words) * words
-
-
-def _check_work(what: str, values: int, passes: int, bits: int) -> None:
-    """Refuse up front, before any bigint is built, a table over the budget,
-    its work counted by ``_work``."""
-    _check_budget(what, _work(values, passes, bits))
-
-
-def _check_budget(what: str, work: int) -> None:
-    """Refuse ``work`` word operations over ``WORK_BUDGET``."""
+def _check_work(what: str, *terms: tuple[int, int, int]) -> None:
+    """Refuse with ``BudgetError``, before any bigint is built, a closed form
+    whose terms cost more than ``WORK_BUDGET``: a term
+    ``(count, bits, factor_bits)`` is ``count`` operations on integers of at
+    most ``bits`` and ``factor_bits`` bits, priced as above.  The message
+    rounds the exponent up, so that it reads above the budget's."""
+    work = sum(count * (_OP + (bits // 64 + 1) * (factor_bits // 64 + 1)) for count, bits, factor_bits in terms)
     if work > WORK_BUDGET:
-        budget = math.log2(WORK_BUDGET)
-        raise BudgetError(f"{what}: estimated work 2^{math.log2(work):.1f} exceeds the budget 2^{budget:g}")
+        exponent = math.ceil(math.log2(work) * 100) / 100
+        raise BudgetError(f"{what}: estimated work 2^{exponent:.2f} exceeds the budget 2^{math.log2(WORK_BUDGET):g}")
 
 
 class _Checked:
@@ -167,6 +145,14 @@ def _check_words(n: int) -> None:
         raise BudgetError(f"compositions: 2^{n - 1} compositions of {n} exceed the budget of {IDEMPOTENT_TERMS}")
 
 
+def _check_terms(n: int) -> None:
+    """Refuse the (n + 1) 2^(n-2) S-word terms of E[1..n], as `idempotents`
+    writes them, past ``IDEMPOTENT_TERMS``; 2^min(n, 64) keeps the count
+    small for a huge n, over the bound either way."""
+    if (n + 1) * 2 ** min(n, 64) // 4 > IDEMPOTENT_TERMS:
+        raise BudgetError(f"idempotents: E[1..{n}] over S-words exceed the budget of {IDEMPOTENT_TERMS} terms")
+
+
 def compositions(n: int) -> list[tuple[int, ...]]:
     """All compositions of ``n`` as tuples of parts, in lexicographic order.
 
@@ -208,11 +194,11 @@ def eulerian_numbers(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError(f"eulerian_numbers: n must be positive, got {n}")
-    # row m makes about m products of a small integer by an entry below
-    # m! < 2^(m L), L the bit length of n, each one word operation per word;
-    # the entries grow with m, so the ~n^2 / 2 products of the rows cost
-    # about as much as n^2 / 3 products by an entry of the last row
-    _check_budget("eulerian_numbers", n * n // 3 * (n * n.bit_length() // 64 + 1))
+    # row m makes two products of a small integer by an entry below m! and
+    # one addition per entry, n^2 / 2 entries in all; the n entries returned
+    # are each written once
+    bits = n * n.bit_length()
+    _check_work("eulerian_numbers", (3 * n * n // 2, bits, 0), (n, bits, bits))
     row = [1]
     for m in range(2, n + 1):
         row = [k * a + (m - k + 1) * c for k, a, c in zip(range(1, m + 1), [*row, 0], [0, *row])]

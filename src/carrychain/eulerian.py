@@ -91,10 +91,12 @@ def worpitzky_matrix(n: int) -> BasisMatrix:
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    # writing the n^2 entries out (``cli._fmt``) reduces each by a gcd with
-    # n!, counted as 8 full-size products; that is more than the rows' own
-    # product and 2 passes per entry, so this one check bounds both
-    _check_work("worpitzky_matrix", 8 * n * n, 0, n * (n + 1).bit_length())
+    # the rising product and each later row make about 5 operations per
+    # entry, a product or a sum by a small integer; the n^2 entries, below
+    # 2^(n L) with L the bit length of n + 1, are each written once, as a
+    # fraction in lowest terms: a gcd with n!, two divisions and the digits
+    bits = n * (n + 1).bit_length()
+    _check_work("worpitzky_matrix", (5 * n * n, bits, 0), (4 * n * n, bits, bits))
     poly = [1]  # low to high
     for s in range(n):
         poly = [a * s + c for a, c in zip(poly + [0], [0] + poly)]
@@ -128,7 +130,11 @@ def foulkes_matrix(n: int) -> BasisMatrix:
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    _check_work("foulkes_matrix", n * (n + 1), n + 1, n * (n.bit_length() + 1))
+    # each entry of the row recurrence takes two products by a small integer
+    # and two sums; each entry, below 2^(n (L + 1)), L the bit length of n,
+    # is written once
+    bits = n * (n.bit_length() + 1)
+    _check_work("foulkes_matrix", (4 * n * n, bits, 0), (n * n, bits, bits))
     h = [(-1) ** j * math.comb(n, j) for j in range(n + 1)]  # H_0, low to high
     up, down, rows = range(1, n + 1), range(n + 1, 1, -1), []  # j and n + 2 - j for j = 1..n
     for _ in range(n):

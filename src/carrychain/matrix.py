@@ -24,10 +24,9 @@ against ``_SPECTRAL_MIN_BITS`` (256):
 
 Only rows 1..ceil(n/2) are computed; the others are mirrored, since P is
 centrosymmetric: P(i, j) = P(n+1-i, n+1-j).  ``amazing_entry`` is the
-entry-by-entry reference.  Every table and entry, and the matrix products
-of every check below, is refused up front, with ``BudgetError``, when its
-estimated bigint work on the path it takes exceeds
-``combinat.WORK_BUDGET``.
+entry-by-entry reference.  Every table, entry and check below is priced
+on the path it runs, by one call of ``combinat._check_work``, and refused
+up front over the work budget, with ``BudgetError``.
 
 Everything claimed about this matrix is an exact identity and is verified
 here in integer arithmetic: the columns of n! W (Worpitzky) and the rows of
@@ -39,8 +38,9 @@ half its size that the mirror of F, below, splits it into), and row 1 for
 parameter b^r is the descent generating polynomial of b^r-shuffles.  The
 eigen and stationary checks take P from the row kernel at every b, since a
 spectral P would reduce them to F W = I; the multiplicativity check takes
-P(b1) and P(b2) from the row kernel and P(b1 b2) from ``amazing_matrix``,
-so at a wide product it also checks one path against the other.
+P(b1) and P(b2) from the row kernel and P(b1 b2) on the path of
+``amazing_matrix``, so at a wide product it also checks one path against
+the other.
 
 The same mirror halves the products these checks form.  With P
 centrosymmetric, n! W(n+1-i, j) = (-1)^(n+j) n! W(i, j),
@@ -50,9 +50,8 @@ F P = D F and of E P = b^n E, and the rows 1..ceil(n/2) of
 P(b1) P(b2) = P(b1 b2) decide the rest.  Each check first tests every
 mirror it relies on, in O(n^2) compares, on the tables it got, and reports
 failed each identity whose mirror fails; so a fault in the half that is not
-multiplied is still seen.  Their budgets still count the full products, as
-the determinant's budget counts the elimination of all of F, and the
-determinant raises on a row of F that does not mirror.
+multiplied is still seen.  The determinant raises on a row of F that does
+not mirror.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul, neg, sub
 
-from .combinat import _check_budget, _check_work, _Checked, _work, binomial, eulerian_numbers
+from .combinat import _check_work, _Checked, binomial, eulerian_numbers
 from .eulerian import BasisMatrix, foulkes_matrix, worpitzky_matrix
 
 
@@ -143,55 +142,44 @@ def _spectral_rows(n: int, m: int, rows: int) -> list[list[int]]:
     return top
 
 
-def _row_work(n: int, rows: int, m_bits: int, spectral: bool) -> int:
-    """The estimated work of ``rows`` rows of P(n, m) with m of at most
-    ``m_bits`` bits, on the path that will build them.  Row kernel: the
-    binomials have at most n (m_bits + 2) bits, and the n + 1 difference
-    passes add at most n + 1 more, for each row: at small m that overcounts
-    the columns the rows share, but it also bounds the size of the output,
-    and counting shared columns would admit P(1000, 2), hundreds of MB of
-    JSON.  Spectral path: n - 1 products by m for
-    the powers, and the normalizer m^n that the row-sum check builds, then
-    n (ceil(n/2) + 1) products of a power by an entry of n! W or F for each
-    row."""
-    if not spectral:
-        return _work(rows * (n + 1), n + 1, n * (m_bits + 3))
-    big = (n * m_bits + _eigen_bits(n)) // 64 + 2
-    products = rows * n * ((n + 1) // 2 + 1)
-    return big * (n * (m_bits // 64 + 2) + products * (_eigen_bits(n) // 64 + 2))
-
-
-def _top_rows(what: str, n: int, m: int, rows: int, spectral: bool) -> list[list[int]]:
-    """Rows 1..rows of P(n, m), entries 1..n, checked against the work
-    budget and built on the path asked for."""
-    _check_budget(what, _row_work(n, rows, m.bit_length(), spectral))
-    return (_spectral_rows if spectral else _kernel_rows)(n, m, rows)
-
-
-def _check_products(what: str, products: int, bits: int, factor_bits: int) -> None:
-    """The budget check for ``products`` products of an integer of at most
-    ``bits`` bits by one of at most ``factor_bits`` bits, each added into a
-    dot product: (w + 1)(v + 1) word operations for w- and v-word factors."""
-    _check_budget(what, products * (bits // 64 + 2) * (factor_bits // 64 + 2))
-
-
 def _eigen_bits(n: int) -> int:
     """A bound on the bits of an entry of n! W, of F and of the Eulerian row."""
     return n * (n.bit_length() + 1)
+
+
+def _row_terms(n: int, m: int, rows: int, spectral: bool, bits: int) -> tuple:
+    """The ``_check_work`` terms of rows 1..rows of P(n, m), m of at most
+    ``bits`` bits, on the path asked for; for one row, ``m`` may be a lower
+    bound of the base.  Row kernel: min(m, rows) columns of
+    (n - 1) // m + n + 1 binomials below 2^(n (bits + 3)), each priced as a
+    product of its size, and n + 1 difference passes of one bit each over
+    every column.  Spectral path: n - 1 powers of m, then per row n products
+    by an entry of n! W, n ceil(n/2) by an entry of F and n divisions by n!.
+    An n or m below 1 raises ValueError."""
+    if n < 1 or m < 1:
+        raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={m}")
+    if spectral:
+        e = _eigen_bits(n)
+        big = n * bits + e
+        return (n - 1, n * bits, bits), (rows * n * ((n + 1) // 2 + 1), big, e), (rows * n, big, e)
+    columns = min(m, rows) * ((n - 1) // m + n + 1)
+    big = n * (bits + 4)
+    return (columns, big, big), (columns * (n + 1), big, 0)
 
 
 def amazing_entry(n: int, b: int, i: int, j: int) -> int:
     """One unnormalized transition count: exact alternating sum, always >= 0.
 
     Its j + 1 terms are refused up front over the work budget: a term
-    C(n+1, r) C(N, n), N = n + b(j-r) - i, takes about one full-size
-    multiplication and two passes, and C(N, n) = C(N, N - n) < (n + bj)^k
-    for k = min(n, bj), times C(n+1, r) < 2^(n+1)."""
+    C(n+1, r) C(N, n), N = n + b(j-r) - i, is one binomial, priced as a
+    product of its size, then a product by C(n+1, r) < 2^(n+1) and a sum,
+    where C(N, n) = C(N, N - n) < (n + bj)^k for k = min(n, bj)."""
     if n < 1 or b < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices must lie in 1..{n}, got i={i}, j={j}")
-    _check_work("amazing_entry", j + 1, 2, min(n, b * j) * (n + b * j).bit_length() + n + 1)
+    bits = min(n, b * j) * (n + b * j).bit_length() + n + 1
+    _check_work("amazing_entry", (j + 1, bits, bits), (2 * (j + 1), bits, n + 1))
     return sum((-1) ** r * binomial(n + 1, r) * binomial(n + b * (j - r) - i, n) for r in range(j + 1))
 
 
@@ -227,18 +215,21 @@ def _matrix(n: int, b: int, spectral: bool) -> AmazingMatrix:
     """The full matrix on the path asked for.  Only rows 1..ceil(n/2) are
     built: row n+1-i is row i reversed, by the centrosymmetry
     P(i, j) = P(n+1-i, n+1-j).  The constructor still checks the row-sum
-    and nonnegativity invariants on every row."""
-    if n < 1 or b < 1:
-        raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={b}")
-    top = [tuple(row) for row in _top_rows("amazing_matrix", n, b, (n + 1) // 2, spectral)]
+    and nonnegativity invariants on every row.  Its callers price it."""
+    top = [tuple(row) for row in (_spectral_rows if spectral else _kernel_rows)(n, b, (n + 1) // 2)]
     bottom = [row[::-1] for row in reversed(top[: n // 2])]
     return AmazingMatrix(n, b, tuple(top + bottom))
 
 
 def amazing_matrix(n: int, b: int) -> AmazingMatrix:
     """Build the full matrix: by the row kernel for b below
-    ``_SPECTRAL_MIN_BITS`` bits, by the spectral path from there on."""
-    return _matrix(n, b, b.bit_length() >= _SPECTRAL_MIN_BITS)
+    ``_SPECTRAL_MIN_BITS`` bits, by the spectral path from there on.  The
+    rows on that path, and writing each entry, below b^n, once, are priced
+    first."""
+    bits = b.bit_length()
+    spectral = bits >= _SPECTRAL_MIN_BITS
+    _check_work("amazing_matrix", *_row_terms(n, b, (n + 1) // 2, spectral, bits), (n * n, n * bits, n * bits))
+    return _matrix(n, b, spectral)
 
 
 class Report(namedtuple("Report", "name params checked failures")):
@@ -284,14 +275,13 @@ def verify_spectrum(n: int, b: int) -> Report:
     rows 1..ceil(n/2).  Likewise F(i, n+1-j) = (-1)^(n-i) F(i, j) carries
     f_i P = b^i f_i from columns 1..ceil(n/2) to the rest.  Each of these
     mirrors is tested, in O(n^2) compares, on the tables the check got, and
-    an eigenpair whose mirror fails is reported failed.  The 2 n^2 (n + 1)
-    products of the full check are counted against the work budget first,
-    and the eigenvector tables are built before P, so that a size over the
-    budget is refused before the largest table is built."""
-    _check_products("verify_spectrum", 2 * n * n * (n + 1), n * b.bit_length(), _eigen_bits(n))
+    an eigenpair whose mirror fails is reported failed.  The rows of P on
+    the row kernel and the 2 n ceil(n/2) (n + 1) products of the half
+    checks are priced before any table is built."""
+    half, bits = (n + 1) // 2, b.bit_length()
+    _check_work("verify_spectrum", *_row_terms(n, b, half, False, bits), (2 * n * half * (n + 1), n * bits, _eigen_bits(n)))
     W, F = worpitzky_matrix(n).numerators, foulkes_matrix(n).numerators
     P = _matrix(n, b, spectral=False).entries
-    half = (n + 1) // 2
     mirrored, top = _centrosymmetric(P), P[:half]
     failures = []
     for j, col in enumerate(zip(*W), start=1):
@@ -318,14 +308,13 @@ def verify_stationary(n: int, b: int) -> Report:
     """Check pi P = b^n pi for the Eulerian distribution pi, as E P = b^n E
     in integers on the Eulerian row E = n! pi.  Entry n+1-j of E P is entry
     j once P is centrosymmetric and E(n+1-k) = E(k), so, with both mirrors
-    tested, only columns 1..ceil(n/2) are multiplied.  The n (n + 1)
-    products of the full check are counted against the work budget before
-    P is built."""
-    _check_products("verify_stationary", n * (n + 1), n * b.bit_length(), _eigen_bits(n))
+    tested, only columns 1..ceil(n/2) are multiplied.  The rows of P and
+    those ceil(n/2) (n + 1) products are priced before P is built."""
+    half, bits = (n + 1) // 2, b.bit_length()
+    _check_work("verify_stationary", *_row_terms(n, b, half, False, bits), (half * (n + 1), n * bits, _eigen_bits(n)))
     P = _matrix(n, b, spectral=False).entries
     E = eulerian_numbers(n)
     bn = b**n
-    half = (n + 1) // 2
     failures = []
     if not (
         _centrosymmetric(P)
@@ -340,13 +329,17 @@ def verify_multiplicativity(n: int, b1: int, b2: int) -> Report:
     """Check P(b1) P(b2) = P(b1 b2) on unnormalized entries.  A product of
     two centrosymmetric matrices is centrosymmetric, so once all three are
     tested to be, the rows 1..ceil(n/2) of the product decide the rest.
-    The n^3 products of the full check are counted against the work budget
-    before any matrix is built."""
-    _check_products("verify_multiplicativity", n**3, n * b1.bit_length(), n * b2.bit_length())
+    The rows of the three matrices, each on its path, and the
+    ceil(n/2) n^2 products are priced before any matrix is built; b1 b2,
+    formed first, selects the path of P(b1 b2)."""
+    half, bits1, bits2, b = (n + 1) // 2, b1.bit_length(), b2.bit_length(), b1 * b2
+    spectral = b.bit_length() >= _SPECTRAL_MIN_BITS
+    kernels = (*_row_terms(n, b1, half, False, bits1), *_row_terms(n, b2, half, False, bits2))
+    product = _row_terms(n, b, half, spectral, b.bit_length())
+    _check_work("verify_multiplicativity", *kernels, *product, (half * n * n, n * bits1, n * bits2))
     A = _matrix(n, b1, spectral=False).entries
     B = _matrix(n, b2, spectral=False).entries
-    C = amazing_matrix(n, b1 * b2).entries
-    half = (n + 1) // 2
+    C = _matrix(n, b, spectral).entries
     columns = list(zip(*B))
     failures = []
     if not (
@@ -379,13 +372,14 @@ def _bareiss_determinant(rows) -> int:
 
 
 def _check_determinant(n: int) -> None:
-    # Bareiss on all of F makes about n^3/3 updates of k x k minors of F;
-    # weighted by the updates per step, their root-mean-square size is about
-    # n/3 entries of F, of at most n (log2 n + 1) bits each.  The two
-    # half-size blocks that foulkes_determinant eliminates make about a
-    # quarter of those updates, but the full count is kept on purpose, so
-    # that the refusal point stays at n = 49
-    _check_work("foulkes_determinant", n**3 // 3, 0, n * n * (n.bit_length() + 1) // 3)
+    """Refuse ``foulkes_determinant(n)`` over the work budget, before F is
+    built.  Its two blocks, of about n / 2 rows, make about n^3 / 12
+    Bareiss updates in all, each two products, a sum and an exact division
+    of minors of F, which average about n^2 / 6 bits, weighted by the
+    updates (measured for n = 30..100); the determinant, below 2^(n e / 2)
+    for e the bits of an entry of F, is written once."""
+    bits, e = n * n // 6, _eigen_bits(n)
+    _check_work("foulkes_determinant", (n**3 // 3, bits, bits), (1, n * e // 2, n * e // 2))
 
 
 def foulkes_determinant(n: int, F: BasisMatrix | None = None) -> int:
@@ -443,15 +437,19 @@ def descent_polynomial(n: int, b: int, r: int) -> DescentPolynomial:
 
         c_k = sum_{i=0..k} (-1)^i C(n+1, i) C(m(k-i) + n - 1, n),  m = b^r,
 
-    that is row 1 of P(n, m), on the same path as ``amazing_matrix``.
+    that is row 1 of P(n, m), by the row kernel or the spectral path of
+    ``amazing_matrix``, chosen by a bound on the bits of m that is exact
+    when b is a power of two.
     """
     if n < 1 or b < 1 or r < 1:
         raise ValueError(f"need n, b, r >= 1, got n={n}, b={b}, r={r}")
-    # b^r < 2^(r L) with L the bit length of b - 1.  Before b^r is built, its
-    # repeated squaring, about a third of one product of its size, is counted
-    # with the row on the path that size selects
+    # b^r < 2^bits, bits = r L + 1 with L the bit length of b - 1, selects
+    # the path.  Before b^r is built, its repeated squaring, priced as one
+    # product of its size, the row on that path, b a lower bound of its
+    # base, and writing each coefficient once are priced
     bits = r * (b - 1).bit_length() + 1
-    _check_budget("descent_polynomial", (bits // 64 + 2) ** 2 // 3 + _row_work(n, 1, bits, bits >= _SPECTRAL_MIN_BITS))
+    spectral = bits >= _SPECTRAL_MIN_BITS
+    _check_work("descent_polynomial", (1, bits, bits), *_row_terms(n, b, 1, spectral, bits), (n, n * bits, n * bits))
     m = b**r
-    (row,) = _top_rows("descent_polynomial", n, m, 1, m.bit_length() >= _SPECTRAL_MIN_BITS)
+    (row,) = (_spectral_rows if spectral else _kernel_rows)(n, m, 1)
     return DescentPolynomial(n, m, tuple(row))

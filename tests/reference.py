@@ -10,6 +10,9 @@ library forms half of each and tests the mirror that gives the rest.
 ``matrix.foulkes_determinant`` eliminates the two half-size blocks that
 the mirror of F splits it into.
 
+``LARGEST_ADMITTED`` pins the largest n that each closed form admits at a
+stated base under the work budget.
+
 The library keeps permutations as tuples of images and, in the oracle, as
 lexicographic ranks.  ``Permutation`` below is an object written apart from
 both, in one-line notation with 1-based values, so that a test which ranks,
@@ -26,7 +29,18 @@ import pytest
 from carrychain import oracle
 from carrychain.combinat import eulerian_numbers
 from carrychain.eulerian import foulkes_matrix, worpitzky_matrix
-from carrychain.matrix import Report, _bareiss_determinant, _matrix, amazing_matrix
+from carrychain.matrix import (
+    Report,
+    _bareiss_determinant,
+    _matrix,
+    amazing_entry,
+    amazing_matrix,
+    descent_polynomial,
+    foulkes_determinant,
+    verify_multiplicativity,
+    verify_spectrum,
+    verify_stationary,
+)
 
 
 @dataclass(frozen=True)
@@ -115,3 +129,22 @@ def full_multiplicativity(n: int, b1: int, b2: int) -> Report:
 def full_foulkes_determinant(n: int) -> int:
     """``foulkes_determinant`` by Bareiss elimination on all of F."""
     return _bareiss_determinant(foulkes_matrix(n).numerators)
+
+
+# Each closed form at a stated base, as a call of n, with the largest n its
+# price admits, found by tests/test_matrix.py's ``TestLimits`` from the
+# price alone.  README's Bounds table gives the time and memory at each.
+LARGEST_ADMITTED = {
+    "amazing_matrix(n, 1)": (lambda n: amazing_matrix(n, 1), 833),
+    "amazing_matrix(n, 2)": (lambda n: amazing_matrix(n, 2), 637),
+    "amazing_matrix(n, 2**2048)": (lambda n: amazing_matrix(n, 2**2048), 22),
+    "descent_polynomial(n, 2, 20)": (lambda n: descent_polynomial(n, 2, 20), 652),
+    "foulkes_matrix(n)": (foulkes_matrix, 313),
+    "foulkes_determinant(n)": (foulkes_determinant, 101),
+    "worpitzky_matrix(n)": (worpitzky_matrix, 247),
+    "verify_spectrum(n, 2)": (lambda n: verify_spectrum(n, 2), 133),
+    "verify_stationary(n, 2)": (lambda n: verify_stationary(n, 2), 522),
+    "verify_multiplicativity(n, 2, 2)": (lambda n: verify_multiplicativity(n, 2, 2), 197),
+    "eulerian_numbers(n)": (eulerian_numbers, 980),
+    "amazing_entry(n, 2, 1, n)": (lambda n: amazing_entry(n, 2, 1, n), 1695),
+}

@@ -22,7 +22,7 @@ from carrychain.cli import main, run_verify_all
 from carrychain.combinat import superfactorial
 from carrychain.eulerian import SWordExpansion
 from carrychain.matrix import amazing_matrix
-from reference import LUMPING_MESSAGE, corrupt_table
+from reference import LARGEST_ADMITTED, LUMPING_MESSAGE, corrupt_table
 
 
 def run_cli(capsys, *argv):
@@ -115,7 +115,8 @@ class TestFoulkesWorpitzky:
         assert (code, built) == (0, [40])
         assert json.loads(out)["determinant"] == str(superfactorial(40))
         # the determinant's budget is checked before any table is built
-        code, out, err = run_cli(capsys, "foulkes", "--n", "100", "--det")
+        n = LARGEST_ADMITTED["foulkes_determinant(n)"][1] + 1
+        code, out, err = run_cli(capsys, "foulkes", "--n", str(n), "--det")
         assert (code, out, built) == (2, "", [40])
         assert err.startswith("error: foulkes_determinant: estimated work")
 
@@ -135,7 +136,7 @@ class TestEigen:
         assert doc["report"]["checked"] == 8
 
     def test_over_the_work_budget_writes_nothing(self, capsys):
-        # every table of n = 200 passes the budget; the 2 n^3 eigen products do not
+        # every table of n = 200 passes the budget; the eigen products do not
         code, out, err = run_cli(capsys, "eigen", "--n", "200", "--b", "2")
         assert code == 2
         assert out == ""
@@ -442,6 +443,66 @@ def test_oversized_simulations_exit_2_at_once(argv):
     assert proc.stderr.startswith("error: ") and "budget" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _real_limits():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+
+# runs its argv lists through cli.main, one after another, and prints each
+# one's exit code, the meta block of its document (None for no output), the
+# length of its stdout and its stderr
+_BATCH = """
+import contextlib, io, json, sys
+from carrychain import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = out.getvalue()
+    report.append([code, json.loads(text)["meta"] if text else None, len(text), err.getvalue()])
+print(json.dumps(report))
+"""
+
+
+def test_every_closed_form_limit_holds_in_a_real_child():
+    # each closed-form command at the largest size it writes and at the next
+    # one up, in one child under 2 GiB of address space and 120 s of CPU.
+    # Python's 4300-digit int-to-str limit refuses `amazing` at b = 2^2048
+    # from n = 7 on, so it is left out, and `foulkes --det` from n = 82 on,
+    # whose superfactorial has 4400 digits, below the determinant's own
+    # limit, which is checked too
+    largest = {name: n for name, (_, n) in LARGEST_ADMITTED.items()}
+    budget, digits = "budget", "Python's int-to-str limit"
+    commands = [
+        (["amazing", "--b", "1"], largest["amazing_matrix(n, 1)"], budget),
+        (["amazing", "--b", "2"], largest["amazing_matrix(n, 2)"], budget),
+        (["descent-poly", "--b", "2", "--r", "20"], largest["descent_polynomial(n, 2, 20)"], budget),
+        (["foulkes"], largest["foulkes_matrix(n)"], budget),
+        (["foulkes", "--det"], 81, digits),
+        (["worpitzky"], largest["worpitzky_matrix(n)"], budget),
+        (["eigen", "--b", "2"], largest["verify_spectrum(n, 2)"], budget),
+        (["idempotents"], 15, budget),
+    ]
+    runs = [([*words, "--n", str(n)], None) for words, n, _ in commands]
+    runs += [([*words, "--n", str(n + 1)], refusal) for words, n, refusal in commands]
+    runs.append((["foulkes", "--det", "--n", str(largest["foulkes_determinant(n)"] + 1)], budget))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BATCH, json.dumps([argv for argv, _ in runs])],
+        env=env, capture_output=True, text=True, timeout=600, preexec_fn=_real_limits,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for (argv, refusal), (code, meta, size, err) in zip(runs, json.loads(proc.stdout), strict=True):
+        if refusal:
+            assert (code, meta, size) == (2, None, 0), argv
+            assert err.startswith("error: ") and refusal in err and "Traceback" not in err, argv
+        else:
+            assert (code, err) == (0, ""), argv
+            assert (meta["command"], meta["params"]["n"]) == (argv[0], int(argv[-1])), argv
+
+
 class TestVerify:
     def test_all_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "all", "--max-n", "3")
@@ -728,7 +789,7 @@ def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
 @example("foulkes", 40, 1, 1)
 @example("worpitzky", 40, 1, 1)
 @example("eigen", 40, 2**70, 1)
-@example("eigen", 200, 2, 1)
+@example("eigen", 134, 2, 1)  # one size over the work budget
 @example("eigen", 100_000, 2, 1)
 @example("amazing", 16, 3**1000, 1)  # the spectral path
 @example("amazing-csv", 12, 2**3000, 1)

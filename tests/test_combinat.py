@@ -15,7 +15,7 @@ from carrychain.combinat import (
     eulerian_numbers,
     superfactorial,
 )
-from reference import Permutation
+from reference import LARGEST_ADMITTED, Permutation
 
 
 def test_doctests():
@@ -136,24 +136,27 @@ class TestEulerianNumbers:
             assert row == row[::-1]
 
     def test_a_deep_row_needs_no_recursion(self):
-        # a recursion once per n raised RecursionError here in a fresh process
-        row = eulerian_numbers(1500)
-        assert sum(row) == math.factorial(1500)
+        # the deepest row admitted; a recursion once per n raised
+        # RecursionError at n = 1500 in a fresh process
+        n = LARGEST_ADMITTED["eulerian_numbers(n)"][1]
+        row = eulerian_numbers(n)
+        assert sum(row) == math.factorial(n)
         assert row == row[::-1]
 
     def test_a_row_over_the_work_budget_is_refused_before_any_product(self, monkeypatch):
         # the largest row admitted takes seconds to build, so a check that
         # stops whatever it admits stands for the recurrence
-        check = combinat._check_budget
+        check = combinat._check_work
 
         def refused_past_the_check(*args):
             check(*args)
             raise AssertionError("admitted")
 
-        monkeypatch.setattr(combinat, "_check_budget", refused_past_the_check)
+        monkeypatch.setattr(combinat, "_check_work", refused_past_the_check)
+        n = LARGEST_ADMITTED["eulerian_numbers(n)"][1]
         with pytest.raises(AssertionError, match="^admitted$"):
-            eulerian_numbers(1672)
-        for n in (1673, 4000, 10**30):
+            eulerian_numbers(n)
+        for n in (n + 1, 4000, 10**30):
             with pytest.raises(BudgetError, match=r"^eulerian_numbers: estimated work 2\^[\d.]+ exceeds the budget 2\^28$"):
                 eulerian_numbers(n)
 

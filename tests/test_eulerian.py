@@ -19,6 +19,7 @@ from carrychain.oracle import (
     idempotent_group,
     shuffle_element_from_basis,
 )
+from reference import LARGEST_ADMITTED
 
 
 def coords(*values):
@@ -245,8 +246,7 @@ class TestFoulkesMatrix:
                 assert tuple(row[j - 1] for row in F.numerators) == class_element(n, j)
 
     def test_sampled_entries_at_the_largest_size(self):
-        # n = 200 is the largest table the work budget admits
-        n = 200
+        n = LARGEST_ADMITTED["foulkes_matrix(n)"][1]
         F = foulkes_matrix(n)
         for i, j in itertools.product((1, 2, 3, 99, 100, 199, 200), (1, 2, 50, 100, 101, 199, 200)):
             direct = sum((-1) ** r * binomial(n + 1, r) * (j - r) ** i for r in range(j + 1))

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,13 @@ from carrychain.matrix import (
     verify_spectrum,
     verify_stationary,
 )
-from reference import full_foulkes_determinant, full_multiplicativity, full_spectrum, full_stationary
+from reference import (
+    LARGEST_ADMITTED,
+    full_foulkes_determinant,
+    full_multiplicativity,
+    full_spectrum,
+    full_stationary,
+)
 
 
 class TestAmazingEntry:
@@ -178,7 +185,7 @@ def _move_a_unit_in_the_last_row(rows):
 def _shifted_mirror(n, b, spectral):
     """``_matrix`` for odd n with the mirror shifted by one row: row
     n+1-i is row i+1 reversed.  Every row still sums to b^n."""
-    top = [tuple(row) for row in matrix._top_rows("amazing_matrix", n, b, (n + 1) // 2, spectral)]
+    top = [tuple(row) for row in (matrix._spectral_rows if spectral else matrix._kernel_rows)(n, b, (n + 1) // 2)]
     return AmazingMatrix(n, b, tuple(top + [row[::-1] for row in reversed(top[1:])]))
 
 
@@ -612,26 +619,64 @@ def _refuse_building(*args):
 
 
 def _refuse_past_the_check(monkeypatch):
-    """Both tables of ``eulerian`` are built right past their one work
-    check, so a check that refuses whatever it admits stands for the
-    build."""
-    check = eulerian._check_work
+    """Every closed form builds right past its one work check, so a check
+    that refuses whatever it admits stands for the build."""
+    check = combinat._check_work
 
     def refused_past_the_check(*args):
         check(*args)
         raise _Built
 
-    monkeypatch.setattr(eulerian, "_check_work", refused_past_the_check)
+    for module in (combinat, eulerian, matrix):
+        monkeypatch.setattr(module, "_check_work", refused_past_the_check)
+
+
+def _largest(name):
+    return LARGEST_ADMITTED[name][1]
+
+
+class TestLimits:
+    @pytest.mark.parametrize("name", LARGEST_ADMITTED)
+    def test_the_largest_admitted_size_follows_from_the_price(self, monkeypatch, name):
+        # doubling, then bisection, over the price alone: nothing is built
+        _refuse_past_the_check(monkeypatch)
+        build, pinned = LARGEST_ADMITTED[name]
+
+        def admitted(n):
+            try:
+                build(n)
+            except _Built:
+                return True
+            except BudgetError:
+                return False
+            raise AssertionError(f"{name} at n = {n} neither passed nor failed its check")
+
+        low, high = 0, 1
+        while admitted(high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if admitted(middle) else (low, middle)
+        assert low == pinned
+
+    def test_a_refusal_just_past_a_limit_shows_the_excess(self):
+        # 2^28.01: rounded to one decimal, the exponent read as the budget's
+        n = _largest("amazing_matrix(n, 1)") + 1
+        with pytest.raises(BudgetError) as refused:
+            amazing_matrix(n, 1)
+        message = re.fullmatch(r"amazing_matrix: estimated work 2\^([\d.]+) exceeds the budget 2\^28", str(refused.value))
+        assert float(message[1]) > 28
 
 
 class TestWorkBudget:
     def test_matrix_is_refused_before_any_binomial(self, monkeypatch):
-        # the documented largest case at b = 2 passes the check, the next
-        # size is refused before the first binomial
+        # the largest case at b = 2 passes the check, the next size is
+        # refused before the first binomial
         monkeypatch.setattr(matrix, "binomial", _refuse_building)
+        n = _largest("amazing_matrix(n, 2)")
         with pytest.raises(_Built):
-            amazing_matrix(281, 2)
-        for n, b in ((282, 2), (100_000, 2), (121, 2**70)):
+            amazing_matrix(n, 2)
+        for n, b in ((n + 1, 2), (100_000, 2), (121, 2**70)):
             with pytest.raises(BudgetError, match="amazing_matrix"):
                 amazing_matrix(n, b)
 
@@ -644,70 +689,89 @@ class TestWorkBudget:
 
     def test_foulkes_tables_are_refused_before_they_are_built(self, monkeypatch):
         _refuse_past_the_check(monkeypatch)
+        n = _largest("foulkes_matrix(n)")
         with pytest.raises(_Built):
-            eulerian.foulkes_matrix(200)
+            eulerian.foulkes_matrix(n)
         with pytest.raises(BudgetError, match="foulkes_matrix"):
-            eulerian.foulkes_matrix(201)
+            eulerian.foulkes_matrix(n + 1)
         monkeypatch.setattr(matrix, "foulkes_matrix", _refuse_building)
+        n = _largest("foulkes_determinant(n)")
         with pytest.raises(_Built):
-            foulkes_determinant(48)
+            foulkes_determinant(n)
         with pytest.raises(BudgetError, match="foulkes_determinant"):
-            foulkes_determinant(49)
+            foulkes_determinant(n + 1)
 
     def test_worpitzky_table_is_refused_before_it_is_built(self, monkeypatch):
         _refuse_past_the_check(monkeypatch)
+        n = _largest("worpitzky_matrix(n)")
         with pytest.raises(_Built):
-            eulerian.worpitzky_matrix(214)
+            eulerian.worpitzky_matrix(n)
         with pytest.raises(BudgetError, match="worpitzky_matrix"):
-            eulerian.worpitzky_matrix(215)
+            eulerian.worpitzky_matrix(n + 1)
 
     def test_spectrum_is_refused_before_the_transition_matrix(self, monkeypatch):
         # the eigen products are counted before any table is built
         for name in ("binomial", "worpitzky_matrix", "foulkes_matrix"):
             monkeypatch.setattr(matrix, name, _refuse_building)
+        n = _largest("verify_spectrum(n, 2)")
         with pytest.raises(_Built):
-            verify_spectrum(118, 2)
-        for n in (119, 200, 201):
+            verify_spectrum(n, 2)
+        for n in (n + 1, 200, 201):
             with pytest.raises(BudgetError, match="verify_spectrum"):
                 verify_spectrum(n, 2)
 
     def test_matrix_products_are_refused_before_any_matrix(self, monkeypatch):
         monkeypatch.setattr(matrix, "binomial", _refuse_building)
+        n = _largest("verify_multiplicativity(n, 2, 2)")
         with pytest.raises(_Built):
-            verify_multiplicativity(176, 2, 2)
+            verify_multiplicativity(n, 2, 2)
         with pytest.raises(BudgetError, match="verify_multiplicativity"):
-            verify_multiplicativity(177, 2, 2)
-        # at b = 2 the transition matrix is refused before its stationary
-        # products are; a smaller budget shows that they are counted first
+            verify_multiplicativity(n + 1, 2, 2)
+        n = _largest("verify_stationary(n, 2)")
+        with pytest.raises(_Built):
+            verify_stationary(n, 2)
+        with pytest.raises(BudgetError, match="verify_stationary"):
+            verify_stationary(n + 1, 2)
+        # a smaller budget shows that the stationary products are counted
         monkeypatch.setattr(combinat, "WORK_BUDGET", 100)
         with pytest.raises(BudgetError, match="verify_stationary"):
             verify_stationary(10, 2)
 
     def test_deep_matrices_are_counted_on_the_spectral_path(self, monkeypatch):
-        # the row kernel refuses n = 32 at 2049 bits; the spectral path builds
-        # it in about 0.1 s and admits sizes up to n = 46
-        assert amazing_matrix(32, 2**2048).n == 32
-        with pytest.raises(BudgetError, match="amazing_matrix"):
-            matrix._matrix(32, 2**2048, spectral=False)
+        # at b = 2^2048 the spectral path admits n = 22 and the row kernel
+        # would refuse it
+        n = _largest("amazing_matrix(n, 2**2048)")
+        assert amazing_matrix(n, 2**2048).n == n
         monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
         with pytest.raises(_Built):
-            amazing_matrix(46, 2**2048)
+            amazing_matrix(n, 2**2048)
         with pytest.raises(BudgetError, match="amazing_matrix"):
-            amazing_matrix(47, 2**2048)
+            amazing_matrix(n + 1, 2**2048)
+        monkeypatch.setattr(matrix, "_SPECTRAL_MIN_BITS", 4096)
+        with pytest.raises(BudgetError, match="amazing_matrix"):
+            amazing_matrix(n, 2**2048)
 
     def test_deep_descent_polynomials_are_counted_before_the_power(self, monkeypatch):
         monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
         with pytest.raises(_Built):
-            descent_polynomial(16, 3, 32287)
+            descent_polynomial(16, 3, 7939)
         with pytest.raises(BudgetError, match="descent_polynomial"):
-            descent_polynomial(16, 3, 32288)
+            descent_polynomial(16, 3, 7940)
 
     def test_benchmarked_sizes_pass_a_third_of_the_budget(self, monkeypatch):
+        # every closed-form size of the benchmark's full workloads
         monkeypatch.setattr(combinat, "WORK_BUDGET", WORK_BUDGET // 3)
         amazing_matrix(100, 2)
+        amazing_matrix(80, 3)
+        amazing_matrix(30, 15)
         amazing_matrix(16, 3**1000)
         amazing_matrix(12, 2**3000)
+        amazing_matrix(10, 2**400)
+        descent_polynomial(60, 2, 20)
+        descent_polynomial(16, 3, 1000)
         descent_polynomial(16, 3, 3000)
+        descent_polynomial(12, 2, 1000)
+        eulerian.worpitzky_matrix(30)
         assert verify_multiplicativity(10, 2**500, 3**300).ok
         assert verify_multiplicativity(40, 3, 5).ok
         assert verify_spectrum(40, 3).ok
