@@ -59,6 +59,7 @@ from .eulerian import foulkes_matrix, idempotent_s_expansion, worpitzky_matrix
 from .matrix import (
     Report,
     _check_determinant,
+    _check_matrix,
     amazing_entry,
     amazing_matrix,
     descent_polynomial,
@@ -129,6 +130,21 @@ def _report_payload(report: Report) -> dict:
     }
 
 
+def _over_the_digit_limit(command: str) -> ValueError:
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"{command}: the output holds an integer of more than {limit} digits, Python's int-to-str limit")
+
+
+def _check_digits(command: str, largest: int) -> None:
+    """Refuse, before the work, the document of ``command`` whose largest
+    integer, known exactly up front, is ``largest``, if it has more digits
+    than Python's int->str limit allows, as ``_write`` would after the
+    work."""
+    limit = sys.get_int_max_str_digits()
+    if limit and largest >= 10**limit:
+        raise _over_the_digit_limit(command)
+
+
 def _write(command: str, render: Callable[[], str]) -> None:
     """Write the whole document at once.  A document holding an integer over
     Python's int->str digit limit is refused, before anything reaches
@@ -136,10 +152,7 @@ def _write(command: str, render: Callable[[], str]) -> None:
     try:
         text = render()
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"{command}: the output holds an integer of more than {limit} digits, Python's int-to-str limit"
-        ) from None
+        raise _over_the_digit_limit(command) from None
     sys.stdout.write(text)
 
 
@@ -216,6 +229,9 @@ def _state_labels(n: int, zero_based: bool) -> list[int]:
 
 
 def _cmd_amazing(args) -> int:
+    if args.format == "json":  # its largest integer is the normalizer b^n; refuse its digits before P is built
+        _check_matrix(args.n, args.b)
+        _check_digits(args.command, args.b**args.n)
     m = amazing_matrix(args.n, args.b)
     denominator = m.normalizer if args.normalized else 1
     labels = _state_labels(args.n, args.zero_based)
@@ -235,8 +251,9 @@ def _cmd_amazing(args) -> int:
 
 
 def _cmd_foulkes(args) -> int:
-    if args.det:  # the determinant's budget is the tighter one; refuse before F is built
+    if args.det:  # the determinant's budget is the tighter one, then its digits; refuse before F is built
         _check_determinant(args.n)
+        _check_digits(args.command, superfactorial(args.n))
     F = foulkes_matrix(args.n)
     det = foulkes_determinant(args.n, F) if args.det else None
 

@@ -5,7 +5,9 @@ test modules and collected by none.
 ``full_spectrum``, ``full_stationary`` and ``full_multiplicativity`` form
 every entry of the products that ``matrix.verify_spectrum``,
 ``verify_stationary`` and ``verify_multiplicativity`` check, where the
-library forms half of each and tests the mirror that gives the rest.
+library forms half of each, folds every inner sum by the mirror and tests
+the mirror first.  They read P through ``matrix._matrix`` when called, so
+a test that plants a fault there plants it in both.
 ``full_foulkes_determinant`` eliminates all of F, where
 ``matrix.foulkes_determinant`` eliminates the two half-size blocks that
 the mirror of F splits it into.
@@ -26,13 +28,12 @@ from operator import mul
 
 import pytest
 
-from carrychain import oracle
+from carrychain import matrix, oracle
 from carrychain.combinat import eulerian_numbers
 from carrychain.eulerian import foulkes_matrix, worpitzky_matrix
 from carrychain.matrix import (
     Report,
     _bareiss_determinant,
-    _matrix,
     amazing_entry,
     amazing_matrix,
     descent_polynomial,
@@ -97,7 +98,7 @@ def corrupt_table(monkeypatch: pytest.MonkeyPatch) -> None:
 def full_spectrum(n: int, b: int) -> Report:
     """``verify_spectrum`` by the full products P W and F P."""
     W, F = worpitzky_matrix(n).numerators, foulkes_matrix(n).numerators
-    P = _matrix(n, b, spectral=False).entries
+    P = matrix._matrix(n, b, spectral=False).entries
     failures = []
     for j, col in enumerate(zip(*W), start=1):
         if [sum(map(mul, row, col)) for row in P] != [b**j * c for c in col]:
@@ -110,7 +111,7 @@ def full_spectrum(n: int, b: int) -> Report:
 
 def full_stationary(n: int, b: int) -> Report:
     """``verify_stationary`` by the full product E P."""
-    P = _matrix(n, b, spectral=False).entries
+    P = matrix._matrix(n, b, spectral=False).entries
     E = eulerian_numbers(n)
     ok = [sum(map(mul, E, col)) for col in zip(*P)] == [b**n * e for e in E]
     return Report("stationary", {"n": n, "b": b}, 1, () if ok else (f"stationary identity failed: n={n}, b={b}",))
@@ -118,8 +119,8 @@ def full_stationary(n: int, b: int) -> Report:
 
 def full_multiplicativity(n: int, b1: int, b2: int) -> Report:
     """``verify_multiplicativity`` by the full product P(b1) P(b2)."""
-    A = _matrix(n, b1, spectral=False).entries
-    columns = list(zip(*_matrix(n, b2, spectral=False).entries))
+    A = matrix._matrix(n, b1, spectral=False).entries
+    columns = list(zip(*matrix._matrix(n, b2, spectral=False).entries))
     product = tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in A)
     ok = product == amazing_matrix(n, b1 * b2).entries
     failures = () if ok else (f"multiplicativity failed: n={n}, b1={b1}, b2={b2}",)
@@ -135,16 +136,16 @@ def full_foulkes_determinant(n: int) -> int:
 # price admits, found by tests/test_matrix.py's ``TestLimits`` from the
 # price alone.  README's Bounds table gives the time and memory at each.
 LARGEST_ADMITTED = {
-    "amazing_matrix(n, 1)": (lambda n: amazing_matrix(n, 1), 833),
-    "amazing_matrix(n, 2)": (lambda n: amazing_matrix(n, 2), 637),
+    "amazing_matrix(n, 1)": (lambda n: amazing_matrix(n, 1), 844),
+    "amazing_matrix(n, 2)": (lambda n: amazing_matrix(n, 2), 639),
     "amazing_matrix(n, 2**2048)": (lambda n: amazing_matrix(n, 2**2048), 22),
     "descent_polynomial(n, 2, 20)": (lambda n: descent_polynomial(n, 2, 20), 652),
     "foulkes_matrix(n)": (foulkes_matrix, 313),
     "foulkes_determinant(n)": (foulkes_determinant, 101),
     "worpitzky_matrix(n)": (worpitzky_matrix, 247),
-    "verify_spectrum(n, 2)": (lambda n: verify_spectrum(n, 2), 133),
-    "verify_stationary(n, 2)": (lambda n: verify_stationary(n, 2), 522),
-    "verify_multiplicativity(n, 2, 2)": (lambda n: verify_multiplicativity(n, 2, 2), 197),
+    "verify_spectrum(n, 2)": (lambda n: verify_spectrum(n, 2), 158),
+    "verify_stationary(n, 2)": (lambda n: verify_stationary(n, 2), 605),
+    "verify_multiplicativity(n, 2, 2)": (lambda n: verify_multiplicativity(n, 2, 2), 229),
     "eulerian_numbers(n)": (eulerian_numbers, 980),
     "amazing_entry(n, 2, 1, n)": (lambda n: amazing_entry(n, 2, 1, n), 1695),
 }

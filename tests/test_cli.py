@@ -80,6 +80,18 @@ class TestAmazing:
         assert (code, out) == (2, "")
         assert err == "error: amazing: the output holds an integer of more than 4300 digits, Python's int-to-str limit\n"
 
+    def test_a_normalizer_over_the_digit_limit_is_refused_before_the_matrix(self, capsys, monkeypatch):
+        # (2^2048)^7 has 4316 digits: P(7, 2^2048) passes the budget, and its
+        # JSON document is refused without building it; n = 23 is refused by
+        # the budget first
+        monkeypatch.setattr(cli, "amazing_matrix", lambda n, b: pytest.fail("the matrix was built"))
+        code, out, err = run_cli(capsys, "amazing", "--n", "7", "--b", str(2**2048))
+        assert (code, out) == (2, "")
+        assert err == "error: amazing: the output holds an integer of more than 4300 digits, Python's int-to-str limit\n"
+        code, out, err = run_cli(capsys, "amazing", "--n", "23", "--b", str(2**2048))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: amazing_matrix: estimated work")
+
     def test_repeated_invocations_are_byte_identical(self, capsys):
         args = ("amazing", "--n", "5", "--b", "3", "--normalized")
         _, out1, _ = run_cli(capsys, *args)
@@ -119,6 +131,14 @@ class TestFoulkesWorpitzky:
         code, out, err = run_cli(capsys, "foulkes", "--n", str(n), "--det")
         assert (code, out, built) == (2, "", [40])
         assert err.startswith("error: foulkes_determinant: estimated work")
+
+    def test_a_determinant_over_the_digit_limit_is_refused_before_the_table(self, capsys, monkeypatch):
+        # 1! 2! ... 82! has 4400 digits, and n = 82 passes the determinant's budget
+        monkeypatch.setattr(cli, "foulkes_matrix", lambda n: pytest.fail("F was built"))
+        monkeypatch.setattr(matrix, "foulkes_matrix", lambda n: pytest.fail("F was built"))
+        code, out, err = run_cli(capsys, "foulkes", "--n", "82", "--det")
+        assert (code, out) == (2, "")
+        assert err == "error: foulkes: the output holds an integer of more than 4300 digits, Python's int-to-str limit\n"
 
     def test_worpitzky(self, capsys):
         code, out, _ = run_cli(capsys, "worpitzky", "--n", "2")
@@ -789,7 +809,7 @@ def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
 @example("foulkes", 40, 1, 1)
 @example("worpitzky", 40, 1, 1)
 @example("eigen", 40, 2**70, 1)
-@example("eigen", 134, 2, 1)  # one size over the work budget
+@example("eigen", 159, 2, 1)  # one size over the work budget
 @example("eigen", 100_000, 2, 1)
 @example("amazing", 16, 3**1000, 1)  # the spectral path
 @example("amazing-csv", 12, 2**3000, 1)

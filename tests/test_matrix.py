@@ -94,31 +94,85 @@ class TestRowKernel:
                 expected = [[amazing_entry(n, b, i, j) for j in range(1, n + 1)] for i in range(1, rows + 1)]
                 assert matrix._kernel_rows(n, b, rows) == expected, (n, b, rows)
 
+    # n - 1, n and n + 1 put the rows of one column on either side of the
+    # seam of the walk's runs; 2^256 + 1 walks one run of ceil(n/2) per t
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_walked_columns_match_the_alternating_sums(self, n):
+        for m in sorted({1, 2, n - 1, n, n + 1, 2**256 + 1} - {0}):
+            for rows in sorted({1, (n + 1) // 2}):
+                expected = [[amazing_entry(n, m, i, j) for j in range(1, n + 1)] for i in range(1, rows + 1)]
+                assert matrix._kernel_rows(n, m, rows) == expected, (n, m, rows)
+
+    @staticmethod
+    def walked_x(starts, length):
+        return [start + r for start in starts for r in range(length)]
+
+    def recorded(self, monkeypatch):
+        """The x of every ``binomial`` and of every walked binomial."""
+        taken, walked = [], []
+        walk = matrix._walk
+
+        def recorded_walk(n, starts, length):
+            walked.extend(self.walked_x(starts, length))
+            return walk(n, starts, length)
+
+        monkeypatch.setattr(matrix, "binomial", lambda a, k: taken.append(a) or binomial(a, k))
+        monkeypatch.setattr(matrix, "_walk", recorded_walk)
+        return taken, walked
+
     def test_rows_of_one_residue_share_a_column(self, monkeypatch):
         # P(100, 2): two residues, each one column of 100 + 1 + 99 // 2 = 150
-        # binomials; a column per row would take 50 x 101
-        calls = []
-        monkeypatch.setattr(matrix, "binomial", lambda a, k: calls.append(a) or binomial(a, k))
+        # binomials, whose x = 2q + s are together 0..299, one run: one
+        # binomial at its start and 299 steps of the walk; a column per row
+        # would take 50 x 101 binomials
+        taken, walked = self.recorded(monkeypatch)
         amazing_matrix(100, 2)
-        assert len(calls) == 2 * 150
-        assert sorted(calls) == sorted(2 * q + s for s in (0, 1) for q in range(150))
+        assert (taken, walked) == ([0], list(range(2 * 150)))
+
+    def test_a_wide_base_walks_one_run_per_power(self, monkeypatch):
+        # P(10, m), m > 5 = ceil(10/2): rows 1..5 read x = 10 - i + mt,
+        # t = 0..10, a run of five for each t
+        m = 2**64 + 1
+        taken, walked = self.recorded(monkeypatch)
+        amazing_matrix(10, m)
+        assert taken == [5 + m * t for t in range(11)]
+        assert walked == [x + r for x in taken for r in range(5)]
+
+    def wrong(self, monkeypatch, where, wrong_at):
+        """One more at x = ``wrong_at``, in ``binomial``, where a run starts,
+        or in what ``_walk`` gives, along a run, where the error stays put."""
+        if where == "binomial":
+            monkeypatch.setattr(matrix, "binomial", lambda a, k: binomial(a, k) + (a == wrong_at))
+            return
+        walk = matrix._walk
+
+        def wrong_walk(n, starts, length):
+            return [v + (x == wrong_at) for x, v in zip(self.walked_x(starts, length), walk(n, starts, length))]
+
+        monkeypatch.setattr(matrix, "_walk", wrong_walk)
 
     @pytest.mark.parametrize(
-        "wrong_at, caught",
+        "b, where, wrong_at, caught",
         [
-            # columns of 15 binomials C(2q + s, 10): s = 0 for rows 2 and 4
-            # (q0 = 4, 3), s = 1 for rows 1, 3 and 5 (q0 = 4, 3, 2)
-            (0, "degree-0 coefficient of row 2 must vanish"),
-            (1, "degree-0 coefficient of row 1 must vanish"),
-            (10, "negative entry in row 2 "),
-            (28, "row 2 of the \\(10, 2\\) matrix sums to"),  # the last entry of row 2 only
-            (29, "row 1 of the \\(10, 2\\) matrix sums to"),
+            # P(10, 2) walks x = 0..29 in one run from C(0, 10); the columns
+            # C(2q + s, 10) are s = 0 for rows 2 and 4 (q0 = 4, 3), s = 1 for
+            # rows 1, 3 and 5 (q0 = 4, 3, 2)
+            (2, "binomial", 0, "degree-0 coefficient of row 2 must vanish"),
+            (2, "_walk", 1, "degree-0 coefficient of row 1 must vanish"),
+            (2, "_walk", 10, "negative entry in row 2 "),
+            (2, "_walk", 28, "row 2 of the \\(10, 2\\) matrix sums to"),  # the last entry of row 2 only
+            (2, "_walk", 29, "row 1 of the \\(10, 2\\) matrix sums to"),
+            # P(10, 11) walks x = 5..9 + 11t, t = 0..10: a wrong start below n
+            # stays put, one above n carries along its run
+            (11, "binomial", 5, "degree-0 coefficient of row 5 must vanish"),
+            (11, "binomial", 16, "negative entry in row 1 "),
+            (11, "_walk", 18, "row 3 of the \\(10, 11\\) matrix sums to"),
         ],
     )
-    def test_a_corrupted_binomial_is_caught(self, monkeypatch, wrong_at, caught):
-        monkeypatch.setattr(matrix, "binomial", lambda a, k: binomial(a, k) + (a == wrong_at))
+    def test_a_corrupted_binomial_is_caught(self, monkeypatch, b, where, wrong_at, caught):
+        self.wrong(monkeypatch, where, wrong_at)
         with pytest.raises((AssertionError, ValueError), match=caught):
-            amazing_matrix(10, 2)
+            amazing_matrix(10, b)
 
     def test_rejects_bad_arguments(self):
         for n, b in ((0, 2), (2, 0), (-1, 3)):
@@ -189,10 +243,26 @@ def _shifted_mirror(n, b, spectral):
     return AmazingMatrix(n, b, tuple(top + [row[::-1] for row in reversed(top[1:])]))
 
 
+def _mirrored(moves):
+    """A change that keeps P centrosymmetric, with its row sums: each
+    ``(i, j): d`` of ``moves`` is added at (i, j) and, unless that is its
+    own mirror, at (n+1-i, n+1-j)."""
+
+    def change(rows):
+        n = len(rows)
+        for (i, j), d in moves.items():
+            rows[i - 1][j - 1] += d
+            if (i, j) != (n + 1 - i, n + 1 - j):
+                rows[n - i][n - j] += d
+
+    return change
+
+
 class TestHalfProducts:
-    """The product checks multiply rows or columns 1..ceil(n/2) and test the
-    mirrors that give the rest: they must report what the full products
-    report, and see a fault that only the other half holds."""
+    """The product checks multiply rows or columns 1..ceil(n/2), fold each
+    inner sum onto k <= ceil(n/2) and test the mirrors that both rely on:
+    they must report what the full products report, and see a fault that
+    only the other half holds."""
 
     @pytest.mark.parametrize("b", (1, 2, 3, 7, 2**300 + 1))
     def test_reports_equal_the_full_products(self, b):
@@ -267,6 +337,45 @@ class TestHalfProducts:
         monkeypatch.setattr(matrix, "_matrix", _faulty_matrix(7, b, _move_a_unit_in_the_last_row))
         assert verify_multiplicativity(7, 2, 3).failures == ("multiplicativity failed: n=7, b1=2, b2=3",)
         assert verify_spectrum(7, 2).ok and verify_stationary(7, 2).ok
+
+    # Every entry that a change below lowers is positive in P(n, 5) and P(n, 3)
+    FOLDED_FAULTS = {
+        "7-middle-row": (7, {(4, 2): 1, (4, 4): -2}),  # row 4 is its own mirror
+        "7-middle-column": (7, {(2, 4): 1, (2, 3): -1}),  # the middle term of each column's fold
+        "7-paired-half": (7, {(2, 6): 1, (2, 5): -1}),  # folded onto columns 2 and 3 of row 2
+        "8-middle-row": (8, {(4, 2): 1, (4, 3): -1}),  # row 4, paired with row 5
+        # columns 4 and 5, paired with each other; a unit moved between them
+        # in row 2 and back in row 7 would be lost on E P = b^n E
+        "8-middle-columns": (8, {(2, 4): 1, (2, 2): -1}),
+        "8-paired-half": (8, {(2, 7): 1, (2, 6): -1}),
+    }
+
+    @pytest.mark.parametrize("fault", FOLDED_FAULTS)
+    @pytest.mark.parametrize("b", (5, 3), ids=["p-and-first-factor", "second-factor"])
+    def test_a_centrosymmetric_fault_fails_as_in_the_full_products(self, monkeypatch, fault, b):
+        # every mirror holds, so only the folded sums can see the change
+        n, moves = self.FOLDED_FAULTS[fault]
+        monkeypatch.setattr(matrix, "_matrix", _faulty_matrix(n, b, _mirrored(moves)))
+        reports = [(verify_multiplicativity(n, 5, 3), full_multiplicativity(n, 5, 3))]
+        if b == 5:
+            reports += [(verify_spectrum(n, b), full_spectrum(n, b)), (verify_stationary(n, b), full_stationary(n, b))]
+        for folded, full in reports:
+            assert folded == full and not folded.ok
+
+    @pytest.mark.parametrize("n", (7, 8))
+    def test_a_fault_in_the_right_half_of_the_second_factor_is_seen_by_its_mirror(self, monkeypatch, n):
+        # the folded sums read columns 1..ceil(n/2) of B = P(n, 3) only; a
+        # unit moved from column n-2 to column n-1 of row 1 leaves them, and
+        # B no longer centrosymmetric
+        def move(rows):
+            rows[0][n - 3] -= 1
+            rows[0][n - 2] += 1
+
+        monkeypatch.setattr(matrix, "_matrix", _faulty_matrix(n, 3, move))
+        failed = (f"multiplicativity failed: n={n}, b1=5, b2=3",)
+        assert verify_multiplicativity(n, 5, 3).failures == full_multiplicativity(n, 5, 3).failures == failed
+        monkeypatch.setattr(matrix, "_centrosymmetric", lambda rows: True)
+        assert verify_multiplicativity(n, 5, 3).ok
 
 
 def _base(bits: int) -> int:
@@ -738,8 +847,6 @@ class TestWorkBudget:
             verify_stationary(10, 2)
 
     def test_deep_matrices_are_counted_on_the_spectral_path(self, monkeypatch):
-        # at b = 2^2048 the spectral path admits n = 22 and the row kernel
-        # would refuse it
         n = _largest("amazing_matrix(n, 2**2048)")
         assert amazing_matrix(n, 2**2048).n == n
         monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
@@ -747,9 +854,13 @@ class TestWorkBudget:
             amazing_matrix(n, 2**2048)
         with pytest.raises(BudgetError, match="amazing_matrix"):
             amazing_matrix(n + 1, 2**2048)
-        monkeypatch.setattr(matrix, "_SPECTRAL_MIN_BITS", 4096)
+        # at b = 2^8192 the spectral path admits n = 11 and the row kernel
+        # would refuse it
+        with pytest.raises(_Built):
+            amazing_matrix(11, 2**8192)
+        monkeypatch.setattr(matrix, "_SPECTRAL_MIN_BITS", 2**14)
         with pytest.raises(BudgetError, match="amazing_matrix"):
-            amazing_matrix(n, 2**2048)
+            amazing_matrix(11, 2**8192)
 
     def test_deep_descent_polynomials_are_counted_before_the_power(self, monkeypatch):
         monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
