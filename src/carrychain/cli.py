@@ -58,6 +58,7 @@ from .combinat import (
 from .eulerian import foulkes_matrix, idempotent_s_expansion, worpitzky_matrix
 from .matrix import (
     Report,
+    _check_descent,
     _check_determinant,
     _check_matrix,
     amazing_entry,
@@ -114,9 +115,9 @@ def _fmt(numerator: int, denominator: int = 1):
     return numerator // g if g == denominator else f"{numerator // g}/{denominator // g}"
 
 
-def _matrix_payload(rows, denominator: int = 1) -> list[list]:
-    if denominator == 1:  # integer rows, which ``_json_parts`` writes with one join each
-        return [list(row) for row in rows]
+def _matrix_payload(rows, denominator: int = 1):
+    if denominator == 1:  # the library's integer rows, which ``_json_parts`` writes as lists, one join each
+        return rows
     return [[_fmt(v, denominator) for v in row] for row in rows]
 
 
@@ -229,8 +230,8 @@ def _state_labels(n: int, zero_based: bool) -> list[int]:
 
 
 def _cmd_amazing(args) -> int:
+    _check_matrix(args.n, args.b, args.normalized)
     if args.format == "json":  # its largest integer is the normalizer b^n; refuse its digits before P is built
-        _check_matrix(args.n, args.b)
         _check_digits(args.command, args.b**args.n)
     m = amazing_matrix(args.n, args.b)
     denominator = m.normalizer if args.normalized else 1
@@ -299,9 +300,12 @@ def _cmd_idempotents(args) -> int:
 
 
 def _cmd_descent_poly(args) -> int:
+    # its largest integer is the mass (b^r)^n; refuse its digits before the row is built
+    _check_descent(args.n, args.b, args.r)
+    _check_digits(args.command, args.b ** (args.r * args.n))
     poly = descent_polynomial(args.n, args.b, args.r)
     params = {"n": args.n, "b": args.b, "r": args.r, "base": poly.base}
-    _emit(args.command, params, lambda: {"coefficients": list(poly.coeffs), "mass": poly.mass})
+    _emit(args.command, params, lambda: {"coefficients": poly.coeffs, "mass": poly.mass})
     return 0
 
 
@@ -338,7 +342,7 @@ def _simulation_payload(result, exact) -> dict:
     row's total-variation distance to the exact matrix."""
     totals = [sum(row) or 1 for row in result.counts]  # a row with no samples has frequencies 0
     return {
-        "counts": [list(row) for row in result.counts],
+        "counts": result.counts,
         "frequencies": [[_fmt(c, t) for c in row] for row, t in zip(result.counts, totals)],
         "tv_per_row": [str(d) for d in result.tv_distances(exact.entries, exact.normalizer)],
     }

@@ -240,12 +240,15 @@ def _matrix(n: int, b: int, spectral: bool) -> AmazingMatrix:
     return AmazingMatrix(n, b, tuple(top + bottom))
 
 
-def _check_matrix(n: int, b: int) -> bool:
+def _check_matrix(n: int, b: int, normalized: bool = False) -> bool:
     """Whether ``amazing_matrix(n, b)`` takes the spectral path, once the
-    rows on its path and writing each entry, below b^n, are priced."""
+    rows on its path and writing each entry, below b^n, are priced.  An
+    entry written ``normalized``, over b^n in lowest terms, costs a gcd with
+    b^n and two written integers; at b = 1 it is written as it is."""
     bits = b.bit_length()
     spectral = bits >= _SPECTRAL_MIN_BITS
-    _check_work("amazing_matrix", *_row_terms(n, b, (n + 1) // 2, spectral, bits), (n * n, n * bits, n * bits))
+    entry = 3 if normalized and b > 1 else 1
+    _check_work("amazing_matrix", *_row_terms(n, b, (n + 1) // 2, spectral, bits), (entry * n * n, n * bits, n * bits))
     return spectral
 
 
@@ -485,6 +488,20 @@ class DescentPolynomial(_Checked, namedtuple("DescentPolynomial", "n base coeffs
         return sum(self.coeffs)
 
 
+def _check_descent(n: int, b: int, r: int) -> bool:
+    """Whether ``descent_polynomial(n, b, r)`` takes the spectral path, once
+    b^r, its row and writing each coefficient are priced, before b^r is
+    built.  b^r < 2^bits, bits = r L + 1 with L the bit length of b - 1,
+    selects the path; the repeated squaring of b^r is priced as one product
+    of its size, and the row on that path with b a lower bound of its base."""
+    if n < 1 or b < 1 or r < 1:
+        raise ValueError(f"need n, b, r >= 1, got n={n}, b={b}, r={r}")
+    bits = r * (b - 1).bit_length() + 1
+    spectral = bits >= _SPECTRAL_MIN_BITS
+    _check_work("descent_polynomial", (1, bits, bits), *_row_terms(n, b, 1, spectral, bits), (n, n * bits, n * bits))
+    return spectral
+
+
 def descent_polynomial(n: int, b: int, r: int) -> DescentPolynomial:
     """Descent generating vector of b^r-shuffles, by the closed formula
 
@@ -494,15 +511,7 @@ def descent_polynomial(n: int, b: int, r: int) -> DescentPolynomial:
     ``amazing_matrix``, chosen by a bound on the bits of m that is exact
     when b is a power of two.
     """
-    if n < 1 or b < 1 or r < 1:
-        raise ValueError(f"need n, b, r >= 1, got n={n}, b={b}, r={r}")
-    # b^r < 2^bits, bits = r L + 1 with L the bit length of b - 1, selects
-    # the path.  Before b^r is built, its repeated squaring, priced as one
-    # product of its size, the row on that path, b a lower bound of its
-    # base, and writing each coefficient once are priced
-    bits = r * (b - 1).bit_length() + 1
-    spectral = bits >= _SPECTRAL_MIN_BITS
-    _check_work("descent_polynomial", (1, bits, bits), *_row_terms(n, b, 1, spectral, bits), (n, n * bits, n * bits))
+    spectral = _check_descent(n, b, r)
     m = b**r
     (row,) = (_spectral_rows if spectral else _kernel_rows)(n, m, 1)
     return DescentPolynomial(n, m, tuple(row))

@@ -13,7 +13,8 @@ a test that plants a fault there plants it in both.
 the mirror of F splits it into.
 
 ``LARGEST_ADMITTED`` pins the largest n that each closed form admits at a
-stated base under the work budget.
+stated base under the work budget, ``CLI_LIMITS`` each command's limits,
+and ``run_limited`` runs a child under real memory and CPU limits.
 
 The library keeps permutations as tuples of images and, in the oracle, as
 lexicographic ranks.  ``Permutation`` below is an object written apart from
@@ -23,8 +24,13 @@ composes or inverts through it does not rest on the oracle's own kernels.
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import dataclass
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -135,10 +141,13 @@ def full_foulkes_determinant(n: int) -> int:
 # Each closed form at a stated base, as a call of n, with the largest n its
 # price admits, found by tests/test_matrix.py's ``TestLimits`` from the
 # price alone.  README's Bounds table gives the time and memory at each.
+# ``_check_matrix`` with ``normalized`` prices P written over b^n in lowest
+# terms, as ``amazing --normalized`` writes it.
 LARGEST_ADMITTED = {
     "amazing_matrix(n, 1)": (lambda n: amazing_matrix(n, 1), 844),
     "amazing_matrix(n, 2)": (lambda n: amazing_matrix(n, 2), 639),
     "amazing_matrix(n, 2**2048)": (lambda n: amazing_matrix(n, 2**2048), 22),
+    "_check_matrix(n, 2, normalized=True)": (lambda n: matrix._check_matrix(n, 2, normalized=True), 511),
     "descent_polynomial(n, 2, 20)": (lambda n: descent_polynomial(n, 2, 20), 652),
     "foulkes_matrix(n)": (foulkes_matrix, 313),
     "foulkes_determinant(n)": (foulkes_determinant, 101),
@@ -149,3 +158,60 @@ LARGEST_ADMITTED = {
     "eulerian_numbers(n)": (eulerian_numbers, 980),
     "amazing_entry(n, 2, 1, n)": (lambda n: amazing_entry(n, 2, 1, n), 1695),
 }
+
+
+BUDGET, DIGITS = "budget", "Python's int-to-str limit"
+
+
+def largest(name: str) -> int:
+    return LARGEST_ADMITTED[name][1]
+
+
+def _edge(words: str, n: int, refusal: str) -> tuple:
+    """The command ``words`` at ``n``, written, and at n + 1, refused by
+    ``refusal``: pairs of an argv and its refusal, None if written."""
+    return (f"{words} --n {n}", None), (f"{words} --n {n + 1}", refusal)
+
+
+# Each closed-form command at the largest n it writes and the next one up,
+# refused by the budget or, first, by the int-to-str limit: 1! 2! ... 82!
+# has 4400 digits, 2^(24 * 596) 4306.  ``idempotents`` stops at
+# combinat.IDEMPOTENT_TERMS.  tests/test_cli.py runs every argv in one real
+# child, and CI every refused one through the installed script.
+CLI_LIMITS = (
+    *_edge("amazing --b 1", largest("amazing_matrix(n, 1)"), BUDGET),
+    *_edge("amazing --b 2", largest("amazing_matrix(n, 2)"), BUDGET),
+    *_edge("amazing --b 2 --normalized", largest("_check_matrix(n, 2, normalized=True)"), BUDGET),
+    *_edge("descent-poly --b 2 --r 20", largest("descent_polynomial(n, 2, 20)"), BUDGET),
+    *_edge("descent-poly --b 2 --r 24", 595, DIGITS),
+    *_edge("foulkes", largest("foulkes_matrix(n)"), BUDGET),
+    *_edge("foulkes --det", 81, DIGITS),
+    (f"foulkes --det --n {largest('foulkes_determinant(n)') + 1}", BUDGET),
+    *_edge("worpitzky", largest("worpitzky_matrix(n)"), BUDGET),
+    *_edge("eigen --b 2", largest("verify_spectrum(n, 2)"), BUDGET),
+    *_edge("idempotents", 15, BUDGET),
+)
+
+
+def _limits() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+
+def run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code *args``, importing the ``carrychain`` under test, in a
+    child under 2 GiB of address space and 120 s of CPU, both set in the
+    child only, and 120 s of wall time; stdout and stderr come back as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(matrix.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120, preexec_fn=_limits,
+    )
+
+
+class Built(Exception):
+    """Raised in place of the first object a computation builds."""
+
+
+def refuse_building(*args):
+    raise Built

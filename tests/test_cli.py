@@ -6,12 +6,8 @@ import hashlib
 import io
 import itertools
 import json
-import os
-import resource
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +18,7 @@ from carrychain.cli import main, run_verify_all
 from carrychain.combinat import superfactorial
 from carrychain.eulerian import SWordExpansion
 from carrychain.matrix import amazing_matrix
-from reference import LARGEST_ADMITTED, LUMPING_MESSAGE, corrupt_table
+from reference import CLI_LIMITS, LUMPING_MESSAGE, corrupt_table, largest, run_limited
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +66,15 @@ class TestAmazing:
         code, out, err = run_cli(capsys, "amazing", "--n", "100000", "--b", "2")
         assert code == 2
         assert out == ""
+        assert err.startswith("error: amazing_matrix: estimated work")
+
+    @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["json", "csv"])
+    def test_normalized_entries_are_priced_before_the_matrix(self, capsys, monkeypatch, fmt):
+        # a gcd with 2^n and two written integers per entry
+        n = largest("_check_matrix(n, 2, normalized=True)") + 1
+        monkeypatch.setattr(cli, "amazing_matrix", lambda n, b: pytest.fail("the matrix was built"))
+        code, out, err = run_cli(capsys, "amazing", "--n", str(n), "--b", "2", "--normalized", *fmt)
+        assert (code, out) == (2, "")
         assert err.startswith("error: amazing_matrix: estimated work")
 
     @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["json", "csv"])
@@ -127,7 +132,7 @@ class TestFoulkesWorpitzky:
         assert (code, built) == (0, [40])
         assert json.loads(out)["determinant"] == str(superfactorial(40))
         # the determinant's budget is checked before any table is built
-        n = LARGEST_ADMITTED["foulkes_determinant(n)"][1] + 1
+        n = largest("foulkes_determinant(n)") + 1
         code, out, err = run_cli(capsys, "foulkes", "--n", str(n), "--det")
         assert (code, out, built) == (2, "", [40])
         assert err.startswith("error: foulkes_determinant: estimated work")
@@ -245,6 +250,14 @@ class TestDescentPoly:
         assert code == 2 and out == ""
         limit = "the output holds an integer of more than 4300 digits, Python's int-to-str limit"
         assert err == f"error: descent-poly: {limit}\n"
+
+    def test_a_mass_over_the_digit_limit_is_refused_before_the_row(self, capsys, monkeypatch):
+        # the mass 2^(24 * 596) has 4306 digits, and n = 596 passes the budget
+        monkeypatch.setattr(cli, "descent_polynomial", lambda n, b, r: pytest.fail("the row was built"))
+        monkeypatch.setattr(matrix, "_kernel_rows", lambda n, m, rows: pytest.fail("the row was built"))
+        code, out, err = run_cli(capsys, "descent-poly", "--n", "596", "--b", "2", "--r", "24")
+        assert (code, out) == (2, "")
+        assert err == "error: descent-poly: the output holds an integer of more than 4300 digits, Python's int-to-str limit\n"
 
     def test_the_digit_limit_names_the_command_in_csv(self, capsys):
         code, out, err = run_cli(capsys, "amazing", "--n", "3", "--b", str(10**1500), "--format", "csv")
@@ -435,92 +448,64 @@ class TestSimulate:
         assert err.startswith("error: ") and "budget" in err
 
 
-def _two_gib_of_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-
-@pytest.mark.parametrize(
-    "argv",
-    _OVER_THE_CLOSED_FORM_BUDGET + [
-        ("simulate", "shuffle", "--n", "3", "--b", "2", "--trials", str(10**12), "--seed", "1"),
-        ("oracle", "shuffles", "--n", str(10**7), "--b", str(10**9)),
-        ("oracle", "shuffles", "--n", str(10**6), "--b", "1"),
-    ],
-)
-def test_oversized_simulations_exit_2_at_once(argv):
-    # the (n, n) counts of n = 10^6 alone would take 8 TB; 10^12 trials are
-    # over the draw budget and would draw for hours; (10^9)^(10^7), built in
-    # full before the word budget was compared, took over two minutes; the
-    # one outcome of 10^6 cards at b = 1, built before n was bounded, took
-    # 0.6 s and 143 MiB
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "carrychain.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_two_gib_of_address_space,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and "budget" in proc.stderr and "Traceback" not in proc.stderr
-
-
-def _real_limits():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
-
+# far over a budget, each refused at once: the (n, n) counts of n = 10^6
+# alone would take 8 TB; 10^12 trials are over the draw budget and would
+# draw for hours; (10^9)^(10^7), built in full before the word budget was
+# compared, took over two minutes; the one outcome of 10^6 cards at b = 1,
+# built before n was bounded, took 0.6 s and 143 MiB
+_OVERSIZED = _OVER_THE_CLOSED_FORM_BUDGET + [
+    ("simulate", "shuffle", "--n", "3", "--b", "2", "--trials", str(10**12), "--seed", "1"),
+    ("oracle", "shuffles", "--n", str(10**7), "--b", str(10**9)),
+    ("oracle", "shuffles", "--n", str(10**6), "--b", "1"),
+]
 
 # runs its argv lists through cli.main, one after another, and prints each
 # one's exit code, the meta block of its document (None for no output), the
-# length of its stdout and its stderr
+# length of its stdout, its stderr and its time in seconds
 _BATCH = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, time
 from carrychain import cli
 report = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    seconds = time.perf_counter() - start
     text = out.getvalue()
-    report.append([code, json.loads(text)["meta"] if text else None, len(text), err.getvalue()])
+    report.append([code, json.loads(text)["meta"] if text else None, len(text), err.getvalue(), seconds])
 print(json.dumps(report))
 """
 
 
-def test_every_closed_form_limit_holds_in_a_real_child():
-    # each closed-form command at the largest size it writes and at the next
-    # one up, in one child under 2 GiB of address space and 120 s of CPU.
-    # Python's 4300-digit int-to-str limit refuses `amazing` at b = 2^2048
-    # from n = 7 on, so it is left out, and `foulkes --det` from n = 82 on,
-    # whose superfactorial has 4400 digits, below the determinant's own
-    # limit, which is checked too
-    largest = {name: n for name, (_, n) in LARGEST_ADMITTED.items()}
-    budget, digits = "budget", "Python's int-to-str limit"
-    commands = [
-        (["amazing", "--b", "1"], largest["amazing_matrix(n, 1)"], budget),
-        (["amazing", "--b", "2"], largest["amazing_matrix(n, 2)"], budget),
-        (["descent-poly", "--b", "2", "--r", "20"], largest["descent_polynomial(n, 2, 20)"], budget),
-        (["foulkes"], largest["foulkes_matrix(n)"], budget),
-        (["foulkes", "--det"], 81, digits),
-        (["worpitzky"], largest["worpitzky_matrix(n)"], budget),
-        (["eigen", "--b", "2"], largest["verify_spectrum(n, 2)"], budget),
-        (["idempotents"], 15, budget),
-    ]
-    runs = [([*words, "--n", str(n)], None) for words, n, _ in commands]
-    runs += [([*words, "--n", str(n + 1)], refusal) for words, n, refusal in commands]
-    runs.append((["foulkes", "--det", "--n", str(largest["foulkes_determinant(n)"] + 1)], budget))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _BATCH, json.dumps([argv for argv, _ in runs])],
-        env=env, capture_output=True, text=True, timeout=600, preexec_fn=_real_limits,
-    )
+@pytest.fixture(scope="session")
+def limited_batch() -> dict:
+    """The outcome of every argv of ``_OVERSIZED`` and ``CLI_LIMITS``, by
+    argv, all run once, in that order, in one child under real limits."""
+    argvs = [list(argv) for argv in _OVERSIZED] + [argv.split() for argv, _ in CLI_LIMITS]
+    proc = run_limited(_BATCH, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
-    for (argv, refusal), (code, meta, size, err) in zip(runs, json.loads(proc.stdout), strict=True):
-        if refusal:
-            assert (code, meta, size) == (2, None, 0), argv
-            assert err.startswith("error: ") and refusal in err and "Traceback" not in err, argv
-        else:
-            assert (code, err) == (0, ""), argv
-            assert (meta["command"], meta["params"]["n"]) == (argv[0], int(argv[-1])), argv
+    return dict(zip(map(tuple, argvs), json.loads(proc.stdout), strict=True))
+
+
+@pytest.mark.parametrize("argv", _OVERSIZED)
+def test_oversized_simulations_exit_2_at_once(limited_batch, argv):
+    code, meta, size, err, seconds = limited_batch[argv]
+    assert (code, meta, size) == (2, None, 0)
+    assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+    assert seconds < 10
+
+
+@pytest.mark.parametrize("argv, refusal", CLI_LIMITS)
+def test_every_closed_form_limit_holds_in_a_real_child(limited_batch, argv, refusal):
+    words = argv.split()
+    code, meta, size, err, _ = limited_batch[tuple(words)]
+    if refusal:
+        assert (code, meta, size) == (2, None, 0)
+        assert err.startswith("error: ") and refusal in err and "Traceback" not in err
+    else:
+        assert (code, err) == (0, "")
+        assert (meta["command"], meta["params"]["n"]) == (words[0], int(words[-1]))
 
 
 class TestVerify:

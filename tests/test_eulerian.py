@@ -19,7 +19,7 @@ from carrychain.oracle import (
     idempotent_group,
     shuffle_element_from_basis,
 )
-from reference import LARGEST_ADMITTED
+from reference import LARGEST_ADMITTED, refuse_building
 
 
 def coords(*values):
@@ -409,17 +409,9 @@ class TestIdempotentExpansion:
         # the expansion stands for 2^(n-1) S-words and builds none of them
         # (``compositions`` reads each off ``itertools.product``): n = 18
         # gives 2^17, the most admitted
-        monkeypatch.setattr(combinat, "itertools", SimpleNamespace(product=_refuse_building))
+        monkeypatch.setattr(combinat, "itertools", SimpleNamespace(product=refuse_building))
         assert len(idempotent_s_expansion(18, 1).numerators) == 18
         # past it, the refusal comes before the Stirling row, which for 10^20 would never end
         for n in (19, 40, 10**20):
             with pytest.raises(BudgetError, match=f"^compositions: 2\\^{n - 1} compositions of {n} exceed"):
                 idempotent_s_expansion(n, 1)
-
-
-class _Built(Exception):
-    """Raised in place of the first object a computation builds."""
-
-
-def _refuse_building(*args):
-    raise _Built

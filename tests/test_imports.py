@@ -11,8 +11,6 @@ everything already; the static guard reads the sources and needs none.
 
 import ast
 import json
-import os
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -21,6 +19,7 @@ import pytest
 
 import carrychain
 from carrychain import oracle
+from reference import run_limited
 
 PACKAGE = Path(carrychain.__file__).resolve().parent
 HEAVY = ("numpy", "carrychain.oracle", "carrychain.rng", "carrychain.simulate")
@@ -38,11 +37,8 @@ print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
 
 
 def _fresh_python(script: str, *argv: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
-    )
+    proc = run_limited(script, *argv)
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 

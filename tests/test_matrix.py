@@ -23,10 +23,13 @@ from carrychain.matrix import (
 )
 from reference import (
     LARGEST_ADMITTED,
+    Built,
     full_foulkes_determinant,
     full_multiplicativity,
     full_spectrum,
     full_stationary,
+    largest,
+    refuse_building,
 )
 
 
@@ -442,7 +445,7 @@ class TestSpectralPath:
 
     def test_checks_use_the_row_kernel(self, monkeypatch):
         # a spectral P would reduce the eigen checks to F W = I
-        monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
+        monkeypatch.setattr(matrix, "_spectral_rows", refuse_building)
         assert verify_spectrum(12, 2**1000).ok
         assert verify_stationary(12, 2**1000).ok
 
@@ -719,14 +722,6 @@ class TestDescentPolynomial:
             descent_polynomial(2, 2, 0)
 
 
-class _Built(Exception):
-    """Raised in place of the first bigint a computation builds."""
-
-
-def _refuse_building(*args):
-    raise _Built
-
-
 def _refuse_past_the_check(monkeypatch):
     """Every closed form builds right past its one work check, so a check
     that refuses whatever it admits stands for the build."""
@@ -734,14 +729,10 @@ def _refuse_past_the_check(monkeypatch):
 
     def refused_past_the_check(*args):
         check(*args)
-        raise _Built
+        raise Built
 
     for module in (combinat, eulerian, matrix):
         monkeypatch.setattr(module, "_check_work", refused_past_the_check)
-
-
-def _largest(name):
-    return LARGEST_ADMITTED[name][1]
 
 
 class TestLimits:
@@ -754,7 +745,7 @@ class TestLimits:
         def admitted(n):
             try:
                 build(n)
-            except _Built:
+            except Built:
                 return True
             except BudgetError:
                 return False
@@ -770,7 +761,7 @@ class TestLimits:
 
     def test_a_refusal_just_past_a_limit_shows_the_excess(self):
         # 2^28.01: rounded to one decimal, the exponent read as the budget's
-        n = _largest("amazing_matrix(n, 1)") + 1
+        n = largest("amazing_matrix(n, 1)") + 1
         with pytest.raises(BudgetError) as refused:
             amazing_matrix(n, 1)
         message = re.fullmatch(r"amazing_matrix: estimated work 2\^([\d.]+) exceeds the budget 2\^28", str(refused.value))
@@ -781,9 +772,9 @@ class TestWorkBudget:
     def test_matrix_is_refused_before_any_binomial(self, monkeypatch):
         # the largest case at b = 2 passes the check, the next size is
         # refused before the first binomial
-        monkeypatch.setattr(matrix, "binomial", _refuse_building)
-        n = _largest("amazing_matrix(n, 2)")
-        with pytest.raises(_Built):
+        monkeypatch.setattr(matrix, "binomial", refuse_building)
+        n = largest("amazing_matrix(n, 2)")
+        with pytest.raises(Built):
             amazing_matrix(n, 2)
         for n, b in ((n + 1, 2), (100_000, 2), (121, 2**70)):
             with pytest.raises(BudgetError, match="amazing_matrix"):
@@ -798,22 +789,22 @@ class TestWorkBudget:
 
     def test_foulkes_tables_are_refused_before_they_are_built(self, monkeypatch):
         _refuse_past_the_check(monkeypatch)
-        n = _largest("foulkes_matrix(n)")
-        with pytest.raises(_Built):
+        n = largest("foulkes_matrix(n)")
+        with pytest.raises(Built):
             eulerian.foulkes_matrix(n)
         with pytest.raises(BudgetError, match="foulkes_matrix"):
             eulerian.foulkes_matrix(n + 1)
-        monkeypatch.setattr(matrix, "foulkes_matrix", _refuse_building)
-        n = _largest("foulkes_determinant(n)")
-        with pytest.raises(_Built):
+        monkeypatch.setattr(matrix, "foulkes_matrix", refuse_building)
+        n = largest("foulkes_determinant(n)")
+        with pytest.raises(Built):
             foulkes_determinant(n)
         with pytest.raises(BudgetError, match="foulkes_determinant"):
             foulkes_determinant(n + 1)
 
     def test_worpitzky_table_is_refused_before_it_is_built(self, monkeypatch):
         _refuse_past_the_check(monkeypatch)
-        n = _largest("worpitzky_matrix(n)")
-        with pytest.raises(_Built):
+        n = largest("worpitzky_matrix(n)")
+        with pytest.raises(Built):
             eulerian.worpitzky_matrix(n)
         with pytest.raises(BudgetError, match="worpitzky_matrix"):
             eulerian.worpitzky_matrix(n + 1)
@@ -821,23 +812,23 @@ class TestWorkBudget:
     def test_spectrum_is_refused_before_the_transition_matrix(self, monkeypatch):
         # the eigen products are counted before any table is built
         for name in ("binomial", "worpitzky_matrix", "foulkes_matrix"):
-            monkeypatch.setattr(matrix, name, _refuse_building)
-        n = _largest("verify_spectrum(n, 2)")
-        with pytest.raises(_Built):
+            monkeypatch.setattr(matrix, name, refuse_building)
+        n = largest("verify_spectrum(n, 2)")
+        with pytest.raises(Built):
             verify_spectrum(n, 2)
         for n in (n + 1, 200, 201):
             with pytest.raises(BudgetError, match="verify_spectrum"):
                 verify_spectrum(n, 2)
 
     def test_matrix_products_are_refused_before_any_matrix(self, monkeypatch):
-        monkeypatch.setattr(matrix, "binomial", _refuse_building)
-        n = _largest("verify_multiplicativity(n, 2, 2)")
-        with pytest.raises(_Built):
+        monkeypatch.setattr(matrix, "binomial", refuse_building)
+        n = largest("verify_multiplicativity(n, 2, 2)")
+        with pytest.raises(Built):
             verify_multiplicativity(n, 2, 2)
         with pytest.raises(BudgetError, match="verify_multiplicativity"):
             verify_multiplicativity(n + 1, 2, 2)
-        n = _largest("verify_stationary(n, 2)")
-        with pytest.raises(_Built):
+        n = largest("verify_stationary(n, 2)")
+        with pytest.raises(Built):
             verify_stationary(n, 2)
         with pytest.raises(BudgetError, match="verify_stationary"):
             verify_stationary(n + 1, 2)
@@ -847,24 +838,24 @@ class TestWorkBudget:
             verify_stationary(10, 2)
 
     def test_deep_matrices_are_counted_on_the_spectral_path(self, monkeypatch):
-        n = _largest("amazing_matrix(n, 2**2048)")
+        n = largest("amazing_matrix(n, 2**2048)")
         assert amazing_matrix(n, 2**2048).n == n
-        monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
-        with pytest.raises(_Built):
+        monkeypatch.setattr(matrix, "_spectral_rows", refuse_building)
+        with pytest.raises(Built):
             amazing_matrix(n, 2**2048)
         with pytest.raises(BudgetError, match="amazing_matrix"):
             amazing_matrix(n + 1, 2**2048)
         # at b = 2^8192 the spectral path admits n = 11 and the row kernel
         # would refuse it
-        with pytest.raises(_Built):
+        with pytest.raises(Built):
             amazing_matrix(11, 2**8192)
         monkeypatch.setattr(matrix, "_SPECTRAL_MIN_BITS", 2**14)
         with pytest.raises(BudgetError, match="amazing_matrix"):
             amazing_matrix(11, 2**8192)
 
     def test_deep_descent_polynomials_are_counted_before_the_power(self, monkeypatch):
-        monkeypatch.setattr(matrix, "_spectral_rows", _refuse_building)
-        with pytest.raises(_Built):
+        monkeypatch.setattr(matrix, "_spectral_rows", refuse_building)
+        with pytest.raises(Built):
             descent_polynomial(16, 3, 7939)
         with pytest.raises(BudgetError, match="descent_polynomial"):
             descent_polynomial(16, 3, 7940)

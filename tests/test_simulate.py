@@ -1,13 +1,8 @@
 import hashlib
-import os
 import random
-import resource
-import subprocess
-import sys
 import threading
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +18,7 @@ from carrychain.simulate import (
     simulate_carries,
     simulate_shuffle_chain,
 )
+from reference import run_limited
 
 
 class TestRng:
@@ -202,10 +198,6 @@ class TestDrawBudget:
                 call()
 
 
-def _two_gib_of_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-
 class TestTallyBound:
     EDGE = 1024
 
@@ -232,10 +224,7 @@ class TestTallyBound:
     def test_in_a_subprocess_under_2_gib(self, n, refused):
         # the (n, n) int64 counts of n = 65536 alone would take 32 GiB, with
         # only 131072 draws for the shuffle and 65536 for the carries
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(simulate.__file__).parents[1]), env.get("PYTHONPATH")]))
         code = (
-            "import sys\n"
             "from carrychain.simulate import SimulationConfig, simulate_carries, simulate_shuffle_chain\n"
             f"n, cfg = {n}, SimulationConfig(trials=1, seed=3)\n"
             "for call in (lambda: simulate_shuffle_chain(n, 2, cfg), lambda: simulate_carries(n, 2, 1, cfg)):\n"
@@ -244,10 +233,7 @@ class TestTallyBound:
             "    except ValueError as exc:\n"
             "        print('refused', 'tally' in str(exc))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env, capture_output=True, text=True, timeout=60, preexec_fn=_two_gib_of_address_space,
-        )
+        proc = run_limited(code)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.split("\n") == (["refused True"] * 2 if refused else ["1", "1"]) + [""]
 
