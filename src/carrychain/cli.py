@@ -231,8 +231,13 @@ def _state_labels(n: int, zero_based: bool) -> list[int]:
 
 def _cmd_amazing(args) -> int:
     _check_matrix(args.n, args.b, args.normalized)
-    if args.format == "json":  # its largest integer is the normalizer b^n; refuse its digits before P is built
+    # refuse the digits before P is built: the largest integer of the JSON is
+    # the normalizer b^n, and a row of the integer CSV sums to b^n over n
+    # entries, so one of them is at least b^n // n
+    if args.format == "json":
         _check_digits(args.command, args.b**args.n)
+    elif not args.normalized:
+        _check_digits(args.command, args.b**args.n // args.n)
     m = amazing_matrix(args.n, args.b)
     denominator = m.normalizer if args.normalized else 1
     labels = _state_labels(args.n, args.zero_based)

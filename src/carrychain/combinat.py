@@ -1,6 +1,7 @@
-"""Basic combinatorics: binomials, compositions, Eulerian numbers; the
-package's one refusal type, ``BudgetError``, with the work budget of the
-closed forms; the oracle's failures, with the one label writer; and
+"""Basic combinatorics: binomials, compositions, the superfactorial,
+Eulerian numbers; the package's one refusal type, ``BudgetError``, with
+the one work budget that prices every closed form but the ``binomial``
+primitive; the oracle's failures, with the one label writer; and
 ``_Checked``, which keeps the checks of the records built on
 ``collections.namedtuple`` when they are copied.
 
@@ -27,15 +28,6 @@ import math
 # without importing the oracle and numpy; ``oracle`` re-exports them.  All
 # group-algebra work stops at the reach of the S_n composition table.
 GROUP_ALGEBRA_MAX_N = 6
-
-# The compositions admitted by ``compositions`` and S-words behind one
-# expansion, 2^(n-1) (up to n = 18), and S-word terms in E[1..n],
-# (n + 1) 2^(n-2), as `idempotents` writes.  2^17 admits n = 15 (4.9 MB of
-# JSON) there, which takes 0.29 s and 50 MiB RSS in a fresh process on a
-# 2-vCPU x86-64 host with Python 3.11; n = 16 (278,528 terms, 10.7 MB) would
-# take 0.6 s and 88 MiB.
-IDEMPOTENT_TERMS = 2**17
-
 
 # The work model of every closed form: an operation on integers of at most
 # x and y bits costs C + w(x) w(y) word operations, w(x) = x // 64 + 1, so a
@@ -128,29 +120,36 @@ def binomial(a: int, k: int) -> int:
 
 
 def superfactorial(n: int) -> int:
-    """Product n! (n-1)! ... 2! 1!.
+    """Product n! (n-1)! ... 2! 1!.  A product whose estimated work exceeds
+    ``WORK_BUDGET`` is refused before any factorial, with ``BudgetError``.
 
     >>> superfactorial(4)
     288
     """
     if n < 1:
         raise ValueError(f"superfactorial: n must be positive, got {n}")
+    # m! is below 2^(m L), L the bit length of n, and the running product
+    # before it below 2^(m^2 L / 2): summed over m = 1..n, the products by
+    # m! cost as much as n / 4 products at the largest sizes; each factorial
+    # about one product of its two halves
+    bits = n * n.bit_length()
+    _check_work("superfactorial", (n // 4, (n + 1) * bits // 2, bits), (n, bits // 2, bits // 2))
     return math.prod(math.factorial(m) for m in range(1, n + 1))
 
 
-def _check_words(n: int) -> None:
-    """Refuse the 2^(n-1) compositions of n, the S-words of weight n, past
-    ``IDEMPOTENT_TERMS``, before any is built."""
-    if 2 ** min(n - 1, 64) > IDEMPOTENT_TERMS:
-        raise BudgetError(f"compositions: 2^{n - 1} compositions of {n} exceed the budget of {IDEMPOTENT_TERMS}")
+def _words(n: int) -> int:
+    """2^(n-1), the number of compositions of n >= 1 and of S-words of
+    weight n; 2^min(n-1, 64) keeps it small for a huge n, over any budget
+    either way."""
+    return 2 ** min(n - 1, 64)
 
 
 def _check_terms(n: int) -> None:
-    """Refuse the (n + 1) 2^(n-2) S-word terms of E[1..n], as `idempotents`
-    writes them, past ``IDEMPOTENT_TERMS``; 2^min(n, 64) keeps the count
-    small for a huge n, over the bound either way."""
-    if (n + 1) * 2 ** min(n, 64) // 4 > IDEMPOTENT_TERMS:
-        raise BudgetError(f"idempotents: E[1..{n}] over S-words exceed the budget of {IDEMPOTENT_TERMS} terms")
+    """Refuse, over ``WORK_BUDGET``, the (n + 1) 2^(n-2) S-word terms of
+    E[1..n] that `idempotents` writes, before any is built: each costs
+    about 16 interpreter operations, its dict entry and the key, value and
+    separators that the JSON writer appends."""
+    _check_work("idempotents", (16 * (n + 1) * _words(n) // 2, 0, 0))
 
 
 def compositions(n: int) -> list[tuple[int, ...]]:
@@ -159,17 +158,18 @@ def compositions(n: int) -> list[tuple[int, ...]]:
     There are 2^(n-1) of them for n >= 1, and exactly the empty composition
     for n = 0.  The order is the canonical one used for serialization.  Each
     is read off one choice, cut or not, after each of the positions
-    1..n-1; more than ``IDEMPOTENT_TERMS`` of them are refused with
-    ``BudgetError`` before any is built.
+    1..n-1, about n operations a composition; a list whose estimated work
+    exceeds ``WORK_BUDGET`` is refused with ``BudgetError`` before any
+    composition is built.
 
     >>> compositions(3)
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
     if n < 0:
         raise ValueError(f"compositions: n must be nonnegative, got {n}")
-    _check_words(n)
     if n == 0:
         return [()]
+    _check_work("compositions", (n * _words(n), 0, 0))
     out = []
     for cuts in itertools.product((True, False), repeat=n - 1):
         parts = [1]

@@ -33,8 +33,10 @@ indexed by compositions I of n, through one identity:
 S[x] = sum_I C(x, len I) S^I.  So S[b] and each E[k], the x^k coefficient,
 put on S^I a coefficient that depends only on the length of I, and an
 ``SWordExpansion`` holds n integer numerators by length over one
-denominator.  The expansions of the idempotents are what the brute-force
-group-algebra oracle consumes.  No element is held in E-coordinates.
+denominator; ``idempotent_s_expansion`` is priced by its Stirling row and
+products, not by the 2^(n-1) words it stands for.  The expansions of the
+idempotents are what the brute-force group-algebra oracle consumes.  No
+element is held in E-coordinates.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from collections import namedtuple
 from itertools import accumulate
 from operator import add, mul
 
-from .combinat import _check_words, _check_work, _Checked
+from .combinat import _check_work, _Checked
 
 
 def _check_integers(numerators, denominator) -> None:
@@ -169,12 +171,21 @@ def idempotent_s_expansion(n: int, k: int) -> SWordExpansion:
     Stirling numbers of the first kind (Gelfand, Krob, Lascoux, Leclerc,
     Retakh and Thibon, Noncommutative symmetric functions, 1995); its
     numerator over n! is s(l, k) n! / l!.  The expansion stands for the
-    2^(n-1) words of weight n, and more than ``IDEMPOTENT_TERMS`` of them
-    are refused before the Stirling row.
+    2^(n-1) words of weight n and builds none of them: its work is the
+    Stirling row and one product by n! / l! for each length l, and an
+    expansion whose estimated work exceeds ``WORK_BUDGET`` is refused before
+    the row, with ``BudgetError``.
     """
     if not 1 <= k <= n:
         raise ValueError(f"idempotent index must lie in 1..{n}, got {k}")
-    _check_words(n)
+    # the row of length l takes a product by l - 1 and a sum per entry, each
+    # entry below l! < 2^(l L), L the bit length of n: n^2 / 2 entries in
+    # all, below 2^(2 n L / 3) on average.  Each length takes l! (about one
+    # product of its two halves), n! / l! and its product by s(l, k), each
+    # on integers below 2^(l L) and 2^((n - l) L) or two halves of l!, no
+    # dearer than two of n L / 2 bits, since l (n - l) <= n^2 / 4
+    bits = n * n.bit_length()
+    _check_work("idempotent_s_expansion", (n * n, 2 * bits // 3, 0), (3 * n, bits // 2, bits // 2))
     row, numerators = [1], []  # row holds s(l, 0..l), the x^j coefficients of x(x-1)...(x-l+1)
     whole = math.factorial(n)
     for l in range(1, n + 1):

@@ -14,7 +14,8 @@ the mirror of F splits it into.
 
 ``LARGEST_ADMITTED`` pins the largest n that each closed form admits at a
 stated base under the work budget, ``CLI_LIMITS`` each command's limits,
-and ``run_limited`` runs a child under real memory and CPU limits.
+``PINNED`` the digest of each pinned document, and ``run_limited`` runs a
+child under real memory and CPU limits.
 
 The library keeps permutations as tuples of images and, in the oracle, as
 lexicographic ranks.  ``Permutation`` below is an object written apart from
@@ -35,8 +36,8 @@ from pathlib import Path
 import pytest
 
 from carrychain import matrix, oracle
-from carrychain.combinat import eulerian_numbers
-from carrychain.eulerian import foulkes_matrix, worpitzky_matrix
+from carrychain.combinat import _check_terms, compositions, eulerian_numbers, superfactorial
+from carrychain.eulerian import foulkes_matrix, idempotent_s_expansion, worpitzky_matrix
 from carrychain.matrix import (
     Report,
     _bareiss_determinant,
@@ -142,7 +143,8 @@ def full_foulkes_determinant(n: int) -> int:
 # price admits, found by tests/test_matrix.py's ``TestLimits`` from the
 # price alone.  README's Bounds table gives the time and memory at each.
 # ``_check_matrix`` with ``normalized`` prices P written over b^n in lowest
-# terms, as ``amazing --normalized`` writes it.
+# terms, as ``amazing --normalized`` writes it, and ``_check_terms`` the
+# S-word terms that ``idempotents`` writes.
 LARGEST_ADMITTED = {
     "amazing_matrix(n, 1)": (lambda n: amazing_matrix(n, 1), 844),
     "amazing_matrix(n, 2)": (lambda n: amazing_matrix(n, 2), 639),
@@ -157,6 +159,10 @@ LARGEST_ADMITTED = {
     "verify_multiplicativity(n, 2, 2)": (lambda n: verify_multiplicativity(n, 2, 2), 229),
     "eulerian_numbers(n)": (eulerian_numbers, 980),
     "amazing_entry(n, 2, 1, n)": (lambda n: amazing_entry(n, 2, 1, n), 1695),
+    "compositions(n)": (compositions, 20),
+    "idempotent_s_expansion(n, 1)": (lambda n: idempotent_s_expansion(n, 1), 1213),
+    "_check_terms(n)": (_check_terms, 17),
+    "superfactorial(n)": (superfactorial, 543),
 }
 
 
@@ -175,9 +181,8 @@ def _edge(words: str, n: int, refusal: str) -> tuple:
 
 # Each closed-form command at the largest n it writes and the next one up,
 # refused by the budget or, first, by the int-to-str limit: 1! 2! ... 82!
-# has 4400 digits, 2^(24 * 596) 4306.  ``idempotents`` stops at
-# combinat.IDEMPOTENT_TERMS.  tests/test_cli.py runs every argv in one real
-# child, and CI every refused one through the installed script.
+# has 4400 digits, 2^(24 * 596) 4306.  tests/test_cli.py runs every argv in
+# one real child, and CI every refused one through the installed script.
 CLI_LIMITS = (
     *_edge("amazing --b 1", largest("amazing_matrix(n, 1)"), BUDGET),
     *_edge("amazing --b 2", largest("amazing_matrix(n, 2)"), BUDGET),
@@ -189,8 +194,79 @@ CLI_LIMITS = (
     (f"foulkes --det --n {largest('foulkes_determinant(n)') + 1}", BUDGET),
     *_edge("worpitzky", largest("worpitzky_matrix(n)"), BUDGET),
     *_edge("eigen --b 2", largest("verify_spectrum(n, 2)"), BUDGET),
-    *_edge("idempotents", 15, BUDGET),
+    *_edge("idempotents", largest("_check_terms(n)"), BUDGET),
 )
+
+
+# The SHA-256 of the stdout document of each argv, by id: tests/test_cli.py
+# runs every one through ``cli.main``, and CI through the installed script.
+# The `verify all` documents were pinned from the release before the oracle
+# was imported lazily; the three `eigen` runs last, odd n with a middle row
+# that is its own mirror, a base of spectral size and the walk's runs of a
+# wide base, from the release that wrote each CLI limit once in
+# ``CLI_LIMITS``; the others from the release whose oracle held Permutation
+# objects and Fraction coefficients, whose Foulkes and Worpitzky tables held
+# Fraction entries, and whose normalized matrix, frequencies and TV
+# distances were built from Fraction rows.
+PINNED = {
+    "transition": (
+        "oracle transition --n 6 --b 3", "67c8df6487ba69e607211546733821342fc8fe40d3a0f57268f11e2dc13b7158"),
+    "shuffles": ("oracle shuffles --n 6 --b 3", "cd1c3b4b082798fe37f6404c28c984b774b473049a378df4a9f42dbd17ad9776"),
+    "idempotents": (
+        "idempotents --basis group --n 6", "9b7b8a6d097f83b2446164ec6719c3053d29fca25c0ab6e91ba49f9dcc87a56c"),
+    "idempotents-s": ("idempotents --n 12", "838feafae0384b8fc260f4a190c1b84bf07e0e1a99157003f2544ca06e7c460d"),
+    "idempotents-s-n1": ("idempotents --n 1", "0ee767523502b982186a00380e0971b7e7448afc74f0e048cc80a99d9716ca4d"),
+    "foulkes-det": ("foulkes --n 12 --det", "e06ce516f188010bcdb7f056bdf79de2626d67a7d9a63339687a382e167a2eab"),
+    "worpitzky": ("worpitzky --n 12", "23e27952574c93222af3cd965bc19e7ed0d021231f54cb5a9320e5e19c5b955e"),
+    "amazing-normalized": (
+        "amazing --n 12 --b 3 --normalized", "fa97134305153cfc4fb45731ae61325db142e3765b223a6538d56fff6bf6b20f"),
+    "amazing-normalized-csv": (
+        "amazing --n 12 --b 3 --normalized --format csv --header",
+        "64e003a0f2baa377fe27843600c8484233ac5c03a9f0d514a85fd1dc88abe805",
+    ),
+    # three rows with no samples, whose frequencies are 0 and distances 1
+    "simulate-shuffle-unsampled-rows": (
+        "simulate shuffle --n 10 --b 2 --trials 1000 --seed 1",
+        "407861f4417381c0617684f6c2150c48c4382817363fef63f7482bef2d9f02ea",
+    ),
+    "simulate-shuffle": (
+        "simulate shuffle --n 3 --b 2 --trials 100000 --seed 42",
+        "24b4f14597baaacfcbc63d455279c476adc79376e67947f436d866bd740000e9",
+    ),
+    "simulate-carries": (
+        "simulate carries --n 3 --b 10 --trials 100000 --seed 7",
+        "a85a4704b701f4da445c5a39d744bc4378cbf8bace7dca9bea814e8f4a9d8c3c",
+    ),
+    "amazing-wide": ("amazing --n 100 --b 2", "34e47ba5998a507b4685d1a482841f5a852e65ed2ad4c773096bae93a8af642a"),
+    "amazing-csv": (
+        "amazing --n 80 --b 3 --format csv", "b08bc0ef444f3c58ad08dbbb198c2746a97b53066ad38421a90c70d2a7a19837"),
+    "eigen-wide": ("eigen --n 40 --b 3", "ddec655fe75bc9b74486889f5b004c98e94b9f2537ca3c52ff4583ecc77e905d"),
+    "foulkes-det-wide": ("foulkes --n 40 --det", "7be8224464b3426fd80e2bb196ee062f6196cc94439ab035ed440948bb988f78"),
+    "descent-poly-wide": (
+        "descent-poly --n 60 --b 2 --r 20", "7cabee423902849fba5bb14aee898b6d2f2863a4eb6a98f6776f9990fcf3cfa6"),
+    # a base of 401 bits, on the spectral path
+    "amazing-spectral": (
+        f"amazing --n 10 --b {2**400}", "fbf1ad611a275041bb0a2f57de507c4b8aff85fd3993bbeba5e1a16183f32232"),
+    **{
+        f"verify-all-{max_n}": (f"verify all --max-n {max_n}", digest)
+        for max_n, digest in enumerate(
+            (
+                "80e186212c6aef8dd3ebed7e491be330ce43b442aa6ec7b6695ffd5dbee86933",
+                "9f2aa03cc7a018bfe1b9d6b44a869cf4b7d2a459a19ece09db41f4dd5be2f27a",
+                "1b1a29898475c8fece3d67731476aea921010f2362897e9a5469dee76eb769b5",
+                "f7bc26d9ddd086ab31c48332cbe1c3ed551fa4af4478307966eb51b96cdcf898",
+                "7389d551a76f7f049a410698333c0603650fe21656c993803c47aca7389ed92e",
+                "c995b6cf7015ba3f9ef2123a9d33b4aeb15de49d934045a23a6e1c00d71dc18c",
+            ),
+            start=1,
+        )
+    },
+    "eigen-odd": ("eigen --n 13 --b 3", "545cb19611b4e4bf169e1e9ee7d7655100943af2d71f7f58cec3815835a857f4"),
+    "eigen-spectral-base": (
+        f"eigen --n 12 --b {2**300 + 1}", "569dded3795ce0c9492506bfe9bfa595c6bc419cc2700c6a233904b3b674355b"),
+    "eigen-walk-runs": (
+        f"eigen --n 13 --b {3**300}", "1ba7e2d44eb59836168ee875d760b6714491d1654cb980cac6cdccc5d084a13e"),
+}
 
 
 def _limits() -> None:
@@ -213,5 +289,5 @@ class Built(Exception):
     """Raised in place of the first object a computation builds."""
 
 
-def refuse_building(*args):
+def refuse_building(*args, **kwargs):
     raise Built

@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from carrychain.cli import main, run_verify_all
 from carrychain.combinat import superfactorial
 from carrychain.eulerian import SWordExpansion
 from carrychain.matrix import amazing_matrix
-from reference import CLI_LIMITS, LUMPING_MESSAGE, corrupt_table, largest, run_limited
+from reference import CLI_LIMITS, LUMPING_MESSAGE, PINNED, corrupt_table, largest, refuse_building, run_limited
 
 
 def run_cli(capsys, *argv):
@@ -85,15 +86,17 @@ class TestAmazing:
         assert (code, out) == (2, "")
         assert err == "error: amazing: the output holds an integer of more than 4300 digits, Python's int-to-str limit\n"
 
-    def test_a_normalizer_over_the_digit_limit_is_refused_before_the_matrix(self, capsys, monkeypatch):
-        # (2^2048)^7 has 4316 digits: P(7, 2^2048) passes the budget, and its
-        # JSON document is refused without building it; n = 23 is refused by
-        # the budget first
-        monkeypatch.setattr(cli, "amazing_matrix", lambda n, b: pytest.fail("the matrix was built"))
-        code, out, err = run_cli(capsys, "amazing", "--n", "7", "--b", str(2**2048))
+    @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["json", "csv"])
+    def test_a_document_over_the_digit_limit_is_refused_before_the_matrix(self, capsys, monkeypatch, fmt):
+        # P(7, 2^2048) passes the budget; its JSON holds (2^2048)^7, of 4316
+        # digits, and a row of its CSV sums to that over 7 entries, so one of
+        # them has more than 4300: each is refused without a row built.
+        # n = 23 is refused by the budget first
+        monkeypatch.setattr(matrix, "_matrix", refuse_building)
+        code, out, err = run_cli(capsys, "amazing", "--n", "7", "--b", str(2**2048), *fmt)
         assert (code, out) == (2, "")
         assert err == "error: amazing: the output holds an integer of more than 4300 digits, Python's int-to-str limit\n"
-        code, out, err = run_cli(capsys, "amazing", "--n", "23", "--b", str(2**2048))
+        code, out, err = run_cli(capsys, "amazing", "--n", "23", "--b", str(2**2048), *fmt)
         assert (code, out) == (2, "")
         assert err.startswith("error: amazing_matrix: estimated work")
 
@@ -187,24 +190,27 @@ class TestIdempotents:
         assert code == 2
         assert "error" in err
 
-    def test_s_basis_terms_are_bounded_before_any_expansion(self, capsys, monkeypatch):
-        # n = 15 writes (15 + 1) 2^13 = 2^17 terms, the most admitted
+    def test_s_basis_terms_are_priced_before_any_word(self, capsys, monkeypatch):
+        # the largest n admitted writes (n + 1) 2^(n-2) terms, the most the
+        # work budget admits
+        n = largest("_check_terms(n)")
         built = []
         monkeypatch.setattr(cli, "idempotent_s_expansion", lambda n, k: built.append(k) or SWordExpansion(n, [0] * n))
-        code, out, _ = run_cli(capsys, "idempotents", "--n", "15")
-        assert code == 0 and built == list(range(1, 16))
-        assert json.loads(out)["idempotents"] == {str(k): {} for k in range(1, 16)}
+        code, out, _ = run_cli(capsys, "idempotents", "--n", str(n))
+        assert code == 0 and built == list(range(1, n + 1))
+        assert json.loads(out)["idempotents"] == {str(k): {} for k in range(1, n + 1)}
         built.clear()
-        for n in ("16", str(10**20)):
-            code, out, err = run_cli(capsys, "idempotents", "--n", n)
+        monkeypatch.setattr(cli, "compositions", refuse_building)
+        for n in (n + 1, 10**20):
+            code, out, err = run_cli(capsys, "idempotents", "--n", str(n))
             assert (code, out, built) == (2, "", [])
-            assert err == f"error: idempotents: E[1..{n}] over S-words exceed the budget of 131072 terms\n"
+            assert re.fullmatch(r"error: idempotents: estimated work 2\^[\d.]+ exceeds the budget 2\^28\n", err)
 
 
 class TestBudgets:
     def test_every_refusal_is_a_budget_error(self):
         from carrychain import oracle
-        from carrychain.combinat import BudgetError, compositions
+        from carrychain.combinat import BudgetError
 
         config = simulate.SimulationConfig(trials=1, seed=1)
         many = dataclasses.replace(config, trials=2**31)
@@ -215,9 +221,6 @@ class TestBudgets:
             ("^outcome budget exceeded", lambda: oracle.enumerate_b_shuffles(23, 2)),  # OUTCOME_BUDGET
             ("^the simulation needs .* random draws", lambda: simulate.simulate_shuffle_chain(3, 2, many)),  # DRAW_BUDGET
             ("transition tally has", lambda: simulate.simulate_carries(1025, 2, digits=1, cfg=config)),  # TALLY_CELLS
-            ("^idempotents: ", lambda: cli._cmd_idempotents(argparse.Namespace(n=16, basis="s"))),  # IDEMPOTENT_TERMS
-            ("^compositions: 2\\^39 ", lambda: cli.idempotent_s_expansion(40, 1)),  # IDEMPOTENT_TERMS, one expansion
-            ("^compositions: 2\\^1199 ", lambda: compositions(1200)),  # IDEMPOTENT_TERMS, compositions
         ]
         for message, refused in refusals:
             with pytest.raises(BudgetError, match=message) as caught:
@@ -294,65 +297,6 @@ class TestOracle:
         assert out == ""
         assert err == "error: transition oracle is limited to n <= 6, got 7\n"
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (("oracle", "transition", "--n", "6", "--b", "3"),
-             "67c8df6487ba69e607211546733821342fc8fe40d3a0f57268f11e2dc13b7158"),
-            (("oracle", "shuffles", "--n", "6", "--b", "3"),
-             "cd1c3b4b082798fe37f6404c28c984b774b473049a378df4a9f42dbd17ad9776"),
-            (("idempotents", "--basis", "group", "--n", "6"),
-             "9b7b8a6d097f83b2446164ec6719c3053d29fca25c0ab6e91ba49f9dcc87a56c"),
-            (("idempotents", "--n", "12"),
-             "838feafae0384b8fc260f4a190c1b84bf07e0e1a99157003f2544ca06e7c460d"),
-            (("idempotents", "--n", "1"),
-             "0ee767523502b982186a00380e0971b7e7448afc74f0e048cc80a99d9716ca4d"),
-            (("foulkes", "--n", "12", "--det"),
-             "e06ce516f188010bcdb7f056bdf79de2626d67a7d9a63339687a382e167a2eab"),
-            (("worpitzky", "--n", "12"),
-             "23e27952574c93222af3cd965bc19e7ed0d021231f54cb5a9320e5e19c5b955e"),
-            (("amazing", "--n", "12", "--b", "3", "--normalized"),
-             "fa97134305153cfc4fb45731ae61325db142e3765b223a6538d56fff6bf6b20f"),
-            (("amazing", "--n", "12", "--b", "3", "--normalized", "--format", "csv", "--header"),
-             "64e003a0f2baa377fe27843600c8484233ac5c03a9f0d514a85fd1dc88abe805"),
-            # three rows with no samples, whose frequencies are 0 and distances 1
-            (("simulate", "shuffle", "--n", "10", "--b", "2", "--trials", "1000", "--seed", "1"),
-             "407861f4417381c0617684f6c2150c48c4382817363fef63f7482bef2d9f02ea"),
-            (("simulate", "shuffle", "--n", "3", "--b", "2", "--trials", "100000", "--seed", "42"),
-             "24b4f14597baaacfcbc63d455279c476adc79376e67947f436d866bd740000e9"),
-            (("simulate", "carries", "--n", "3", "--b", "10", "--trials", "100000", "--seed", "7"),
-             "a85a4704b701f4da445c5a39d744bc4378cbf8bace7dca9bea814e8f4a9d8c3c"),
-            (("amazing", "--n", "100", "--b", "2"),
-             "34e47ba5998a507b4685d1a482841f5a852e65ed2ad4c773096bae93a8af642a"),
-            (("amazing", "--n", "80", "--b", "3", "--format", "csv"),
-             "b08bc0ef444f3c58ad08dbbb198c2746a97b53066ad38421a90c70d2a7a19837"),
-            (("eigen", "--n", "40", "--b", "3"),
-             "ddec655fe75bc9b74486889f5b004c98e94b9f2537ca3c52ff4583ecc77e905d"),
-            (("foulkes", "--n", "40", "--det"),
-             "7be8224464b3426fd80e2bb196ee062f6196cc94439ab035ed440948bb988f78"),
-            (("descent-poly", "--n", "60", "--b", "2", "--r", "20"),
-             "7cabee423902849fba5bb14aee898b6d2f2863a4eb6a98f6776f9990fcf3cfa6"),
-            # a base of 401 bits, on the spectral path
-            (("amazing", "--n", "10", "--b", str(2**400)),
-             "fbf1ad611a275041bb0a2f57de507c4b8aff85fd3993bbeba5e1a16183f32232"),
-        ],
-        ids=[
-            "transition", "shuffles", "idempotents", "idempotents-s", "idempotents-s-n1", "foulkes-det",
-            "worpitzky", "amazing-normalized", "amazing-normalized-csv", "simulate-shuffle-unsampled-rows",
-            "simulate-shuffle", "simulate-carries", "amazing-wide", "amazing-csv", "eigen-wide", "foulkes-det-wide",
-            "descent-poly-wide", "amazing-spectral",
-        ],
-    )
-    def test_output_is_pinned(self, capsys, argv, digest):
-        # SHA-256 of the stdout document, pinned from the release whose
-        # oracle held Permutation objects and Fraction coefficients, whose
-        # Foulkes and Worpitzky tables held Fraction entries, and whose
-        # normalized matrix, frequencies and TV distances were built from
-        # Fraction rows
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     def test_one_packet_deck_bound_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "shuffles", "--n", "20", "--b", "1")
         assert code == 0 and json.loads(out)["multiplicities"] == {",".join(map(str, range(1, 21))): 1}
@@ -381,6 +325,13 @@ class TestOracle:
         # b words against b + 1, differs
         assert (report.ok, report.checked) == (False, 6)
         assert report.failures == tuple(f"transition row mismatch at n={n}, b={b}, state 1" for n in (1, 2, 3) for b in (2, 3))
+
+
+@pytest.mark.parametrize("argv, digest", PINNED.values(), ids=PINNED)
+def test_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # each simulation is cheap to draw, but its exact matrix is over the
@@ -517,6 +468,23 @@ class TestVerify:
         assert len(doc["report"]["suites"]) == 15
         assert "all checks passed" in err
 
+    def test_a_failing_and_a_crashing_row_do_not_stop_the_run(self, capsys, monkeypatch):
+        def crash(*case):
+            raise RuntimeError("planted crash")
+
+        rows = list(cli.SUITES)
+        rows[1] = rows[1]._replace(check=lambda *case: (1, [f"planted failure at {case}"]))
+        rows[2] = rows[2]._replace(check=crash)
+        monkeypatch.setattr(cli, "SUITES", tuple(rows))
+        code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2")
+        assert code == 1
+        assert "FAILURES detected" in err
+        suites = json.loads(out)["report"]["suites"]
+        assert suites[1]["ok"] is False and suites[1]["checked"] == 20
+        assert suites[1]["failures"][0] == "planted failure at (1, 1)"
+        assert suites[2]["ok"] is False and suites[2]["failures"] == ["RuntimeError: planted crash"]
+        assert len(suites) == 15 and all(s["ok"] and s["checked"] > 0 for s in suites[3:])
+
     def test_suites_at_max_n_6(self):
         # (name, params, identities checked), in report order
         expected = [
@@ -537,41 +505,6 @@ class TestVerify:
             ("descent-polynomials", {"max_n": 6, "base": "<= 9"}, 114),
         ]
         assert [(r.name, r.params, r.checked) for r in run_verify_all(6)] == expected
-
-    @pytest.mark.parametrize(
-        "max_n, digest",
-        [
-            (1, "80e186212c6aef8dd3ebed7e491be330ce43b442aa6ec7b6695ffd5dbee86933"),
-            (2, "9f2aa03cc7a018bfe1b9d6b44a869cf4b7d2a459a19ece09db41f4dd5be2f27a"),
-            (3, "1b1a29898475c8fece3d67731476aea921010f2362897e9a5469dee76eb769b5"),
-            (4, "f7bc26d9ddd086ab31c48332cbe1c3ed551fa4af4478307966eb51b96cdcf898"),
-            (5, "7389d551a76f7f049a410698333c0603650fe21656c993803c47aca7389ed92e"),
-            (6, "c995b6cf7015ba3f9ef2123a9d33b4aeb15de49d934045a23a6e1c00d71dc18c"),
-        ],
-    )
-    def test_all_json_is_pinned(self, capsys, max_n, digest):
-        # SHA-256 of the stdout document, pinned from the release before the
-        # oracle was imported lazily
-        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", str(max_n))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_a_failing_and_a_crashing_row_do_not_stop_the_run(self, capsys, monkeypatch):
-        def crash(*case):
-            raise RuntimeError("planted crash")
-
-        rows = list(cli.SUITES)
-        rows[1] = rows[1]._replace(check=lambda *case: (1, [f"planted failure at {case}"]))
-        rows[2] = rows[2]._replace(check=crash)
-        monkeypatch.setattr(cli, "SUITES", tuple(rows))
-        code, out, err = run_cli(capsys, "verify", "all", "--max-n", "2")
-        assert code == 1
-        assert "FAILURES detected" in err
-        suites = json.loads(out)["report"]["suites"]
-        assert suites[1]["ok"] is False and suites[1]["checked"] == 20
-        assert suites[1]["failures"][0] == "planted failure at (1, 1)"
-        assert suites[2]["ok"] is False and suites[2]["failures"] == ["RuntimeError: planted crash"]
-        assert len(suites) == 15 and all(s["ok"] and s["checked"] > 0 for s in suites[3:])
 
 
 class TestUsage:
@@ -800,11 +733,11 @@ def _closed_form_argv(command: str, n: int, b: int, r: int) -> list[str]:
 @example("amazing-csv", 12, 2**3000, 1)
 @example("eigen", 12, 2**1000, 1)
 @example("descent-poly", 1, 10, 4300)  # one digit over the int->str limit
-@example("idempotents", 16, 1, 1)  # one size over the term budget, refused before any expansion
+@example("idempotents", 18, 1, 1)  # one size over the work budget, refused before any word
 @given(st.sampled_from(_CLOSED_COMMANDS), _CLOSED_SIZES, _CLOSED_BASES, _CLOSED_EXPONENTS)
 def test_closed_form_commands_keep_the_contract(command, n, b, r):
     code, text = _keeps_the_contract(_closed_form_argv(command, n, b, r))
-    if command == "idempotents" and n > 15:
+    if command == "idempotents" and n > largest("_check_terms(n)"):
         assert code == 2
     if text and command == "amazing-csv":
         rows = [line.split(",") for line in text.splitlines()]

@@ -1,6 +1,7 @@
 import doctest
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from carrychain.combinat import (
     eulerian_numbers,
     superfactorial,
 )
-from reference import LARGEST_ADMITTED, Permutation
+from reference import LARGEST_ADMITTED, Built, Permutation, largest, refuse_building
 
 
 def test_doctests():
@@ -57,13 +58,19 @@ class TestCompositions:
             assert parts == sorted(set(parts))
             assert all(sum(part) == n and min(part, default=1) >= 1 for part in parts)
 
-    def test_the_budget_admits_n_18(self):
-        assert len(compositions(18)) == 2**17 == combinat.IDEMPOTENT_TERMS
+    def test_one_past_the_largest_admitted_is_refused_before_any_composition(self, monkeypatch):
+        # each composition is read off ``itertools.product``
+        monkeypatch.setattr(combinat, "itertools", SimpleNamespace(product=refuse_building))
+        n = largest("compositions(n)")
+        with pytest.raises(Built):
+            compositions(n)
+        with pytest.raises(BudgetError, match="^compositions: estimated work"):
+            compositions(n + 1)
 
-    @pytest.mark.parametrize("n", [19, 1200, 10**20])
+    @pytest.mark.parametrize("n", [1200, 10**20])
     def test_over_the_budget_is_refused_without_recursion(self, n):
         # the recursive version raised RecursionError at n = 1200
-        with pytest.raises(BudgetError, match=f"compositions: 2\\^{n - 1} compositions of {n} exceed the budget"):
+        with pytest.raises(BudgetError, match=r"^compositions: estimated work 2\^[\d.]+ exceeds the budget 2\^28$"):
             compositions(n)
 
 
@@ -182,3 +189,13 @@ class TestSuperfactorial:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             superfactorial(0)
+
+    def test_one_past_the_largest_admitted_is_refused_before_any_factorial(self, monkeypatch):
+        # unpriced, the product took 4.7 s at n = 1000
+        monkeypatch.setattr(combinat, "math", SimpleNamespace(**{**vars(math), "factorial": refuse_building}))
+        n = largest("superfactorial(n)")
+        with pytest.raises(Built):
+            superfactorial(n)
+        for n in (n + 1, 1000, 10**20):
+            with pytest.raises(BudgetError, match="^superfactorial: estimated work"):
+                superfactorial(n)

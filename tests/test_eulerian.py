@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carrychain import combinat, eulerian
+from carrychain import eulerian
 from carrychain.combinat import BudgetError, binomial, compositions, eulerian_numbers
 from carrychain.eulerian import SWordExpansion, foulkes_matrix, idempotent_s_expansion, worpitzky_matrix
 from carrychain.oracle import (
@@ -19,7 +19,7 @@ from carrychain.oracle import (
     idempotent_group,
     shuffle_element_from_basis,
 )
-from reference import LARGEST_ADMITTED, refuse_building
+from reference import LARGEST_ADMITTED, Built, refuse_building
 
 
 def coords(*values):
@@ -405,13 +405,15 @@ class TestIdempotentExpansion:
         with pytest.raises(ValueError):
             idempotent_s_expansion(3, 4)
 
-    def test_words_over_the_budget_are_refused_before_any_composition(self, monkeypatch):
-        # the expansion stands for 2^(n-1) S-words and builds none of them
-        # (``compositions`` reads each off ``itertools.product``): n = 18
-        # gives 2^17, the most admitted
-        monkeypatch.setattr(combinat, "itertools", SimpleNamespace(product=refuse_building))
-        assert len(idempotent_s_expansion(18, 1).numerators) == 18
-        # past it, the refusal comes before the Stirling row, which for 10^20 would never end
-        for n in (19, 40, 10**20):
-            with pytest.raises(BudgetError, match=f"^compositions: 2\\^{n - 1} compositions of {n} exceed"):
+    def test_one_past_the_largest_admitted_is_refused_before_the_row(self, monkeypatch):
+        # the expansion stands for 2^(n-1) S-words and builds none of them;
+        # its work starts with n!, so past the largest n admitted the
+        # refusal comes before it and the Stirling row, which for 10^20
+        # would never end
+        monkeypatch.setattr(eulerian, "math", SimpleNamespace(factorial=refuse_building))
+        n = LARGEST_ADMITTED["idempotent_s_expansion(n, 1)"][1]
+        with pytest.raises(Built):
+            idempotent_s_expansion(n, 1)
+        for n in (n + 1, 10**20):
+            with pytest.raises(BudgetError, match="^idempotent_s_expansion: estimated work"):
                 idempotent_s_expansion(n, 1)
