@@ -46,13 +46,18 @@ class BudgetError(ValueError):
     names the operation and the budget."""
 
 
+def _work(*terms: tuple[int, int, int]) -> int:
+    """The price of ``terms``: a term ``(count, bits, factor_bits)`` is
+    ``count`` operations on integers of at most ``bits`` and ``factor_bits``
+    bits, priced as above."""
+    return sum(count * (_OP + (bits // 64 + 1) * (factor_bits // 64 + 1)) for count, bits, factor_bits in terms)
+
+
 def _check_work(what: str, *terms: tuple[int, int, int]) -> None:
     """Refuse with ``BudgetError``, before any bigint is built, a closed form
-    whose terms cost more than ``WORK_BUDGET``: a term
-    ``(count, bits, factor_bits)`` is ``count`` operations on integers of at
-    most ``bits`` and ``factor_bits`` bits, priced as above.  The message
+    whose ``terms`` ``_work`` prices over ``WORK_BUDGET``.  The message
     rounds the exponent up, so that it reads above the budget's."""
-    work = sum(count * (_OP + (bits // 64 + 1) * (factor_bits // 64 + 1)) for count, bits, factor_bits in terms)
+    work = _work(*terms)
     if work > WORK_BUDGET:
         exponent = math.ceil(math.log2(work) * 100) / 100
         raise BudgetError(f"{what}: estimated work 2^{exponent:.2f} exceeds the budget 2^{math.log2(WORK_BUDGET):g}")

@@ -9,15 +9,15 @@ indexed by i, j in 1..n, where state i means i-1 descents (equivalently,
 carry value i-1 in the base-b addition chain).  Every row sums to b^n, so
 dividing by b^n gives an exact stochastic matrix.
 
-The rows are built on one of two paths, chosen by the bit length of b
-against ``_SPECTRAL_MIN_BITS`` (256):
+The rows are built on one of two paths, whichever the work model prices
+lower (``_path``):
 
-- the row kernel, for small b: P(i, j) = g(bj + n - i) for
+- the row kernel, which wins at a small b: P(i, j) = g(bj + n - i) for
   g = (1 - S^b)^(n+1) C(., n), where 1 - S^b, S^b the shift down by b, is a
   first difference along each residue class mod b.  ``_numerator`` makes
   n+1 passes over each column of binomials, which the rows of one residue
   share, and ``_walk`` steps those binomials by exact ratios;
-- the spectral path, for wide b: the factorization
+- the spectral path, which wins at a wide b and small n: the factorization
   n! P = (n! W) diag(b, b^2, ..., b^n) F, with the integer rows of n! W and
   F that ``eulerian.worpitzky_matrix`` and ``eulerian.foulkes_matrix``
   hold, the powers of b built once, and every entry divided exactly by n!.
@@ -59,25 +59,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import add, mul, neg, sub
 
-from .combinat import _check_work, _Checked, binomial, eulerian_numbers
+from .combinat import _check_work, _Checked, _work, binomial, eulerian_numbers
 from .eulerian import BasisMatrix, foulkes_matrix, worpitzky_matrix
-
-
-# Bit length of m from which amazing_matrix and descent_polynomial build P(n, m)
-# by the spectral path rather than the row kernel, each of whose binomials costs
-# a product and a division by integers of the size of m.  Measured on a 2-vCPU
-# x86-64 host with Python 3.11 (best of 5, random odd m >= n, the ceil(n/2)
-# rows each path builds), kernel time over spectral time:
-#
-#     bits of m      n = 8    16     32     64
-#        32          0.49   0.68   0.57   0.57
-#       128          0.80   1.12   1.20   0.84
-#       256          1.25   1.72   1.45   0.92
-#       512          2.30   2.76   2.08   1.12
-#
-# 256 bits is the first size at which the spectral path wins for n = 8..32.  At
-# n <= 4 its two small tables make it about 0.02 ms slower up to 256 bits.
-_SPECTRAL_MIN_BITS = 256
 
 
 def _numerator(values: list[int], passes: int) -> list[int]:
@@ -171,19 +154,30 @@ def _row_terms(n: int, m: int, rows: int, spectral: bool, bits: int) -> tuple:
     below 2^(n (bits + 3)), each run's first priced as a product of its
     size, each other as a product and a division by an x of about
     bits + log2(n) bits, and n + 1 difference passes of one bit each over
-    every column.  Spectral path: n - 1 powers of m, then per row n products
-    by an entry of n! W, n ceil(n/2) by an entry of F and n divisions by n!.
-    An n or m below 1 raises ValueError."""
+    every column.  Spectral path: the 9 n^2 row-recurrence operations that
+    build F and n! W, on entries below 2^e; n - 1 powers of m; then per row
+    n ceil(n/2) + n products and n ceil(n/2) sums on scaled entries, of
+    n bits / 2 + e bits on average, the products by entries of n! W or F,
+    which average below e / 2 bits (at most 0.36 e for n = 8..100); and n
+    divisions by n!.  An n or m below 1 raises ValueError."""
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and b >= 1, got n={n}, b={m}")
     if spectral:
-        e = _eigen_bits(n)
-        big = n * bits + e
-        return (n - 1, n * bits, bits), (rows * n * ((n + 1) // 2 + 1), big, e), (rows * n, big, e)
+        e, sums = _eigen_bits(n), rows * n * ((n + 1) // 2)
+        average = n * bits // 2 + e
+        built = (9 * n * n, e, 0), (n - 1, n * bits, bits)  # F and n! W, and the powers of m
+        return *built, (sums + rows * n, average, e // 2), (sums, average, 0), (rows * n, n * bits + e, e)
     width, blocks = min(m, rows), (n - 1) // m + n + 1
     values, runs = width * blocks, 1 if width == m else blocks
     big = n * (bits + 4)
     return (runs, big, big), (2 * (values - runs), big, bits + n.bit_length() + 1), (values * (n + 1), big, 0)
+
+
+def _path(n: int, m: int, rows: int, bits: int) -> tuple[bool, tuple]:
+    """Whether rows 1..rows of P(n, m) take the spectral path, priced lower
+    by ``_work`` (the row kernel at a tie), and their ``_row_terms`` there."""
+    kernel, spectral = _row_terms(n, m, rows, False, bits), _row_terms(n, m, rows, True, bits)
+    return (True, spectral) if _work(*spectral) < _work(*kernel) else (False, kernel)
 
 
 def amazing_entry(n: int, b: int, i: int, j: int) -> int:
@@ -242,19 +236,19 @@ def _matrix(n: int, b: int, spectral: bool) -> AmazingMatrix:
 
 def _check_matrix(n: int, b: int, normalized: bool = False) -> bool:
     """Whether ``amazing_matrix(n, b)`` takes the spectral path, once the
-    rows on its path and writing each entry, below b^n, are priced.  An
-    entry written ``normalized``, over b^n in lowest terms, costs a gcd with
-    b^n and two written integers; at b = 1 it is written as it is."""
+    rows on ``_path``'s path and writing each entry, below b^n, are priced.
+    An entry written ``normalized``, over b^n in lowest terms, costs a gcd
+    with b^n and two written integers; at b = 1 it is written as it is."""
     bits = b.bit_length()
-    spectral = bits >= _SPECTRAL_MIN_BITS
+    spectral, rows = _path(n, b, (n + 1) // 2, bits)
     entry = 3 if normalized and b > 1 else 1
-    _check_work("amazing_matrix", *_row_terms(n, b, (n + 1) // 2, spectral, bits), (entry * n * n, n * bits, n * bits))
+    _check_work("amazing_matrix", *rows, (entry * n * n, n * bits, n * bits))
     return spectral
 
 
 def amazing_matrix(n: int, b: int) -> AmazingMatrix:
-    """Build the full matrix: by the row kernel for b below
-    ``_SPECTRAL_MIN_BITS`` bits, by the spectral path from there on."""
+    """Build the full matrix, by the row kernel or the spectral path,
+    whichever the work model prices lower."""
     return _matrix(n, b, _check_matrix(n, b))
 
 
@@ -383,11 +377,10 @@ def verify_multiplicativity(n: int, b1: int, b2: int) -> Report:
     over k <= n/2, k' = n+1-k, the middle term for odd n only, are checked
     for j <= ceil(n/2) and j <= n/2: about n^3 / 4 products.  The rows of
     the three matrices, each on its path, and the products and folds are
-    priced before any matrix is built; b1 b2 selects the path of P(b1 b2)."""
+    priced before any matrix is built, P(b1 b2) on ``_path``'s path."""
     half, h, bits1, bits2, b = (n + 1) // 2, n // 2, b1.bit_length(), b2.bit_length(), b1 * b2
-    spectral = b.bit_length() >= _SPECTRAL_MIN_BITS
     kernels = (*_row_terms(n, b1, half, False, bits1), *_row_terms(n, b2, half, False, bits2))
-    product = _row_terms(n, b, half, spectral, b.bit_length())
+    spectral, product = _path(n, b, half, b.bit_length())
     terms = (half * half * n, n * bits1, n * bits2), (3 * n * half, n * (bits1 + bits2), 0)
     _check_work("verify_multiplicativity", *kernels, *product, *terms)
     A = _matrix(n, b1, spectral=False).entries
@@ -489,16 +482,17 @@ class DescentPolynomial(_Checked, namedtuple("DescentPolynomial", "n base coeffs
 
 
 def _check_descent(n: int, b: int, r: int) -> bool:
-    """Whether ``descent_polynomial(n, b, r)`` takes the spectral path, once
-    b^r, its row and writing each coefficient are priced, before b^r is
-    built.  b^r < 2^bits, bits = r L + 1 with L the bit length of b - 1,
-    selects the path; the repeated squaring of b^r is priced as one product
-    of its size, and the row on that path with b a lower bound of its base."""
+    """Whether ``descent_polynomial(n, b, r)`` takes the spectral path, the
+    one ``_path`` prices lower, once b^r, its row and writing each
+    coefficient are priced, before b^r is built.  b^r < 2^bits,
+    bits = r L + 1 with L the bit length of b - 1; the repeated squaring of
+    b^r is priced as one product of its size, and the row on each path with
+    b a lower bound of its base."""
     if n < 1 or b < 1 or r < 1:
         raise ValueError(f"need n, b, r >= 1, got n={n}, b={b}, r={r}")
     bits = r * (b - 1).bit_length() + 1
-    spectral = bits >= _SPECTRAL_MIN_BITS
-    _check_work("descent_polynomial", (1, bits, bits), *_row_terms(n, b, 1, spectral, bits), (n, n * bits, n * bits))
+    spectral, row = _path(n, b, 1, bits)
+    _check_work("descent_polynomial", (1, bits, bits), *row, (n, n * bits, n * bits))
     return spectral
 
 
@@ -508,8 +502,8 @@ def descent_polynomial(n: int, b: int, r: int) -> DescentPolynomial:
         c_k = sum_{i=0..k} (-1)^i C(n+1, i) C(m(k-i) + n - 1, n),  m = b^r,
 
     that is row 1 of P(n, m), by the row kernel or the spectral path of
-    ``amazing_matrix``, chosen by a bound on the bits of m that is exact
-    when b is a power of two.
+    ``amazing_matrix``, whichever the work model prices lower for a base of
+    at least b and below 2^(r L + 1), L the bit length of b - 1.
     """
     spectral = _check_descent(n, b, r)
     m = b**r

@@ -201,13 +201,14 @@ CLI_LIMITS = (
 # The SHA-256 of the stdout document of each argv, by id: tests/test_cli.py
 # runs every one through ``cli.main``, and CI through the installed script.
 # The `verify all` documents were pinned from the release before the oracle
-# was imported lazily; the three `eigen` runs last, odd n with a middle row
+# was imported lazily; the three `eigen` runs, odd n with a middle row
 # that is its own mirror, a base of spectral size and the walk's runs of a
 # wide base, from the release that wrote each CLI limit once in
-# ``CLI_LIMITS``; the others from the release whose oracle held Permutation
-# objects and Fraction coefficients, whose Foulkes and Worpitzky tables held
-# Fraction entries, and whose normalized matrix, frequencies and TV
-# distances were built from Fraction rows.
+# ``CLI_LIMITS``; the two priced `amazing` runs last from the release that
+# chose the path by a bit length; the others from the release whose oracle
+# held Permutation objects and Fraction coefficients, whose Foulkes and
+# Worpitzky tables held Fraction entries, and whose normalized matrix,
+# frequencies and TV distances were built from Fraction rows.
 PINNED = {
     "transition": (
         "oracle transition --n 6 --b 3", "67c8df6487ba69e607211546733821342fc8fe40d3a0f57268f11e2dc13b7158"),
@@ -266,6 +267,12 @@ PINNED = {
         f"eigen --n 12 --b {2**300 + 1}", "569dded3795ce0c9492506bfe9bfa595c6bc419cc2700c6a233904b3b674355b"),
     "eigen-walk-runs": (
         f"eigen --n 13 --b {3**300}", "1ba7e2d44eb59836168ee875d760b6714491d1654cb980cac6cdccc5d084a13e"),
+    # the smallest n at which the price moves a base below 256 bits to the
+    # spectral path, and one of 256 bits or more to the row kernel
+    "amazing-priced-spectral": (
+        f"amazing --n 4 --b {2**255 - 19}", "938182684ad887256cd5b137603092f829e932d561c086ecc85ed2f0547fad47"),
+    "amazing-priced-kernel": (
+        f"amazing --n 1 --b {2**300 + 1}", "b9aa3283939e19af056e818cb4f8403b6a6519c4a9d81c240e9e1a9cf0647c32"),
 }
 
 

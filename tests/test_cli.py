@@ -257,7 +257,8 @@ class TestDescentPoly:
     def test_a_mass_over_the_digit_limit_is_refused_before_the_row(self, capsys, monkeypatch):
         # the mass 2^(24 * 596) has 4306 digits, and n = 596 passes the budget
         monkeypatch.setattr(cli, "descent_polynomial", lambda n, b, r: pytest.fail("the row was built"))
-        monkeypatch.setattr(matrix, "_kernel_rows", lambda n, m, rows: pytest.fail("the row was built"))
+        for rows in ("_kernel_rows", "_spectral_rows"):
+            monkeypatch.setattr(matrix, rows, lambda n, m, rows: pytest.fail("the row was built"))
         code, out, err = run_cli(capsys, "descent-poly", "--n", "596", "--b", "2", "--r", "24")
         assert (code, out) == (2, "")
         assert err == "error: descent-poly: the output holds an integer of more than 4300 digits, Python's int-to-str limit\n"

@@ -81,7 +81,8 @@ class TestRowKernel:
     def test_matches_alternating_sums_for_huge_bases(self, b):
         # odd n has a middle row that is its own mirror, even n a seam
         # between the computed half and the mirrored half; amazing_matrix
-        # takes the row kernel at 2^200 and the spectral path at 3^1000
+        # takes the row kernel at 2^200 for n <= 4 and the spectral path
+        # for the rest and at 3^1000, and both paths are built here
         for n in range(1, 10):
             grid = self.entry_grid(n, b)
             assert amazing_matrix(n, b).entries == grid
@@ -386,39 +387,61 @@ def _base(bits: int) -> int:
     return random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
 
 
-class TestSpectralPath:
-    # bit lengths on both sides of the threshold
-    BITS = (2, 64, matrix._SPECTRAL_MIN_BITS - 1, matrix._SPECTRAL_MIN_BITS, 700)
+def _record_paths(monkeypatch, build=True) -> list:
+    """The (n, m, spectral) of every call of the two row builders, which
+    build when ``build`` and else raise ``Built``."""
+    paths = []
 
-    @pytest.mark.parametrize("bits", BITS)
-    def test_paths_agree(self, bits, monkeypatch):
+    def recording(rows_of, spectral):
+        def rows_and_path(n, m, rows):
+            paths.append((n, m, spectral))
+            if not build:
+                raise Built
+            return rows_of(n, m, rows)
+
+        return rows_and_path
+
+    monkeypatch.setattr(matrix, "_kernel_rows", recording(matrix._kernel_rows, False))
+    monkeypatch.setattr(matrix, "_spectral_rows", recording(matrix._spectral_rows, True))
+    return paths
+
+
+class TestSpectralPath:
+    @pytest.mark.parametrize("bits", (2, 64, 255, 256, 700))
+    def test_paths_agree(self, bits):
         m = _base(bits)
         for n in range(1, 17):
             assert matrix._matrix(n, m, spectral=True) == matrix._matrix(n, m, spectral=False)
-        for r in (1, 2):
-            polynomials = []
-            for threshold in (1, 10**9):  # every base spectral, then none
-                monkeypatch.setattr(matrix, "_SPECTRAL_MIN_BITS", threshold)
-                polynomials.append([descent_polynomial(n, m, r) for n in (1, 2, 7, 16)])
-            assert polynomials[0] == polynomials[1]
+        for n, r in itertools.product((1, 2, 7, 16), (1, 2)):
+            (row,) = matrix._kernel_rows(n, m**r, 1)
+            assert matrix._spectral_rows(n, m**r, 1) == [row]
+            assert descent_polynomial(n, m, r).coeffs == tuple(row)
 
-    def test_dispatch_follows_the_bit_length(self, monkeypatch):
-        paths = []
+    # the first bit length of b, and power r of b, at which the spectral
+    # path is priced lower, for the ceil(n/2) rows of amazing_matrix and
+    # the one row of descent_polynomial; each of these crossovers was at
+    # 256 bits while a constant chose the path
+    MATRIX_CROSSOVERS = ((1, 444), (3, 274), (4, 252), (12, 103), (16, 84))
+    DESCENT_CROSSOVERS = ((3, 2, 337), (16, 2, 139))
 
-        def recording(build, spectral):
-            def rows_and_path(n, m, rows):
-                paths.append(spectral)
-                return build(n, m, rows)
+    def test_dispatch_follows_the_price(self, monkeypatch):
+        def priced_spectral(n, m, rows, bits):
+            return matrix._work(*matrix._row_terms(n, m, rows, True, bits)) < matrix._work(
+                *matrix._row_terms(n, m, rows, False, bits)
+            )
 
-            return rows_and_path
-
-        monkeypatch.setattr(matrix, "_kernel_rows", recording(matrix._kernel_rows, False))
-        monkeypatch.setattr(matrix, "_spectral_rows", recording(matrix._spectral_rows, True))
-        for bits in self.BITS:
-            amazing_matrix(3, _base(bits))
-        descent_polynomial(3, 2, matrix._SPECTRAL_MIN_BITS - 2)
-        descent_polynomial(3, 2, matrix._SPECTRAL_MIN_BITS - 1)
-        assert paths == [False, False, False, True, True, False, True]
+        paths, expected = _record_paths(monkeypatch, build=False), []
+        for n, first in self.MATRIX_CROSSOVERS:
+            for b in (2 ** (first - 2), 2 ** (first - 1)):
+                with pytest.raises(Built):
+                    amazing_matrix(n, b)
+                expected.append(priced_spectral(n, b, (n + 1) // 2, b.bit_length()))
+        for n, b, first in self.DESCENT_CROSSOVERS:
+            for r in (first - 1, first):
+                with pytest.raises(Built):
+                    descent_polynomial(n, b, r)
+                expected.append(priced_spectral(n, b, 1, r * (b - 1).bit_length() + 1))
+        assert [spectral for _, _, spectral in paths] == expected == [False, True] * 7
 
     def test_foulkes_columns_mirror_up_to_the_row_sign(self):
         # the symmetry that lets the spectral path compute half the columns
@@ -845,20 +868,21 @@ class TestWorkBudget:
             amazing_matrix(n, 2**2048)
         with pytest.raises(BudgetError, match="amazing_matrix"):
             amazing_matrix(n + 1, 2**2048)
-        # at b = 2^8192 the spectral path admits n = 11 and the row kernel
-        # would refuse it
+        # at b = 2^8192 the spectral path admits n = 11, and the row kernel's
+        # own terms price it over the budget
         with pytest.raises(Built):
             amazing_matrix(11, 2**8192)
-        monkeypatch.setattr(matrix, "_SPECTRAL_MIN_BITS", 2**14)
+        kernel = matrix._row_terms
+        monkeypatch.setattr(matrix, "_path", lambda n, m, rows, bits: (False, kernel(n, m, rows, False, bits)))
         with pytest.raises(BudgetError, match="amazing_matrix"):
             amazing_matrix(11, 2**8192)
 
     def test_deep_descent_polynomials_are_counted_before_the_power(self, monkeypatch):
         monkeypatch.setattr(matrix, "_spectral_rows", refuse_building)
         with pytest.raises(Built):
-            descent_polynomial(16, 3, 7939)
+            descent_polynomial(16, 3, 7949)
         with pytest.raises(BudgetError, match="descent_polynomial"):
-            descent_polynomial(16, 3, 7940)
+            descent_polynomial(16, 3, 7950)
 
     def test_benchmarked_sizes_pass_a_third_of_the_budget(self, monkeypatch):
         # every closed-form size of the benchmark's full workloads
@@ -880,3 +904,38 @@ class TestWorkBudget:
         assert verify_spectrum(12, 2**1000).ok
         assert verify_stationary(60, 2).ok
         assert foulkes_determinant(40) == superfactorial(40)
+
+    def test_benchmarked_calls_keep_their_paths(self, monkeypatch):
+        # closed-form-wide builds every P on the row kernel; closed-form-deep
+        # every P on the spectral path but the factors of its multiplicativity
+        # check and the P of its spectrum check, which always take the row
+        # kernel; and verify all every P on the row kernel
+        paths = _record_paths(monkeypatch)
+        amazing_matrix(100, 2)
+        amazing_matrix(80, 3)
+        amazing_matrix(30, 15)
+        descent_polynomial(60, 2, 20)
+        verify_multiplicativity(40, 3, 5)
+        verify_spectrum(40, 3)
+        verify_stationary(60, 2)
+        assert paths == [
+            (100, 2, False), (80, 3, False), (30, 15, False), (60, 2**20, False),
+            (40, 3, False), (40, 5, False), (40, 15, False), (40, 3, False), (60, 2, False),
+        ]
+        paths.clear()
+        amazing_matrix(16, 3**1000)
+        descent_polynomial(16, 3, 1000)
+        descent_polynomial(16, 3, 3000)
+        amazing_matrix(12, 2**3000)
+        verify_multiplicativity(10, 2**500, 3**300)
+        verify_spectrum(12, 2**1000)
+        descent_polynomial(12, 2, 1000)
+        amazing_matrix(10, 2**400)
+        assert paths == [
+            (16, 3**1000, True), (16, 3**1000, True), (16, 3**3000, True), (12, 2**3000, True),
+            (10, 2**500, False), (10, 3**300, False), (10, 2**500 * 3**300, True), (12, 2**1000, False),
+            (12, 2**1000, True), (10, 2**400, True),
+        ]
+        paths.clear()
+        assert all(report.ok for report in run_verify_all(8))
+        assert paths and not any(spectral for _, _, spectral in paths)
